@@ -72,6 +72,10 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except OverflowError as e:  # q^{-m} beyond double range at tiny q
+        print(f"error: floating-point overflow at this q and n_max: {e}",
+              file=sys.stderr)
+        return 2
     for r in reports:
         mark = "PASS" if r.passed else "FAIL"
         qtxt = "q=*" if r.q is None else f"q={r.q:g}"

@@ -8,6 +8,17 @@ breadth-first Gram-Schmidt: only the directions new at depth d need their
 generator images examined at depth d+1, since images of older directions
 already lie in the current span.
 
+The frame splits by torus weight.  Each hatted generator shifts (i, j) by a
+fixed amount (alpha by (-1/2, -1/2), beta by (+1/2, -1/2), the adjoints the
+other way, a diagonal Dirac operator by (0, 0)), and the seed e^{(0)}_{00}
+lies in sector (0, 0), so every candidate image lies in one weight sector.
+Sectors are mutually orthogonal, so each candidate is orthogonalised only
+against its own sector's frame, stored in sector-local coordinates: at most
+floor(n_max) + 1 vectors, one per level holding that weight.  When some
+generator has more than one weight shift, or the seed spans several
+sectors, all ordinals form one sector and the same loop runs a single frame
+over the whole space.
+
 Saturation is an empirical observation, not a theorem asserted by the code:
 when a run falls short, the report carries the per-level shortfall instead
 of raising.
@@ -103,38 +114,77 @@ def cyclic_dimension(generators, seed, depth: int,
             raise ValueError("cyclic_dimension: zero seed vector")
         v0 /= nv
 
-    frame = _Frame(space.dim, gram_tol)
-    frame.try_add(v0)
-    frontier = [v0]
+    # (2n, 2i, 2j) of every ordinal; a SumIndex wraps its L2Index as .label
+    nij = np.array([(b.n.twice, b.i.twice, b.j.twice)
+                    for b in (getattr(b, "label", b) for b in space.basis)],
+                   dtype=np.int64)
+    coos = [g.mat.tocoo() for g in gens]
+    sector = _sector_ids(nij[:, 1:], coos, v0)
+    rows = np.split(np.argsort(sector, kind="stable"),
+                    np.cumsum(np.bincount(sector))[:-1])
+    frames = [_Frame(len(r), gram_tol) for r in rows]
+    # dest[s, k]: the sector generator k maps sector s into; -1 when it
+    # maps the whole sector to zero
+    dest = np.full((len(rows), len(gens)), -1)
+    for k, coo in enumerate(coos):
+        dest[sector[coo.col], k] = sector[coo.row]
+
+    s0 = sector[np.flatnonzero(v0)[0]]
+    frames[s0].try_add(v0[rows[s0]])
+    frontier = [(s0, v0[rows[s0]])]
+    reached = 1
     discarded = 0
-    history = [frame.k]
+    history = [reached]
+    v = np.zeros(space.dim)
     for _ in range(depth):
         fresh = []
-        for v in frontier:
-            for g in gens:
-                w = g.apply(v)
-                if frame.try_add(w):
-                    fresh.append(frame.matrix()[:, frame.k - 1].copy())
+        for s, vs in frontier:
+            v[:] = 0.0
+            v[rows[s]] = vs
+            for k, g in enumerate(gens):
+                t = dest[s, k]
+                if t >= 0 and frames[t].try_add(g.apply(v)[rows[t]]):
+                    fresh.append((t, frames[t].matrix()[:, -1].copy()))
+                    reached += 1
                 else:
                     discarded += 1
         frontier = fresh
-        history.append(frame.k)
+        history.append(reached)
 
-    reached = frame.k
     target = sum(len(space.levels[tn]) for tn in space.levels if tn <= depth)
     saturated = reached == target
     deficiency = ()
     if not saturated:
-        Q = frame.matrix()
-        short = []
-        for tn in sorted(space.levels):
-            if tn > depth:
+        # sector frames have disjoint supports, so the rank of the frame's
+        # level-n rows is the sum of the per-sector ranks
+        rank = dict.fromkeys(space.levels, 0)
+        for r, frame in zip(rows, frames):
+            if not frame.k:
                 continue
-            rows = space.levels[tn]
-            rank = np.linalg.matrix_rank(Q[rows, :], tol=gram_tol) if reached else 0
-            miss = len(rows) - rank
-            if miss:
-                short.append((tn, miss))
-        deficiency = tuple(short)
+            level = nij[r, 0]
+            for tn in np.unique(level[level <= depth]):
+                rank[tn] += np.linalg.matrix_rank(
+                    frame.matrix()[level == tn], tol=gram_tol)
+        deficiency = tuple((tn, int(len(space.levels[tn]) - rank[tn]))
+                           for tn in sorted(space.levels)
+                           if tn <= depth and len(space.levels[tn]) > rank[tn])
     return CyclicityReport(depth, reached, target, saturated, gram_tol,
                            discarded, tuple(history), deficiency)
+
+
+def _sector_ids(ij: np.ndarray, coos, v0: np.ndarray) -> np.ndarray:
+    """Weight sector of each ordinal, numbered 0, 1, ...
+
+    Sectors are the distinct (2i, 2j) rows of ij.  They split the frame only
+    when the seed lies in one sector and every generator (given by its COO
+    matrix) shifts (i, j) by one fixed amount over all its nonzeros;
+    otherwise every ordinal is put in sector 0, a single frame over the
+    whole space.
+    """
+    graded = len(np.unique(ij[np.flatnonzero(v0)], axis=0)) == 1
+    for coo in coos:
+        shift = ij[coo.row] - ij[coo.col]
+        graded = graded and bool((shift == shift[:1]).all())
+    if not graded:
+        return np.zeros(len(ij), dtype=np.int64)
+    return np.unique(ij, axis=0, return_inverse=True)[1].reshape(-1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diraclab.covariant import GRAM_TOL, cyclic_dimension
+from diraclab.covariant import GRAM_TOL, _Frame, _sector_ids, cyclic_dimension
 from diraclab.hilbert import L2Index, enumerate_space
 from diraclab.linop import SpaceMismatchError, SparseOp
 from diraclab.qnum import half
@@ -135,3 +135,98 @@ def test_input_validation():
     bad = [SparseOp.identity(other)] + gens
     with pytest.raises(SpaceMismatchError):
         cyclic_dimension(bad, seed, 1)
+
+
+# ------------------------------------------ weight sectors vs one dense frame
+
+def _dense_oracle(gens, v0, depth, gram_tol=GRAM_TOL):
+    """Breadth-first Gram-Schmidt with one frame over the whole space.
+
+    Returns (reached, discarded, history, deficiency) for comparison with
+    the per-sector frames of cyclic_dimension.
+    """
+    space = gens[0].dom
+    v0 = v0 / np.linalg.norm(v0)
+    frame = _Frame(space.dim, gram_tol)
+    frame.try_add(v0)
+    frontier, discarded, history = [v0], 0, [1]
+    for _ in range(depth):
+        fresh = []
+        for v in frontier:
+            for g in gens:
+                if frame.try_add(g.apply(v)):
+                    fresh.append(frame.matrix()[:, -1].copy())
+                else:
+                    discarded += 1
+        frontier = fresh
+        history.append(frame.k)
+    Q = frame.matrix()
+    deficiency = []
+    for tn in sorted(space.levels):
+        if tn <= depth:
+            rows = space.levels[tn]
+            miss = len(rows) - np.linalg.matrix_rank(Q[rows], tol=gram_tol)
+            if miss:
+                deficiency.append((tn, int(miss)))
+    return frame.k, discarded, tuple(history), tuple(deficiency)
+
+
+def _assert_matches_dense(gens, seed, depth):
+    v0 = np.zeros(gens[0].dom.dim)
+    if isinstance(seed, (int, np.integer)):
+        v0[seed] = 1.0
+    else:
+        v0 = np.asarray(seed, dtype=float)
+    rep = cyclic_dimension(gens, seed, depth)
+    assert (rep.reached, rep.discarded, rep.history, rep.deficiency) \
+        == _dense_oracle(gens, v0, depth)
+    return rep
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.8, 0.9])
+@pytest.mark.parametrize("tn_max", [1, 2, 3, 4, 5, 6])
+def test_sector_frames_match_dense_all_generators(q, tn_max):
+    sp, gens, seed = _setup(tn_max=tn_max, q=q)
+    rep = _assert_matches_dense(gens, seed, tn_max)
+    assert rep.saturated
+
+
+def test_sector_frames_match_dense_alpha_alone():
+    sp, gens, seed = _setup()
+    rep = _assert_matches_dense([gens[0]], seed, 6)
+    assert rep.deficiency  # the shortfall case
+
+
+def test_sector_frames_match_dense_diagonal():
+    sp, gens, seed = _setup()
+    D1 = dirac_family(D1_PARAMS, sp)
+    rep = _assert_matches_dense([D1], seed, 6)
+    assert rep.reached == 1
+
+
+def test_mixed_weight_shift_falls_back_to_one_sector():
+    # alpha + beta shifts (i, j) by (-1/2, -1/2) on some nonzeros and by
+    # (+1/2, -1/2) on others, so the weights do not grade its images
+    sp, gens, seed = _setup()
+    mixed = gens[0] + gens[2]
+    ij = np.array([(b.i.twice, b.j.twice) for b in sp.basis])
+    v0 = np.zeros(sp.dim)
+    v0[seed] = 1.0
+    coos = lambda ops: [g.mat.tocoo() for g in ops]
+    assert not _sector_ids(ij, coos([mixed, gens[1]]), v0).any()
+    assert len(set(_sector_ids(ij, coos(gens), v0))) > 1
+    _assert_matches_dense([mixed, gens[1]], seed, 6)
+    # a seed spread over two sectors also forces the single frame
+    two = v0.copy()
+    two[sp.ordinal(L2Index(half(0.5), half(0.5), half(0.5)))] = 1.0
+    assert not _sector_ids(ij, coos(gens), two).any()
+    _assert_matches_dense(gens, two, 4)
+
+
+def test_tiny_q_drops_the_alpha_image():
+    # at q = 1e-100 alpha maps the seed to q e^{(1/2)}_{-1/2,-1/2}, far below
+    # gram_tol (SparseOp even prunes the coefficient), so only the other
+    # three images are new at depth 1
+    sp, gens, seed = _setup(q=1e-100)
+    rep = _assert_matches_dense(gens, seed, 6)
+    assert rep.history[1] == 4

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -99,6 +100,16 @@ def test_minimality_suite_metrics():
     assert r.passed
 
 
+def test_commutator_cell_times_cover_the_suite():
+    # the norms are computed once per q, before the cells are formed; their
+    # cost must land in the cells, not vanish between them
+    t0 = time.perf_counter()
+    reports = run(_cfg(suites=("commutators",), n_max=HalfInt(8)))
+    elapsed = time.perf_counter() - t0
+    assert len(reports) == 8
+    assert sum(r.wall_time for r in reports) >= 0.5 * elapsed
+
+
 def test_reports_are_sorted():
     reports = run(_cfg(suites=("family", "decompose"), q=(0.7, 0.3),
                        n_max=HalfInt(4)))
@@ -192,6 +203,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["kq-decay", "--nmax", "10", "--q", "0.5", "--plot"]) == 2
     err = capsys.readouterr().err
     assert "output directory" in err
+
+
+def test_cli_extreme_q_is_a_config_error(capsys):
+    # [m] = (q^m - q^-m) / (q - 1/q) needs q^-m, beyond double range here
+    assert main(["relations", "--nmax", "4", "--q", "1e-100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflow" in err
 
 
 def test_cli_tolerance_flags(capsys):

@@ -170,6 +170,27 @@ def test_hat_relation_defects_have_closed_forms(q):
                     or label.j.twice == label.n.twice), (name, label)
 
 
+def test_hat_relation_defects_past_the_crossover():
+    """At q = 0.8 the next boundary term sets two of the defect norms.
+
+    unit_left is max(q^2 (1-q^2), q^4 (1-q^4)) and beta_normal is
+    max(q^4 (1-q^2), q^6 (1-q^4)); the second terms win once
+    q^2 > (sqrt 5 - 1)/2, i.e. q > 0.786.  Exact norms by dense SVD.
+    """
+    q = 0.8
+    pinned = {"unit_left": 0.24182784, "beta_normal": 0.1547698176}
+    sp = enumerate_space("L2", half(4))
+    ops = hat_generators(sp, q)
+    P = interior_projector(sp, 1)
+    words = relation_words(q)
+    for name, value in pinned.items():
+        T = P @ pi_hat(words[name], sp, q, ops) @ P
+        assert np.linalg.norm(T.to_dense(), 2) == \
+            pytest.approx(value, abs=1e-9), name
+    assert pinned["unit_left"] == pytest.approx(q ** 4 * (1 - q ** 4))
+    assert pinned["beta_normal"] == pytest.approx(q ** 6 * (1 - q ** 4))
+
+
 def test_relation_words_shape():
     rel = relation_words(Q)
     assert set(rel) == {"unit_left", "unit_right", "twist_beta",
