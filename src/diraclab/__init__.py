@@ -18,8 +18,8 @@ from .decomp import (AsymptoticScan, DecayFit, KqDecay, asymptotic_residual,
                      leading_form)
 from .harness import RunConfig, VerificationReport, run
 from .hilbert import TruncatedSpace, direct_sum, enumerate_space, interior
-from .linop import (PowerIterationError, SparseOp, SpaceMismatchError,
-                    block_norm, interior_projector, op_norm)
+from .linop import (SparseOp, SpaceMismatchError, block_norm,
+                    interior_projector, op_norm)
 from .qnum import HalfInt, half, q_number, validate_q
 from .rep_double import (a_minus, a_plus, b_minus, b_plus, dirac_D, pi_prime,
                          pi_prime_generators, tilde_coeffs)

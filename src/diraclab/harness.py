@@ -25,12 +25,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__ as _pkg_version
-from ._kernels import USE_JIT
 from .covariant import cyclic_dimension
 from .decomp import (asymptotic_scan, check_dirac_intertwine, control_decay,
                      kq_decay)
 from .hilbert import enumerate_space
-from .linop import PowerIterationError, interior_projector, op_norm
+from .linop import interior_projector, op_norm
 from .qnum import HalfInt, half
 from .rep_double import dirac_D, pi_prime_generators
 from .rep_l2 import (D1_PARAMS, D2_PARAMS, DiracParams, dirac_family,
@@ -128,13 +127,6 @@ def _report(suite, label, q, n_max, metrics, name, op, value, t0):
                               time.perf_counter() - t0)
 
 
-def _norm_or_estimate(T) -> float:
-    try:
-        return op_norm(T)
-    except PowerIterationError as e:  # keep the cell, fail it honestly
-        return float(e.estimate) if math.isfinite(e.estimate) else math.inf
-
-
 # ------------------------------------------------------------------- suites
 
 def _suite_relations(cfg: RunConfig, plots: dict):
@@ -149,7 +141,7 @@ def _suite_relations(cfg: RunConfig, plots: dict):
         for rep, space, ops in cells:
             P = interior_projector(space, 1)
             for name, w in relation_words(q).items():
-                defect = _norm_or_estimate(pi_hat(w, space, q, ops=ops) @ P)
+                defect = op_norm(pi_hat(w, space, q, ops=ops) @ P)
                 out.append(_report("relations", f"{rep}:{name}", q, cfg.n_max,
                                    {"defect": defect}, "defect", "<=",
                                    cfg.tolerances["relation"], t0))
@@ -219,9 +211,9 @@ def _commutator_norms(n_max: HalfInt, q: float) -> dict:
     pd = interior_projector(dbl, 1)
     vals = {}
     for g, T in hat_generators(l2, q).items():
-        vals[("hat", g)] = _norm_or_estimate((d1 @ T - T @ d1) @ pl)
+        vals[("hat", g)] = op_norm((d1 @ T - T @ d1) @ pl)
     for g, T in pi_prime_generators(dbl, q).items():
-        vals[("prime", g)] = _norm_or_estimate((D @ T - T @ D) @ pd)
+        vals[("prime", g)] = op_norm((D @ T - T @ D) @ pd)
     return vals
 
 
@@ -407,7 +399,6 @@ def emit(reports, cfg: RunConfig, plots: dict | None = None) -> list:
                            for r in reports},
             "versions": {"diraclab": _pkg_version,
                          "numpy": np.__version__},
-            "jit": bool(USE_JIT),
             "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         },
     }

@@ -17,7 +17,6 @@ would leave the truncated space; quantitative assertions are made only on
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -106,7 +105,7 @@ def enumerate_space(kind: str, n_max) -> TruncatedSpace:
     """Enumerate the truncated basis of kind "L2" or "Double".
 
     The total order is canonical (sorted by n, then band, then i, then j)
-    so that dumped matrices are reproducible bit-for-bit across runs.
+    so that assembled matrices are reproducible bit-for-bit across runs.
     """
     n_max = half(n_max)
     if n_max.twice < 0:
@@ -141,18 +140,3 @@ def interior(space: TruncatedSpace, margin) -> np.ndarray:
     if not keep:
         return np.empty(0, dtype=np.int64)
     return np.concatenate([space.levels[tn] for tn in keep])
-
-
-def basis_csv(space: TruncatedSpace, path) -> None:
-    """Dump the basis as CSV with columns (kind, 2n, 2i, 2j, band, ordinal)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "2n", "2i", "2j", "band", "ordinal"])
-        for k, b in enumerate(space.basis):
-            if isinstance(b, SumIndex):
-                lab, band = b.label, f"copy{b.copy}"
-                w.writerow([space.kind, lab.n.twice, lab.i.twice, lab.j.twice, band, k])
-            elif isinstance(b, DoubleIndex):
-                w.writerow([space.kind, b.n.twice, b.i.twice, b.j.twice, b.band, k])
-            else:
-                w.writerow([space.kind, b.n.twice, b.i.twice, b.j.twice, "", k])

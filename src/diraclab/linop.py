@@ -4,7 +4,9 @@ A :class:`SparseOp` is an explicit sparse coefficient table with domain and
 codomain metadata.  All algebra enforces space compatibility; entries below
 1e-15 are pruned at construction.  Scalars are real doubles throughout (every
 displayed coefficient in this problem is real), so the adjoint is the
-transpose.
+transpose.  Operator norms are exact up to rounding: :func:`op_norm` and
+:func:`block_norm` both take the largest dense 2-norm over the independent
+blocks of the sparsity pattern (:func:`_kernels.spectral_norm`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import _kernels
+from ._kernels import spectral_norm
 from .hilbert import TruncatedSpace, interior
 
 PRUNE_TOL = 1e-15
@@ -22,22 +24,6 @@ PRUNE_TOL = 1e-15
 
 class SpaceMismatchError(ValueError):
     """Domain/codomain incompatibility in an operator expression."""
-
-
-class PowerIterationError(RuntimeError):
-    """Operator-norm iteration hit its cap without meeting tolerance.
-
-    Carries the last estimate, the iteration count and the last iterate so
-    the caller can diagnose (or accept) the partial result.
-    """
-
-    def __init__(self, estimate, iterations, last_iterate):
-        super().__init__(
-            f"power iteration did not converge: estimate {estimate!r} "
-            f"after {iterations} iterations")
-        self.estimate = estimate
-        self.iterations = iterations
-        self.last_iterate = last_iterate
 
 
 def _prune(mat: sp.csr_matrix) -> sp.csr_matrix:
@@ -128,12 +114,6 @@ class SparseOp:
     def nnz(self) -> int:
         return self.mat.nnz
 
-    def entries(self):
-        """Yield (row, col, value) triplets in row-major order."""
-        coo = self.mat.tocoo()
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            yield int(r), int(c), float(v)
-
     def max_abs(self) -> float:
         return float(np.abs(self.mat.data).max()) if self.mat.nnz else 0.0
 
@@ -141,34 +121,18 @@ class SparseOp:
         return self.mat.toarray()
 
 
-def op_norm(T: SparseOp, tol: float = 1e-10, max_iter: int = 100000) -> float:
-    """Largest singular value of T by deterministic power iteration on T*T.
+def op_norm(T: SparseOp) -> float:
+    """Largest singular value of T, exact up to rounding.
 
-    The start vector is the normalized all-ones vector and the iteration cap
-    is 1e5; non-convergence raises :class:`PowerIterationError` with the last
-    iterate attached.  Values below ~1e-13 mean "zero at working precision".
+    Computed by :func:`_kernels.spectral_norm` as the largest dense 2-norm
+    over the independent blocks of T's sparsity pattern.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if T.dom.dim == 0 or T.cod.dim == 0 or T.mat.nnz == 0:
-        return 0.0
-    A = T.mat
-    At = A.T.tocsr()
-    sigma, iters, converged, last = _kernels.power_iteration(
-        A.data, A.indices, A.indptr, A.shape[0], A.shape[1],
-        At.data, At.indices, At.indptr, tol=tol, max_iter=max_iter)
-    if not converged:
-        raise PowerIterationError(sigma, iters, last)
-    return sigma
+    return spectral_norm(T.mat)
 
 
 def block_norm(T: SparseOp, n) -> float:
-    """Norm of the level-n row block of T (dense SVD; blocks are small)."""
-    rows = T.cod.level_ordinals(n)
-    block = T.mat[rows, :].toarray()
-    if block.size == 0 or not block.any():
-        return 0.0
-    return float(np.linalg.norm(block, 2))
+    """Norm of the level-n row block of T."""
+    return spectral_norm(T.mat[T.cod.level_ordinals(n), :])
 
 
 def interior_projector(space: TruncatedSpace, margin) -> SparseOp:
@@ -176,15 +140,3 @@ def interior_projector(space: TruncatedSpace, margin) -> SparseOp:
     d = np.zeros(space.dim)
     d[interior(space, margin)] = 1.0
     return SparseOp.diagonal(space, d)
-
-
-def dump(T: SparseOp, path) -> None:
-    """Write the operator as coordinate triplets with a space-naming header."""
-    with open(path, "w") as fh:
-        fh.write(f"# dom kind={T.dom.kind} n_max_twice={T.dom.n_max.twice} "
-                 f"dim={T.dom.dim}\n")
-        fh.write(f"# cod kind={T.cod.kind} n_max_twice={T.cod.n_max.twice} "
-                 f"dim={T.cod.dim}\n")
-        fh.write("# row col value\n")
-        for r, c, v in T.entries():
-            fh.write(f"{r} {c} {v!r}\n")

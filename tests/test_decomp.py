@@ -105,7 +105,8 @@ def test_kq_defect_validates_generator():
 def test_kq_defect_band_structure_and_level_zero():
     delta = kq_defect("beta", 3, Q)
     sp = delta.cod
-    for r, c, v in delta.entries():
+    coo = delta.mat.tocoo()
+    for r, c in zip(coo.row, coo.col):
         assert abs(sp.basis[r].n.twice - sp.basis[c].n.twice) == 1
     levels, norms = level_block_norms(delta)
     assert norms[0] <= 1.0

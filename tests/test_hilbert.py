@@ -5,7 +5,6 @@ from diraclab.hilbert import (
     L2Index,
     SumIndex,
     TruncatedSpace,
-    basis_csv,
     direct_sum,
     enumerate_space,
     interior,
@@ -155,21 +154,6 @@ def test_signature_distinguishes_spaces():
     assert a.signature != b.signature
     assert a.signature != c.signature
     assert a.signature == enumerate_space("L2", half(2)).signature
-
-
-def test_basis_csv(tmp_path):
-    sp = enumerate_space("L2", half(0.5))
-    out = tmp_path / "basis.csv"
-    basis_csv(sp, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "kind,2n,2i,2j,band,ordinal"
-    assert len(lines) == sp.dim + 1
-    assert lines[1].split(",") == ["L2", "0", "0", "0", "", "0"]
-    dbl = enumerate_space("Double", half(0))
-    out2 = tmp_path / "dbl.csv"
-    basis_csv(dbl, out2)
-    rows = out2.read_text().strip().splitlines()[1:]
-    assert all(r.split(",")[4] == "up" for r in rows)
 
 
 def test_enumerate_space_errors():

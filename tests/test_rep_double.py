@@ -135,7 +135,8 @@ def test_pi_prime_band_and_weight_structure():
     for gen, (di, dj) in shifts.items():
         T = pi_prime(gen, sp, Q)
         assert T.nnz > 0
-        for r, c, v in T.entries():
+        coo = T.mat.tocoo()
+        for r, c in zip(coo.row, coo.col):
             src, tgt = sp.basis[c], sp.basis[r]
             assert abs(tgt.n.twice - src.n.twice) == 1, gen
             assert tgt.i.twice - src.i.twice == di, gen
