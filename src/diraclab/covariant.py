@@ -114,10 +114,7 @@ def cyclic_dimension(generators, seed, depth: int,
             raise ValueError("cyclic_dimension: zero seed vector")
         v0 /= nv
 
-    # (2n, 2i, 2j) of every ordinal; a SumIndex wraps its L2Index as .label
-    nij = np.array([(b.n.twice, b.i.twice, b.j.twice)
-                    for b in (getattr(b, "label", b) for b in space.basis)],
-                   dtype=np.int64)
+    nij = np.column_stack([space.tn, space.ti, space.tj])
     coos = [g.mat.tocoo() for g in gens]
     sector = _sector_ids(nij[:, 1:], coos, v0)
     rows = np.split(np.argsort(sector, kind="stable"),

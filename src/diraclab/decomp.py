@@ -26,10 +26,11 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .hilbert import DoubleIndex, TruncatedSpace, direct_sum, enumerate_space
+from .hilbert import TruncatedSpace, direct_sum, enumerate_space
 from .linop import SparseOp, block_norm
-from .qnum import HalfInt, half, validate_q
-from .rep_double import _sqrt0, a_minus, a_plus, b_minus, b_plus, pi_prime
+from .qnum import HalfInt, half, q_power, validate_q
+from .rep_double import (_halves, _matrix, _sqrt0, a_minus, a_plus, b_minus,
+                         b_plus, pi_prime)
 from .rep_l2 import (D1_PARAMS, D2_PARAMS, abs_op, dirac_family,
                      hat_generators)
 
@@ -52,24 +53,13 @@ def build_U(n_max) -> SparseOp:
     n_max = half(n_max)
     l2 = enumerate_space("L2", n_max)
     dbl = enumerate_space("Double", n_max)
-    dom = direct_sum(l2, l2)
-    rows, cols, vals = [], [], []
-    for k, lab in enumerate(l2.basis):
-        tn, ti, tj = lab.n.twice, lab.i.twice, lab.j.twice
-        if tj < tn:
-            tgt = DoubleIndex("down", HalfInt(tn), HalfInt(ti), HalfInt(tj + 1))
-        else:
-            tgt = DoubleIndex("up", HalfInt(tn), HalfInt(ti), HalfInt(tn + 1))
-        rows.append(dbl.ordinal(tgt))
-        cols.append(k)
-        vals.append(1.0)
-    for k, lab in enumerate(l2.basis):
-        tn, ti, tj = lab.n.twice, lab.i.twice, lab.j.twice
-        tgt = DoubleIndex("up", HalfInt(tn), HalfInt(ti), HalfInt(tj - 1))
-        rows.append(dbl.ordinal(tgt))
-        cols.append(l2.dim + k)
-        vals.append(1.0)
-    return SparseOp.from_coo(dom, dbl, rows, cols, vals)
+    tn, ti, tj = l2.tn, l2.ti, l2.tj
+    edge = tj == tn
+    rows = np.concatenate([
+        dbl.ordinals(tn, ti, np.where(edge, tn + 1, tj + 1), band=~edge),
+        dbl.ordinals(tn, ti, tj - 1, band=0)])
+    return SparseOp.from_coo(direct_sum(l2, l2), dbl, rows,
+                             np.arange(2 * l2.dim), np.ones(2 * l2.dim))
 
 
 def direct_sum_op(A: SparseOp, B: SparseOp) -> SparseOp:
@@ -247,21 +237,20 @@ def leading_form(kind: str, n, i, j, q: float) -> np.ndarray:
         raise ValueError(f"leading_form: kind must be one of "
                          f"{tuple(_EXACT)}, got {kind!r}")
     q = validate_q(q)
-    tn, ti, tj = half(n).twice, half(i).twice, half(j).twice
+    n, i, j = _halves(n, i, j)
+    s = lambda e: _sqrt0(1 - q_power(e, q))
     if kind == "a+":
-        return _sqrt0(1 - q ** (tn + ti + 2)) * np.array(
-            [[_sqrt0(1 - q ** (tn + tj + 3)), 0.0],
-             [0.0, _sqrt0(1 - q ** (tn + tj + 1))]])
+        return _matrix(s(2 * n + 2 * i + 2), s(2 * n + 2 * j + 3), 0.0,
+                       0.0, s(2 * n + 2 * j + 1))
     if kind == "a-":
-        return q ** (tn + ti / 2 + tj / 2 + 0.5) * _sqrt0(1 - q ** (tn - ti)) * np.array(
-            [[q * _sqrt0(1 - q ** (tn - tj + 1)), 0.0],
-             [0.0, _sqrt0(1 - q ** (tn - tj - 1))]])
+        pref = q_power(2 * n + i + j + 0.5, q) * s(2 * n - 2 * i)
+        return _matrix(pref, q * s(2 * n - 2 * j + 1), 0.0,
+                       0.0, s(2 * n - 2 * j - 1))
     if kind == "b+":
-        return q ** (tn / 2 + tj / 2 - 0.5) * _sqrt0(1 - q ** (tn + ti + 2)) * np.array(
-            [[q, 0.0], [0.0, 1.0]])
-    return -q ** (tn / 2 + ti / 2) * np.array(
-        [[_sqrt0(1 - q ** (tn + tj + 1)), 0.0],
-         [0.0, _sqrt0(1 - q ** (tn + tj - 1))]])
+        pref = q_power(n + j - 0.5, q) * s(2 * n + 2 * i + 2)
+        return _matrix(pref, q, 0.0, 0.0, 1.0)
+    return _matrix(-q_power(n + i, q), s(2 * n + 2 * j + 1), 0.0,
+                   0.0, s(2 * n + 2 * j - 1))
 
 
 def asymptotic_residual(kind: str, levels, q: float) -> np.ndarray:
@@ -278,14 +267,10 @@ def asymptotic_residual(kind: str, levels, q: float) -> np.ndarray:
     out = []
     for n in levels:
         tn = half(n).twice
-        r = 0.0
-        for ti in range(-tn, tn + 1, 2):
-            for tj in range(-tn - 1, tn + 2, 2):
-                lab = (HalfInt(tn), HalfInt(ti), HalfInt(tj))
-                d = np.max(np.abs(exact(*lab, q) - leading_form(kind, *lab, q)))
-                if d > r:
-                    r = d
-        out.append(r)
+        ti, tj = np.meshgrid(np.arange(-tn, tn + 1, 2),
+                             np.arange(-tn - 1, tn + 2, 2), indexing="ij")
+        lab = (tn / 2.0, ti / 2.0, tj / 2.0)
+        out.append(np.max(np.abs(exact(*lab, q) - leading_form(kind, *lab, q))))
     return np.asarray(out)
 
 

@@ -269,22 +269,15 @@ def _suite_family(cfg: RunConfig, plots: dict):
     l2 = enumerate_space("L2", table_n)
     d1 = dirac_family(D1_PARAMS, l2).mat.diagonal()
     d2 = dirac_family(D2_PARAMS, l2).mat.diagonal()
-    dev1 = dev2 = 0.0
-    for k, lab in enumerate(l2.basis):
-        tn, tj = lab.n.twice, lab.j.twice
-        want1 = tn + 1.0 if tj == tn else -float(tn)
-        want2 = tn + 1.0 if tj == tn else -(tn + 1.0)
-        dev1 = max(dev1, abs(d1[k] - want1))
-        dev2 = max(dev2, abs(d2[k] - want2))
-    # the eigenvalue must be a function of (n, j) alone
-    seen: dict = {}
-    weight_dev = 0.0
-    for k, lab in enumerate(l2.basis):
-        key = (lab.n.twice, lab.j.twice)
-        if key in seen:
-            weight_dev = max(weight_dev, abs(d1[k] - seen[key]))
-        else:
-            seen[key] = d1[k]
+    tn, tj = l2.tn, l2.tj
+    top = tj == tn
+    dev1 = float(np.abs(d1 - np.where(top, tn + 1.0, -tn)).max())
+    dev2 = float(np.abs(d2 - np.where(top, tn + 1.0, -(tn + 1.0))).max())
+    # the eigenvalue must be a function of (n, j) alone: compare each entry
+    # with the first entry of its (n, j) class
+    _, first, cls = np.unique(np.column_stack([tn, tj]), axis=0,
+                              return_index=True, return_inverse=True)
+    weight_dev = float(np.abs(d1 - d1[first][cls.reshape(-1)]).max())
     try:
         DiracParams(0, 1.0, 0.0, 2.0, 1.0).validate()
         rejects = 0.0

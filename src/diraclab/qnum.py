@@ -1,13 +1,17 @@
 """q-arithmetic: half-integer labels, q-numbers, q-powers.
 
 Every spin/weight label in this package is a half-integer stored by its
-doubled value, so index arithmetic stays exact and hashable.  All scalar
-coefficient formulas funnel through :func:`q_number` and :func:`q_power`.
+doubled value, so index arithmetic stays exact and hashable.  All
+coefficient formulas funnel through :func:`q_number` and :func:`q_power`;
+:func:`q_number`, :func:`q_power` and :func:`twice` take numpy arrays of
+labels as well as single labels.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+import numpy as np
 
 
 class HalfInt(NamedTuple):
@@ -55,6 +59,21 @@ def half(x) -> HalfInt:
     return HalfInt(int(t))
 
 
+def twice(x) -> np.ndarray:
+    """Twice a half-integer label, as integers: the array form of
+    ``half(x).twice``.
+
+    x may be a HalfInt, a number or an array of numbers.  Raises ValueError
+    unless every entry is an exact multiple of 1/2.
+    """
+    if isinstance(x, HalfInt):
+        return np.int64(x.twice)
+    t = 2 * np.asarray(x, dtype=float)
+    if (t != np.rint(t)).any():
+        raise ValueError(f"{x!r} is not a half-integer")
+    return t.astype(np.int64)
+
+
 def validate_q(q: float) -> float:
     """Check the deformation parameter: q must lie strictly inside (0, 1)."""
     q = float(q)
@@ -68,8 +87,8 @@ def q_number(m, q: float) -> float:
 
     Parameters
     ----------
-    m : HalfInt, int or float
-        Any half-integer (or real) order.
+    m : HalfInt, int, float or array
+        Any half-integer (or real) order; an array gives an array.
     q : float
         Deformation parameter in (0, 1).
 
@@ -79,11 +98,27 @@ def q_number(m, q: float) -> float:
     The recursion [m+1] = (q + q^{-1})[m] - [m-1] holds exactly.
     """
     q = validate_q(q)
-    mv = m.value if isinstance(m, HalfInt) else float(m)
-    return (q**mv - q**(-mv)) / (q - 1.0 / q)
+    return _each_distinct(lambda mv: (q**mv - q**(-mv)) / (q - 1.0 / q), m)
 
 
 def q_power(e, q: float) -> float:
-    """q raised to a (half-integer-combination) exponent e."""
-    ev = e.value if isinstance(e, HalfInt) else float(e)
-    return float(q) ** ev
+    """q raised to a (half-integer-combination) exponent e; an array e
+    gives an array."""
+    q = float(q)
+    return _each_distinct(lambda ev: q ** ev, e)
+
+
+def _each_distinct(f, x):
+    """f of the value of x; for an array x, f of each distinct entry.
+
+    f is Python float arithmetic, so overflow raises OverflowError, and an
+    array result equals the scalar one bit for bit on every CPU (numpy's
+    vectorised power can differ from it in the last place).  An operator
+    has few distinct orders and exponents, so the loop is short.
+    """
+    if isinstance(x, HalfInt):
+        return f(x.value)
+    if np.ndim(x) == 0:
+        return f(float(x))
+    u, inv = np.unique(np.asarray(x, dtype=float), return_inverse=True)
+    return np.array([f(v) for v in u.tolist()])[inv].reshape(np.shape(x))

@@ -19,27 +19,60 @@ convention.
 
 Transcription of the four displays is isolated in one leaf function per
 matrix below — it is the highest-risk step of the whole build, and each leaf
-is pinned against independent evaluation oracles in the tests.
+is pinned against independent evaluation oracles in the tests.  The leaves
+broadcast: given arrays of labels they return one 2x2 matrix per label (in
+the last two axes), so a generator is assembled in one numpy pass over the
+label arrays of the space.  Overflow of q^{-m} at tiny q raises
+OverflowError, for an array of labels as for one (see :data:`_silent`).
 """
 
 from __future__ import annotations
 
-import math
+from functools import partial
 
 import numpy as np
 
-from .hilbert import DoubleIndex, TruncatedSpace
+from .hilbert import TruncatedSpace
 from .linop import SparseOp
-from .qnum import HalfInt, half, q_number, validate_q
-
-_BAND = {"up": 0, "down": 1}
-_BAND_NAME = ("up", "down")
+from .qnum import q_number, q_power, twice, validate_q
 
 
-def _sqrt0(x: float) -> float:
-    return math.sqrt(x) if x > 0.0 else 0.0
+#: Float semantics of the leaves over arrays, as for Python floats: every
+#: label-dependent power is taken by :func:`qnum.q_power`, which raises
+#: OverflowError; a product that overflows is inf, silently.  Division by
+#: zero and invalid operations occur only where a prefactor vanishes (see
+#: :func:`_matrix`) or at the invalid labels :func:`tilde_coeffs` masks; a
+#: nan that escaped those masks would show as a non-finite operator entry.
+_silent = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
+def _sqrt0(x):
+    """sqrt clipped at zero (boundary q-numbers may round to tiny negatives)."""
+    return np.sqrt(np.maximum(x, 0.0))
+
+
+def _halves(n, i, j):
+    """Label values as float arrays; raises ValueError off the half-integers."""
+    return (twice(x) / 2.0 for x in (n, i, j))
+
+
+def _matrix(pref, uu, ud, du, dd) -> np.ndarray:
+    """pref * [[uu, ud], [du, dd]] in the last two axes.
+
+    The zero matrix wherever the prefactor vanishes: there the other factors
+    may be singular (the [2n] denominators of a- and b- at n = 0).
+    """
+    shape = np.broadcast_shapes(*map(np.shape, (pref, uu, ud, du, dd)))
+    M = np.empty(shape + (2, 2))
+    M[..., 0, 0] = pref * uu
+    M[..., 0, 1] = pref * ud
+    M[..., 1, 0] = pref * du
+    M[..., 1, 1] = pref * dd
+    M[np.broadcast_to(np.asarray(pref) == 0.0, shape)] = 0.0
+    return M
+
+
+@_silent
 def a_plus(n, i, j, q: float) -> np.ndarray:
     """2x2 coefficient matrix a+_{nij}.
 
@@ -48,16 +81,16 @@ def a_plus(n, i, j, q: float) -> np.ndarray:
             [ q^{1/2} [n-j+1/2]^{1/2} / ([2n+1][2n+2])   q^{-n} [n+j+1/2]^{1/2} / [2n+1] ]
     """
     q = validate_q(q)
-    tn, ti, tj = half(n).twice, half(i).twice, half(j).twice
-    nv = tn / 2.0
-    qn = lambda t: q_number(HalfInt(t), q)
-    pref = q ** ((ti / 2.0 + tj / 2.0 - 0.5) / 2.0) * _sqrt0(qn(tn + ti + 2))
-    uu = q ** (-nv - 0.5) * _sqrt0(qn(tn + tj + 3)) / qn(2 * tn + 4)
-    du = q ** 0.5 * _sqrt0(qn(tn - tj + 1)) / (qn(2 * tn + 2) * qn(2 * tn + 4))
-    dd = q ** (-nv) * _sqrt0(qn(tn + tj + 1)) / qn(2 * tn + 2)
-    return pref * np.array([[uu, 0.0], [du, dd]])
+    n, i, j = _halves(n, i, j)
+    qn = lambda m: q_number(m, q)
+    pref = q_power((i + j - 0.5) / 2.0, q) * _sqrt0(qn(n + i + 1))
+    uu = q_power(-n - 0.5, q) * _sqrt0(qn(n + j + 1.5)) / qn(2 * n + 2)
+    du = q ** 0.5 * _sqrt0(qn(n - j + 0.5)) / (qn(2 * n + 1) * qn(2 * n + 2))
+    dd = q_power(-n, q) * _sqrt0(qn(n + j + 0.5)) / qn(2 * n + 1)
+    return _matrix(pref, uu, 0.0, du, dd)
 
 
+@_silent
 def a_minus(n, i, j, q: float) -> np.ndarray:
     """2x2 coefficient matrix a-_{nij}.
 
@@ -70,18 +103,16 @@ def a_minus(n, i, j, q: float) -> np.ndarray:
     matrix there.
     """
     q = validate_q(q)
-    tn, ti, tj = half(n).twice, half(i).twice, half(j).twice
-    nv = tn / 2.0
-    qn = lambda t: q_number(HalfInt(t), q)
-    pref = q ** ((ti / 2.0 + tj / 2.0 - 0.5) / 2.0) * _sqrt0(qn(tn - ti))
-    if pref == 0.0:
-        return np.zeros((2, 2))
-    uu = q ** (nv + 1) * _sqrt0(qn(tn - tj + 1)) / qn(2 * tn + 2)
-    ud = -q ** 0.5 * _sqrt0(qn(tn + tj + 1)) / (qn(2 * tn) * qn(2 * tn + 2))
-    dd = q ** (nv + 0.5) * _sqrt0(qn(tn - tj - 1)) / qn(2 * tn)
-    return pref * np.array([[uu, ud], [0.0, dd]])
+    n, i, j = _halves(n, i, j)
+    qn = lambda m: q_number(m, q)
+    pref = q_power((i + j - 0.5) / 2.0, q) * _sqrt0(qn(n - i))
+    uu = q_power(n + 1, q) * _sqrt0(qn(n - j + 0.5)) / qn(2 * n + 1)
+    ud = -q ** 0.5 * _sqrt0(qn(n + j + 0.5)) / (qn(2 * n) * qn(2 * n + 1))
+    dd = q_power(n + 0.5, q) * _sqrt0(qn(n - j - 0.5)) / qn(2 * n)
+    return _matrix(pref, uu, ud, 0.0, dd)
 
 
+@_silent
 def b_plus(n, i, j, q: float) -> np.ndarray:
     """2x2 coefficient matrix b+_{nij}.
 
@@ -92,16 +123,16 @@ def b_plus(n, i, j, q: float) -> np.ndarray:
     The prefactor [n+i+1]^{1/2} never vanishes on valid labels.
     """
     q = validate_q(q)
-    tn, ti, tj = half(n).twice, half(i).twice, half(j).twice
-    nv = tn / 2.0
-    qn = lambda t: q_number(HalfInt(t), q)
-    pref = q ** ((ti / 2.0 + tj / 2.0 - 0.5) / 2.0) * _sqrt0(qn(tn + ti + 2))
-    uu = _sqrt0(qn(tn - tj + 3)) / qn(2 * tn + 4)
-    du = -q ** (-nv - 1) * _sqrt0(qn(tn + tj + 1)) / (qn(2 * tn + 2) * qn(2 * tn + 4))
-    dd = q ** (-0.5) * _sqrt0(qn(tn - tj + 1)) / qn(2 * tn + 2)
-    return pref * np.array([[uu, 0.0], [du, dd]])
+    n, i, j = _halves(n, i, j)
+    qn = lambda m: q_number(m, q)
+    pref = q_power((i + j - 0.5) / 2.0, q) * _sqrt0(qn(n + i + 1))
+    uu = _sqrt0(qn(n - j + 1.5)) / qn(2 * n + 2)
+    du = -q_power(-n - 1, q) * _sqrt0(qn(n + j + 0.5)) / (qn(2 * n + 1) * qn(2 * n + 2))
+    dd = q ** (-0.5) * _sqrt0(qn(n - j + 0.5)) / qn(2 * n + 1)
+    return _matrix(pref, uu, 0.0, du, dd)
 
 
+@_silent
 def b_minus(n, i, j, q: float) -> np.ndarray:
     """2x2 coefficient matrix b-_{nij}.
 
@@ -112,29 +143,21 @@ def b_minus(n, i, j, q: float) -> np.ndarray:
     Zero matrix at i = n, as for a-.
     """
     q = validate_q(q)
-    tn, ti, tj = half(n).twice, half(i).twice, half(j).twice
-    nv = tn / 2.0
-    qn = lambda t: q_number(HalfInt(t), q)
-    pref = q ** ((ti / 2.0 + tj / 2.0 - 0.5) / 2.0) * _sqrt0(qn(tn - ti))
-    if pref == 0.0:
-        return np.zeros((2, 2))
-    uu = -q ** (-0.5) * _sqrt0(qn(tn + tj + 1)) / qn(2 * tn + 2)
-    ud = -q ** nv * _sqrt0(qn(tn - tj + 1)) / (qn(2 * tn) * qn(2 * tn + 2))
-    dd = -_sqrt0(qn(tn + tj - 1)) / qn(2 * tn)
-    return pref * np.array([[uu, ud], [0.0, dd]])
+    n, i, j = _halves(n, i, j)
+    qn = lambda m: q_number(m, q)
+    pref = q_power((i + j - 0.5) / 2.0, q) * _sqrt0(qn(n - i))
+    uu = -q ** (-0.5) * _sqrt0(qn(n + j + 0.5)) / qn(2 * n + 1)
+    ud = -q_power(n, q) * _sqrt0(qn(n - j + 0.5)) / (qn(2 * n) * qn(2 * n + 1))
+    dd = -_sqrt0(qn(n + j - 0.5)) / qn(2 * n)
+    return _matrix(pref, uu, ud, 0.0, dd)
 
 
-def valid_v_label(n, i, j) -> bool:
+def valid_v_label(n, i, j):
     """Whether (n, i, j) is a valid spinor-pair label: i in {-n..n},
-    j in {-n-1/2..n+1/2} (integer steps in both)."""
-    tn, ti, tj = half(n).twice, half(i).twice, half(j).twice
-    if tn < 0:
-        return False
-    if abs(ti) > tn or (ti - tn) % 2 != 0:
-        return False
-    if abs(tj) > tn + 1 or (tj - tn - 1) % 2 != 0:
-        return False
-    return True
+    j in {-n-1/2..n+1/2} (integer steps in both).  Broadcasts over arrays."""
+    tn, ti, tj = twice(n), twice(i), twice(j)
+    return ((tn >= 0) & (np.abs(ti) <= tn) & ((ti - tn) % 2 == 0)
+            & (np.abs(tj) <= tn + 1) & ((tj - tn - 1) % 2 == 0))
 
 
 def tilde_coeffs(kind: str, sign: int, n, i, j, q: float) -> np.ndarray:
@@ -148,28 +171,26 @@ def tilde_coeffs(kind: str, sign: int, n, i, j, q: float) -> np.ndarray:
     """
     if kind not in ("a", "b") or sign not in (+1, -1):
         raise ValueError(f"tilde_coeffs: bad kind/sign {kind!r}/{sign!r}")
-    tn, ti, tj = half(n).twice, half(i).twice, half(j).twice
+    n, i, j = _halves(n, i, j)
     if kind == "a":
-        ref = (tn + sign, ti - 1, tj - 1)
+        ref = (n + sign / 2, i - 0.5, j - 0.5)
         base = a_minus if sign > 0 else a_plus
     else:
-        ref = (tn + sign, ti - 1, tj + 1)
+        ref = (n + sign / 2, i - 0.5, j + 0.5)
         base = b_minus if sign > 0 else b_plus
-    if not valid_v_label(HalfInt(ref[0]), HalfInt(ref[1]), HalfInt(ref[2])):
-        return np.zeros((2, 2))
-    return base(HalfInt(ref[0]), HalfInt(ref[1]), HalfInt(ref[2]), q).T.copy()
+    valid = valid_v_label(*ref)
+    return np.where(valid[..., None, None], np.swapaxes(base(*ref, q), -1, -2),
+                    0.0)
 
 
 _MOVES = {
     # gen: (matrix pair at +1/2 and -1/2, (di, dj) target shift, overall sign)
-    "alpha*": ((lambda n, i, j, q: a_plus(n, i, j, q),
-                lambda n, i, j, q: a_minus(n, i, j, q)), (+1, +1), +1.0),
-    "beta": ((lambda n, i, j, q: b_plus(n, i, j, q),
-              lambda n, i, j, q: b_minus(n, i, j, q)), (+1, -1), -1.0),
-    "alpha": ((lambda n, i, j, q: tilde_coeffs("a", +1, n, i, j, q),
-               lambda n, i, j, q: tilde_coeffs("a", -1, n, i, j, q)), (-1, -1), +1.0),
-    "beta*": ((lambda n, i, j, q: tilde_coeffs("b", +1, n, i, j, q),
-               lambda n, i, j, q: tilde_coeffs("b", -1, n, i, j, q)), (-1, +1), -1.0),
+    "alpha*": ((a_plus, a_minus), (+1, +1), +1.0),
+    "beta": ((b_plus, b_minus), (+1, -1), -1.0),
+    "alpha": ((partial(tilde_coeffs, "a", +1), partial(tilde_coeffs, "a", -1)),
+              (-1, -1), +1.0),
+    "beta*": ((partial(tilde_coeffs, "b", +1), partial(tilde_coeffs, "b", -1)),
+              (-1, +1), -1.0),
 }
 
 
@@ -181,6 +202,9 @@ def pi_prime(gen: str, space: TruncatedSpace, q: float) -> SparseOp:
     basis).  pi_prime('alpha') is the exact adjoint of pi_prime('alpha*'),
     and likewise for beta; all five defining relations hold on interior
     vectors at machine precision.
+
+    Each coefficient matrix is evaluated once over the label arrays of the
+    space; source band s and target band t select the entry M[t, s].
     """
     q = validate_q(q)
     if space.kind != "Double":
@@ -188,25 +212,20 @@ def pi_prime(gen: str, space: TruncatedSpace, q: float) -> SparseOp:
     if gen not in _MOVES:
         raise ValueError(f"unknown generator {gen!r}")
     (mat_up, mat_dn), (di, dj), sgn = _MOVES[gen]
+    labels = (space.tn / 2.0, space.ti / 2.0, space.tj / 2.0)
+    col = np.arange(space.dim)
     rows, cols, vals = [], [], []
-    for col, lab in enumerate(space.basis):
-        sb = _BAND[lab.band]
-        tn, ti, tj = lab.n.twice, lab.i.twice, lab.j.twice
-        for mat_fn, dn in ((mat_up, +1), (mat_dn, -1)):
-            M = mat_fn(lab.n, lab.i, lab.j, q)
-            rn, ri, rj = tn + dn, ti + di, tj + dj
-            for tb in (0, 1):
-                c = sgn * M[tb, sb]
-                if c == 0.0:
-                    continue
-                tgt = DoubleIndex(_BAND_NAME[tb], HalfInt(rn), HalfInt(ri),
-                                  HalfInt(rj))
-                row = space.lookup.get(tgt)
-                if row is not None:
-                    rows.append(row)
-                    cols.append(col)
-                    vals.append(c)
-    return SparseOp.from_coo(space, space, rows, cols, vals)
+    for mat_fn, dn in ((mat_up, +1), (mat_dn, -1)):
+        M = mat_fn(*labels, q)
+        for tb in (0, 1):
+            row = space.ordinals(space.tn + dn, space.ti + di, space.tj + dj,
+                                 band=tb)
+            hit = row >= 0
+            rows.append(row[hit])
+            cols.append(col[hit])
+            vals.append(sgn * M[col[hit], tb, space.band[hit]])
+    return SparseOp.from_coo(space, space, np.concatenate(rows),
+                             np.concatenate(cols), np.concatenate(vals))
 
 
 def pi_prime_generators(space: TruncatedSpace, q: float) -> dict:
@@ -220,6 +239,5 @@ def dirac_D(space: TruncatedSpace) -> SparseOp:
     """
     if space.kind != "Double":
         raise ValueError(f"expected a Double space, got kind {space.kind!r}")
-    diag = [float(lab.n.twice + 1) if lab.band == "up" else float(-lab.n.twice)
-            for lab in space.basis]
-    return SparseOp.diagonal(space, diag)
+    return SparseOp.diagonal(
+        space, np.where(space.band == 0, space.tn + 1, -space.tn))

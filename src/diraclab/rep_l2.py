@@ -22,69 +22,62 @@ relations at machine precision.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
+import numpy as np
 import scipy.sparse as sp
 
-from .hilbert import L2Index, TruncatedSpace
+from .hilbert import TruncatedSpace
 from .linop import SparseOp
-from .qnum import HalfInt, validate_q
+from .qnum import q_power, validate_q
 
 GENERATORS = ("alpha", "alpha*", "beta", "beta*")
 
 
-def _sqrt0(x: float) -> float:
+def _sqrt0(x):
     """sqrt clipped at zero (boundary factors may round to tiny negatives)."""
-    return math.sqrt(x) if x > 0.0 else 0.0
+    return np.sqrt(np.maximum(x, 0.0))
+
+
+def _band_op(space, shift, up, down) -> SparseOp:
+    """The operator moving e^{(n)}_{ij} to levels n +- 1/2 and weights
+    (i, j) + shift/2, with coefficients up(n, i, j) and down(n, i, j)
+    evaluated over the label arrays of an L2 space."""
+    _check_l2(space)
+    tn, ti, tj = space.tn, space.ti, space.tj
+    n, i, j = tn / 2.0, ti / 2.0, tj / 2.0
+    di, dj = shift
+    col = np.arange(space.dim)
+    rows, cols, vals = [], [], []
+    for dn, coeff in ((+1, up), (-1, down)):
+        row = space.ordinals(tn + dn, ti + di, tj + dj)
+        hit = row >= 0
+        rows.append(row[hit])
+        cols.append(col[hit])
+        vals.append(coeff(n[hit], i[hit], j[hit]))
+    return SparseOp.from_coo(space, space, np.concatenate(rows),
+                             np.concatenate(cols), np.concatenate(vals))
 
 
 def alpha_hat(space: TruncatedSpace, q: float) -> SparseOp:
     """The band operator alpha_hat on a truncated L2 space."""
     q = validate_q(q)
-    _check_l2(space)
-    rows, cols, vals = [], [], []
-    for col, lab in enumerate(space.basis):
-        tn, ti, tj = lab.n.twice, lab.i.twice, lab.j.twice
-        n, i, j = tn / 2.0, ti / 2.0, tj / 2.0
-        up = L2Index(HalfInt(tn + 1), HalfInt(ti - 1), HalfInt(tj - 1))
-        if up in space.lookup:
-            rows.append(space.lookup[up])
-            cols.append(col)
-            vals.append(q ** (2 * n + i + j + 1))
-        dn = L2Index(HalfInt(tn - 1), HalfInt(ti - 1), HalfInt(tj - 1))
-        if dn in space.lookup:
-            c = _sqrt0(1 - q ** (2 * n + 2 * i)) * _sqrt0(1 - q ** (2 * n + 2 * j))
-            if c:
-                rows.append(space.lookup[dn])
-                cols.append(col)
-                vals.append(c)
-    return SparseOp.from_coo(space, space, rows, cols, vals)
+    return _band_op(
+        space, (-1, -1),
+        lambda n, i, j: q_power(2 * n + i + j + 1, q),
+        lambda n, i, j: (_sqrt0(1 - q_power(2 * n + 2 * i, q))
+                         * _sqrt0(1 - q_power(2 * n + 2 * j, q))))
 
 
 def beta_hat(space: TruncatedSpace, q: float) -> SparseOp:
     """The band operator beta_hat on a truncated L2 space."""
     q = validate_q(q)
-    _check_l2(space)
-    rows, cols, vals = [], [], []
-    for col, lab in enumerate(space.basis):
-        tn, ti, tj = lab.n.twice, lab.i.twice, lab.j.twice
-        n, i, j = tn / 2.0, ti / 2.0, tj / 2.0
-        up = L2Index(HalfInt(tn + 1), HalfInt(ti + 1), HalfInt(tj - 1))
-        if up in space.lookup:
-            c = -q ** (n + j) * _sqrt0(1 - q ** (2 * n + 2 * i + 2))
-            if c:
-                rows.append(space.lookup[up])
-                cols.append(col)
-                vals.append(c)
-        dn = L2Index(HalfInt(tn - 1), HalfInt(ti + 1), HalfInt(tj - 1))
-        if dn in space.lookup:
-            c = q ** (n + i) * _sqrt0(1 - q ** (2 * n + 2 * j))
-            if c:
-                rows.append(space.lookup[dn])
-                cols.append(col)
-                vals.append(c)
-    return SparseOp.from_coo(space, space, rows, cols, vals)
+    return _band_op(
+        space, (+1, -1),
+        lambda n, i, j: (-q_power(n + j, q)
+                         * _sqrt0(1 - q_power(2 * n + 2 * i + 2, q))),
+        lambda n, i, j: (q_power(n + i, q)
+                         * _sqrt0(1 - q_power(2 * n + 2 * j, q))))
 
 
 def _check_l2(space):
@@ -209,16 +202,11 @@ def dirac_family(params: DiracParams, space: TruncatedSpace,
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     k2 = 2 * int(params.k)
-    diag = []
-    for lab in space.basis:
-        tn = lab.n.twice
-        tx = lab.j.twice if side == "left" else lab.i.twice
-        n = tn / 2.0
-        if tx < tn - k2:
-            diag.append(params.a * n + params.b)
-        else:
-            diag.append(params.c * n + params.d)
-    return SparseOp.diagonal(space, diag)
+    tx = space.tj if side == "left" else space.ti
+    n = space.tn / 2.0
+    return SparseOp.diagonal(space, np.where(tx < space.tn - k2,
+                                             params.a * n + params.b,
+                                             params.c * n + params.d))
 
 
 def abs_op(D: SparseOp) -> SparseOp:

@@ -1,0 +1,345 @@
+"""The array assembly against per-label loop oracles.
+
+Every operator is assembled in one numpy pass over the label arrays of its
+space.  The oracles below are the per-label loops that assembly replaced:
+they walk a basis enumerated here, label by label, find target ordinals in
+a dict and call the scalar leaves once per label.  Each array-assembled
+operator must have the oracle's CSR pattern and its entries to 1e-14
+relative, and the arithmetic ordinals must reproduce the enumeration order.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from diraclab.decomp import asymptotic_residual, build_U, leading_form
+from diraclab.hilbert import (DoubleIndex, L2Index, SumIndex, direct_sum,
+                              enumerate_space)
+from diraclab.linop import SparseOp
+from diraclab.qnum import HalfInt, q_number
+from diraclab.rep_double import (a_minus, a_plus, b_minus, b_plus, dirac_D,
+                                 pi_prime, pi_prime_generators, tilde_coeffs,
+                                 valid_v_label)
+from diraclab.rep_l2 import (D1_PARAMS, D2_PARAMS, DiracParams, alpha_hat,
+                             beta_hat, dirac_family, hat_generators)
+
+TN_MAX = (0, 1, 2, 3, 4, 6, 8)  # n_max = 0, 1/2, 1, 3/2, 2, 3, 4
+QS = (0.3, 0.5, 0.7, 0.8, 0.9)
+GENERATORS = ("alpha", "alpha*", "beta", "beta*")
+
+
+# ------------------------------------------------------ oracle enumeration
+
+def _l2_labels(tnmax):
+    for tn in range(tnmax + 1):
+        for ti in range(-tn, tn + 1, 2):
+            for tj in range(-tn, tn + 1, 2):
+                yield L2Index(HalfInt(tn), HalfInt(ti), HalfInt(tj))
+
+
+def _double_labels(tnmax):
+    # canonical order: level, then band (up before down), then i, then j
+    for tn in range(tnmax + 1):
+        for ti in range(-tn, tn + 1, 2):
+            for tj in range(-tn - 1, tn + 2, 2):
+                yield DoubleIndex("up", HalfInt(tn), HalfInt(ti), HalfInt(tj))
+        for ti in range(-tn, tn + 1, 2):
+            for tj in range(-tn + 1, tn, 2):
+                yield DoubleIndex("down", HalfInt(tn), HalfInt(ti), HalfInt(tj))
+
+
+def _oracle_basis(kind, tnmax):
+    if kind == "L2":
+        return list(_l2_labels(tnmax))
+    if kind == "Double":
+        return list(_double_labels(tnmax))
+    l2 = list(_l2_labels(tnmax))
+    return [SumIndex(0, b) for b in l2] + [SumIndex(1, b) for b in l2]
+
+
+def _lookup(kind, tnmax):
+    return {b: k for k, b in enumerate(_oracle_basis(kind, tnmax))}
+
+
+# ------------------------------------------------------- per-label oracles
+
+_BAND = {"up": 0, "down": 1}
+_MATS = {
+    "alpha*": ((a_plus, a_minus), (+1, +1), +1.0),
+    "beta": ((b_plus, b_minus), (+1, -1), -1.0),
+    "alpha": ((lambda n, i, j, q: tilde_coeffs("a", +1, n, i, j, q),
+               lambda n, i, j, q: tilde_coeffs("a", -1, n, i, j, q)),
+              (-1, -1), +1.0),
+    "beta*": ((lambda n, i, j, q: tilde_coeffs("b", +1, n, i, j, q),
+               lambda n, i, j, q: tilde_coeffs("b", -1, n, i, j, q)),
+              (-1, +1), -1.0),
+}
+
+
+def _pi_prime_loop(gen, space, q):
+    """pi_prime by one scalar leaf call per label and band move."""
+    lookup = _lookup("Double", space.n_max.twice)
+    (mat_up, mat_dn), (di, dj), sgn = _MATS[gen]
+    rows, cols, vals = [], [], []
+    for lab, col in lookup.items():
+        sb = _BAND[lab.band]
+        tn, ti, tj = lab.n.twice, lab.i.twice, lab.j.twice
+        for mat_fn, dn in ((mat_up, +1), (mat_dn, -1)):
+            M = mat_fn(lab.n, lab.i, lab.j, q)
+            for band, tb in _BAND.items():
+                c = sgn * M[tb, sb]
+                if c == 0.0:
+                    continue
+                row = lookup.get(DoubleIndex(band, HalfInt(tn + dn),
+                                             HalfInt(ti + di), HalfInt(tj + dj)))
+                if row is not None:
+                    rows.append(row)
+                    cols.append(col)
+                    vals.append(c)
+    return SparseOp.from_coo(space, space, rows, cols, vals)
+
+
+def _sqrt0(x):
+    return math.sqrt(x) if x > 0.0 else 0.0
+
+
+def _hat_loop(gen, space, q):
+    """alpha_hat or beta_hat by Python float arithmetic per label."""
+    lookup = _lookup("L2", space.n_max.twice)
+    rows, cols, vals = [], [], []
+    for lab, col in lookup.items():
+        n, i, j = lab.n.value, lab.i.value, lab.j.value
+        if gen == "alpha":
+            moves = ((+1, -1, -1, q ** (2 * n + i + j + 1)),
+                     (-1, -1, -1, _sqrt0(1 - q ** (2 * n + 2 * i))
+                      * _sqrt0(1 - q ** (2 * n + 2 * j))))
+        else:
+            moves = ((+1, +1, -1, -q ** (n + j)
+                      * _sqrt0(1 - q ** (2 * n + 2 * i + 2))),
+                     (-1, +1, -1, q ** (n + i) * _sqrt0(1 - q ** (2 * n + 2 * j))))
+        for dn, di, dj, c in moves:
+            row = lookup.get(L2Index(HalfInt(lab.n.twice + dn),
+                                     HalfInt(lab.i.twice + di),
+                                     HalfInt(lab.j.twice + dj)))
+            if row is not None and c:
+                rows.append(row)
+                cols.append(col)
+                vals.append(c)
+    return SparseOp.from_coo(space, space, rows, cols, vals)
+
+
+def _build_U_loop(U):
+    l2 = _oracle_basis("L2", U.dom.n_max.twice)
+    dbl = _lookup("Double", U.dom.n_max.twice)
+    rows = []
+    for lab in l2:
+        tn, ti, tj = lab.n.twice, lab.i.twice, lab.j.twice
+        if tj < tn:
+            rows.append(dbl[DoubleIndex("down", lab.n, lab.i, HalfInt(tj + 1))])
+        else:
+            rows.append(dbl[DoubleIndex("up", lab.n, lab.i, HalfInt(tn + 1))])
+    for lab in l2:
+        rows.append(dbl[DoubleIndex("up", lab.n, lab.i, HalfInt(lab.j.twice - 1))])
+    return SparseOp.from_coo(U.dom, U.cod, rows, range(len(rows)),
+                             [1.0] * len(rows))
+
+
+def _dirac_D_loop(space):
+    return SparseOp.diagonal(space, [
+        float(lab.n.twice + 1) if lab.band == "up" else float(-lab.n.twice)
+        for lab in _oracle_basis("Double", space.n_max.twice)])
+
+
+def _dirac_family_loop(params, space, side):
+    k2 = 2 * params.k
+    diag = []
+    for lab in _oracle_basis("L2", space.n_max.twice):
+        tn = lab.n.twice
+        tx = lab.j.twice if side == "left" else lab.i.twice
+        n = tn / 2.0
+        diag.append(params.a * n + params.b if tx < tn - k2
+                    else params.c * n + params.d)
+    return SparseOp.diagonal(space, diag)
+
+
+def _leading_form_scalar(kind, tn, ti, tj, q):
+    """The leading forms as the scalar formulas in twice-valued labels."""
+    if kind == "a+":
+        return _sqrt0(1 - q ** (tn + ti + 2)) * np.array(
+            [[_sqrt0(1 - q ** (tn + tj + 3)), 0.0],
+             [0.0, _sqrt0(1 - q ** (tn + tj + 1))]])
+    if kind == "a-":
+        return (q ** (tn + ti / 2 + tj / 2 + 0.5) * _sqrt0(1 - q ** (tn - ti))
+                * np.array([[q * _sqrt0(1 - q ** (tn - tj + 1)), 0.0],
+                            [0.0, _sqrt0(1 - q ** (tn - tj - 1))]]))
+    if kind == "b+":
+        return (q ** (tn / 2 + tj / 2 - 0.5) * _sqrt0(1 - q ** (tn + ti + 2))
+                * np.array([[q, 0.0], [0.0, 1.0]]))
+    return -q ** (tn / 2 + ti / 2) * np.array(
+        [[_sqrt0(1 - q ** (tn + tj + 1)), 0.0],
+         [0.0, _sqrt0(1 - q ** (tn + tj - 1))]])
+
+
+_EXACT = {"a+": a_plus, "a-": a_minus, "b+": b_plus, "b-": b_minus}
+
+
+def _asymptotic_residual_loop(kind, levels, q):
+    out = []
+    for tn in levels:
+        r = 0.0
+        for ti in range(-tn, tn + 1, 2):
+            for tj in range(-tn - 1, tn + 2, 2):
+                exact = _EXACT[kind](HalfInt(tn), HalfInt(ti), HalfInt(tj), q)
+                lead = _leading_form_scalar(kind, tn, ti, tj, q)
+                r = max(r, np.max(np.abs(exact - lead)))
+        out.append(r)
+    return np.asarray(out)
+
+
+def _assert_same(T, oracle):
+    A, B = T.mat, oracle.mat
+    assert A.shape == B.shape
+    np.testing.assert_array_equal(A.indptr, B.indptr)
+    np.testing.assert_array_equal(A.indices, B.indices)
+    np.testing.assert_allclose(A.data, B.data, rtol=1e-14, atol=0.0)
+
+
+# ------------------------------------------------------------------ tests
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("tn_max", TN_MAX)
+def test_generators_match_loop_oracles(tn_max, q):
+    dbl = enumerate_space("Double", HalfInt(tn_max))
+    for g in GENERATORS:
+        _assert_same(pi_prime(g, dbl, q), _pi_prime_loop(g, dbl, q))
+    l2 = enumerate_space("L2", HalfInt(tn_max))
+    _assert_same(alpha_hat(l2, q), _hat_loop("alpha", l2, q))
+    _assert_same(beta_hat(l2, q), _hat_loop("beta", l2, q))
+
+
+@pytest.mark.parametrize("tn_max", TN_MAX)
+def test_q_free_operators_match_loop_oracles(tn_max):
+    U = build_U(HalfInt(tn_max))
+    _assert_same(U, _build_U_loop(U))
+    _assert_same(dirac_D(U.cod), _dirac_D_loop(U.cod))
+    l2 = enumerate_space("L2", HalfInt(tn_max))
+    for params in (D1_PARAMS, D2_PARAMS, DiracParams(1, -1.5, 0.25, 3.0, -2.0)):
+        for side in ("left", "right"):
+            _assert_same(dirac_family(params, l2, side),
+                         _dirac_family_loop(params, l2, side))
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("kind", ["a+", "a-", "b+", "b-"])
+def test_asymptotic_residual_matches_loop_oracle(kind, q):
+    levels = list(range(0, 9))
+    got = asymptotic_residual(kind, [HalfInt(t) for t in levels], q)
+    np.testing.assert_allclose(got, _asymptotic_residual_loop(kind, levels, q),
+                               rtol=1e-14, atol=0.0)
+    for tn, ti, tj in ((3, 1, -2), (4, -4, 5), (0, 0, -1)):
+        np.testing.assert_allclose(
+            leading_form(kind, HalfInt(tn), HalfInt(ti), HalfInt(tj), q),
+            _leading_form_scalar(kind, tn, ti, tj, q), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("tn_max", TN_MAX)
+def test_ordinals_follow_enumeration_order(tn_max):
+    l2 = enumerate_space("L2", HalfInt(tn_max))
+    spaces = {"L2": l2, "Double": enumerate_space("Double", HalfInt(tn_max)),
+              "L2+L2": direct_sum(l2, l2)}
+    for kind, space in spaces.items():
+        labels = _oracle_basis(kind, tn_max)
+        assert space.basis == tuple(labels)
+        inner = [getattr(b, "label", b) for b in labels]
+        extra = {}
+        if kind == "Double":
+            extra["band"] = [_BAND[b.band] for b in labels]
+        if kind == "L2+L2":
+            extra["copy"] = [b.copy for b in labels]
+        got = space.ordinals([b.n.twice for b in inner],
+                             [b.i.twice for b in inner],
+                             [b.j.twice for b in inner], **extra)
+        np.testing.assert_array_equal(got, np.arange(space.dim))
+        for k, lab in enumerate(labels):
+            assert space.ordinal(lab) == k
+        for tn in space.levels:
+            np.testing.assert_array_equal(
+                space.levels[tn],
+                [k for k, b in enumerate(inner) if b.n.twice == tn])
+
+
+def test_labels_outside_the_space_have_no_ordinal():
+    tnm = 4
+    l2 = enumerate_space("L2", HalfInt(tnm))
+    dbl = enumerate_space("Double", HalfInt(tnm))
+    absent_l2 = [(tnm + 1, 1, 1), (-1, 1, 1), (2, 4, 0), (2, 1, 0), (2, 0, 4)]
+    for tn, ti, tj in absent_l2:
+        assert l2.ordinals(tn, ti, tj) == -1, (tn, ti, tj)
+        with pytest.raises(KeyError):
+            l2.ordinal(L2Index(HalfInt(tn), HalfInt(ti), HalfInt(tj)))
+    # the down band has no j = +-(n + 1/2); the up band has no j = n + 3/2
+    for band, tn, ti, tj in ((1, 2, 0, 3), (1, 2, 0, -3), (0, 2, 0, 5),
+                             (0, 0, 0, 0), (1, 0, 0, 1), (0, tnm + 1, 1, 0)):
+        assert dbl.ordinals(tn, ti, tj, band=band) == -1, (band, tn, ti, tj)
+    with pytest.raises(KeyError):
+        dbl.ordinal(L2Index(HalfInt(0), HalfInt(0), HalfInt(0)))
+    with pytest.raises(KeyError):
+        l2.ordinal(DoubleIndex("up", HalfInt(0), HalfInt(0), HalfInt(1)))
+
+
+def _valid_label_arrays(tn_max):
+    labs = [(tn, ti, tj) for tn in range(tn_max + 1)
+            for ti in range(-tn, tn + 1, 2) for tj in range(-tn - 1, tn + 2, 2)]
+    return tuple(np.array(c) / 2.0 for c in zip(*labs))
+
+
+@pytest.mark.parametrize("q", [1e-8, 0.05, 0.5, 0.95])
+def test_assembled_generators_are_finite(q):
+    # division by zero and invalid operations are silenced inside the
+    # leaves where the masks zero them; no valid label may keep a nan
+    for tn_max in range(0, 7):
+        ops = list(pi_prime_generators(
+            enumerate_space("Double", HalfInt(tn_max)), q).values())
+        ops += list(hat_generators(
+            enumerate_space("L2", HalfInt(tn_max)), q).values())
+        for T in ops:
+            assert np.isfinite(T.mat.data).all(), (q, tn_max)
+    labels = _valid_label_arrays(6)
+    assert valid_v_label(*labels).all()
+    for leaf in (a_plus, a_minus, b_plus, b_minus):
+        assert np.isfinite(leaf(*labels, q)).all(), leaf.__name__
+    for kind in ("a", "b"):
+        for sign in (+1, -1):
+            assert np.isfinite(tilde_coeffs(kind, sign, *labels, q)).all()
+
+
+@pytest.mark.parametrize("q", [1e-100, 1e-60, 1e-40])
+def test_array_assembly_overflows_where_the_loop_does(q):
+    # q^{-m} beyond double range raises OverflowError over arrays of labels
+    # exactly where the per-label loop raises it
+    for tn_max in (2, 4, 6):
+        dbl = enumerate_space("Double", HalfInt(tn_max))
+        try:
+            want = _pi_prime_loop("alpha*", dbl, q)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                pi_prime("alpha*", dbl, q)
+        else:
+            _assert_same(pi_prime("alpha*", dbl, q), want)
+    with pytest.raises(OverflowError):
+        q_number(np.array([0.5, 400.0]), 1e-4)
+    with pytest.raises(OverflowError):
+        pi_prime("beta", enumerate_space("Double", HalfInt(8)), 1e-100)
+
+
+def test_tilde_arrays_vanish_at_invalid_references():
+    # a tilde matrix whose referenced label is not a valid v-label is the
+    # zero matrix, although the display evaluated there need not vanish
+    n, i, j = _valid_label_arrays(6)
+    for kind, sign, dj in (("a", +1, -0.5), ("a", -1, -0.5),
+                           ("b", +1, +0.5), ("b", -1, +0.5)):
+        invalid = ~valid_v_label(n + sign / 2, i - 0.5, j + dj)
+        M = tilde_coeffs(kind, sign, n, i, j, 0.5)
+        assert not M[invalid].any(), (kind, sign)
+        assert M[~invalid].any(), (kind, sign)

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from diraclab.qnum import HalfInt, half, q_number, q_power, validate_q
+from diraclab.qnum import HalfInt, half, q_number, q_power, twice, validate_q
 
 
 def test_halfint_arithmetic():
@@ -79,3 +80,23 @@ def test_q_power():
     assert q_power(3, 0.5) == pytest.approx(0.125)
     assert q_power(HalfInt(-2), 0.5) == pytest.approx(2.0)
     assert q_power(0.5, 0.25) == pytest.approx(math.sqrt(0.25))
+
+
+def test_array_orders_match_scalar_evaluation_exactly():
+    # an array is evaluated with the same Python float arithmetic as one
+    # label, so results agree bit for bit; overflow raises as for a scalar
+    orders = np.arange(-60, 61) / 4.0
+    grid = orders.reshape(11, 11)
+    for q in (0.3, 0.5, 0.7, 0.8, 0.9):
+        np.testing.assert_array_equal(
+            q_number(grid, q),
+            np.array([q_number(float(m), q) for m in orders]).reshape(11, 11))
+        np.testing.assert_array_equal(
+            q_power(orders, q), [q_power(float(e), q) for e in orders])
+    assert q_number(np.array([]), 0.5).shape == (0,)
+    with pytest.raises(OverflowError):
+        q_power(np.array([1.0, -400.0]), 1e-4)
+    np.testing.assert_array_equal(twice(np.array([0.5, -1.5, 2])), [1, -3, 4])
+    assert twice(HalfInt(-3)) == -3
+    with pytest.raises(ValueError):
+        twice(np.array([0.5, 0.3]))
