@@ -1,10 +1,11 @@
-"""The operator-norm kernel: exact spectral norms of sparse matrices.
+"""Weight-sector grading and the exact operator norm built on it.
 
-Rows and columns that share no nonzero entry, directly or through a chain of
-entries, form independent blocks, and the norm of the matrix is the largest
-norm over those blocks.  Every operator the suites measure shifts the level
-by one half and the torus weights by a fixed amount, so its blocks are tiny
-and a dense SVD of each is both exact and cheap.
+Every operator the suites measure shifts the weights (i, j) by a fixed
+amount, so it maps each weight sector (``TruncatedSpace.sector``) into one
+other sector.  :func:`sector_map` decides this grading for the norm below
+and for the Gram-Schmidt frames of ``covariant``.  A graded operator splits
+into (target x source sector) blocks at most floor(n_max) + 1 square, so a
+dense SVD of each is exact and cheap; an ungraded one is one block.
 """
 
 import numpy as np
@@ -21,27 +22,24 @@ def power_iteration(*args, **kwargs):
     raise NotImplementedError("use spectral_norm")
 
 
-def component_labels(n_nodes, a, b) -> np.ndarray:
-    """Connected-component label of each node of an undirected graph.
+def sector_map(src, dst, n_src):
+    """Target sector of each source sector, or None unless one-to-one.
 
-    The edges are ``a[k] -- b[k]``.  A node's label is the smallest node of
-    its component.  Min-label propagation along the edges, with pointer
-    jumping, until no label changes.
+    ``src[k]``, ``dst[k]``: source and target sector of an operator's k-th
+    entry.  ``to[s]`` is the one sector the entries leaving sector s land
+    in (-1 if none leave s); None if a source sector reaches two targets
+    or a target is reached from two sources.
     """
-    lab = np.arange(n_nodes)
-    while True:
-        new = lab.copy()
-        low = np.minimum(lab[a], lab[b])
-        np.minimum.at(new, a, low)
-        np.minimum.at(new, b, low)
-        new = new[new]
-        if np.array_equal(new, lab):
-            return lab
-        lab = new
+    to = np.full(n_src, -1)
+    to[src] = dst
+    held = to[to >= 0]
+    if not np.array_equal(to[src], dst) or len(np.unique(held)) < len(held):
+        return None
+    return to
 
 
 def _positions(lab, n_labels):
-    """(index of each node within its component, size of each component)."""
+    """(index of each node among the nodes of its label, count per label)."""
     size = np.bincount(lab, minlength=n_labels)
     order = np.argsort(lab, kind="stable")
     start = np.cumsum(size) - size
@@ -50,26 +48,31 @@ def _positions(lab, n_labels):
     return pos, size
 
 
-def spectral_norm(mat) -> float:
+def spectral_norm(mat, row_sector, col_sector) -> float:
     """Largest singular value of a scipy sparse matrix, exact up to rounding.
 
-    The dense 2-norm of each connected block of the row/column sparsity
-    graph; blocks of one shape are stacked and their norms taken in one
-    batched call.  Duplicate entries are summed.
+    The largest dense 2-norm over the (target x source) blocks of the row
+    and column sectors, or of one block if the matrix is not graded, each
+    cut to the rows and columns holding an entry; blocks of one shape are
+    batched.  Duplicate entries are summed.
     """
     coo = mat.tocoo()
     if coo.nnz == 0:
         return 0.0
-    m, n = coo.shape
-    label = component_labels(m + n, coo.row, m + coo.col)
-    rpos, nrows = _positions(label[:m], m + n)
-    cpos, ncols = _positions(label[m:], m + n)
-    comp = label[coo.row]
+    comp = col_sector[coo.col]  # block of each entry: its source sector
+    if sector_map(comp, row_sector[coo.row], int(comp.max()) + 1) is None:
+        comp = np.zeros(coo.nnz, dtype=np.int64)
+    ns = int(comp.max()) + 1  # the label of rows and columns without entry
+    rlab, clab = np.full(coo.shape[0], ns), np.full(coo.shape[1], ns)
+    rlab[coo.row] = comp
+    clab[coo.col] = comp
+    rpos, nrows = _positions(rlab, ns + 1)
+    cpos, ncols = _positions(clab, ns + 1)
     held = np.unique(comp)
     best = 0.0
     for nr, nc in set(zip(nrows[held].tolist(), ncols[held].tolist())):
         members = held[(nrows[held] == nr) & (ncols[held] == nc)]
-        slot = np.full(m + n, -1)
+        slot = np.full(ns + 1, -1)
         slot[members] = np.arange(len(members))
         sel = slot[comp] >= 0
         blocks = np.zeros((len(members), nr, nc))

@@ -10,14 +10,14 @@ already lie in the current span.
 
 The frame splits by torus weight.  Each hatted generator shifts (i, j) by a
 fixed amount (alpha by (-1/2, -1/2), beta by (+1/2, -1/2), the adjoints the
-other way, a diagonal Dirac operator by (0, 0)), and the seed e^{(0)}_{00}
-lies in sector (0, 0), so every candidate image lies in one weight sector.
-Sectors are mutually orthogonal, so each candidate is orthogonalised only
-against its own sector's frame, stored in sector-local coordinates: at most
-floor(n_max) + 1 vectors, one per level holding that weight.  When some
-generator has more than one weight shift, or the seed spans several
-sectors, all ordinals form one sector and the same loop runs a single frame
-over the whole space.
+other way, a diagonal Dirac operator by (0, 0)), so it maps each weight
+sector into one sector (:func:`_kernels.sector_map`, as for the norms), and
+the seed e^{(0)}_{00} lies in sector (0, 0).  Sectors are orthogonal, so a
+frame is kept per sector in sector-local coordinates (at most
+floor(n_max) + 1 vectors, one per level holding that weight), and each
+generator is restricted once to dense (target x source sector) blocks: a
+candidate image is one small matrix-vector product.  When some generator is
+not graded, or the seed spans several sectors, all ordinals form one sector.
 
 Saturation is an empirical observation, not a theorem asserted by the code:
 when a run falls short, the report carries the per-level shortfall instead
@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linop import SpaceMismatchError, SparseOp
+from ._kernels import _positions, sector_map
+from .linop import SpaceMismatchError
 
 GRAM_TOL = 1e-8
 
@@ -114,17 +115,18 @@ def cyclic_dimension(generators, seed, depth: int,
             raise ValueError("cyclic_dimension: zero seed vector")
         v0 /= nv
 
-    nij = np.column_stack([space.tn, space.ti, space.tj])
     coos = [g.mat.tocoo() for g in gens]
-    sector = _sector_ids(nij[:, 1:], coos, v0)
-    rows = np.split(np.argsort(sector, kind="stable"),
-                    np.cumsum(np.bincount(sector))[:-1])
-    frames = [_Frame(len(r), gram_tol) for r in rows]
-    # dest[s, k]: the sector generator k maps sector s into; -1 when it
-    # maps the whole sector to zero
-    dest = np.full((len(rows), len(gens)), -1)
-    for k, coo in enumerate(coos):
-        dest[sector[coo.col], k] = sector[coo.row]
+    for sector in (space.sector, np.zeros(space.dim, dtype=np.int64)):
+        maps = [sector_map(sector[c.col], sector[c.row], sector.max() + 1)
+                for c in coos]
+        if all(to is not None for to in maps) \
+                and len(np.unique(sector[v0 != 0])) == 1:
+            break
+    pos, size = _positions(sector, sector.max() + 1)
+    rows = np.split(np.argsort(sector, kind="stable"), np.cumsum(size)[:-1])
+    frames = [_Frame(n, gram_tol) for n in size.tolist()]
+    blocks = [_sector_blocks(c, to, sector, pos, size)
+              for c, to in zip(coos, maps)]
 
     s0 = sector[np.flatnonzero(v0)[0]]
     frames[s0].try_add(v0[rows[s0]])
@@ -132,15 +134,12 @@ def cyclic_dimension(generators, seed, depth: int,
     reached = 1
     discarded = 0
     history = [reached]
-    v = np.zeros(space.dim)
     for _ in range(depth):
         fresh = []
         for s, vs in frontier:
-            v[:] = 0.0
-            v[rows[s]] = vs
-            for k, g in enumerate(gens):
-                t = dest[s, k]
-                if t >= 0 and frames[t].try_add(g.apply(v)[rows[t]]):
+            for gen in blocks:
+                t, B = gen.get(s, (-1, None))
+                if t >= 0 and frames[t].try_add(B @ vs):
                     fresh.append((t, frames[t].matrix()[:, -1].copy()))
                     reached += 1
                 else:
@@ -158,7 +157,7 @@ def cyclic_dimension(generators, seed, depth: int,
         for r, frame in zip(rows, frames):
             if not frame.k:
                 continue
-            level = nij[r, 0]
+            level = space.tn[r]
             for tn in np.unique(level[level <= depth]):
                 rank[tn] += np.linalg.matrix_rank(
                     frame.matrix()[level == tn], tol=gram_tol)
@@ -169,19 +168,13 @@ def cyclic_dimension(generators, seed, depth: int,
                            discarded, tuple(history), deficiency)
 
 
-def _sector_ids(ij: np.ndarray, coos, v0: np.ndarray) -> np.ndarray:
-    """Weight sector of each ordinal, numbered 0, 1, ...
-
-    Sectors are the distinct (2i, 2j) rows of ij.  They split the frame only
-    when the seed lies in one sector and every generator (given by its COO
-    matrix) shifts (i, j) by one fixed amount over all its nonzeros;
-    otherwise every ordinal is put in sector 0, a single frame over the
-    whole space.
-    """
-    graded = len(np.unique(ij[np.flatnonzero(v0)], axis=0)) == 1
-    for coo in coos:
-        shift = ij[coo.row] - ij[coo.col]
-        graded = graded and bool((shift == shift[:1]).all())
-    if not graded:
-        return np.zeros(len(ij), dtype=np.int64)
-    return np.unique(ij, axis=0, return_inverse=True)[1].reshape(-1)
+def _sector_blocks(coo, to, sector, pos, size) -> dict:
+    """Source sector s -> (to[s], dense block from s to to[s]) for each s the
+    generator does not annihilate; pos: index of each ordinal in its sector."""
+    area = np.where(to >= 0, size[to] * size, 0)
+    end = np.cumsum(area)
+    s = sector[coo.col]
+    flat = np.bincount(end[s] - area[s] + pos[coo.row] * size[s]
+                       + pos[coo.col], weights=coo.data, minlength=end[-1])
+    return {s: (t, b.reshape(size[t], size[s])) for s, (t, b) in
+            enumerate(zip(to.tolist(), np.split(flat, end[:-1]))) if t >= 0}

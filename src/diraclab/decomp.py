@@ -29,9 +29,9 @@ import scipy.sparse as sp
 from .hilbert import TruncatedSpace, direct_sum, enumerate_space
 from .linop import SparseOp, block_norm
 from .qnum import HalfInt, half, q_power, validate_q
-from .rep_double import (_halves, _matrix, _sqrt0, a_minus, a_plus, b_minus,
-                         b_plus, pi_prime)
-from .rep_l2 import (D1_PARAMS, D2_PARAMS, abs_op, dirac_family,
+from .rep_double import (_halves, _matrix, a_minus, a_plus, b_minus, b_plus,
+                         pi_prime)
+from .rep_l2 import (D1_PARAMS, D2_PARAMS, _sqrt0, abs_op, dirac_family,
                      hat_generators)
 
 #: Generators whose defect the reduction step actually needs (the other two

@@ -40,8 +40,7 @@ SUITES = ("relations", "decompose", "kq-decay", "asymptotics",
 
 DEFAULT_Q = (0.3, 0.5, 0.7)
 DEFAULT_N_MAX = HalfInt(16)  # n_max = 8
-DEFAULT_TOLERANCES = {"relation": 1e-10, "adjoint": 1e-10,
-                      "norm": 1e-10, "gram": 1e-8}
+DEFAULT_TOLERANCES = {"relation": 1e-10, "gram": 1e-8}
 
 #: kq-decay gates: fitted exponent at least 1.8 ln(1/q); the control fit on
 #: the representation itself must stay below 0.5 ln(1/q).

@@ -106,6 +106,13 @@ class TruncatedSpace:
                          for c, lab in zip(self.copy.tolist(), labels))
         return tuple(labels)
 
+    @cached_property
+    def sector(self) -> np.ndarray:
+        """Weight sector of each ordinal: the rank of its (ti, tj)."""
+        t = self.n_max.twice + 1  # bounds |ti| and |tj|
+        key = (self.ti + t) * (2 * t + 1) + self.tj + t
+        return _frozen((np.cumsum(np.bincount(key) > 0) - 1)[key])
+
     def ordinals(self, tn, ti, tj, band=None, copy=None) -> np.ndarray:
         """Ordinals of the labels (tn, ti, tj), -1 where a label is absent.
 

@@ -5,8 +5,8 @@ codomain metadata.  All algebra enforces space compatibility; entries below
 1e-15 are pruned at construction.  Scalars are real doubles throughout (every
 displayed coefficient in this problem is real), so the adjoint is the
 transpose.  Operator norms are exact up to rounding: :func:`op_norm` and
-:func:`block_norm` both take the largest dense 2-norm over the independent
-blocks of the sparsity pattern (:func:`_kernels.spectral_norm`).
+:func:`block_norm` both take the largest dense 2-norm over the weight-sector
+blocks of the operator (:func:`_kernels.spectral_norm`).
 """
 
 from __future__ import annotations
@@ -125,14 +125,15 @@ def op_norm(T: SparseOp) -> float:
     """Largest singular value of T, exact up to rounding.
 
     Computed by :func:`_kernels.spectral_norm` as the largest dense 2-norm
-    over the independent blocks of T's sparsity pattern.
+    over the weight-sector blocks of T.
     """
-    return spectral_norm(T.mat)
+    return spectral_norm(T.mat, T.cod.sector, T.dom.sector)
 
 
 def block_norm(T: SparseOp, n) -> float:
     """Norm of the level-n row block of T."""
-    return spectral_norm(T.mat[T.cod.level_ordinals(n), :])
+    rows = T.cod.level_ordinals(n)
+    return spectral_norm(T.mat[rows, :], T.cod.sector[rows], T.dom.sector)
 
 
 def interior_projector(space: TruncatedSpace, margin) -> SparseOp:

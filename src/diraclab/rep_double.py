@@ -35,6 +35,7 @@ import numpy as np
 from .hilbert import TruncatedSpace
 from .linop import SparseOp
 from .qnum import q_number, q_power, twice, validate_q
+from .rep_l2 import _sqrt0
 
 
 #: Float semantics of the leaves over arrays, as for Python floats: every
@@ -44,11 +45,6 @@ from .qnum import q_number, q_power, twice, validate_q
 #: :func:`_matrix`) or at the invalid labels :func:`tilde_coeffs` masks; a
 #: nan that escaped those masks would show as a non-finite operator entry.
 _silent = np.errstate(over="ignore", divide="ignore", invalid="ignore")
-
-
-def _sqrt0(x):
-    """sqrt clipped at zero (boundary q-numbers may round to tiny negatives)."""
-    return np.sqrt(np.maximum(x, 0.0))
 
 
 def _halves(n, i, j):

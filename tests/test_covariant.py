@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from diraclab.covariant import GRAM_TOL, _Frame, _sector_ids, cyclic_dimension
+from diraclab._kernels import sector_map
+from diraclab.covariant import GRAM_TOL, _Frame, cyclic_dimension
 from diraclab.hilbert import L2Index, enumerate_space
 from diraclab.linop import SpaceMismatchError, SparseOp
 from diraclab.qnum import half
@@ -206,21 +207,33 @@ def test_sector_frames_match_dense_diagonal():
 
 def test_mixed_weight_shift_falls_back_to_one_sector():
     # alpha + beta shifts (i, j) by (-1/2, -1/2) on some nonzeros and by
-    # (+1/2, -1/2) on others, so the weights do not grade its images
+    # (+1/2, -1/2) on others, so it maps a weight sector into two and the
+    # weights do not grade its images
     sp, gens, seed = _setup()
+
+    def to(g):
+        coo = g.mat.tocoo()
+        return sector_map(sp.sector[coo.col], sp.sector[coo.row],
+                          sp.sector.max() + 1)
+
     mixed = gens[0] + gens[2]
-    ij = np.array([(b.i.twice, b.j.twice) for b in sp.basis])
-    v0 = np.zeros(sp.dim)
-    v0[seed] = 1.0
-    coos = lambda ops: [g.mat.tocoo() for g in ops]
-    assert not _sector_ids(ij, coos([mixed, gens[1]]), v0).any()
-    assert len(set(_sector_ids(ij, coos(gens), v0))) > 1
+    assert to(mixed) is None
+    assert all(to(g) is not None for g in gens)
     _assert_matches_dense([mixed, gens[1]], seed, 6)
     # a seed spread over two sectors also forces the single frame
-    two = v0.copy()
+    two = np.zeros(sp.dim)
+    two[seed] = 1.0
     two[sp.ordinal(L2Index(half(0.5), half(0.5), half(0.5)))] = 1.0
-    assert not _sector_ids(ij, coos(gens), two).any()
+    assert len(set(sp.sector[np.flatnonzero(two)])) == 2
     _assert_matches_dense(gens, two, 4)
+
+
+def test_regression_pin_beyond_dense_oracle_sizes():
+    # the parent's values at n_max 16, depth 32, q = 0.5: far beyond what
+    # the dense oracle can check, so pinned numbers guard the sector blocks
+    sp = enumerate_space("L2", half(16))
+    rep = cyclic_dimension(hat_generators(sp, 0.5).values(), 0, 32)
+    assert (rep.reached, rep.discarded, rep.saturated) == (12529, 33232, True)
 
 
 def test_tiny_q_drops_the_alpha_image():

@@ -222,6 +222,11 @@ def test_cli_tolerance_flags(capsys):
                  "--tol-relation", "10"]) == 0
     out = capsys.readouterr().out
     assert "10/10 cells passed" in out
+    # only the tolerances a suite reads are options
+    assert sorted(DEFAULT_TOLERANCES) == ["gram", "relation"]
+    for gone in ("--tol-adjoint", "--tol-norm"):
+        with pytest.raises(SystemExit):
+            main(["relations", "--nmax", "4", gone, "1e-10"])
 
 
 def test_suites_tuple_matches_cli():

@@ -168,3 +168,14 @@ def test_space_is_frozen():
     assert isinstance(sp, TruncatedSpace)
     with pytest.raises(Exception):
         sp.n_max = half(3)
+
+
+@pytest.mark.parametrize("kind", ["L2", "Double"])
+def test_sector_numbers_the_weights(kind):
+    sp = enumerate_space(kind, half(2))
+    ij = sorted({(b.i.twice, b.j.twice) for b in sp.basis})
+    # the sector of an ordinal is the rank of its (2i, 2j) among all weights
+    assert [ij.index((b.i.twice, b.j.twice)) for b in sp.basis] \
+        == sp.sector.tolist()
+    with pytest.raises(ValueError):
+        sp.sector[0] = 1

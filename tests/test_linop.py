@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from diraclab._kernels import component_labels, spectral_norm
+from diraclab._kernels import sector_map, spectral_norm
 from diraclab.hilbert import enumerate_space
 from diraclab.linop import (
     SparseOp,
@@ -221,12 +221,94 @@ def test_spectral_norm_matches_dense_svd_on_random_matrices():
     mats.append(scipy.sparse.coo_matrix(
         ([2.0, -1.0, 0.5], ([0, 0, 5], [3, 3, 9])), shape=(8, 12)))
     mats.append(scipy.sparse.coo_matrix(([-4.0], ([2], [6])), shape=(5, 7)))
+    # one sector on each side: every matrix is graded, as one block
+    one = lambda A: (np.zeros(A.shape[0], dtype=int),
+                     np.zeros(A.shape[1], dtype=int))
     for A in mats:
         want = float(np.linalg.norm(A.toarray(), 2))
         for fmt in (A.tocsr(), A.tocsc(), A):
-            assert spectral_norm(fmt) == pytest.approx(want, rel=1e-12)
-    assert spectral_norm(scipy.sparse.csr_matrix((6, 4))) == 0.0
-    assert spectral_norm(scipy.sparse.csr_matrix((0, 4))) == 0.0
+            assert spectral_norm(fmt, *one(A)) == pytest.approx(want,
+                                                               rel=1e-12)
+    for shape in ((6, 4), (0, 4)):
+        A = scipy.sparse.csr_matrix(shape)
+        assert spectral_norm(A, *one(A)) == 0.0
+
+
+def _random_graded(rng, m, n, n_sectors, k):
+    """A random m x n matrix with entries only from column sector s to row
+    sector to[s], for a random bijection to; some sectors hold no rows,
+    columns or entries, and coordinates repeat."""
+    row_sector = rng.integers(0, n_sectors, size=m)
+    col_sector = rng.integers(0, n_sectors, size=n)
+    to = rng.permutation(n_sectors)
+    to[rng.random(n_sectors) < 0.3] = -1  # sectors no entry leaves
+    rows = rng.integers(0, m, size=k)
+    cols = rng.integers(0, n, size=k)
+    keep = row_sector[rows] == to[col_sector[cols]]
+    # duplicate coordinates are summed
+    rows, cols = np.tile(rows[keep], 2)[:-1], np.tile(cols[keep], 2)[:-1]
+    A = scipy.sparse.coo_matrix((rng.standard_normal(len(rows)),
+                                 (rows, cols)), shape=(m, n))
+    return A, row_sector, col_sector
+
+
+def test_spectral_norm_matches_dense_svd_on_random_graded_matrices():
+    rng = np.random.default_rng(11)
+    for m, n, n_sectors, k in ((5, 7, 3, 20), (30, 20, 6, 200),
+                               (60, 60, 10, 2000), (40, 90, 25, 4000),
+                               (80, 80, 4, 900)):
+        A, rs, cs = _random_graded(rng, m, n, n_sectors, k)
+        assert sector_map(cs[A.col], rs[A.row], n_sectors) is not None
+        want = float(np.linalg.norm(A.toarray(), 2))
+        for fmt in (A.tocsr(), A.tocsc(), A):
+            assert spectral_norm(fmt, rs, cs) == pytest.approx(want,
+                                                               rel=1e-12)
+
+
+def test_spectral_norm_ungraded_is_one_block():
+    # entries from one column sector into two row sectors: not graded, so
+    # the whole matrix is one dense block
+    A = scipy.sparse.coo_matrix(([3.0, 4.0, 1.0], ([0, 1, 2], [0, 0, 1])),
+                                shape=(3, 2))
+    rs, cs = np.array([0, 1, 1]), np.array([0, 0])
+    assert sector_map(cs[A.col], rs[A.row], 1) is None
+    assert spectral_norm(A, rs, cs) == pytest.approx(
+        float(np.linalg.norm(A.toarray(), 2)), rel=1e-12)
+
+
+def test_sector_map_cases():
+    # one-to-one: each source sector reaches one target, no target twice
+    assert sector_map(np.array([0, 0, 2]), np.array([1, 1, 0]),
+                      4).tolist() == [1, -1, 0, -1]
+    # many-to-one: sectors 0 and 1 both land in sector 3
+    assert sector_map(np.array([0, 1]), np.array([3, 3]), 2) is None
+    # one-to-many: sector 0 lands in sectors 1 and 2
+    assert sector_map(np.array([0, 0]), np.array([1, 2]), 1) is None
+    # no entries: graded, every sector maps to zero
+    empty = np.array([], dtype=np.int64)
+    assert sector_map(empty, empty, 3).tolist() == [-1, -1, -1]
+
+
+def _graded(T):
+    coo = T.mat.tocoo()
+    return sector_map(T.dom.sector[coo.col], T.cod.sector[coo.row],
+                      T.dom.sector.max() + 1) is not None
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7])
+def test_measured_operators_are_graded(q):
+    # every operator the suites take a norm of maps each weight sector into
+    # one sector, so the one-block fallback never serves them
+    from diraclab.decomp import KQ_GENERATORS, kq_defect
+    from diraclab.rep_double import pi_prime
+    from diraclab.rep_l2 import GENERATORS
+
+    dbl = enumerate_space("Double", half(3))
+    ops = dict(_measured_operators(q))
+    ops.update({("kq", g): kq_defect(g, 3, q) for g in KQ_GENERATORS})
+    ops.update({("pi_prime", g): pi_prime(g, dbl, q) for g in GENERATORS})
+    for key, T in ops.items():
+        assert _graded(T), key
 
 
 def test_block_norm_matches_dense_level_block():
@@ -240,24 +322,6 @@ def test_block_norm_matches_dense_level_block():
             want = float(np.linalg.norm(T.to_dense()[rows, :], 2))
             assert block_norm(T, half(tn / 2)) == pytest.approx(
                 want, rel=1e-12), tn
-
-
-def test_component_labels_match_csgraph():
-    from scipy.sparse.csgraph import connected_components
-
-    rng = np.random.default_rng(2)
-    for n_nodes, n_edges in ((1, 0), (10, 3), (50, 40), (200, 150),
-                             (300, 900)):
-        a = rng.integers(0, n_nodes, size=n_edges)
-        b = rng.integers(0, n_nodes, size=n_edges)
-        lab = component_labels(n_nodes, a, b)
-        graph = scipy.sparse.coo_matrix((np.ones(n_edges), (a, b)),
-                                        shape=(n_nodes, n_nodes))
-        k, ref = connected_components(graph, directed=False)
-        # the same partition, each part labelled by its smallest node
-        first = np.full(k, n_nodes)
-        np.minimum.at(first, ref, np.arange(n_nodes))
-        assert np.array_equal(lab, first[ref])
 
 
 def test_hat_beta_normal_defect_is_exact():
