@@ -5,7 +5,9 @@ amount, so it maps each weight sector (``TruncatedSpace.sector``) into one
 other sector.  :func:`sector_map` decides this grading for the norm below
 and for the Gram-Schmidt frames of ``covariant``.  A graded operator splits
 into (target x source sector) blocks at most floor(n_max) + 1 square, so a
-dense SVD of each is exact and cheap; an ungraded one is one block.
+dense SVD of each is exact and cheap; an ungraded one is one block.  The
+norm reads an operator as its entry arrays (row, column, value) and fills
+all of its blocks in one pass.
 """
 
 import numpy as np
@@ -48,35 +50,37 @@ def _positions(lab, n_labels):
     return pos, size
 
 
-def spectral_norm(mat, row_sector, col_sector) -> float:
-    """Largest singular value of a scipy sparse matrix, exact up to rounding.
+def spectral_norm(row, col, data, row_sector, col_sector) -> float:
+    """Largest singular value of the sparse matrix with entries
+    ``data[k]`` at ``(row[k], col[k])``, exact up to rounding.
 
     The largest dense 2-norm over the (target x source) blocks of the row
     and column sectors, or of one block if the matrix is not graded, each
-    cut to the rows and columns holding an entry; blocks of one shape are
-    batched.  Duplicate entries are summed.
+    cut to the rows and columns holding an entry.  One ``np.bincount``
+    fills every block, blocks of one shape side by side, so each shape is
+    one batched norm.  Duplicate entries are summed.
     """
-    coo = mat.tocoo()
-    if coo.nnz == 0:
+    if len(data) == 0:
         return 0.0
-    comp = col_sector[coo.col]  # block of each entry: its source sector
-    if sector_map(comp, row_sector[coo.row], int(comp.max()) + 1) is None:
-        comp = np.zeros(coo.nnz, dtype=np.int64)
+    comp = col_sector[col]  # block of each entry: its source sector
+    if sector_map(comp, row_sector[row], int(comp.max()) + 1) is None:
+        comp = np.zeros(len(data), dtype=np.int64)
     ns = int(comp.max()) + 1  # the label of rows and columns without entry
-    rlab, clab = np.full(coo.shape[0], ns), np.full(coo.shape[1], ns)
-    rlab[coo.row] = comp
-    clab[coo.col] = comp
+    rlab, clab = np.full(len(row_sector), ns), np.full(len(col_sector), ns)
+    rlab[row] = comp
+    clab[col] = comp
     rpos, nrows = _positions(rlab, ns + 1)
     cpos, ncols = _positions(clab, ns + 1)
-    held = np.unique(comp)
-    best = 0.0
-    for nr, nc in set(zip(nrows[held].tolist(), ncols[held].tolist())):
-        members = held[(nrows[held] == nr) & (ncols[held] == nc)]
-        slot = np.full(ns + 1, -1)
-        slot[members] = np.arange(len(members))
-        sel = slot[comp] >= 0
-        blocks = np.zeros((len(members), nr, nc))
-        np.add.at(blocks, (slot[comp[sel]], rpos[coo.row[sel]],
-                           cpos[coo.col[sel]]), coo.data[sel])
-        best = max(best, float(np.linalg.norm(blocks, 2, axis=(1, 2)).max()))
-    return best
+    held = np.flatnonzero(np.bincount(comp))
+    held = held[np.lexsort((ncols[held], nrows[held]))]  # grouped by shape
+    area = nrows[held] * ncols[held]
+    start = np.zeros(ns, dtype=np.int64)
+    start[held] = np.cumsum(area) - area
+    flat = np.bincount(start[comp] + rpos[row] * ncols[comp] + cpos[col],
+                       weights=data, minlength=int(area.sum()))
+    # one batch per shape, from its first block to the next shape's first
+    first = held[np.flatnonzero(np.diff(nrows[held], prepend=-1)
+                                | np.diff(ncols[held], prepend=-1))]
+    return max(float(np.linalg.norm(b.reshape(-1, nrows[s], ncols[s]), 2,
+                                    axis=(1, 2)).max())
+               for s, b in zip(first, np.split(flat, start[first[1:]])))

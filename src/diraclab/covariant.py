@@ -115,18 +115,17 @@ def cyclic_dimension(generators, seed, depth: int,
             raise ValueError("cyclic_dimension: zero seed vector")
         v0 /= nv
 
-    coos = [g.mat.tocoo() for g in gens]
     for sector in (space.sector, np.zeros(space.dim, dtype=np.int64)):
-        maps = [sector_map(sector[c.col], sector[c.row], sector.max() + 1)
-                for c in coos]
+        maps = [sector_map(sector[g.cols], sector[g.rows], sector.max() + 1)
+                for g in gens]
         if all(to is not None for to in maps) \
                 and len(np.unique(sector[v0 != 0])) == 1:
             break
     pos, size = _positions(sector, sector.max() + 1)
     rows = np.split(np.argsort(sector, kind="stable"), np.cumsum(size)[:-1])
     frames = [_Frame(n, gram_tol) for n in size.tolist()]
-    blocks = [_sector_blocks(c, to, sector, pos, size)
-              for c, to in zip(coos, maps)]
+    blocks = [_sector_blocks(g, to, sector, pos, size)
+              for g, to in zip(gens, maps)]
 
     s0 = sector[np.flatnonzero(v0)[0]]
     frames[s0].try_add(v0[rows[s0]])
@@ -168,13 +167,13 @@ def cyclic_dimension(generators, seed, depth: int,
                            discarded, tuple(history), deficiency)
 
 
-def _sector_blocks(coo, to, sector, pos, size) -> dict:
+def _sector_blocks(g, to, sector, pos, size) -> dict:
     """Source sector s -> (to[s], dense block from s to to[s]) for each s the
     generator does not annihilate; pos: index of each ordinal in its sector."""
     area = np.where(to >= 0, size[to] * size, 0)
     end = np.cumsum(area)
-    s = sector[coo.col]
-    flat = np.bincount(end[s] - area[s] + pos[coo.row] * size[s]
-                       + pos[coo.col], weights=coo.data, minlength=end[-1])
+    s = sector[g.cols]
+    flat = np.bincount(end[s] - area[s] + pos[g.rows] * size[s]
+                       + pos[g.cols], weights=g.vals, minlength=end[-1])
     return {s: (t, b.reshape(size[t], size[s])) for s, (t, b) in
             enumerate(zip(to.tolist(), np.split(flat, end[:-1]))) if t >= 0}

@@ -24,7 +24,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hilbert import TruncatedSpace, direct_sum, enumerate_space
 from .linop import SparseOp, block_norm
@@ -66,8 +65,10 @@ def direct_sum_op(A: SparseOp, B: SparseOp) -> SparseOp:
     """Block-diagonal lift A (+) B acting on the direct sum of the domains."""
     dom = direct_sum(A.dom, B.dom)
     cod = direct_sum(A.cod, B.cod)
-    m = sp.block_diag([A.mat, B.mat]).tocoo()
-    return SparseOp.from_coo(dom, cod, m.row, m.col, m.data)
+    return SparseOp.from_coo(
+        dom, cod, np.concatenate([A.rows, B.rows + A.cod.dim]),
+        np.concatenate([A.cols, B.cols + A.dom.dim]),
+        np.concatenate([A.vals, B.vals]))
 
 
 def dirac_pair(space: TruncatedSpace):

@@ -266,8 +266,8 @@ def _suite_family(cfg: RunConfig, plots: dict):
     t0 = time.perf_counter()
     table_n = min(half(4), cfg.n_max)
     l2 = enumerate_space("L2", table_n)
-    d1 = dirac_family(D1_PARAMS, l2).mat.diagonal()
-    d2 = dirac_family(D2_PARAMS, l2).mat.diagonal()
+    d1 = dirac_family(D1_PARAMS, l2).diag()
+    d2 = dirac_family(D2_PARAMS, l2).diag()
     tn, tj = l2.tn, l2.tj
     top = tj == tn
     dev1 = float(np.abs(d1 - np.where(top, tn + 1.0, -tn)).max())

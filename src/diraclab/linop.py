@@ -1,12 +1,15 @@
 """Sparse operator algebra between truncated spaces.
 
-A :class:`SparseOp` is an explicit sparse coefficient table with domain and
-codomain metadata.  All algebra enforces space compatibility; entries below
-1e-15 are pruned at construction.  Scalars are real doubles throughout (every
-displayed coefficient in this problem is real), so the adjoint is the
-transpose.  Operator norms are exact up to rounding: :func:`op_norm` and
-:func:`block_norm` both take the largest dense 2-norm over the weight-sector
-blocks of the operator (:func:`_kernels.spectral_norm`).
+A :class:`SparseOp` is a sparse coefficient table with domain and codomain
+metadata: numpy arrays ``rows``, ``cols`` and ``vals``, sorted row-major,
+no coordinate twice, entries below 1e-15 pruned.  All algebra enforces
+space compatibility, and a product sums each entry over the inner index in
+ascending order, as a compressed-sparse-row product does, bit for bit.
+Scalars are real doubles throughout (every displayed coefficient in this
+problem is real), so the adjoint is the transpose.  Operator norms are
+exact up to rounding: :func:`op_norm` and :func:`block_norm` both take the
+largest dense 2-norm over the weight-sector blocks of the operator
+(:func:`_kernels.spectral_norm`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._kernels import spectral_norm
 from .hilbert import TruncatedSpace, interior
@@ -26,40 +28,44 @@ class SpaceMismatchError(ValueError):
     """Domain/codomain incompatibility in an operator expression."""
 
 
-def _prune(mat: sp.csr_matrix) -> sp.csr_matrix:
-    mat = mat.tocsr()
-    if mat.nnz:
-        mat.data[np.abs(mat.data) < PRUNE_TOL] = 0.0
-        mat.eliminate_zeros()
-    mat.sort_indices()
-    return mat
-
-
 @dataclass(frozen=True, eq=False)
 class SparseOp:
     dom: TruncatedSpace
     cod: TruncatedSpace
-    mat: sp.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
     # ---------------------------------------------------------- constructors
 
     @staticmethod
     def from_coo(dom, cod, rows, cols, vals) -> "SparseOp":
-        m = sp.csr_matrix(
-            (np.asarray(vals, dtype=np.float64),
-             (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-            shape=(cod.dim, dom.dim))
-        m.sum_duplicates()
-        return SparseOp(dom, cod, _prune(m))
+        """Canonical operator from coordinates: sorted stably by
+        row * dom.dim + col, duplicates summed in input order, entries below
+        PRUNE_TOL dropped."""
+        key = np.asarray(rows, dtype=np.int64) * max(dom.dim, 1)
+        key += np.asarray(cols, dtype=np.int64)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.empty(len(key), dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        group = new.astype(np.int64)  # index of each sorted coordinate
+        group[:1] = 0
+        np.cumsum(group, out=group)
+        vals = np.bincount(group, np.asarray(vals, np.float64)[order]).astype(
+            np.float64, copy=False)  # (bincount gives integers if empty)
+        keep = ~(np.abs(vals) < PRUNE_TOL)
+        rows, cols = np.divmod(key[new][keep], max(dom.dim, 1))
+        return SparseOp(dom, cod, rows, cols, vals[keep])
 
     @staticmethod
     def identity(space) -> "SparseOp":
-        return SparseOp(space, space, sp.identity(space.dim, format="csr"))
+        return SparseOp.diagonal(space, np.ones(space.dim))
 
     @staticmethod
     def zero(dom, cod=None) -> "SparseOp":
-        cod = dom if cod is None else cod
-        return SparseOp(dom, cod, sp.csr_matrix((cod.dim, dom.dim)))
+        return SparseOp.from_coo(dom, dom if cod is None else cod, [], [], [])
 
     @staticmethod
     def diagonal(space, values) -> "SparseOp":
@@ -67,7 +73,8 @@ class SparseOp:
         if values.shape != (space.dim,):
             raise SpaceMismatchError(
                 f"diagonal needs {space.dim} values, got {values.shape}")
-        return SparseOp(space, space, _prune(sp.diags(values).tocsr()))
+        return SparseOp.from_coo(space, space, *[np.arange(space.dim)] * 2,
+                                 values)
 
     # --------------------------------------------------------------- algebra
 
@@ -77,7 +84,8 @@ class SparseOp:
             raise SpaceMismatchError(
                 f"vector of length {v.shape} applied to operator with "
                 f"domain dim {self.dom.dim}")
-        return self.mat @ v
+        Tv = np.bincount(self.rows, self.vals * v[self.cols], self.cod.dim)
+        return Tv.astype(np.float64, copy=False)  # (integers if no entry)
 
     def compose(self, other: "SparseOp") -> "SparseOp":
         """self after other (matrix product self @ other)."""
@@ -85,19 +93,34 @@ class SparseOp:
             raise SpaceMismatchError(
                 f"compose: domain {self.dom.kind}/{self.dom.n_max} does not "
                 f"match codomain {other.cod.kind}/{other.cod.n_max}")
-        return SparseOp(other.dom, self.cod, _prune(self.mat @ other.mat))
+        # each entry (i, j) of self, in order, meets row j of other in order
+        ptr = np.bincount(other.rows + 1, minlength=other.cod.dim + 1).cumsum()
+        count = np.diff(ptr)[self.cols]
+        right = np.repeat(ptr[self.cols] - np.cumsum(count) + count, count)
+        right += np.arange(len(right))
+        return SparseOp.from_coo(
+            other.dom, self.cod, np.repeat(self.rows, count), other.cols[right],
+            np.repeat(self.vals, count) * other.vals[right])
 
     def add(self, other: "SparseOp") -> "SparseOp":
         if (other.dom.signature != self.dom.signature
                 or other.cod.signature != self.cod.signature):
             raise SpaceMismatchError("add: operators live on different spaces")
-        return SparseOp(self.dom, self.cod, _prune(self.mat + other.mat))
+        return SparseOp.from_coo(self.dom, self.cod,
+                                 np.concatenate([self.rows, other.rows]),
+                                 np.concatenate([self.cols, other.cols]),
+                                 np.concatenate([self.vals, other.vals]))
 
     def scale(self, c: float) -> "SparseOp":
-        return SparseOp(self.dom, self.cod, _prune(self.mat * float(c)))
+        vals = self.vals * float(c)
+        keep = ~(np.abs(vals) < PRUNE_TOL)
+        return SparseOp(self.dom, self.cod, self.rows[keep], self.cols[keep],
+                        vals[keep])
 
     def adjoint(self) -> "SparseOp":
-        return SparseOp(self.cod, self.dom, _prune(self.mat.T.tocsr()))
+        order = np.argsort(self.cols, kind="stable")
+        return SparseOp(self.cod, self.dom, self.cols[order],
+                        self.rows[order], self.vals[order])
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -112,13 +135,30 @@ class SparseOp:
 
     @property
     def nnz(self) -> int:
-        return self.mat.nnz
+        return len(self.vals)
 
     def max_abs(self) -> float:
-        return float(np.abs(self.mat.data).max()) if self.mat.nnz else 0.0
+        return float(np.abs(self.vals).max()) if self.nnz else 0.0
+
+    def diag(self) -> np.ndarray:
+        """The main diagonal as a dense array."""
+        out = np.zeros(min(self.cod.dim, self.dom.dim))
+        on = self.rows == self.cols
+        out[self.rows[on]] = self.vals[on]
+        return out
 
     def to_dense(self) -> np.ndarray:
-        return self.mat.toarray()
+        out = np.zeros((self.cod.dim, self.dom.dim))
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    @property
+    def mat(self):
+        """A scipy CSR copy for tests and benchmarks (only here is scipy
+        imported)."""
+        import scipy.sparse as sp
+        return sp.csr_matrix((self.vals, (self.rows, self.cols)),
+                             shape=(self.cod.dim, self.dom.dim))
 
 
 def op_norm(T: SparseOp) -> float:
@@ -127,13 +167,15 @@ def op_norm(T: SparseOp) -> float:
     Computed by :func:`_kernels.spectral_norm` as the largest dense 2-norm
     over the weight-sector blocks of T.
     """
-    return spectral_norm(T.mat, T.cod.sector, T.dom.sector)
+    return spectral_norm(T.rows, T.cols, T.vals, T.cod.sector, T.dom.sector)
 
 
 def block_norm(T: SparseOp, n) -> float:
     """Norm of the level-n row block of T."""
-    rows = T.cod.level_ordinals(n)
-    return spectral_norm(T.mat[rows, :], T.cod.sector[rows], T.dom.sector)
+    rows = T.cod.level_ordinals(n)  # ascending
+    at = np.isin(T.rows, rows)
+    return spectral_norm(np.searchsorted(rows, T.rows[at]), T.cols[at],
+                         T.vals[at], T.cod.sector[rows], T.dom.sector)
 
 
 def interior_projector(space: TruncatedSpace, margin) -> SparseOp:

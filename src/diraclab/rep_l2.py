@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hilbert import TruncatedSpace
 from .linop import SparseOp
@@ -131,13 +130,13 @@ def pi_hat(w: GeneratorWord, space: TruncatedSpace, q: float,
     """
     if ops is None:
         ops = hat_generators(space, q)
-    out = SparseOp.zero(space)
+    out = None
     for weight, syms in w.terms:
-        cur = SparseOp.identity(space)
-        for s in syms:
+        cur = ops[syms[0]] if syms else SparseOp.identity(space)
+        for s in syms[1:]:
             cur = cur @ ops[s]
-        out = out + cur.scale(weight)
-    return out
+        out = cur.scale(weight) if out is None else out + cur.scale(weight)
+    return SparseOp.zero(space) if out is None else out
 
 
 def relation_words(q: float) -> dict:
@@ -211,7 +210,6 @@ def dirac_family(params: DiracParams, space: TruncatedSpace,
 
 def abs_op(D: SparseOp) -> SparseOp:
     """Entrywise absolute value of a diagonal operator."""
-    dense_diag = D.mat.diagonal()
-    if (D.mat - sp.diags(dense_diag)).nnz != 0:
+    if np.any(D.rows != D.cols):
         raise ValueError("abs_op expects a diagonal operator")
-    return SparseOp.diagonal(D.dom, abs(dense_diag))
+    return SparseOp.diagonal(D.dom, abs(D.diag()))

@@ -10,6 +10,7 @@ from diraclab.rep_l2 import (
     D1_PARAMS,
     D2_PARAMS,
     DiracParams,
+    GeneratorWord,
     abs_op,
     alpha_hat,
     beta_hat,
@@ -121,6 +122,9 @@ def test_pi_hat_empty_word_is_identity():
     sp = enumerate_space("L2", half(1))
     T = pi_hat(word(), sp, Q)
     assert np.array_equal(T.to_dense(), np.eye(sp.dim))
+    # and a word with no terms is the empty sum
+    assert np.array_equal(pi_hat(GeneratorWord(()), sp, Q).to_dense(),
+                          np.zeros((sp.dim, sp.dim)))
 
 
 def test_pi_hat_is_multiplicative():
