@@ -202,32 +202,30 @@ def _suite_asymptotics(cfg: RunConfig, plots: dict):
 
 
 def _commutator_norms(n_max: HalfInt, q: float) -> dict:
-    l2 = enumerate_space("L2", n_max)
-    dbl = enumerate_space("Double", n_max)
-    d1 = dirac_family(D1_PARAMS, l2)
-    D = dirac_D(dbl)
-    pl = interior_projector(l2, 1)
-    pd = interior_projector(dbl, 1)
+    """(norm at n_max - 2, norm at n_max) of each [D, g] on the interior."""
+    l2, dbl = (enumerate_space(kind, n_max) for kind in ("L2", "Double"))
     vals = {}
-    for g, T in hat_generators(l2, q).items():
-        vals[("hat", g)] = op_norm((d1 @ T - T @ d1) @ pl)
-    for g, T in pi_prime_generators(dbl, q).items():
-        vals[("prime", g)] = op_norm((D @ T - T @ D) @ pd)
+    for rep, D, gens in (
+            ("hat", dirac_family(D1_PARAMS, l2), hat_generators(l2, q)),
+            ("prime", dirac_D(dbl), pi_prime_generators(dbl, q))):
+        small = enumerate_space(D.dom.kind, HalfInt(n_max.twice - 4))
+        pl, ps = interior_projector(D.dom, 1), interior_projector(small, 1)
+        for g, T in gens.items():
+            C = (D @ T - T @ D) @ pl  # pl is 1 on every level of small
+            vals[(rep, g)] = op_norm(C.compress(small) @ ps), op_norm(C)
     return vals
 
 
 def _suite_commutators(cfg: RunConfig, plots: dict):
     out = []
-    small_n = HalfInt(cfg.n_max.twice - 4)
     for q in cfg.q:
         # the norms of all eight cells are computed together and charged to
         # the first cell of this q
         t0 = time.perf_counter()
-        small = _commutator_norms(small_n, q)
-        large = _commutator_norms(cfg.n_max, q)
-        for key in sorted(small):
+        norms = _commutator_norms(cfg.n_max, q)
+        for key in sorted(norms):
             rep, g = key
-            lo, hi = small[key], large[key]
+            lo, hi = norms[key]
             change = abs(hi - lo) / lo * 100.0 if lo > 0 else math.inf
             metrics = {"change_pct": change, "norm_small": lo,
                        "norm_large": hi}

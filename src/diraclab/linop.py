@@ -9,7 +9,8 @@ Scalars are real doubles throughout (every displayed coefficient in this
 problem is real), so the adjoint is the transpose.  Operator norms are
 exact up to rounding: :func:`op_norm` and :func:`block_norm` both take the
 largest dense 2-norm over the weight-sector blocks of the operator
-(:func:`_kernels.spectral_norm`).
+(:func:`_kernels.spectral_norm`), skipping blocks a Schur bound rules out.
+:meth:`SparseOp.compress` cuts an operator to a smaller truncation.
 """
 
 from __future__ import annotations
@@ -121,6 +122,16 @@ class SparseOp:
         order = np.argsort(self.cols, kind="stable")
         return SparseOp(self.cod, self.dom, self.cols[order],
                         self.rows[order], self.vals[order])
+
+    def compress(self, space) -> "SparseOp":
+        """P T P on a smaller truncation ``space`` of the same kind, whose
+        basis is a prefix of the level-major basis."""
+        big = {(s.kind, s.n_max >= space.n_max) for s in (self.dom, self.cod)}
+        if space.kind == "L2+L2" or big != {(space.kind, True)}:
+            raise SpaceMismatchError("compress: not a smaller truncation")
+        keep = (self.rows < space.dim) & (self.cols < space.dim)
+        return SparseOp(space, space, self.rows[keep], self.cols[keep],
+                        self.vals[keep])
 
     def __matmul__(self, other):
         return self.compose(other)

@@ -110,6 +110,34 @@ def test_commutator_cell_times_cover_the_suite():
     assert sum(r.wall_time for r in reports) >= 0.5 * elapsed
 
 
+@pytest.mark.parametrize("q", [0.3, 0.8])
+def test_commutator_norms_match_operators_built_at_each_size(q):
+    # the small norm comes from compressing the large commutator; it must
+    # equal the norm of the commutator built at n_max - 2, cut to the
+    # interior of that truncation
+    from diraclab.harness import _commutator_norms
+    from diraclab.hilbert import enumerate_space
+    from diraclab.linop import interior_projector, op_norm
+    from diraclab.rep_double import dirac_D, pi_prime_generators
+    from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
+
+    def built(n_max):
+        l2, dbl = (enumerate_space(k, n_max) for k in ("L2", "Double"))
+        out = {}
+        for rep, space, D, gens in (
+                ("hat", l2, dirac_family(D1_PARAMS, l2),
+                 hat_generators(l2, q)),
+                ("prime", dbl, dirac_D(dbl), pi_prime_generators(dbl, q))):
+            P = interior_projector(space, 1)
+            out.update({(rep, g): op_norm((D @ T - T @ D) @ P)
+                        for g, T in gens.items()})
+        return out
+
+    small, large = built(HalfInt(8)), built(HalfInt(12))
+    assert _commutator_norms(HalfInt(12), q) == {
+        key: (small[key], large[key]) for key in large}
+
+
 def test_reports_are_sorted():
     reports = run(_cfg(suites=("family", "decompose"), q=(0.7, 0.3),
                        n_max=HalfInt(4)))

@@ -2,12 +2,17 @@ import os
 import subprocess
 import sys
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diraclab._kernels import sector_map, spectral_norm
-from diraclab.hilbert import enumerate_space
+from diraclab._kernels import (BOUND_SLACK, schur_bounds, sector_map,
+                               spectral_norm)
+from diraclab.hilbert import direct_sum, enumerate_space
 from diraclab.linop import (
     SparseOp,
     SpaceMismatchError,
@@ -360,3 +365,228 @@ def test_no_scipy_module_is_loaded(tmp_path):
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.splitlines()[-1] == "1 [] []"
     assert (tmp_path / "report.json").exists()
+
+
+# --------------------------- the pruned kernel against every block's norm
+
+deterministic = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=200)
+# few distinct magnitudes, so blocks of equal bound and equal norm are common
+values = st.sampled_from([1.0, -1.0, 2.0, 0.5, 1 / 3, -2 / 3, 3.0, 1e-300])
+
+
+def _unpruned_norm(row, col, data, row_sector, col_sector):
+    """Every (target x source sector) block densified on its own and
+    decomposed, none skipped: the kernel without its Schur bound."""
+    if len(data) == 0:
+        return 0.0
+    src = col_sector[col]
+    if sector_map(src, row_sector[row], int(src.max()) + 1) is None:
+        src = np.zeros(len(data), dtype=np.int64)
+    norms = []
+    for s in np.unique(src):
+        at = src == s
+        r, ri = np.unique(row[at], return_inverse=True)
+        c, ci = np.unique(col[at], return_inverse=True)
+        block = np.zeros((len(r), len(c)))
+        np.add.at(block, (ri, ci), data[at])  # duplicates in input order
+        norms.append(float(np.linalg.norm(block[None], 2, axis=(1, 2))[0]))
+    return max(norms)
+
+
+@st.composite
+def graded_entries(draw):
+    """(row, col, data, row_sector, col_sector) of a graded matrix from
+    1 x 1 to 12 x 12: column sector s maps into row sector to[s]; some have
+    no entry, coordinates repeat and some entries are followed by their
+    exact negation."""
+    n_sectors = draw(st.integers(2, 6))
+    sectors = lambda k: np.array(draw(st.lists(
+        st.integers(0, n_sectors - 1), min_size=k, max_size=k)), np.int64)
+    rs = sectors(draw(st.integers(1, 12)))
+    cs = sectors(draw(st.integers(1, 12)))
+    to = np.array(draw(st.permutations(range(n_sectors))))
+    entries = []
+    for c, k, v in draw(st.lists(st.tuples(
+            st.integers(0, 11), st.integers(0, 11), values),
+            min_size=1, max_size=60)):
+        targets = np.flatnonzero(rs == to[cs[c % len(cs)]])
+        if len(targets):
+            entries.append((targets[k % len(targets)], c % len(cs), v))
+    for k in draw(st.lists(st.integers(0, 59), max_size=20)):
+        if entries:
+            r, c, v = entries[k % len(entries)]
+            entries.append((r, c, -v))
+    row, col, data = (np.array(x) for x in zip(*entries)) if entries else \
+        (np.array([], np.int64), np.array([], np.int64), np.array([]))
+    return row, col, data, rs, cs
+
+
+@deterministic
+@given(graded_entries())
+def test_spectral_norm_equals_unpruned_norm_on_graded_matrices(args):
+    assert spectral_norm(*args) == _unpruned_norm(*args)
+
+
+@deterministic
+@given(graded_entries())
+def test_spectral_norm_equals_unpruned_norm_when_ungraded(args):
+    # one sector on each side, so the whole matrix is one block
+    row, col, data, rs, cs = args
+    one = np.zeros(len(rs), np.int64), np.zeros(len(cs), np.int64)
+    assert spectral_norm(row, col, data, *one) == _unpruned_norm(
+        row, col, data, *one)
+
+
+def test_spectral_norm_equals_unpruned_norm_on_edge_cases():
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((3, 4))
+    cases = []
+    # ties: one block in each of four sectors, rows and columns permuted,
+    # so all four bounds and norms are equal
+    r, c = np.nonzero(np.ones((3, 4)))
+    for k in range(4):
+        p, s = rng.permutation(3), rng.permutation(4)
+        cases.append((r + 3 * k, c + 4 * k, block[p[r], s[c]]))
+    tie = [np.concatenate(x) for x in zip(*cases)]
+    sectors = np.repeat(np.arange(4), 3), np.repeat(np.arange(4), 4)
+    # entries that cancel to exactly 0, and an all-zero operator
+    zero = (np.array([0, 0, 3]), np.array([0, 0, 5]),
+            np.array([2.5, -2.5, 0.0]))
+    for entries, rs, cs in ((tie, *sectors), (zero, *sectors),
+                            ((np.array([0, 3]), np.array([0, 5]),
+                              np.array([1.0, -7.0])), *sectors)):
+        assert spectral_norm(*entries, rs, cs) == _unpruned_norm(
+            *entries, rs, cs)
+    assert spectral_norm(*zero, *sectors) == 0.0
+    # the maximum sits in a 1 x 1 block (the first batch) whose bound is
+    # not the largest: [[1, 1], [1, -1]] has bound 2 but norm sqrt(2)
+    args = (np.array([0, 1, 1, 2, 2]), np.array([0, 1, 2, 1, 2]),
+            np.array([1.5, 1.0, 1.0, 1.0, -1.0]), np.array([0, 1, 1]),
+            np.array([0, 1, 1]))
+    assert spectral_norm(*args) == _unpruned_norm(*args) == 1.5
+    # shape (0, 4): no entry at all
+    empty = np.array([], np.int64)
+    assert spectral_norm(empty, empty, np.array([]), empty,
+                         np.zeros(4, np.int64)) == 0.0
+    # the ungraded single block (sector 0 reaches sectors 0 and 1)
+    args = (np.array([0, 1, 2]), np.array([0, 0, 1]),
+            np.array([3.0, 4.0, 1.0]), np.array([0, 1, 1]), np.array([0, 0]))
+    assert spectral_norm(*args) == _unpruned_norm(*args)
+
+
+def test_spectral_norm_equals_unpruned_norm_on_a_full_run(tmp_path,
+                                                          monkeypatch):
+    # every op_norm and block_norm call of `diraclab all --nmax 8`
+    from diraclab import linop
+    from diraclab.cli import main
+
+    seen = []
+
+    def checked(*args):
+        got = spectral_norm(*args)
+        seen.append(got == _unpruned_norm(*args))
+        return got
+
+    monkeypatch.setattr(linop, "spectral_norm", checked)
+    main(["all", "--nmax", "8", "--out", str(tmp_path)])
+    assert len(seen) > 100 and all(seen)
+
+
+@deterministic
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5),
+       st.lists(values, min_size=100, max_size=100))
+def test_schur_bound_is_not_below_the_norm(count, m, n, pool):
+    batch = np.resize(np.array(pool), count * m * n).reshape(count, m, n)
+    norms = np.linalg.norm(batch, 2, axis=(1, 2))
+    assert np.all(schur_bounds(batch) * (1 + BOUND_SLACK) >= norms)
+
+
+def test_spectral_norm_keeps_a_block_whose_bound_rounds_below_its_norm():
+    # M = [[1/3, 7], [7, 1/3]] has norm 22/3, but its Schur bound rounds
+    # three ulps below the computed norm; the 1 x 1 block x in between has
+    # the larger bound, so its norm is the lower bound and M must survive it
+    M = np.array([[1 / 3, 7.0], [7.0, 1 / 3]])
+    bound, norm = schur_bounds(M[None])[0], np.linalg.norm(M, 2)
+    x = np.nextafter(np.nextafter(bound, 8.0), 8.0)
+    assert bound < x < norm and schur_bounds(np.array([[[x]]]))[0] > bound
+    args = (np.array([0, 1, 1, 2, 2]), np.array([0, 1, 2, 1, 2]),
+            np.array([x, *M.ravel()]), np.array([0, 1, 1]),
+            np.array([0, 1, 1]))
+    assert spectral_norm(*args) == _unpruned_norm(*args) == norm
+
+
+def _non_finite_cases(bad):
+    # three sectors of different block shapes; the bad entry in each block
+    rs, cs = np.array([0, 0, 1, 2, 2, 2]), np.array([0, 1, 1, 2, 2])
+    row, col = np.array([0, 1, 2, 3, 4, 5, 3]), np.array([0, 0, 2, 3, 4, 4, 4])
+    for k in range(len(row)):
+        data = np.arange(1.0, len(row) + 1)
+        data[k] = bad
+        yield row, col, data, rs, cs
+        yield row, col, data, np.zeros(6, np.int64), np.zeros(5, np.int64)
+
+
+def test_spectral_norm_nan_entry_raises_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in _non_finite_cases(np.nan):
+            with pytest.raises(np.linalg.LinAlgError):
+                spectral_norm(*args)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_spectral_norm_inf_entry_gives_nan_without_warnings(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in _non_finite_cases(bad):
+            assert np.isnan(spectral_norm(*args))
+        # entries near the largest double: the bound overflows, not the norm
+        big = (np.array([0, 0, 1]), np.array([0, 1, 1]),
+               np.array([1e308, 1e308, -1e308]), np.array([0, 1]),
+               np.array([0, 0]))
+        assert spectral_norm(*big) == _unpruned_norm(*big)
+
+
+# ------------------------------- compression to a smaller truncation
+
+
+def _commutators(kind, n_max, q):
+    """[D, g] for each generator g, built on the truncation at n_max."""
+    from diraclab.rep_double import dirac_D, pi_prime_generators
+    from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
+
+    space = enumerate_space(kind, half(n_max))
+    if kind == "L2":
+        D, gens = dirac_family(D1_PARAMS, space), hat_generators(space, q)
+    else:
+        D, gens = dirac_D(space), pi_prime_generators(space, q)
+    return space, {g: D @ T - T @ D for g, T in gens.items()}
+
+
+@pytest.mark.parametrize("kind", ["L2", "Double"])
+@pytest.mark.parametrize("q", [0.3, 0.8, 0.95])
+@pytest.mark.parametrize("nmax", [4, 16, 24])  # twice n_max, as on the CLI
+def test_compressed_commutator_is_the_small_truncation(kind, q, nmax):
+    _, large = _commutators(kind, nmax / 2, q)
+    small_space, small = _commutators(kind, nmax / 2 - 2, q)
+    for g, C in large.items():
+        got = C.compress(small_space)
+        assert got.dom is small_space and got.cod is small_space
+        for attr in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(got, attr),
+                                  getattr(small[g], attr)), (g, attr)
+
+
+def test_compress_rejects_other_spaces():
+    l2 = enumerate_space("L2", half(2))
+    T = SparseOp.identity(l2)
+    assert T.compress(l2).nnz == l2.dim
+    for space in (enumerate_space("Double", half(1)),
+                  enumerate_space("L2", half(2.5)),
+                  direct_sum(*[enumerate_space("L2", half(1))] * 2)):
+        with pytest.raises(SpaceMismatchError):
+            T.compress(space)
+    pair = direct_sum(l2, l2)
+    with pytest.raises(SpaceMismatchError):
+        SparseOp.identity(pair).compress(pair)
