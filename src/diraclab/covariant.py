@@ -14,10 +14,13 @@ other way, a diagonal Dirac operator by (0, 0)), so it maps each weight
 sector into one sector (:func:`_kernels.sector_map`, as for the norms), and
 the seed e^{(0)}_{00} lies in sector (0, 0).  Sectors are orthogonal, so a
 frame is kept per sector in sector-local coordinates (at most
-floor(n_max) + 1 vectors, one per level holding that weight), and each
-generator is restricted once to dense (target x source sector) blocks: a
-candidate image is one small matrix-vector product.  When some generator is
-not graded, or the seed spans several sectors, all ordinals form one sector.
+floor(n_max) + 1 vectors, one per level holding that weight).  Candidates
+are batched per depth: one ``np.bincount`` over the generators' entries
+forms every image, and round r orthogonalises the r-th candidate of every
+target sector against its frame at once, so that each candidate sees
+exactly the directions accepted before it in the sequential order (frontier
+vector, then generator).  When some generator is not graded, or the seed
+spans several sectors, all ordinals form one sector.
 
 Saturation is an empirical observation, not a theorem asserted by the code:
 when a run falls short, the report carries the per-level shortfall instead
@@ -45,32 +48,6 @@ class CyclicityReport(NamedTuple):
     discarded: int      # candidate images that added no new direction
     history: tuple      # reached dimension after each depth 0..depth
     deficiency: tuple   # (twice-level, missing dims) pairs; () when saturated
-
-
-class _Frame:
-    """Growing orthonormal frame with twice-reorthogonalized insertion."""
-
-    def __init__(self, dim: int, tol: float):
-        self.buf = np.zeros((dim, 16))
-        self.k = 0
-        self.tol = tol
-
-    def try_add(self, w: np.ndarray) -> bool:
-        Q = self.buf[:, :self.k]
-        for _ in range(2):
-            w = w - Q @ (Q.T @ w)
-        nw = np.linalg.norm(w)
-        if nw <= self.tol:
-            return False
-        if self.k == self.buf.shape[1]:
-            self.buf = np.concatenate(
-                [self.buf, np.zeros_like(self.buf)], axis=1)
-        self.buf[:, self.k] = w / nw
-        self.k += 1
-        return True
-
-    def matrix(self) -> np.ndarray:
-        return self.buf[:, :self.k]
 
 
 def cyclic_dimension(generators, seed, depth: int,
@@ -121,59 +98,82 @@ def cyclic_dimension(generators, seed, depth: int,
         if all(to is not None for to in maps) \
                 and len(np.unique(sector[v0 != 0])) == 1:
             break
-    pos, size = _positions(sector, sector.max() + 1)
-    rows = np.split(np.argsort(sector, kind="stable"), np.cumsum(size)[:-1])
-    frames = [_Frame(n, gram_tol) for n in size.tolist()]
-    blocks = [_sector_blocks(g, to, sector, pos, size)
-              for g, to in zip(gens, maps)]
+    n_sec = sector.max() + 1
+    pos, size = _positions(sector, n_sec)
+    width = size.max()
+    # the generators' entries in sector-local coordinates, ordered by key
+    # (generator i, source sector s); to[i * n_sec + s]: the target of s
+    key, lrow, lcol, val = [np.concatenate(x) for x in zip(*[
+        (i * n_sec + sector[g.cols], pos[g.rows], pos[g.cols], g.vals)
+        for i, g in enumerate(gens)])]
+    order = np.argsort(key, kind="stable")
+    lrow, lcol, val = lrow[order], lcol[order], val[order]
+    count = np.bincount(key, minlength=len(gens) * n_sec)
+    start, to = np.cumsum(count) - count, np.concatenate(maps)
+    # the frame of sector s: rows :k[s] of frames[size[s]][slot[s]]
+    slot, n_of_size = _positions(size, width + 1)
+    frames = {m: np.zeros((n, m, m)) for m, n in enumerate(n_of_size) if n}
+    k = np.zeros(n_sec, dtype=np.int64)
 
-    s0 = sector[np.flatnonzero(v0)[0]]
-    frames[s0].try_add(v0[rows[s0]])
-    frontier = [(s0, v0[rows[s0]])]
-    reached = 1
-    discarded = 0
-    history = [reached]
+    def admit(img, t):
+        # sequential Gram-Schmidt of img's rows into the frames of targets t;
+        # round r takes every target's r-th row, batched by sector size
+        turn = _positions(t, n_sec)[0] * (width + 1) + size[t]
+        order = np.argsort(turn, kind="stable")
+        ok = np.zeros(len(t), dtype=bool)
+        groups = np.split(order, np.flatnonzero(np.diff(turn[order])) + 1)
+        for c in groups if len(t) else ():
+            m, tc = size[t[c[0]]], t[c]
+            Q, w = frames[m][slot[tc], :k[tc].max()], img[c, :m]
+            for _ in range(2):
+                w = w - (w[:, None] @ Q.transpose(0, 2, 1) @ Q)[:, 0]
+            nw = np.linalg.norm(w, axis=1)
+            new = (nw > gram_tol) & (k[tc] < m)  # a full frame takes no more
+            c, tc, w = c[new], tc[new], w[new] / nw[new, None]
+            frames[m][slot[tc], k[tc]] = w
+            k[tc] += 1
+            img[c, :m] = w  # accepted rows, normalised: the next frontier
+            ok[c] = True
+        return ok
+
+    front, fsec = np.bincount(pos, v0, width)[None], sector[v0 != 0][:1]
+    discarded, history = 0, [int(admit(front, fsec).sum())]
     for _ in range(depth):
-        fresh = []
-        for s, vs in frontier:
-            for gen in blocks:
-                t, B = gen.get(s, (-1, None))
-                if t >= 0 and frames[t].try_add(B @ vs):
-                    fresh.append((t, frames[t].matrix()[:, -1].copy()))
-                    reached += 1
-                else:
-                    discarded += 1
-        frontier = fresh
-        history.append(reached)
+        # candidates in sequential order: frontier vector, then generator;
+        # a generator that annihilates the source sector is discarded unseen
+        f, i = np.divmod(np.arange(len(fsec) * len(gens)), len(gens))
+        cand = i * n_sec + fsec[f]
+        live = to[cand] >= 0
+        f, cand = f[live], cand[live]
+        n = count[cand]
+        owner = np.repeat(np.arange(len(cand)), n)  # each entry's candidate
+        e = np.arange(n.sum()) + np.repeat(start[cand] - np.cumsum(n) + n, n)
+        img = np.bincount(owner * width + lrow[e],
+                          val[e] * front[f[owner], lcol[e]],
+                          minlength=len(cand) * width).reshape(-1, width)
+        ok = admit(img, to[cand])
+        front, fsec = img[ok], to[cand[ok]]
+        discarded += len(live) - len(fsec)
+        history.append(history[-1] + len(fsec))
 
     target = sum(len(space.levels[tn]) for tn in space.levels if tn <= depth)
-    saturated = reached == target
+    saturated = history[-1] == target
     deficiency = ()
     if not saturated:
         # sector frames have disjoint supports, so the rank of the frame's
         # level-n rows is the sum of the per-sector ranks
+        rows = np.split(np.argsort(sector, kind="stable"),
+                        np.cumsum(size)[:-1])
         rank = dict.fromkeys(space.levels, 0)
-        for r, frame in zip(rows, frames):
-            if not frame.k:
-                continue
-            level = space.tn[r]
+        for s in np.flatnonzero(k):
+            frame = frames[size[s]][slot[s], :k[s]].T
+            level = space.tn[rows[s]]
             for tn in np.unique(level[level <= depth]):
-                rank[tn] += np.linalg.matrix_rank(
-                    frame.matrix()[level == tn], tol=gram_tol)
+                rank[tn] += np.linalg.matrix_rank(frame[level == tn],
+                                                  tol=gram_tol)
         deficiency = tuple((tn, int(len(space.levels[tn]) - rank[tn]))
                            for tn in sorted(space.levels)
                            if tn <= depth and len(space.levels[tn]) > rank[tn])
-    return CyclicityReport(depth, reached, target, saturated, gram_tol,
+    return CyclicityReport(depth, history[-1], target, saturated, gram_tol,
                            discarded, tuple(history), deficiency)
 
-
-def _sector_blocks(g, to, sector, pos, size) -> dict:
-    """Source sector s -> (to[s], dense block from s to to[s]) for each s the
-    generator does not annihilate; pos: index of each ordinal in its sector."""
-    area = np.where(to >= 0, size[to] * size, 0)
-    end = np.cumsum(area)
-    s = sector[g.cols]
-    flat = np.bincount(end[s] - area[s] + pos[g.rows] * size[s]
-                       + pos[g.cols], weights=g.vals, minlength=end[-1])
-    return {s: (t, b.reshape(size[t], size[s])) for s, (t, b) in
-            enumerate(zip(to.tolist(), np.split(flat, end[:-1]))) if t >= 0}

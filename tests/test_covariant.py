@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from diraclab._kernels import sector_map
-from diraclab.covariant import GRAM_TOL, _Frame, cyclic_dimension
+from diraclab.covariant import GRAM_TOL, cyclic_dimension
 from diraclab.hilbert import L2Index, enumerate_space
 from diraclab.linop import SpaceMismatchError, SparseOp
 from diraclab.qnum import half
@@ -141,27 +143,38 @@ def test_input_validation():
 # ------------------------------------------ weight sectors vs one dense frame
 
 def _dense_oracle(gens, v0, depth, gram_tol=GRAM_TOL):
-    """Breadth-first Gram-Schmidt with one frame over the whole space.
+    """Breadth-first Gram-Schmidt with one frame over the whole space, one
+    candidate at a time.
 
     Returns (reached, discarded, history, deficiency) for comparison with
-    the per-sector frames of cyclic_dimension.
+    the per-sector frames and batched rounds of cyclic_dimension.
     """
     space = gens[0].dom
-    v0 = v0 / np.linalg.norm(v0)
-    frame = _Frame(space.dim, gram_tol)
-    frame.try_add(v0)
-    frontier, discarded, history = [v0], 0, [1]
+    Q = np.zeros((space.dim, 0))
+
+    def try_add(w):
+        # twice-reorthogonalised insertion into the frame Q
+        nonlocal Q
+        for _ in range(2):
+            w = w - Q @ (Q.T @ w)
+        nw = np.linalg.norm(w)
+        if nw <= gram_tol:
+            return False
+        Q = np.column_stack([Q, w / nw])
+        return True
+
+    try_add(v0 / np.linalg.norm(v0))
+    frontier, discarded, history = [Q[:, 0]], 0, [1]
     for _ in range(depth):
         fresh = []
         for v in frontier:
             for g in gens:
-                if frame.try_add(g.apply(v)):
-                    fresh.append(frame.matrix()[:, -1].copy())
+                if try_add(g.apply(v)):
+                    fresh.append(Q[:, -1])
                 else:
                     discarded += 1
         frontier = fresh
-        history.append(frame.k)
-    Q = frame.matrix()
+        history.append(Q.shape[1])
     deficiency = []
     for tn in sorted(space.levels):
         if tn <= depth:
@@ -169,7 +182,7 @@ def _dense_oracle(gens, v0, depth, gram_tol=GRAM_TOL):
             miss = len(rows) - np.linalg.matrix_rank(Q[rows], tol=gram_tol)
             if miss:
                 deficiency.append((tn, int(miss)))
-    return frame.k, discarded, tuple(history), tuple(deficiency)
+    return Q.shape[1], discarded, tuple(history), tuple(deficiency)
 
 
 def _assert_matches_dense(gens, seed, depth):
@@ -212,8 +225,7 @@ def test_mixed_weight_shift_falls_back_to_one_sector():
     sp, gens, seed = _setup()
 
     def to(g):
-        coo = g.mat.tocoo()
-        return sector_map(sp.sector[coo.col], sp.sector[coo.row],
+        return sector_map(sp.sector[g.cols], sp.sector[g.rows],
                           sp.sector.max() + 1)
 
     mixed = gens[0] + gens[2]
@@ -234,6 +246,68 @@ def test_regression_pin_beyond_dense_oracle_sizes():
     sp = enumerate_space("L2", half(16))
     rep = cyclic_dimension(hat_generators(sp, 0.5).values(), 0, 32)
     assert (rep.reached, rep.discarded, rep.saturated) == (12529, 33232, True)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.95])
+@pytest.mark.parametrize("tn_max, reached, discarded",
+                         [(24, 5525, 14076), (32, 12529, 33232)])
+def test_regression_pins_across_q(q, tn_max, reached, discarded):
+    # counts of one-candidate-at-a-time Gram-Schmidt, pinned beyond the dense
+    # oracle's reach; saturated, so depth d reaches every level <= d/2
+    sp = enumerate_space("L2", half(tn_max / 2))
+    rep = cyclic_dimension(hat_generators(sp, q).values(), 0, tn_max)
+    levels = itertools.accumulate((d + 1) ** 2 for d in range(tn_max + 1))
+    assert (rep.reached, rep.discarded, rep.history, rep.deficiency) \
+        == (reached, discarded, tuple(levels), ())
+
+
+def test_regression_pin_at_nmax_48():
+    sp = enumerate_space("L2", half(24))
+    rep = cyclic_dimension(hat_generators(sp, 0.5).values(), 0, 48)
+    assert (rep.reached, rep.discarded, rep.saturated) == (40425, 111672, True)
+
+
+def test_same_target_candidates_are_decided_in_order():
+    # at depth 2, beta(alpha seed) and then alpha(beta seed) land in weight
+    # sector (0, -1), whose only vector at level <= 1 is e^{(1)}_{0,-1}: the
+    # later image is nonzero on its own and is discarded only because the
+    # earlier one of the same depth was accepted
+    sp, gens, seed = _setup()
+    alpha, beta = gens[0], gens[2]
+    v0 = np.zeros(sp.dim)
+    v0[seed] = 1.0
+    k = sp.ordinal(L2Index(half(1), half(0), half(-1)))
+    for w in (beta.apply(alpha.apply(v0)), alpha.apply(beta.apply(v0))):
+        assert np.flatnonzero(w).tolist() == [k]
+        assert abs(w[k]) > GRAM_TOL
+    rep = _assert_matches_dense([alpha, beta], seed, 2)
+    assert rep.history == (1, 3, 6)
+    assert rep.discarded == 1
+
+
+@pytest.mark.parametrize("names", [("alpha",), ("alpha", "alpha*")],
+                         ids=["alpha", "alpha+alpha*"])
+def test_part_filled_sector_frames_match_dense(names):
+    # alpha (and alpha*) keep to the i = j sectors: many frames are left
+    # part-filled, and the shortfall is reported per level
+    sp, gens, seed = _setup(tn_max=8)
+    ops = hat_generators(sp, Q)
+    rep = _assert_matches_dense([ops[g] for g in names], seed, 8)
+    assert rep.deficiency
+
+
+def test_zero_gram_tol_stops_at_the_dimension():
+    # with gram_tol = 0 the rounding residue left by a full frame would count
+    # as a new direction; a frame holds at most its sector's dimension
+    sp = enumerate_space("L2", half(1))
+    rng = np.random.default_rng(0)
+    rows, cols = np.divmod(np.arange(sp.dim ** 2), sp.dim)
+    gens = [SparseOp.from_coo(sp, sp, rows, cols,
+                              rng.standard_normal(sp.dim ** 2))
+            for _ in range(5)]
+    rep = cyclic_dimension(gens, 0, 2, gram_tol=0.0)
+    assert rep.history == (1, 6, sp.dim)
+    assert rep.saturated
 
 
 def test_tiny_q_drops_the_alpha_image():
