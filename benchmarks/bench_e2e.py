@@ -5,11 +5,14 @@
 
 For each workload of the checkout's ``BENCHMARK.json`` this runs
 ``perfbench/run.py`` of the checkout at ``--repo`` (default: the one holding
-this script) twice, with ``--trace 0`` and with ``--trace 1``, at seed
-``SEED`` and ``SECONDS`` seconds, and copies what its result lines report:
-end to end ``wall_s``, ``setup_s`` and ``peak_rss_mb``, the per-layer
-seconds and counts of the traced round, the payload hashes and the
-environment.  Nothing is timed here.
+this script) ``RUNS`` times with ``--trace 0`` and once with ``--trace 1``,
+at seed ``SEED`` and ``SECONDS`` seconds, and copies what its result lines
+report.  End to end, ``wall_s``, ``setup_s`` and ``peak_rss_mb`` are the
+medians of the untraced runs, ``iqr`` holds their interquartile spreads and
+``runs`` every run's values, so a busy spell of the machine shows as spread
+rather than as a shifted number.  The untraced runs go round the workloads
+in turn.  The traced run gives the per-layer seconds and counts.  Nothing is
+timed here.
 
 ``source_sha256`` hashes the files of ``src/`` that were measured.  A clean
 checkout is recorded as ``BENCH_<short-rev>.json`` with its ``revision``.  A
@@ -25,12 +28,15 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEED = 1
 SECONDS = 8.0
+RUNS = 5  # untraced perfbench runs per workload
+E2E = ("wall_s", "setup_s", "peak_rss_mb")
 
 
 def git(repo, *args):
@@ -68,6 +74,10 @@ def perfbench(repo, workload, trace):
     return env["env"], result
 
 
+def values(result):
+    return {k: m["value"] for k, m in result["metrics"].items()}
+
+
 def record(repo):
     head = git(repo, "rev-parse", "HEAD")
     dirty = bool(git(repo, "status", "--porcelain", "--", "src", "perfbench"))
@@ -75,25 +85,36 @@ def record(repo):
     bench = {"revision": None if dirty else head, "head": head,
              "dirty": dirty, "tag": f"src-{sha[:12]}" if dirty else head[:7],
              "source_sha256": sha,
-             "config": {"seed": SEED, "seconds": SECONDS}, "workloads": {}}
-    for w in workloads(repo):
-        env, e2e = perfbench(repo, w, 0)
-        _, traced = perfbench(repo, w, 1)
-        values = lambda r: {k: m["value"] for k, m in r["metrics"].items()}
+             "config": {"seed": SEED, "seconds": SECONDS, "runs": RUNS},
+             "workloads": {}}
+    names = workloads(repo)
+    runs = {w: [] for w in names}
+    for _ in range(RUNS):
+        for w in names:
+            runs[w].append(perfbench(repo, w, 0))
+    for w in names:
+        env, traced = perfbench(repo, w, 1)
         layers = values(traced)
+        e2e = {k: [values(r)[k] for _, r in runs[w]] for k in E2E}
+        quart = {k: statistics.quantiles(v, n=4, method="inclusive")
+                 for k, v in e2e.items()}
+        results = [r for _, r in runs[w]] + [traced]
         bench["workloads"][w] = {
-            **{k: values(e2e)[k] for k in ("wall_s", "setup_s",
-                                           "peak_rss_mb")},
-            "round_s": env["round_s"],
-            "payload_sha256": env["payload_sha256"],
-            "correct": e2e["correct"] and traced["correct"],
-            "failed": e2e["failed"] + traced["failed"],
+            **{k: statistics.median(v) for k, v in e2e.items()},
+            "iqr": {k: q3 - q1 for k, (q1, _, q3) in quart.items()},
+            "runs": e2e,
+            "round_s": [e["round_s"] for e, _ in runs[w]],
+            "payload_sha256": sorted({h for e, _ in runs[w]
+                                      for h in e["payload_sha256"]}),
+            "correct": all(r["correct"] for r in results),
+            "failed": sum(r["failed"] for r in results),
             "layer_s": {k: v for k, v in layers.items() if k.endswith(".s")},
             "trace": {k: v for k, v in layers.items()
                       if not k.endswith(".s")},
             "env": {k: v for k, v in env.items()
                     if k not in ("round_s", "payload_sha256")}}
-        print(f"{w}: wall_s {bench['workloads'][w]['wall_s']:.3f}",
+        print(f"{w}: wall_s {bench['workloads'][w]['wall_s']:.3f} "
+              f"(iqr {bench['workloads'][w]['iqr']['wall_s']:.3f})",
               file=sys.stderr)
     return bench
 

@@ -161,16 +161,22 @@ def cyclic_dimension(generators, seed, depth: int,
     deficiency = ()
     if not saturated:
         # sector frames have disjoint supports, so the rank of the frame's
-        # level-n rows is the sum of the per-sector ranks
+        # level-n rows is the sum of the per-sector ranks; the (sector,
+        # level) blocks are ranked in one batch per block shape (a frame's
+        # rows past k[s] are zero and add no rank)
         rows = np.split(np.argsort(sector, kind="stable"),
                         np.cumsum(size)[:-1])
-        rank = dict.fromkeys(space.levels, 0)
+        blocks = {}  # block shape -> [(twice-level, block)]
         for s in np.flatnonzero(k):
-            frame = frames[size[s]][slot[s], :k[s]].T
+            frame = frames[size[s]][slot[s]].T
             level = space.tn[rows[s]]
             for tn in np.unique(level[level <= depth]):
-                rank[tn] += np.linalg.matrix_rank(frame[level == tn],
-                                                  tol=gram_tol)
+                block = frame[level == tn]
+                blocks.setdefault(block.shape, []).append((tn, block))
+        rank = np.zeros(depth + 1, dtype=np.int64)
+        for tns, stack in (zip(*batch) for batch in blocks.values()):
+            np.add.at(rank, list(tns),
+                      np.linalg.matrix_rank(np.stack(stack), tol=gram_tol))
         deficiency = tuple((tn, int(len(space.levels[tn]) - rank[tn]))
                            for tn in sorted(space.levels)
                            if tn <= depth and len(space.levels[tn]) > rank[tn])

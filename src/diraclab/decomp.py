@@ -7,9 +7,11 @@ Four pieces:
   (zero deviation: every eigenvalue is a machine integer and U only
   permutes coordinates).
 * ``kq_defect`` — the residual U (pi_hat(g) (+) pi_hat(g)) U* - pi'(g) on the
-  Double space, whose per-level block norms decay like q^{2n}.
+  Double space, whose per-level block norms decay like q^{2n}.  It and the
+  decay fits take the generator dicts they measure, so a caller holding one
+  q's generators (as a run of the harness does) builds them only once.
 * ``decay_fit`` — least-squares estimate of an exponential decay rate from
-  (level, norm) samples, with floor censoring.
+  (level, norm) samples, with censoring at ``NORM_FLOOR``.
 * ``leading_form`` / ``asymptotic_residual`` — the closed leading-order forms
   of the four 2x2 coefficient matrices and the q^{2n} envelope of the
   entrywise residuals.
@@ -28,17 +30,18 @@ import numpy as np
 from .hilbert import TruncatedSpace, direct_sum, enumerate_space
 from .linop import SparseOp, block_norm
 from .qnum import HalfInt, half, q_power, validate_q
-from .rep_double import (_halves, _matrix, a_minus, a_plus, b_minus, b_plus,
-                         pi_prime)
-from .rep_l2 import (D1_PARAMS, D2_PARAMS, _sqrt0, abs_op, dirac_family,
-                     hat_generators)
+from .rep_double import _halves, _matrix, a_minus, a_plus, b_minus, b_plus
+from .rep_l2 import D1_PARAMS, D2_PARAMS, _sqrt0, abs_op, dirac_family
 
 #: Generators whose defect the reduction step actually needs (the other two
 #: follow by adjoints).
 KQ_GENERATORS = ("alpha*", "beta")
 
-#: Default floor below which a block norm is treated as numerically zero.
+#: Floor below which a block norm is treated as numerically zero.
 NORM_FLOOR = 1e-14
+
+#: Levels of the asymptotic scan: n = 1..6.
+SCAN_LEVELS = tuple(HalfInt(t) for t in range(2, 13))
 
 
 def build_U(n_max) -> SparseOp:
@@ -107,24 +110,21 @@ def check_dirac_intertwine(n_max) -> DecompositionReport:
     return DecompositionReport(n_max, U.dom.dim, U.cod.dim, unitary, conj)
 
 
-def kq_defect(gen: str, n_max, q: float) -> SparseOp:
+def kq_defect(gen: str, hat: dict, prime: dict) -> SparseOp:
     """Defect Delta = U (pi_hat(g) (+) pi_hat(g)) U* - pi'(g) on Double.
 
-    Only 'alpha*' and 'beta' are accepted: the remaining generators are
-    adjoints of these two, so their defects carry the same block norms.
-    Delta inherits the +-1/2 band structure of its parents and its level-n
-    block norm decays like q^{2n}.
+    hat and prime are one q's generators at one n_max, as built by
+    ``hat_generators`` and ``pi_prime_generators``.  Only 'alpha*' and 'beta'
+    are accepted: the remaining generators are adjoints of these two, so
+    their defects carry the same block norms.  Delta inherits the +-1/2 band
+    structure of its parents and its level-n block norm decays like q^{2n}.
     """
     if gen not in KQ_GENERATORS:
         raise ValueError(f"kq_defect: gen must be one of {KQ_GENERATORS}, "
                          f"got {gen!r}")
-    q = validate_q(q)
-    n_max = half(n_max)
-    l2 = enumerate_space("L2", n_max)
-    hat = hat_generators(l2, q)[gen]
-    U = build_U(n_max)
-    lifted = U @ direct_sum_op(hat, hat) @ U.adjoint()
-    return lifted - pi_prime(gen, U.cod, q)
+    U = build_U(prime[gen].dom.n_max)
+    lifted = U @ direct_sum_op(hat[gen], hat[gen]) @ U.adjoint()
+    return lifted - prime[gen]
 
 
 class DecayFit(NamedTuple):
@@ -137,22 +137,22 @@ class DecayFit(NamedTuple):
     censored: int       # levels dropped for sitting at/below the floor
 
 
-def decay_fit(levels, norms, floor: float = NORM_FLOOR) -> DecayFit:
+def decay_fit(levels, norms) -> DecayFit:
     """Fit norms ~ C exp(-gamma n) by least squares on ln(norm) vs n.
 
-    Levels whose norm is <= floor are censored (log of numerical zero);
+    Levels whose norm is <= NORM_FLOOR are censored (log of numerical zero);
     at least three uncensored points are required.
     """
     lev = [half(x) for x in levels]
     arr = np.asarray(norms, dtype=float)
     if len(lev) != arr.size:
         raise ValueError("decay_fit: levels and norms must have equal length")
-    mask = arr > floor
+    mask = arr > NORM_FLOOR
     kept = int(mask.sum())
     if kept < 3:
         raise ValueError(
             f"decay_fit: only {kept} of {arr.size} levels exceed the floor "
-            f"{floor:g}; need >= 3 for a slope estimate")
+            f"{NORM_FLOOR:g}; need >= 3 for a slope estimate")
     x = np.array([l.value for l, m in zip(lev, mask) if m])
     y = np.log(arr[mask])
     A = np.column_stack([x, np.ones_like(x)])
@@ -180,46 +180,32 @@ class KqDecay(NamedTuple):
     gamma_ratio: float   # gamma_hat / ln(1/q)
 
 
-def _windowed_fit(levels, norms, fit_lo: float, fit_hi: float) -> DecayFit:
+def _level_fit(gen: str, q: float, T: SparseOp) -> KqDecay:
+    # the fit window is n in [2, n_max - 1]: the first few levels are
+    # pre-asymptotic and the last can feel the truncation edge
+    n_max = T.cod.n_max
+    levels, norms = level_block_norms(T)
     sel = [(l, v) for l, v in zip(levels, norms)
-           if fit_lo <= l.value <= fit_hi]
-    return decay_fit([l for l, _ in sel], [v for _, v in sel])
-
-
-def kq_decay(gen: str, n_max, q: float, fit_lo: float = 2.0,
-             fit_hi: float | None = None) -> KqDecay:
-    """Per-level norms of the kq defect plus the decay fit.
-
-    The fit window defaults to n in [2, n_max - 1]: the first few levels
-    are pre-asymptotic and the last can feel the truncation edge.
-    """
-    n_max = half(n_max)
-    if fit_hi is None:
-        fit_hi = n_max.value - 1.0
-    delta = kq_defect(gen, n_max, q)
-    levels, norms = level_block_norms(delta)
-    fit = _windowed_fit(levels, norms, fit_lo, fit_hi)
+           if 2.0 <= l.value <= n_max.value - 1.0]
+    fit = decay_fit([l for l, _ in sel], [v for _, v in sel])
     return KqDecay(gen, q, n_max, levels, norms, fit,
                    fit.gamma_hat / math.log(1.0 / q))
 
 
-def control_decay(gen: str, n_max, q: float, fit_lo: float = 2.0,
-                  fit_hi: float | None = None) -> KqDecay:
+def kq_decay(gen: str, hat: dict, prime: dict, q: float) -> KqDecay:
+    """Block norms per level of the kq defect, plus their decay fit; q is
+    the modulus that hat and prime were built at."""
+    return _level_fit(gen, q, kq_defect(gen, hat, prime))
+
+
+def control_decay(gen: str, prime: dict, q: float) -> KqDecay:
     """Negative control: the same fit applied to pi'(gen) itself.
 
     The representation operators have O(1) block norms, so gamma_hat
     should sit near zero — evidence that the kq fit is not an artifact
     of the window or the norm plumbing.
     """
-    q = validate_q(q)
-    n_max = half(n_max)
-    if fit_hi is None:
-        fit_hi = n_max.value - 1.0
-    T = pi_prime(gen, enumerate_space("Double", n_max), q)
-    levels, norms = level_block_norms(T)
-    fit = _windowed_fit(levels, norms, fit_lo, fit_hi)
-    return KqDecay(gen, q, n_max, levels, norms, fit,
-                   fit.gamma_hat / math.log(1.0 / q))
+    return _level_fit(gen, q, prime[gen])
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +270,14 @@ class AsymptoticScan(NamedTuple):
     envelope: float      # max ratio / ratio at the first level
 
 
-def asymptotic_scan(kind: str, q: float, levels=None) -> AsymptoticScan:
-    """Residual-to-q^{2n} ratios over a level range (default n = 1..6).
+def asymptotic_scan(kind: str, q: float) -> AsymptoticScan:
+    """Residual-to-q^{2n} ratios over ``SCAN_LEVELS`` (n = 1..6).
 
     A bounded envelope (max ratio within a fixed factor of the ratio at
     the first level) certifies the O(q^{2n}) rate with an explicit constant.
     """
-    if levels is None:
-        levels = [HalfInt(t) for t in range(2, 13)]
-    lev = [half(x) for x in levels]
-    res = asymptotic_residual(kind, lev, q)
-    ratios = res / np.array([q ** l.twice for l in lev])
+    res = asymptotic_residual(kind, SCAN_LEVELS, q)
+    ratios = res / np.array([q ** l.twice for l in SCAN_LEVELS])
     base = ratios[0]
     envelope = float(np.max(ratios) / base) if base > 0 else math.inf
-    return AsymptoticScan(kind, q, tuple(lev), res, ratios, envelope)
+    return AsymptoticScan(kind, q, SCAN_LEVELS, res, ratios, envelope)

@@ -1,10 +1,18 @@
 """Verification suites, report records, and JSON/CSV/plot persistence.
 
-A run is a grid of cells (suite x q x label).  Each cell produces one
-``VerificationReport`` whose pass flag is a pure function of its metrics and
-its single gate (metric, comparison, value), so determinism can be checked by
-hashing the metric payload alone: wall times, library versions and timestamps
-live in a separate meta section of the JSON document.
+A run is a grid of cells (suite x q x label).  Each suite is a generator
+of one q's cells, (label, metrics, gate) with gate = (metric, comparison,
+value), and ``run`` makes each cell one ``VerificationReport`` whose pass
+flag is a pure function of its metrics and its gate, so determinism can be
+checked by hashing the metric payload alone: wall times, library versions
+and timestamps live in a separate meta section of the JSON document.
+
+The suites at one q share one lookup, ``ops(kind)``: the space and
+generators of kind "L2" (the hatted pair) or "Double" (pi'), each built on
+first use, so once per q and never for a run that does not ask for it, and
+``ops("U")``, the q-independent check of U, made once per run.  A cell's
+wall time runs from the end of the cell before it, so it covers the work
+done for it, shared assembly included.
 
 The hatted relation cells fail by design at any usable tolerance: that pair
 of operators satisfies the defining relations only up to level-decaying
@@ -14,6 +22,7 @@ than special-casing it.  The spinorial cells pass at machine precision.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -26,8 +35,8 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .covariant import cyclic_dimension
-from .decomp import (asymptotic_scan, check_dirac_intertwine, control_decay,
-                     kq_decay)
+from .decomp import (KQ_GENERATORS, asymptotic_scan, check_dirac_intertwine,
+                     control_decay, kq_decay)
 from .hilbert import enumerate_space
 from .linop import interior_projector, op_norm
 from .qnum import HalfInt, half
@@ -114,154 +123,95 @@ class VerificationReport(NamedTuple):
     wall_time: float
 
 
-def _gate(metrics: dict, name: str, op: str, value: float) -> bool:
-    v = metrics[name]
-    return v <= value if op == "<=" else v >= value
-
-
-def _report(suite, label, q, n_max, metrics, name, op, value, t0):
-    metrics = {k: float(v) for k, v in metrics.items()}
-    return VerificationReport(suite, label, q, n_max, metrics, name, op,
-                              float(value), _gate(metrics, name, op, value),
-                              time.perf_counter() - t0)
-
-
 # ------------------------------------------------------------------- suites
+# suite(cfg, q, ops, plots) yields the cells of one q; plots collects the kq
+# plot data by (generator, q)
 
-def _suite_relations(cfg: RunConfig, plots: dict):
-    out = []
-    for q in cfg.q:
-        # shared assembly is charged to the first cell that needs it
-        t0 = time.perf_counter()
-        l2 = enumerate_space("L2", cfg.n_max)
-        dbl = enumerate_space("Double", cfg.n_max)
-        cells = (("hat", l2, hat_generators(l2, q)),
-                 ("prime", dbl, pi_prime_generators(dbl, q)))
-        for rep, space, ops in cells:
-            P = interior_projector(space, 1)
-            for name, w in relation_words(q).items():
-                defect = op_norm(pi_hat(w, space, q, ops=ops) @ P)
-                out.append(_report("relations", f"{rep}:{name}", q, cfg.n_max,
-                                   {"defect": defect}, "defect", "<=",
-                                   cfg.tolerances["relation"], t0))
-                t0 = time.perf_counter()
-    return out
+def _suite_relations(cfg: RunConfig, q: float, ops, plots: dict):
+    for rep, (space, gens) in [("hat", ops("L2")), ("prime", ops("Double"))]:
+        P = interior_projector(space, 1)
+        for name, w in relation_words(q).items():
+            defect = op_norm(pi_hat(w, space, q, ops=gens) @ P)
+            yield (f"{rep}:{name}", {"defect": defect},
+                   ("defect", "<=", cfg.tolerances["relation"]))
 
 
-def _suite_decompose(cfg: RunConfig, plots: dict):
-    out = []
-    for q in cfg.q:
-        t0 = time.perf_counter()
-        rep = check_dirac_intertwine(cfg.n_max)
-        metrics = {"deviation": max(rep.unitary_defect,
-                                    rep.conjugation_defect),
-                   "unitary_defect": rep.unitary_defect,
-                   "conjugation_defect": rep.conjugation_defect}
-        out.append(_report("decompose", "U", q, cfg.n_max, metrics,
-                           "deviation", "<=", 0.0, t0))
-    return out
+def _suite_decompose(cfg: RunConfig, q: float, ops, plots: dict):
+    rep = ops("U")
+    metrics = {"deviation": max(rep.unitary_defect, rep.conjugation_defect),
+               "unitary_defect": rep.unitary_defect,
+               "conjugation_defect": rep.conjugation_defect}
+    yield "U", metrics, ("deviation", "<=", 0.0)
 
 
-def _suite_kq(cfg: RunConfig, plots: dict):
-    out = []
-    for q in cfg.q:
-        for gen in ("alpha*", "beta"):
-            t0 = time.perf_counter()
-            rep = kq_decay(gen, cfg.n_max, q)
-            plots[(gen, q)] = (rep.levels, rep.norms)
-            metrics = {"gamma_ratio": rep.gamma_ratio,
-                       "gamma_hat": rep.fit.gamma_hat,
-                       "fit_residual": rep.fit.residual,
-                       "censored": rep.fit.censored}
-            out.append(_report("kq-decay", f"defect:{gen}", q, cfg.n_max,
-                               metrics, "gamma_ratio", ">=", KQ_RATIO_MIN,
-                               t0))
-        t0 = time.perf_counter()
-        rep = control_decay("alpha*", cfg.n_max, q)
-        metrics = {"gamma_ratio": rep.gamma_ratio,
-                   "gamma_hat": rep.fit.gamma_hat,
-                   "fit_residual": rep.fit.residual,
-                   "censored": rep.fit.censored}
-        out.append(_report("kq-decay", "control:alpha*", q, cfg.n_max,
-                           metrics, "gamma_ratio", "<=", KQ_CONTROL_MAX, t0))
-    return out
+def _fit_metrics(rep) -> dict:
+    return {"gamma_ratio": rep.gamma_ratio, "gamma_hat": rep.fit.gamma_hat,
+            "fit_residual": rep.fit.residual, "censored": rep.fit.censored}
 
 
-def _suite_asymptotics(cfg: RunConfig, plots: dict):
-    out = []
-    for q in cfg.q:
-        for kind in ("a+", "a-", "b+", "b-"):
-            t0 = time.perf_counter()
-            scan = asymptotic_scan(kind, q)
-            metrics = {"envelope": scan.envelope,
-                       "ratio_base": float(scan.ratios[0]),
-                       "ratio_worst": float(np.max(scan.ratios))}
-            out.append(_report("asymptotics", kind, q, cfg.n_max, metrics,
-                               "envelope", "<=", ASYMPTOTIC_ENVELOPE_MAX, t0))
-    return out
+def _suite_kq(cfg: RunConfig, q: float, ops, plots: dict):
+    hat, prime = ops("L2")[1], ops("Double")[1]
+    for gen in KQ_GENERATORS:
+        rep = kq_decay(gen, hat, prime, q)
+        plots[(gen, q)] = (rep.levels, rep.norms)
+        yield (f"defect:{gen}", _fit_metrics(rep),
+               ("gamma_ratio", ">=", KQ_RATIO_MIN))
+    yield ("control:alpha*", _fit_metrics(control_decay("alpha*", prime, q)),
+           ("gamma_ratio", "<=", KQ_CONTROL_MAX))
 
 
-def _commutator_norms(n_max: HalfInt, q: float) -> dict:
+def _suite_asymptotics(cfg: RunConfig, q: float, ops, plots: dict):
+    for kind in ("a+", "a-", "b+", "b-"):
+        scan = asymptotic_scan(kind, q)
+        metrics = {"envelope": scan.envelope,
+                   "ratio_base": float(scan.ratios[0]),
+                   "ratio_worst": float(np.max(scan.ratios))}
+        yield kind, metrics, ("envelope", "<=", ASYMPTOTIC_ENVELOPE_MAX)
+
+
+def _commutator_norms(ops) -> dict:
     """(norm at n_max - 2, norm at n_max) of each [D, g] on the interior."""
-    l2, dbl = (enumerate_space(kind, n_max) for kind in ("L2", "Double"))
     vals = {}
-    for rep, D, gens in (
-            ("hat", dirac_family(D1_PARAMS, l2), hat_generators(l2, q)),
-            ("prime", dirac_D(dbl), pi_prime_generators(dbl, q))):
-        small = enumerate_space(D.dom.kind, HalfInt(n_max.twice - 4))
-        pl, ps = interior_projector(D.dom, 1), interior_projector(small, 1)
+    for rep, kind in (("hat", "L2"), ("prime", "Double")):
+        space, gens = ops(kind)
+        D = dirac_family(D1_PARAMS, space) if rep == "hat" else dirac_D(space)
+        small = enumerate_space(kind, HalfInt(space.n_max.twice - 4))
+        pl, ps = interior_projector(space, 1), interior_projector(small, 1)
         for g, T in gens.items():
             C = (D @ T - T @ D) @ pl  # pl is 1 on every level of small
             vals[(rep, g)] = op_norm(C.compress(small) @ ps), op_norm(C)
     return vals
 
 
-def _suite_commutators(cfg: RunConfig, plots: dict):
-    out = []
-    for q in cfg.q:
-        # the norms of all eight cells are computed together and charged to
-        # the first cell of this q
-        t0 = time.perf_counter()
-        norms = _commutator_norms(cfg.n_max, q)
-        for key in sorted(norms):
-            rep, g = key
-            lo, hi = norms[key]
-            change = abs(hi - lo) / lo * 100.0 if lo > 0 else math.inf
-            metrics = {"change_pct": change, "norm_small": lo,
-                       "norm_large": hi}
-            out.append(_report("commutators", f"{rep}:{g}", q, cfg.n_max,
-                               metrics, "change_pct", "<=",
-                               COMMUTATOR_CHANGE_PCT_MAX, t0))
-            t0 = time.perf_counter()
-    return out
+def _suite_commutators(cfg: RunConfig, q: float, ops, plots: dict):
+    # the norms of all eight cells are computed together, so the first
+    # cell's time carries them
+    norms = _commutator_norms(ops)
+    for (rep, g), (lo, hi) in sorted(norms.items()):
+        change = abs(hi - lo) / lo * 100.0 if lo > 0 else math.inf
+        metrics = {"change_pct": change, "norm_small": lo, "norm_large": hi}
+        yield (f"{rep}:{g}", metrics,
+               ("change_pct", "<=", COMMUTATOR_CHANGE_PCT_MAX))
 
 
-def _suite_minimality(cfg: RunConfig, plots: dict):
-    out = []
+def _suite_minimality(cfg: RunConfig, q: float, ops, plots: dict):
     depth = cfg.n_max.twice  # words of length 2 n_max reach the last level
-    for q in cfg.q:
-        t0 = time.perf_counter()
-        l2 = enumerate_space("L2", cfg.n_max)
-        gens = hat_generators(l2, q)
-        rep = cyclic_dimension(gens.values(), 0, depth,
-                               gram_tol=cfg.tolerances["gram"])
-        monotone = all(a <= b for a, b in zip(rep.history, rep.history[1:]))
-        # depth-1 dimension can never exceed 5 (level cap), so the
-        # lower-bound gate is an equality in disguise
-        metrics = {"depth1_dim": rep.history[1],
-                   "reached": rep.reached,
-                   "target": rep.target,
-                   "saturated": 1.0 if rep.saturated else 0.0,
-                   "monotone": 1.0 if monotone else 0.0,
-                   "discarded": rep.discarded,
-                   "missing_total": sum(m for _, m in rep.deficiency)}
-        out.append(_report("minimality", "hat", q, cfg.n_max, metrics,
-                           "depth1_dim", ">=", 5.0, t0))
-    return out
+    rep = cyclic_dimension(ops("L2")[1].values(), 0, depth,
+                           gram_tol=cfg.tolerances["gram"])
+    monotone = all(a <= b for a, b in zip(rep.history, rep.history[1:]))
+    # depth-1 dimension can never exceed 5 (level cap), so the
+    # lower-bound gate is an equality in disguise
+    metrics = {"depth1_dim": rep.history[1],
+               "reached": rep.reached,
+               "target": rep.target,
+               "saturated": 1.0 if rep.saturated else 0.0,
+               "monotone": 1.0 if monotone else 0.0,
+               "discarded": rep.discarded,
+               "missing_total": sum(m for _, m in rep.deficiency)}
+    yield "hat", metrics, ("depth1_dim", ">=", 5.0)
 
 
-def _suite_family(cfg: RunConfig, plots: dict):
-    t0 = time.perf_counter()
+def _suite_family(cfg: RunConfig, q: None, ops, plots: dict):
     table_n = min(half(4), cfg.n_max)
     l2 = enumerate_space("L2", table_n)
     d1 = dirac_family(D1_PARAMS, l2).diag()
@@ -284,14 +234,26 @@ def _suite_family(cfg: RunConfig, plots: dict):
                "weight_independence_dev": weight_dev,
                "rejects_bad_params": rejects,
                "family_defect": max(dev1, dev2, weight_dev, 1.0 - rejects)}
-    return [_report("family", "D1+D2", None, cfg.n_max, metrics,
-                    "family_defect", "<=", 0.0, t0)]
+    yield "D1+D2", metrics, ("family_defect", "<=", 0.0)
 
 
 _SUITE_FN = {"relations": _suite_relations, "decompose": _suite_decompose,
              "kq-decay": _suite_kq, "asymptotics": _suite_asymptotics,
              "commutators": _suite_commutators,
              "minimality": _suite_minimality, "family": _suite_family}
+
+
+def _operators(n_max: HalfInt, q: float | None, intertwine):
+    """One q's lookup: (space, generators) by kind, "L2" or "Double", each
+    built on first use; ops("U") is intertwine(), the run's check of U."""
+    @functools.cache
+    def ops(kind):
+        if kind == "U":
+            return intertwine()
+        space = enumerate_space(kind, n_max)
+        build = hat_generators if kind == "L2" else pi_prime_generators
+        return space, build(space, q)
+    return ops
 
 
 def _sort_key(r: VerificationReport):
@@ -307,8 +269,21 @@ def run(cfg: RunConfig):
     cfg = validate_config(cfg)
     reports = []
     plots: dict = {}
-    for s in cfg.suites:
-        reports.extend(_SUITE_FN[s](cfg, plots))
+    intertwine = functools.cache(lambda: check_dirac_intertwine(cfg.n_max))
+    tick = time.perf_counter()
+    for q in (*cfg.q, None):
+        ops = _operators(cfg.n_max, q, intertwine)
+        # family does not depend on q: it runs once, in the q = None pass
+        for s in (s for s in cfg.suites if (s == "family") == (q is None)):
+            for label, metrics, (name, op, value) in \
+                    _SUITE_FN[s](cfg, q, ops, plots):
+                m = {k: float(v) for k, v in metrics.items()}
+                now = time.perf_counter()
+                passed = m[name] <= value if op == "<=" else m[name] >= value
+                reports.append(VerificationReport(
+                    s, label, q, cfg.n_max, m, name, op, float(value), passed,
+                    now - tick))
+                tick = now
     reports.sort(key=_sort_key)
     if cfg.out_dir is not None:
         emit(reports, cfg, plots)

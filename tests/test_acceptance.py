@@ -118,17 +118,17 @@ def test_criterion_3_adjoint_consistency(dbl_8, prime_8):
             assert op_norm(diff) <= 1e-10, (g, q)
 
 
-def test_criterion_4_kq_decay():
+def test_criterion_4_kq_decay(hat_8, prime_8):
     # fitted exponent of the defect block norms >= 1.8 ln(1/q) over levels
     # n in [2, 7] at n_max = 8, for both reduced generators; the same fit on
     # the representation itself stays below 0.5 ln(1/q)
     for q in Q_GRID:
         for gen in ("alpha*", "beta"):
-            out = kq_decay(gen, N8, q)
+            out = kq_decay(gen, hat_8[q], prime_8[q], q)
             assert out.fit.levels[0].value >= 2.0
             assert out.fit.levels[-1].value <= 7.0
             assert out.gamma_ratio >= 1.8, (gen, q, out.gamma_ratio)
-        ctl = control_decay("alpha*", N8, q)
+        ctl = control_decay("alpha*", prime_8[q], q)
         assert ctl.gamma_ratio < 0.5, (q, ctl.gamma_ratio)
 
 

@@ -211,6 +211,15 @@ def test_sector_frames_match_dense_alpha_alone():
     assert rep.deficiency  # the shortfall case
 
 
+def test_sector_frames_match_dense_alpha_beta():
+    # alpha and beta both lower j by 1/2, so a word fixes j by its length
+    # and the span falls short at every level past the ground: the shortfall
+    # count ranks blocks of several shapes
+    sp, gens, seed = _setup()
+    rep = _assert_matches_dense([gens[0], gens[2]], seed, 6)
+    assert len(rep.deficiency) == 6
+
+
 def test_sector_frames_match_dense_diagonal():
     sp, gens, seed = _setup()
     D1 = dirac_family(D1_PARAMS, sp)

@@ -21,9 +21,16 @@ from diraclab.decomp import (
 from diraclab.hilbert import DoubleIndex, L2Index, SumIndex, enumerate_space
 from diraclab.linop import SparseOp
 from diraclab.qnum import HalfInt, half
-from diraclab.rep_double import a_plus
+from diraclab.rep_double import a_plus, pi_prime_generators
+from diraclab.rep_l2 import hat_generators
 
 Q = 0.5
+
+
+def _gens(n_max, q=Q):
+    """(hatted, pi') generator dicts at one n_max and q."""
+    return (hat_generators(enumerate_space("L2", n_max), q),
+            pi_prime_generators(enumerate_space("Double", n_max), q))
 
 
 def test_U_pinned_columns():
@@ -99,11 +106,11 @@ def test_intertwine_negative_control():
 def test_kq_defect_validates_generator():
     assert KQ_GENERATORS == ("alpha*", "beta")
     with pytest.raises(ValueError):
-        kq_defect("alpha", 2, Q)
+        kq_defect("alpha", *_gens(2))
 
 
 def test_kq_defect_band_structure_and_level_zero():
-    delta = kq_defect("beta", 3, Q)
+    delta = kq_defect("beta", *_gens(3))
     sp = delta.cod
     coo = delta.mat.tocoo()
     for r, c in zip(coo.row, coo.col):
@@ -116,7 +123,7 @@ def test_kq_defect_band_structure_and_level_zero():
 
 
 def test_kq_defect_norms_track_q2n():
-    delta = kq_defect("alpha*", 4, Q)
+    delta = kq_defect("alpha*", *_gens(4))
     levels, norms = level_block_norms(delta)
     for lev, nrm in zip(levels, norms):
         if lev.value < 2 or lev.value > 3:
@@ -162,11 +169,12 @@ def test_decay_fit_censoring_and_errors():
 
 @pytest.mark.parametrize("gen", KQ_GENERATORS)
 def test_kq_decay_certifies_rate(gen):
-    out = kq_decay(gen, 6, Q)
+    hat, prime = _gens(6)
+    out = kq_decay(gen, hat, prime, Q)
     assert 1.8 <= out.gamma_ratio <= 2.2
     assert out.fit.censored == 0
     # control: the representation itself shows no such decay
-    ctl = control_decay(gen, 6, Q)
+    ctl = control_decay(gen, prime, Q)
     assert abs(ctl.gamma_ratio) < 0.5
 
 

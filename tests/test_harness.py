@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -101,13 +102,53 @@ def test_minimality_suite_metrics():
 
 
 def test_commutator_cell_times_cover_the_suite():
-    # the norms are computed once per q, before the cells are formed; their
-    # cost must land in the cells, not vanish between them
-    t0 = time.perf_counter()
-    reports = run(_cfg(suites=("commutators",), n_max=HalfInt(8)))
-    elapsed = time.perf_counter() - t0
-    assert len(reports) == 8
-    assert sum(r.wall_time for r in reports) >= 0.5 * elapsed
+    # the norms are computed once per q, before the cells are formed, and
+    # the generators once per q for all suites; their cost must land in the
+    # cells, not vanish between them
+    for suites, cells in ((("commutators",), 8), (SUITES, 28)):
+        t0 = time.perf_counter()
+        reports = run(_cfg(suites=suites, n_max=HalfInt(8)))
+        elapsed = time.perf_counter() - t0
+        assert len(reports) == cells, suites
+        assert sum(r.wall_time for r in reports) >= 0.5 * elapsed, suites
+
+
+def _count_calls(monkeypatch, *targets):
+    """Count the calls of each diraclab.<module>.<name> in targets, through
+    every binding of the function in the loaded diraclab modules."""
+    counts = {}
+    for target in targets:
+        modname, name = target.rsplit(".", 1)
+        orig = getattr(sys.modules[f"diraclab.{modname}"], name)
+        counts[target] = 0
+
+        def counted(*args, _orig=orig, _target=target, **kwargs):
+            counts[_target] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in [m for k, m in sys.modules.items()
+                    if k == "diraclab" or k.startswith("diraclab.")]:
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("suites, calls", [
+    (SUITES, (4, 1, 1)),            # every suite shares one q's assembly
+    (("minimality",), (0, 1, 0)),   # pi' and U are built only on request
+], ids=["all", "minimality"])
+def test_generators_are_assembled_once_per_q(monkeypatch, suites, calls):
+    # pi' has four generators; the check of U does not depend on q and is
+    # made once per run
+    counts = _count_calls(monkeypatch, "rep_double.pi_prime",
+                          "rep_l2.hat_generators",
+                          "decomp.check_dirac_intertwine")
+    run(_cfg(suites=suites, q=(0.3, 0.5), n_max=HalfInt(8)))
+    pi_prime, hat, intertwine = calls
+    assert counts == {"rep_double.pi_prime": 2 * pi_prime,
+                      "rep_l2.hat_generators": 2 * hat,
+                      "decomp.check_dirac_intertwine": intertwine}
 
 
 @pytest.mark.parametrize("q", [0.3, 0.8])
@@ -115,7 +156,7 @@ def test_commutator_norms_match_operators_built_at_each_size(q):
     # the small norm comes from compressing the large commutator; it must
     # equal the norm of the commutator built at n_max - 2, cut to the
     # interior of that truncation
-    from diraclab.harness import _commutator_norms
+    from diraclab.harness import _commutator_norms, _operators
     from diraclab.hilbert import enumerate_space
     from diraclab.linop import interior_projector, op_norm
     from diraclab.rep_double import dirac_D, pi_prime_generators
@@ -134,7 +175,8 @@ def test_commutator_norms_match_operators_built_at_each_size(q):
         return out
 
     small, large = built(HalfInt(8)), built(HalfInt(12))
-    assert _commutator_norms(HalfInt(12), q) == {
+    ops = _operators(HalfInt(12), q, None)
+    assert _commutator_norms(ops) == {
         key: (small[key], large[key]) for key in large}
 
 

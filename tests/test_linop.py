@@ -311,12 +311,14 @@ def test_measured_operators_are_graded(q):
     # every operator the suites take a norm of maps each weight sector into
     # one sector, so the one-block fallback never serves them
     from diraclab.decomp import KQ_GENERATORS, kq_defect
-    from diraclab.rep_double import pi_prime
-    from diraclab.rep_l2 import GENERATORS
+    from diraclab.rep_double import pi_prime, pi_prime_generators
+    from diraclab.rep_l2 import GENERATORS, hat_generators
 
     dbl = enumerate_space("Double", half(3))
+    hat = hat_generators(enumerate_space("L2", half(3)), q)
+    prime = pi_prime_generators(dbl, q)
     ops = dict(_measured_operators(q))
-    ops.update({("kq", g): kq_defect(g, 3, q) for g in KQ_GENERATORS})
+    ops.update({("kq", g): kq_defect(g, hat, prime) for g in KQ_GENERATORS})
     ops.update({("pi_prime", g): pi_prime(g, dbl, q) for g in GENERATORS})
     for key, T in ops.items():
         assert _graded(T), key
@@ -324,9 +326,12 @@ def test_measured_operators_are_graded(q):
 
 def test_block_norm_matches_dense_level_block():
     from diraclab.decomp import kq_defect
+    from diraclab.rep_double import pi_prime_generators
     from diraclab.rep_l2 import hat_generators
 
-    for T in (kq_defect("beta", 3, 0.7),
+    hat = hat_generators(enumerate_space("L2", half(3)), 0.7)
+    prime = pi_prime_generators(enumerate_space("Double", half(3)), 0.7)
+    for T in (kq_defect("beta", hat, prime),
               hat_generators(_toy_space(3), 0.5)["beta"]):
         for tn in range(T.cod.n_max.twice + 1):
             rows = T.cod.level_ordinals(half(tn / 2))
