@@ -1,14 +1,13 @@
-"""Weight-sector grading and the exact operator norm built on it.
+"""Weight-sector grading and the exact operator norms built on it.
 
 Every operator the suites measure shifts the weights (i, j) by a fixed
 amount, so it maps each weight sector (``TruncatedSpace.sector``) into one
-other sector.  :func:`sector_map` decides this grading for the norm below
-and for the Gram-Schmidt frames of ``covariant``.  A graded operator splits
-into (target x source sector) blocks at most floor(n_max) + 1 square, so a
-dense SVD of each is exact and cheap; an ungraded one is one block.  The
-norm reads an operator as its entry arrays (row, column, value) and fills
-all of its blocks in one pass, then decomposes only the blocks whose Schur
-bound reaches the norm of the block of largest bound.
+other sector (:func:`sector_map`).  A graded operator splits into (target x
+source sector) blocks at most floor(n_max) + 1 square, so a dense SVD of
+each is exact and cheap; an ungraded one is one block.  :func:`spectral_norms`
+fills the blocks of every row group (the levels, or all rows as one) in one
+pass and decomposes only those whose Schur bound reaches the norm of their
+group's block of largest bound.
 """
 
 import numpy as np
@@ -21,9 +20,9 @@ USE_JIT = False
 
 def power_iteration(*args, **kwargs):
     """Not a norm routine.  The benchmark binds this name
-    (``perfbench/tracer.py`` wraps it), so it stays; use :func:`spectral_norm`.
+    (``perfbench/tracer.py`` wraps it), so it stays.
     """
-    raise NotImplementedError("use spectral_norm")
+    raise NotImplementedError("use spectral_norms")
 
 
 def sector_map(src, dst, n_src):
@@ -58,50 +57,74 @@ def schur_bounds(a):
     return np.sqrt(a.sum(2).max(1)) * np.sqrt(a.sum(1).max(1))
 
 
-def spectral_norm(row, col, data, row_sector, col_sector) -> float:
-    """Largest singular value of the sparse matrix with entries
-    ``data[k]`` at ``(row[k], col[k])``, exact up to rounding.
+def _places(blk, idx, n_idx, n_blocks):
+    """(place of each entry's index among its block's, count per block)."""
+    lab = np.full(n_idx, n_blocks)
+    lab[idx] = blk
+    if not np.array_equal(lab[idx], blk):  # a column in several groups
+        pair, idx = np.unique(blk * n_idx + idx, return_inverse=True)
+        lab = pair // n_idx
+    pos, size = _positions(lab, n_blocks + 1)
+    return pos[idx], size[:n_blocks]
 
-    The largest dense 2-norm over the (target x source) blocks of the row
-    and column sectors, or of one block if the matrix is not graded, each
-    cut to the rows and columns holding an entry.  One ``np.bincount``
-    fills every block, blocks of one shape side by side, so each shape is
-    one batched norm.  Duplicate entries are summed.  Blocks whose Schur bound
-    is below the norm of the block of largest bound are skipped; LAPACK takes
+
+def spectral_norms(row, col, data, row_sector, col_sector, row_group,
+                   n_groups) -> np.ndarray:
+    """Largest singular value of each row group (``row_group[r]`` in
+    0..n_groups-1) of the matrix with entries ``data[k]`` at ``(row[k],
+    col[k])``, exact up to rounding; 0.0 for a group without entries.
+
+    The largest dense 2-norm over the group's (target x source sector)
+    blocks, or of one block if its entries are not graded, each cut to its
+    rows and columns.  One ``np.bincount`` fills every block (duplicates are
+    summed), one batch per shape.  Blocks whose Schur bound is below the
+    norm of their group's block of largest bound are skipped; LAPACK takes
     each matrix of a batch alone, so the result is that of decomposing all.
     """
+    out = np.zeros(n_groups)
     if len(data) == 0:
-        return 0.0
-    comp = col_sector[col]  # block of each entry: its source sector
-    if sector_map(comp, row_sector[row], int(comp.max()) + 1) is None:
-        comp = np.zeros(len(data), dtype=np.int64)
-    ns = int(comp.max()) + 1  # the label of rows and columns without entry
-    rlab, clab = np.full(len(row_sector), ns), np.full(len(col_sector), ns)
-    rlab[row] = comp
-    clab[col] = comp
-    rpos, nrows = _positions(rlab, ns + 1)
-    cpos, ncols = _positions(clab, ns + 1)
-    held = np.flatnonzero(np.bincount(comp))
-    held = held[np.lexsort((ncols[held], nrows[held]))]  # grouped by shape
-    area = nrows[held] * ncols[held]
-    start = np.zeros(ns, dtype=np.int64)
-    start[held] = np.cumsum(area) - area
-    flat = np.bincount(start[comp] + rpos[row] * ncols[comp] + cpos[col],
-                       weights=data, minlength=int(area.sum()))
-    # one batch per shape, from its first block to the next shape's first
-    first = held[np.flatnonzero(np.diff(nrows[held], prepend=-1)
-                                | np.diff(ncols[held], prepend=-1))]
-    batches = [b.reshape(-1, nrows[s], ncols[s])
-               for s, b in zip(first, np.split(flat, start[first[1:]]))]
+        return out
+    grp, src = row_group[row], col_sector[col]
+    n_src = int(src.max()) + 1
+    # a block per group and source sector, or one for a group in which a
+    # source sector reaches two targets or two reach one
+    comp = grp * n_src + src
+    dst = grp * (int(row_sector.max()) + 1) + row_sector[row]
+    to = np.full(n_groups * n_src, -1)
+    to[comp] = dst
+    clash = (to[comp] != dst) | (np.bincount(to[to >= 0]) > 1)[to[comp]]
+    comp = np.where(np.isin(grp, grp[clash]), grp * n_src, comp)
+    present = np.bincount(comp, minlength=n_groups * n_src) > 0
+    blk = (np.cumsum(present) - 1)[comp]
+    group = np.flatnonzero(present) // n_src  # of each block
+    nb = len(group)
+    rpos, nrows = _places(blk, row, len(row_sector), nb)
+    cpos, ncols = _places(blk, col, len(col_sector), nb)
+    order = np.lexsort((ncols, nrows))  # blocks grouped by shape
+    area = nrows[order] * ncols[order]
+    start = (np.cumsum(area) - area)[np.argsort(order)]
+    flat = np.bincount(start[blk] + rpos * ncols[blk] + cpos, weights=data,
+                       minlength=int(area.sum()))
+    # one batch per shape: its blocks and their matrices
+    cut = np.flatnonzero(np.diff(nrows[order]) | np.diff(ncols[order])) + 1
+    batches = [(k, b.reshape(len(k), nrows[k[0]], ncols[k[0]])) for k, b in
+               zip(np.split(order, cut), np.split(flat, start[order[cut]]))]
+    norm, bound = np.zeros(nb), np.empty(nb)
+
+    def decompose(take):
+        for k, b in batches:
+            if take[k].any():
+                norm[k[take[k]]] = np.linalg.norm(b[take[k]], 2, axis=(1, 2))
+
     with np.errstate(all="ignore"):  # an overflowing bound keeps its block
-        bound = np.concatenate([schur_bounds(b) for b in batches])
-    top = int(np.argmax(bound))  # a NaN bound first: its SVD raises
-    s = held[top]
-    norms = [np.linalg.norm(flat[start[s]:start[s] + area[top]].reshape(
-        1, nrows[s], ncols[s]), 2, axis=(1, 2))]
-    keep = ~(bound * (1 + BOUND_SLACK) < norms[0])  # a NaN norm keeps all
-    keep[top] = False
-    ends = np.cumsum(list(map(len, batches)))[:-1]
-    norms += [np.linalg.norm(b[k], 2, axis=(1, 2))
-              for b, k in zip(batches, np.split(keep, ends)) if k.any()]
-    return max(float(n.max()) for n in norms)
+        bound[order] = np.concatenate([schur_bounds(b) for _, b in batches])
+        # each group's top block, a NaN bound first (its SVD raises), then
+        # the largest bound; its norm is the group's lower bound
+        by = np.lexsort((np.where(np.isnan(bound), -np.inf, -bound), group))
+        top = np.isin(np.arange(nb), by[np.diff(group[by], prepend=-1) > 0])
+        decompose(top)
+        out[group[top]] = norm[top]
+        # a NaN lower bound keeps every block of its group
+        decompose(~top & ~(bound * (1 + BOUND_SLACK) < out[group]))
+        np.maximum.at(out, group, norm)
+    return out

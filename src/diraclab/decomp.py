@@ -8,8 +8,8 @@ Four pieces:
   permutes coordinates).
 * ``kq_defect`` — the residual U (pi_hat(g) (+) pi_hat(g)) U* - pi'(g) on the
   Double space, whose per-level block norms decay like q^{2n}.  It and the
-  decay fits take the generator dicts they measure, so a caller holding one
-  q's generators (as a run of the harness does) builds them only once.
+  decay fits take the generators and U they measure, so a run of the harness
+  builds each once.
 * ``decay_fit`` — least-squares estimate of an exponential decay rate from
   (level, norm) samples, with censoring at ``NORM_FLOOR``.
 * ``leading_form`` / ``asymptotic_residual`` — the closed leading-order forms
@@ -27,8 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._kernels import spectral_norms
 from .hilbert import TruncatedSpace, direct_sum, enumerate_space
-from .linop import SparseOp, block_norm
+from .linop import SparseOp
 from .qnum import HalfInt, half, q_power, validate_q
 from .rep_double import _halves, _matrix, a_minus, a_plus, b_minus, b_plus
 from .rep_l2 import D1_PARAMS, D2_PARAMS, _sqrt0, abs_op, dirac_family
@@ -87,6 +88,7 @@ class DecompositionReport(NamedTuple):
     dim_double: int
     unitary_defect: float      # max entry of |U*U - I| and |UU* - I|
     conjugation_defect: float  # max entry of |U (D1 (+) |D2|) U* - D|
+    U: SparseOp                # the unitary checked, for kq_defect
 
 
 def check_dirac_intertwine(n_max) -> DecompositionReport:
@@ -99,30 +101,26 @@ def check_dirac_intertwine(n_max) -> DecompositionReport:
 
     n_max = half(n_max)
     U = build_U(n_max)
-    d1, absd2 = dirac_pair(enumerate_space("L2", n_max))
-    blk = direct_sum_op(d1, absd2)
-    eye_dom = SparseOp.identity(U.dom)
-    eye_cod = SparseOp.identity(U.cod)
-    unitary = max((U.adjoint() @ U - eye_dom).max_abs(),
-                  (U @ U.adjoint() - eye_cod).max_abs())
-    D = dirac_D(U.cod)
-    conj = (U @ blk @ U.adjoint() - D).max_abs()
-    return DecompositionReport(n_max, U.dom.dim, U.cod.dim, unitary, conj)
+    blk = direct_sum_op(*dirac_pair(enumerate_space("L2", n_max)))
+    unitary = max((U.adjoint() @ U - SparseOp.identity(U.dom)).max_abs(),
+                  (U @ U.adjoint() - SparseOp.identity(U.cod)).max_abs())
+    conj = (U @ blk @ U.adjoint() - dirac_D(U.cod)).max_abs()
+    return DecompositionReport(n_max, U.dom.dim, U.cod.dim, unitary, conj, U)
 
 
-def kq_defect(gen: str, hat: dict, prime: dict) -> SparseOp:
+def kq_defect(gen: str, hat: dict, prime: dict, U: SparseOp) -> SparseOp:
     """Defect Delta = U (pi_hat(g) (+) pi_hat(g)) U* - pi'(g) on Double.
 
     hat and prime are one q's generators at one n_max, as built by
-    ``hat_generators`` and ``pi_prime_generators``.  Only 'alpha*' and 'beta'
-    are accepted: the remaining generators are adjoints of these two, so
-    their defects carry the same block norms.  Delta inherits the +-1/2 band
-    structure of its parents and its level-n block norm decays like q^{2n}.
+    ``hat_generators`` and ``pi_prime_generators``, and U is ``build_U`` at
+    that n_max.  Only 'alpha*' and 'beta' are accepted: the remaining
+    generators are adjoints of these two, so their defects carry the same
+    block norms.  Delta inherits the +-1/2 band structure of its parents and
+    its level-n block norm decays like q^{2n}.
     """
     if gen not in KQ_GENERATORS:
         raise ValueError(f"kq_defect: gen must be one of {KQ_GENERATORS}, "
                          f"got {gen!r}")
-    U = build_U(prime[gen].dom.n_max)
     lifted = U @ direct_sum_op(hat[gen], hat[gen]) @ U.adjoint()
     return lifted - prime[gen]
 
@@ -164,10 +162,11 @@ def decay_fit(levels, norms) -> DecayFit:
 
 
 def level_block_norms(T: SparseOp):
-    """(levels, norms): spectral norm of each level-n row block of T."""
-    tns = sorted(T.cod.levels)
-    norms = np.array([block_norm(T, HalfInt(tn)) for tn in tns])
-    return tuple(HalfInt(tn) for tn in tns), norms
+    """(levels, norms): the norm of each level's row block of T, at once."""
+    n_levels = T.cod.n_max.twice + 1
+    norms = spectral_norms(T.rows, T.cols, T.vals, T.cod.sector,
+                           T.dom.sector, T.cod.tn, n_levels)
+    return tuple(HalfInt(tn) for tn in range(n_levels)), norms
 
 
 class KqDecay(NamedTuple):
@@ -192,10 +191,11 @@ def _level_fit(gen: str, q: float, T: SparseOp) -> KqDecay:
                    fit.gamma_hat / math.log(1.0 / q))
 
 
-def kq_decay(gen: str, hat: dict, prime: dict, q: float) -> KqDecay:
+def kq_decay(gen: str, hat: dict, prime: dict, U: SparseOp,
+             q: float) -> KqDecay:
     """Block norms per level of the kq defect, plus their decay fit; q is
     the modulus that hat and prime were built at."""
-    return _level_fit(gen, q, kq_defect(gen, hat, prime))
+    return _level_fit(gen, q, kq_defect(gen, hat, prime, U))
 
 
 def control_decay(gen: str, prime: dict, q: float) -> KqDecay:
@@ -244,21 +244,21 @@ def asymptotic_residual(kind: str, levels, q: float) -> np.ndarray:
     """Max entrywise |exact - leading| over the (i, j) grid, per level.
 
     The grid at level n runs i in {-n..n}, j in {-n-1/2..n+1/2} (the labels
-    the coefficient matrices are evaluated at in the doubled representation).
+    the coefficient matrices are evaluated at in the doubled representation);
+    the grids of all levels are evaluated as one label array.
     """
     if kind not in _EXACT:
         raise ValueError(f"asymptotic_residual: kind must be one of "
                          f"{tuple(_EXACT)}, got {kind!r}")
     q = validate_q(q)
-    exact = _EXACT[kind]
-    out = []
-    for n in levels:
-        tn = half(n).twice
-        ti, tj = np.meshgrid(np.arange(-tn, tn + 1, 2),
-                             np.arange(-tn - 1, tn + 2, 2), indexing="ij")
-        lab = (tn / 2.0, ti / 2.0, tj / 2.0)
-        out.append(np.max(np.abs(exact(*lab, q) - leading_form(kind, *lab, q))))
-    return np.asarray(out)
+    tns = [half(n).twice for n in levels]
+    size = [(tn + 1) * (tn + 2) for tn in tns]
+    tn, first = np.repeat(tns, size), np.cumsum(size) - size
+    r = np.arange(len(tn)) - np.repeat(first, size)
+    lab = (tn / 2.0, (2 * (r // (tn + 2)) - tn) / 2.0,
+           (2 * (r % (tn + 2)) - tn - 1) / 2.0)
+    res = np.abs(_EXACT[kind](*lab, q) - leading_form(kind, *lab, q))
+    return np.maximum.reduceat(res.max(axis=(1, 2)), first)
 
 
 class AsymptoticScan(NamedTuple):

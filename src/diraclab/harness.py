@@ -10,9 +10,9 @@ and timestamps live in a separate meta section of the JSON document.
 The suites at one q share one lookup, ``ops(kind)``: the space and
 generators of kind "L2" (the hatted pair) or "Double" (pi'), each built on
 first use, so once per q and never for a run that does not ask for it, and
-``ops("U")``, the q-independent check of U, made once per run.  A cell's
-wall time runs from the end of the cell before it, so it covers the work
-done for it, shared assembly included.
+``ops("U")``, the q-independent check of U, whose U the kq defects use,
+made once per run.  A cell's wall time runs from the end of the cell before
+it, so it covers the work done for it, shared assembly included.
 
 The hatted relation cells fail by design at any usable tolerance: that pair
 of operators satisfies the defining relations only up to level-decaying
@@ -150,9 +150,9 @@ def _fit_metrics(rep) -> dict:
 
 
 def _suite_kq(cfg: RunConfig, q: float, ops, plots: dict):
-    hat, prime = ops("L2")[1], ops("Double")[1]
+    hat, prime, U = ops("L2")[1], ops("Double")[1], ops("U").U
     for gen in KQ_GENERATORS:
-        rep = kq_decay(gen, hat, prime, q)
+        rep = kq_decay(gen, hat, prime, U, q)
         plots[(gen, q)] = (rep.levels, rep.norms)
         yield (f"defect:{gen}", _fit_metrics(rep),
                ("gamma_ratio", ">=", KQ_RATIO_MIN))

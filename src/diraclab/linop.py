@@ -6,11 +6,11 @@ no coordinate twice, entries below 1e-15 pruned.  All algebra enforces
 space compatibility, and a product sums each entry over the inner index in
 ascending order, as a compressed-sparse-row product does, bit for bit.
 Scalars are real doubles throughout (every displayed coefficient in this
-problem is real), so the adjoint is the transpose.  Operator norms are
-exact up to rounding: :func:`op_norm` and :func:`block_norm` both take the
-largest dense 2-norm over the weight-sector blocks of the operator
-(:func:`_kernels.spectral_norm`), skipping blocks a Schur bound rules out.
-:meth:`SparseOp.compress` cuts an operator to a smaller truncation.
+problem is real), so the adjoint is the transpose; a diagonal factor of a
+product scales the other's entries in place.  :func:`op_norm` and
+:func:`block_norm` are exact up to rounding: one row group of
+:func:`_kernels.spectral_norms`.  :meth:`SparseOp.compress` cuts an operator
+to a smaller truncation.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import spectral_norm
+from ._kernels import spectral_norms
 from .hilbert import TruncatedSpace, interior
+from .qnum import half
 
 PRUNE_TOL = 1e-15
 
@@ -94,6 +95,18 @@ class SparseOp:
             raise SpaceMismatchError(
                 f"compose: domain {self.dom.kind}/{self.dom.n_max} does not "
                 f"match codomain {other.cod.kind}/{other.cod.n_max}")
+        # a diagonal factor (all entries at rows == cols) scales the other's
+        # entries in order; CSR would add each single product to 0.0
+        for diag, T, inner in ((other, self, self.cols),
+                               (self, other, other.rows)):
+            if np.array_equal(diag.rows, diag.cols):
+                d, on = np.zeros(self.dom.dim), np.zeros(self.dom.dim, bool)
+                d[diag.rows], on[diag.rows] = diag.vals, True
+                at = np.flatnonzero(on[inner])
+                vals = T.vals[at] * d[inner[at]]
+                keep = ~(np.abs(vals) < PRUNE_TOL)
+                return SparseOp(other.dom, self.cod, T.rows[at[keep]],
+                                T.cols[at[keep]], vals[keep])
         # each entry (i, j) of self, in order, meets row j of other in order
         ptr = np.bincount(other.rows + 1, minlength=other.cod.dim + 1).cumsum()
         count = np.diff(ptr)[self.cols]
@@ -173,20 +186,18 @@ class SparseOp:
 
 
 def op_norm(T: SparseOp) -> float:
-    """Largest singular value of T, exact up to rounding.
-
-    Computed by :func:`_kernels.spectral_norm` as the largest dense 2-norm
-    over the weight-sector blocks of T.
-    """
-    return spectral_norm(T.rows, T.cols, T.vals, T.cod.sector, T.dom.sector)
+    """Largest singular value of T, exact up to rounding: its rows as one
+    group of :func:`_kernels.spectral_norms`."""
+    return float(spectral_norms(T.rows, T.cols, T.vals, T.cod.sector,
+                                T.dom.sector, np.zeros(T.cod.dim, np.int64),
+                                1)[0])
 
 
 def block_norm(T: SparseOp, n) -> float:
     """Norm of the level-n row block of T."""
-    rows = T.cod.level_ordinals(n)  # ascending
-    at = np.isin(T.rows, rows)
-    return spectral_norm(np.searchsorted(rows, T.rows[at]), T.cols[at],
-                         T.vals[at], T.cod.sector[rows], T.dom.sector)
+    T.cod.level_ordinals(n)  # raises if T has no level n
+    at = T.cod.tn[T.rows] == half(n).twice
+    return op_norm(SparseOp(T.dom, T.cod, T.rows[at], T.cols[at], T.vals[at]))
 
 
 def interior_projector(space: TruncatedSpace, margin) -> SparseOp:

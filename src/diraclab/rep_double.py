@@ -2,20 +2,17 @@
 
 Every level-n vector pair is written as a coefficient column
 v^n_{ij} = (u^n_{ij}, d^n_{ij})^T, with the convention d^n_{ij} = 0 for
-j = +-(n+1/2).  The four generator images are assembled from 2x2 coefficient
-matrices:
+j = +-(n+1/2).  Two generator images are assembled from 2x2 coefficient
+matrices, and pi'(alpha), pi'(beta*) are their adjoints:
 
     pi'(alpha*) v^n_{ij} = a+_{nij} v^{n+1/2}_{i+1/2, j+1/2} + a-_{nij} v^{n-1/2}_{i+1/2, j+1/2}
     pi'(-beta)  v^n_{ij} = b+_{nij} v^{n+1/2}_{i+1/2, j-1/2} + b-_{nij} v^{n-1/2}_{i+1/2, j-1/2}
-    pi'(alpha)  v^n_{ij} = ta+_{nij} v^{n+1/2}_{i-1/2, j-1/2} + ta-_{nij} v^{n-1/2}_{i-1/2, j-1/2}
-    pi'(-beta*) v^n_{ij} = tb+_{nij} v^{n+1/2}_{i-1/2, j+1/2} + tb-_{nij} v^{n-1/2}_{i-1/2, j+1/2}
 
-(the beta displays carry the minus sign, so pi'(beta) and pi'(beta*) negate
-them).  The matrices act on the coefficient column: rows address the target
-band, columns the source band, i.e. the entry routed into band t from band s
-of the source is M[t, s].  Any coefficient matrix referenced at labels
-outside the valid range is the zero matrix, mirroring the d-vector
-convention.
+(the beta display carries the minus sign, so pi'(beta) negates it).  The
+matrices act on the coefficient column: rows address the target band,
+columns the source band, i.e. the entry routed into band t from band s of
+the source is M[t, s].  The adjoints equal bit for bit the assembly from
+the paper's transposed displays, ta+-_{nij} = (a-+_{n +- 1/2, i-1/2, j-1/2})^T.
 
 Transcription of the four displays is isolated in one leaf function per
 matrix below — it is the highest-risk step of the whole build, and each leaf
@@ -27,8 +24,6 @@ OverflowError, for an array of labels as for one (see :data:`_silent`).
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -42,8 +37,8 @@ from .rep_l2 import _sqrt0
 #: label-dependent power is taken by :func:`qnum.q_power`, which raises
 #: OverflowError; a product that overflows is inf, silently.  Division by
 #: zero and invalid operations occur only where a prefactor vanishes (see
-#: :func:`_matrix`) or at the invalid labels :func:`tilde_coeffs` masks; a
-#: nan that escaped those masks would show as a non-finite operator entry.
+#: :func:`_matrix`); a nan that escaped that mask would show as a
+#: non-finite operator entry.
 _silent = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
@@ -148,46 +143,12 @@ def b_minus(n, i, j, q: float) -> np.ndarray:
     return _matrix(pref, uu, ud, 0.0, dd)
 
 
-def valid_v_label(n, i, j):
-    """Whether (n, i, j) is a valid spinor-pair label: i in {-n..n},
-    j in {-n-1/2..n+1/2} (integer steps in both).  Broadcasts over arrays."""
-    tn, ti, tj = twice(n), twice(i), twice(j)
-    return ((tn >= 0) & (np.abs(ti) <= tn) & ((ti - tn) % 2 == 0)
-            & (np.abs(tj) <= tn + 1) & ((tj - tn - 1) % 2 == 0))
-
-
-def tilde_coeffs(kind: str, sign: int, n, i, j, q: float) -> np.ndarray:
-    """Hermitian conjugates of the displayed matrices:
-
-        ta+-_{nij} = (a-+_{n +- 1/2, i-1/2, j-1/2})*
-        tb+-_{nij} = (b-+_{n +- 1/2, i-1/2, j+1/2})*
-
-    (real entries, so conjugate-transpose = transpose).  A referenced label
-    outside the valid range yields the zero matrix.
-    """
-    if kind not in ("a", "b") or sign not in (+1, -1):
-        raise ValueError(f"tilde_coeffs: bad kind/sign {kind!r}/{sign!r}")
-    n, i, j = _halves(n, i, j)
-    if kind == "a":
-        ref = (n + sign / 2, i - 0.5, j - 0.5)
-        base = a_minus if sign > 0 else a_plus
-    else:
-        ref = (n + sign / 2, i - 0.5, j + 0.5)
-        base = b_minus if sign > 0 else b_plus
-    valid = valid_v_label(*ref)
-    return np.where(valid[..., None, None], np.swapaxes(base(*ref, q), -1, -2),
-                    0.0)
-
-
 _MOVES = {
     # gen: (matrix pair at +1/2 and -1/2, (di, dj) target shift, overall sign)
     "alpha*": ((a_plus, a_minus), (+1, +1), +1.0),
     "beta": ((b_plus, b_minus), (+1, -1), -1.0),
-    "alpha": ((partial(tilde_coeffs, "a", +1), partial(tilde_coeffs, "a", -1)),
-              (-1, -1), +1.0),
-    "beta*": ((partial(tilde_coeffs, "b", +1), partial(tilde_coeffs, "b", -1)),
-              (-1, +1), -1.0),
 }
+_ADJOINTS = {"alpha": "alpha*", "beta*": "beta"}  #: taken as adjoints
 
 
 def pi_prime(gen: str, space: TruncatedSpace, q: float) -> SparseOp:
@@ -195,9 +156,8 @@ def pi_prime(gen: str, space: TruncatedSpace, q: float) -> SparseOp:
 
     Band structure: level n is connected to levels n +- 1/2 only.  Rows that
     would target d^n_{i, +-(n+1/2)} never appear (those labels are not in the
-    basis).  pi_prime('alpha') is the exact adjoint of pi_prime('alpha*'),
-    and likewise for beta; all five defining relations hold on interior
-    vectors at machine precision.
+    basis).  'alpha' and 'beta*' are the adjoints of 'alpha*' and 'beta';
+    all five defining relations hold on interior vectors at machine precision.
 
     Each coefficient matrix is evaluated once over the label arrays of the
     space; source band s and target band t select the entry M[t, s].
@@ -205,6 +165,8 @@ def pi_prime(gen: str, space: TruncatedSpace, q: float) -> SparseOp:
     q = validate_q(q)
     if space.kind != "Double":
         raise ValueError(f"expected a Double space, got kind {space.kind!r}")
+    if gen in _ADJOINTS:
+        return pi_prime(_ADJOINTS[gen], space, q).adjoint()
     if gen not in _MOVES:
         raise ValueError(f"unknown generator {gen!r}")
     (mat_up, mat_dn), (di, dj), sgn = _MOVES[gen]
@@ -225,7 +187,9 @@ def pi_prime(gen: str, space: TruncatedSpace, q: float) -> SparseOp:
 
 
 def pi_prime_generators(space: TruncatedSpace, q: float) -> dict:
-    return {g: pi_prime(g, space, q) for g in ("alpha", "alpha*", "beta", "beta*")}
+    """All four generators: two assemblies and their adjoints."""
+    a, b = (pi_prime(g, space, q) for g in ("alpha*", "beta"))
+    return {"alpha": a.adjoint(), "alpha*": a, "beta": b, "beta*": b.adjoint()}
 
 
 def dirac_D(space: TruncatedSpace) -> SparseOp:

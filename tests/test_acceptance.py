@@ -19,6 +19,7 @@ import pytest
 from diraclab.covariant import cyclic_dimension
 from diraclab.decomp import (
     asymptotic_scan,
+    build_U,
     check_dirac_intertwine,
     control_decay,
     kq_decay,
@@ -122,9 +123,10 @@ def test_criterion_4_kq_decay(hat_8, prime_8):
     # fitted exponent of the defect block norms >= 1.8 ln(1/q) over levels
     # n in [2, 7] at n_max = 8, for both reduced generators; the same fit on
     # the representation itself stays below 0.5 ln(1/q)
+    U = build_U(N8)
     for q in Q_GRID:
         for gen in ("alpha*", "beta"):
-            out = kq_decay(gen, hat_8[q], prime_8[q], q)
+            out = kq_decay(gen, hat_8[q], prime_8[q], U, q)
             assert out.fit.levels[0].value >= 2.0
             assert out.fit.levels[-1].value <= 7.0
             assert out.gamma_ratio >= 1.8, (gen, q, out.gamma_ratio)

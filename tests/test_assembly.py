@@ -13,16 +13,17 @@ import math
 import numpy as np
 import pytest
 
-from diraclab.decomp import asymptotic_residual, build_U, leading_form
+from diraclab.decomp import (SCAN_LEVELS, asymptotic_residual, build_U,
+                             leading_form)
 from diraclab.hilbert import (DoubleIndex, L2Index, SumIndex, direct_sum,
                               enumerate_space)
 from diraclab.linop import SparseOp
 from diraclab.qnum import HalfInt, q_number
 from diraclab.rep_double import (a_minus, a_plus, b_minus, b_plus, dirac_D,
-                                 pi_prime, pi_prime_generators, tilde_coeffs,
-                                 valid_v_label)
+                                 pi_prime, pi_prime_generators)
 from diraclab.rep_l2 import (D1_PARAMS, D2_PARAMS, DiracParams, alpha_hat,
                              beta_hat, dirac_family, hat_generators)
+from tilde_oracle import pi_prime_tilde, tilde_coeffs, valid_v_label
 
 TN_MAX = (0, 1, 2, 3, 4, 6, 8)  # n_max = 0, 1/2, 1, 3/2, 2, 3, 4
 QS = (0.3, 0.5, 0.7, 0.8, 0.9)
@@ -241,6 +242,44 @@ def test_asymptotic_residual_matches_loop_oracle(kind, q):
         np.testing.assert_allclose(
             leading_form(kind, HalfInt(tn), HalfInt(ti), HalfInt(tj), q),
             _leading_form_scalar(kind, tn, ti, tj, q), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+def test_adjoint_generators_equal_the_tilde_assembly(q):
+    # pi'(alpha) and pi'(beta*) are the adjoints of the two assembled
+    # generators; they equal the assembly from the tilde displays bit for bit
+    for tn_max in (1, 8, 16, 32):
+        dbl = enumerate_space("Double", HalfInt(tn_max))
+        gens = pi_prime_generators(dbl, q)
+        for g in ("alpha", "beta*"):
+            want = pi_prime_tilde(g, dbl, q)
+            for T in (gens[g], pi_prime(g, dbl, q)):
+                for attr in ("rows", "cols", "vals"):
+                    assert np.array_equal(getattr(T, attr),
+                                          getattr(want, attr)), (g, attr)
+
+
+def _asymptotic_residual_per_level(kind, levels, q):
+    """asymptotic_residual as one evaluation per level."""
+    out = []
+    for n in levels:
+        tn = n.twice
+        ti, tj = np.meshgrid(np.arange(-tn, tn + 1, 2),
+                             np.arange(-tn - 1, tn + 2, 2), indexing="ij")
+        lab = (tn / 2.0, ti / 2.0, tj / 2.0)
+        out.append(np.max(np.abs(_EXACT[kind](*lab, q)
+                                 - leading_form(kind, *lab, q))))
+    return np.asarray(out)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7, 0.95])
+@pytest.mark.parametrize("kind", ["a+", "a-", "b+", "b-"])
+def test_asymptotic_residual_equals_a_per_level_evaluation(kind, q):
+    # all levels are one label array; each label's q-powers are the same
+    # Python floats, so the per-level maxima are the same bits
+    for levels in (SCAN_LEVELS, [HalfInt(t) for t in (0, 1, 5, 20)]):
+        assert np.array_equal(asymptotic_residual(kind, levels, q),
+                              _asymptotic_residual_per_level(kind, levels, q))
 
 
 @pytest.mark.parametrize("tn_max", TN_MAX)

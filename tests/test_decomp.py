@@ -28,9 +28,10 @@ Q = 0.5
 
 
 def _gens(n_max, q=Q):
-    """(hatted, pi') generator dicts at one n_max and q."""
+    """(hatted, pi') generator dicts at one n_max and q, and U there."""
     return (hat_generators(enumerate_space("L2", n_max), q),
-            pi_prime_generators(enumerate_space("Double", n_max), q))
+            pi_prime_generators(enumerate_space("Double", n_max), q),
+            build_U(n_max))
 
 
 def test_U_pinned_columns():
@@ -169,8 +170,8 @@ def test_decay_fit_censoring_and_errors():
 
 @pytest.mark.parametrize("gen", KQ_GENERATORS)
 def test_kq_decay_certifies_rate(gen):
-    hat, prime = _gens(6)
-    out = kq_decay(gen, hat, prime, Q)
+    hat, prime, U = _gens(6)
+    out = kq_decay(gen, hat, prime, U, Q)
     assert 1.8 <= out.gamma_ratio <= 2.2
     assert out.fit.censored == 0
     # control: the representation itself shows no such decay

@@ -135,20 +135,22 @@ def _count_calls(monkeypatch, *targets):
 
 
 @pytest.mark.parametrize("suites, calls", [
-    (SUITES, (4, 1, 1)),            # every suite shares one q's assembly
-    (("minimality",), (0, 1, 0)),   # pi' and U are built only on request
+    (SUITES, (2, 1, 1, 1)),            # every suite shares one q's assembly
+    (("minimality",), (0, 1, 0, 0)),   # pi' and U are built only on request
 ], ids=["all", "minimality"])
 def test_generators_are_assembled_once_per_q(monkeypatch, suites, calls):
-    # pi' has four generators; the check of U does not depend on q and is
-    # made once per run
+    # pi' assembles two generators and takes the other two as adjoints; U
+    # does not depend on q, and the run builds it once, for its check, and
+    # measures every kq defect with it
     counts = _count_calls(monkeypatch, "rep_double.pi_prime",
                           "rep_l2.hat_generators",
-                          "decomp.check_dirac_intertwine")
+                          "decomp.check_dirac_intertwine", "decomp.build_U")
     run(_cfg(suites=suites, q=(0.3, 0.5), n_max=HalfInt(8)))
-    pi_prime, hat, intertwine = calls
+    pi_prime, hat, intertwine, build_U = calls
     assert counts == {"rep_double.pi_prime": 2 * pi_prime,
                       "rep_l2.hat_generators": 2 * hat,
-                      "decomp.check_dirac_intertwine": intertwine}
+                      "decomp.check_dirac_intertwine": intertwine,
+                      "decomp.build_U": build_U}
 
 
 @pytest.mark.parametrize("q", [0.3, 0.8])

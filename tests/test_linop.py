@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab._kernels import (BOUND_SLACK, schur_bounds, sector_map,
-                               spectral_norm)
+                               spectral_norms)
 from diraclab.hilbert import direct_sum, enumerate_space
 from diraclab.linop import (
     SparseOp,
@@ -21,6 +21,12 @@ from diraclab.linop import (
     op_norm,
 )
 from diraclab.qnum import half
+
+
+def spectral_norm(row, col, data, row_sector, col_sector):
+    """The kernel's norm with every row in one group, as op_norm takes it."""
+    return float(spectral_norms(row, col, data, row_sector, col_sector,
+                                np.zeros(len(row_sector), np.int64), 1)[0])
 
 
 def _toy_space(dim_levels):
@@ -310,7 +316,7 @@ def _graded(T):
 def test_measured_operators_are_graded(q):
     # every operator the suites take a norm of maps each weight sector into
     # one sector, so the one-block fallback never serves them
-    from diraclab.decomp import KQ_GENERATORS, kq_defect
+    from diraclab.decomp import KQ_GENERATORS, build_U, kq_defect
     from diraclab.rep_double import pi_prime, pi_prime_generators
     from diraclab.rep_l2 import GENERATORS, hat_generators
 
@@ -318,20 +324,21 @@ def test_measured_operators_are_graded(q):
     hat = hat_generators(enumerate_space("L2", half(3)), q)
     prime = pi_prime_generators(dbl, q)
     ops = dict(_measured_operators(q))
-    ops.update({("kq", g): kq_defect(g, hat, prime) for g in KQ_GENERATORS})
+    U = build_U(half(3))
+    ops.update({("kq", g): kq_defect(g, hat, prime, U) for g in KQ_GENERATORS})
     ops.update({("pi_prime", g): pi_prime(g, dbl, q) for g in GENERATORS})
     for key, T in ops.items():
         assert _graded(T), key
 
 
 def test_block_norm_matches_dense_level_block():
-    from diraclab.decomp import kq_defect
+    from diraclab.decomp import build_U, kq_defect
     from diraclab.rep_double import pi_prime_generators
     from diraclab.rep_l2 import hat_generators
 
     hat = hat_generators(enumerate_space("L2", half(3)), 0.7)
     prime = pi_prime_generators(enumerate_space("Double", half(3)), 0.7)
-    for T in (kq_defect("beta", hat, prime),
+    for T in (kq_defect("beta", hat, prime, build_U(half(3))),
               hat_generators(_toy_space(3), 0.5)["beta"]):
         for tn in range(T.cod.n_max.twice + 1):
             rows = T.cod.level_ordinals(half(tn / 2))
@@ -482,20 +489,102 @@ def test_spectral_norm_equals_unpruned_norm_on_edge_cases():
 
 def test_spectral_norm_equals_unpruned_norm_on_a_full_run(tmp_path,
                                                           monkeypatch):
-    # every op_norm and block_norm call of `diraclab all --nmax 8`
-    from diraclab import linop
+    # every norm of `diraclab all --nmax 8`, op_norm and level norms alike:
+    # each group's norm against the unpruned norm of the group's entries
+    from diraclab import decomp, linop
     from diraclab.cli import main
 
     seen = []
 
-    def checked(*args):
-        got = spectral_norm(*args)
-        seen.append(got == _unpruned_norm(*args))
+    def checked(row, col, data, row_sector, col_sector, row_group,
+                n_groups):
+        got = spectral_norms(row, col, data, row_sector, col_sector,
+                             row_group, n_groups)
+        for g in range(n_groups):
+            at = row_group[row] == g
+            seen.append(got[g] == _unpruned_norm(
+                row[at], col[at], data[at], row_sector, col_sector))
         return got
 
-    monkeypatch.setattr(linop, "spectral_norm", checked)
+    monkeypatch.setattr(linop, "spectral_norms", checked)
+    monkeypatch.setattr(decomp, "spectral_norms", checked)
     main(["all", "--nmax", "8", "--out", str(tmp_path)])
     assert len(seen) > 100 and all(seen)
+
+
+# ------------------------------------ every row group's norm in one call
+
+
+def _group_oracle(row, col, data, row_sector, col_sector, row_group,
+                  n_groups):
+    """The unpruned norm of each group's entries on their own."""
+    return [_unpruned_norm(row[at], col[at], data[at], row_sector, col_sector)
+            for at in (row_group[row] == g for g in range(n_groups))]
+
+
+@deterministic
+@given(graded_entries(), st.data())
+def test_spectral_norms_equal_unpruned_norm_per_group(args, data):
+    """Rows in up to four groups, some without entries.  A graded matrix
+    is graded in every group, with one sector per side every group is one
+    block, and with random sectors some groups are graded and some not.
+
+    About 1.3 s: 200 examples, each against the oracle three times.
+    """
+    row, col, d, rs, cs = args
+    n_groups = data.draw(st.integers(1, 4))
+    groups = np.array(data.draw(st.lists(st.integers(0, n_groups - 1),
+                                         min_size=len(rs), max_size=len(rs))))
+    one = np.zeros(len(rs), np.int64), np.zeros(len(cs), np.int64)
+    mixed = (np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(rs),
+                                         max_size=len(rs))), np.int64),
+             np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(cs),
+                                         max_size=len(cs))), np.int64))
+    for sectors in ((rs, cs), one, mixed):
+        entries = (row, col, d, *sectors, groups, n_groups)
+        assert spectral_norms(*entries).tolist() == _group_oracle(*entries)
+
+
+def _level_oracle(T):
+    return [_unpruned_norm(T.rows[at], T.cols[at], T.vals[at], T.cod.sector,
+                           T.dom.sector)
+            for at in (T.cod.tn[T.rows] == tn for tn in sorted(T.cod.levels))]
+
+
+@pytest.mark.parametrize("q", [0.3, 0.9])
+@pytest.mark.parametrize("nmax", [8, 16])  # twice n_max, as on the CLI
+def test_level_block_norms_equal_unpruned_norm_per_level(q, nmax):
+    """The kq defects, pi'(alpha*), an ungraded operator, one graded on
+    some levels only and one with empty levels; at --nmax 16 the oracle's
+    loop over every block of every level takes most of a second."""
+    from diraclab.decomp import (KQ_GENERATORS, build_U, kq_defect,
+                                 level_block_norms)
+    from diraclab.rep_double import pi_prime_generators
+    from diraclab.rep_l2 import hat_generators
+
+    n_max = half(nmax / 2)
+    dbl = enumerate_space("Double", n_max)
+    hat = hat_generators(enumerate_space("L2", n_max), q)
+    prime = pi_prime_generators(dbl, q)
+    U = build_U(n_max)
+    ops = {g: kq_defect(g, hat, prime, U) for g in KQ_GENERATORS}
+    ops["alpha*"] = prime["alpha*"]
+    # not graded: two weight shifts at once; and graded on the rows above
+    # level 2 only, so that each level decides its own grading
+    ops["alpha+beta"] = prime["alpha"] + prime["beta"]
+    low = SparseOp.diagonal(dbl, dbl.tn <= 4)
+    ops["mixed"] = low @ ops["alpha+beta"] + (
+        SparseOp.identity(dbl) - low) @ prime["alpha*"]
+    # the top level and level 0 hold no entry
+    P = interior_projector(dbl, 1)
+    ops["cut"] = P @ prime["beta"] @ P - SparseOp.diagonal(
+        dbl, dbl.tn == 0) @ prime["beta"]
+    for key, T in ops.items():
+        levels, norms = level_block_norms(T)
+        assert [l.twice for l in levels] == list(range(nmax + 1))
+        assert norms.tolist() == _level_oracle(T), key
+    cut = level_block_norms(ops["cut"])[1]
+    assert cut[0] == cut[-1] == cut[-2] == 0.0 and cut[1:-2].all()
 
 
 @deterministic
@@ -532,12 +621,20 @@ def _non_finite_cases(bad):
         yield row, col, data, np.zeros(6, np.int64), np.zeros(5, np.int64)
 
 
+def _grouped(args):
+    """The same entries with row r in group r % 2."""
+    row, col, data, rs, cs = args
+    return row, col, data, rs, cs, np.arange(len(rs)) % 2, 2
+
+
 def test_spectral_norm_nan_entry_raises_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for args in _non_finite_cases(np.nan):
             with pytest.raises(np.linalg.LinAlgError):
                 spectral_norm(*args)
+            with pytest.raises(np.linalg.LinAlgError):
+                spectral_norms(*_grouped(args))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
@@ -546,6 +643,13 @@ def test_spectral_norm_inf_entry_gives_nan_without_warnings(bad):
         warnings.simplefilter("error")
         for args in _non_finite_cases(bad):
             assert np.isnan(spectral_norm(*args))
+            # the group of the bad entry's row is nan, the other is not
+            row, data = args[0], args[2]
+            bad_group = int(row[np.isinf(data)][0]) % 2
+            got = spectral_norms(*_grouped(args))
+            assert np.isnan(got[bad_group])
+            assert got[1 - bad_group] == \
+                _group_oracle(*_grouped(args))[1 - bad_group]
         # entries near the largest double: the bound overflows, not the norm
         big = (np.array([0, 0, 1]), np.array([0, 1, 1]),
                np.array([1e308, 1e308, -1e308]), np.array([0, 1]),

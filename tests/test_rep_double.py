@@ -14,10 +14,9 @@ from diraclab.rep_double import (
     dirac_D,
     pi_prime,
     pi_prime_generators,
-    tilde_coeffs,
-    valid_v_label,
 )
 from diraclab.rep_l2 import pi_hat, relation_words
+from tilde_oracle import tilde_coeffs, valid_v_label
 
 Q = 0.5
 

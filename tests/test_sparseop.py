@@ -6,8 +6,11 @@ PRUNE_TOL dropped), read through ``tocoo()``; ``from_coo`` must match a
 plain loop that sums each coordinate's duplicates in input order.  Operands
 mix ordinary values, values below PRUNE_TOL and exact cancellations, on
 spaces of dimension 0 to 6, so sums of three or more rounded terms, pruned
-sums and empty operators all occur.  Examples are derived from each test's
-source (``derandomize=True``) and no example database is kept.
+sums and empty operators all occur.  The operands of a product may also
+hold inf and NaN, or be diagonal (every entry at row == column), which
+``compose`` takes as a scaling of the other operand.  Examples are derived
+from each test's source (``derandomize=True``) and no example database is
+kept.
 """
 
 import numpy as np
@@ -28,6 +31,12 @@ values = st.one_of(
     st.floats(-4.0, 4.0, allow_nan=False).map(lambda x: x / 3),
     st.sampled_from([1.0, -1.0, 0.5, 0.0, 1e-16, -9e-16, 1e-15, 2e-15,
                      1e-300]))
+extremes = st.sampled_from([np.inf, -np.inf, np.nan])
+# a diagonal entry of 0.0 or below PRUNE_TOL is dropped, so the product has
+# no entry in its column (or row), even where the other operand holds inf or
+# NaN; 1e-8 times 3e-8 and 1/3 times 1e-15 fall below PRUNE_TOL
+diagonal_values = st.one_of(values, extremes,
+                            st.sampled_from([-2.0, -1 / 3, 1e-8, 3e-8]))
 
 
 def _space(dim):
@@ -38,13 +47,13 @@ def _space(dim):
 
 
 @st.composite
-def coordinates(draw, m, n):
+def coordinates(draw, m, n, vals=values):
     """(rows, cols, vals) on an m x n grid; some coordinates repeat, and
     some entries are followed later by their exact negation."""
     if m == 0 or n == 0:
         return [], [], []
     entries = draw(st.lists(st.tuples(st.integers(0, m - 1),
-                                      st.integers(0, n - 1), values),
+                                      st.integers(0, n - 1), vals),
                             max_size=3 * m * n))
     for k in draw(st.lists(st.integers(0, max(len(entries) - 1, 0)),
                            max_size=len(entries))):
@@ -56,8 +65,24 @@ def coordinates(draw, m, n):
 
 
 @st.composite
-def operators(draw, m, n):
-    return SparseOp.from_coo(_space(n), _space(m), *draw(coordinates(m, n)))
+def operators(draw, m, n, vals=values):
+    return SparseOp.from_coo(_space(n), _space(m),
+                             *draw(coordinates(m, n, vals)))
+
+
+@st.composite
+def diagonals(draw, m, n):
+    """An m x n operator whose entries all sit at row == column."""
+    k = min(m, n)
+    d = draw(st.lists(diagonal_values, min_size=k, max_size=k))
+    return SparseOp.from_coo(_space(n), _space(m), np.arange(k),
+                             np.arange(k), np.array(d, dtype=np.float64))
+
+
+def operands(m, n):
+    """Operators that may hold inf or NaN, or diagonal ones."""
+    return st.one_of(operators(m, n, st.one_of(values, extremes)),
+                     diagonals(m, n))
 
 
 def _scipy_canonical(mat):
@@ -74,7 +99,7 @@ def _assert_same(T, coo):
     assert T.vals.dtype == np.float64
     assert np.array_equal(T.rows, coo.row)
     assert np.array_equal(T.cols, coo.col)
-    assert np.array_equal(T.vals, coo.data)
+    assert np.array_equal(T.vals, coo.data, equal_nan=True)
 
 
 @deterministic
@@ -95,8 +120,8 @@ def test_from_coo_matches_a_plain_loop(data, m, n):
 @deterministic
 @given(st.data(), dims, dims, dims)
 def test_compose_matches_scipy_exactly(data, m, k, n):
-    A = data.draw(operators(m, k))
-    B = data.draw(operators(k, n))
+    A = data.draw(operands(m, k))
+    B = data.draw(operands(k, n))
     _assert_same(A @ B, _scipy_canonical(A.mat @ B.mat))
 
 
