@@ -17,7 +17,7 @@ from .decomp import (AsymptoticScan, DecayFit, KqDecay, asymptotic_residual,
                      control_decay, decay_fit, kq_decay, kq_defect,
                      leading_form)
 from .harness import RunConfig, VerificationReport, run
-from .hilbert import TruncatedSpace, direct_sum, enumerate_space, interior
+from .hilbert import TruncatedSpace, enumerate_space, interior
 from .linop import (SparseOp, SpaceMismatchError, block_norm,
                     interior_projector, op_norm)
 from .qnum import HalfInt, half, q_number, validate_q

@@ -2,10 +2,10 @@
 
 Four pieces:
 
-* ``build_U`` / ``check_dirac_intertwine`` — the explicit 0/1 permutation
-  U : L2 (+) L2 -> Double and the exact conjugation U (D1 (+) |D2|) U* = D
-  (zero deviation: every eigenvalue is a machine integer and U only
-  permutes coordinates).
+* ``build_U`` / ``check_dirac_intertwine`` — the unitary U : L2 (+) L2 ->
+  Double, a permutation held as its map of ordinals, and the exact
+  conjugation U (D1 (+) |D2|) U* = D (zero deviation: every eigenvalue is a
+  machine integer and conjugation by U only relabels ordinals).
 * ``kq_defect`` — the residual U (pi_hat(g) (+) pi_hat(g)) U* - pi'(g) on the
   Double space, whose per-level block norms decay like q^{2n}.  It and the
   decay fits take the generators and U they measure, so a run of the harness
@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import spectral_norms
-from .hilbert import TruncatedSpace, direct_sum, enumerate_space
-from .linop import SparseOp
+from .hilbert import TruncatedSpace, enumerate_space
+from .linop import SparseOp, SpaceMismatchError
 from .qnum import HalfInt, half, q_power, validate_q
 from .rep_double import _halves, _matrix, a_minus, a_plus, b_minus, b_plus
 from .rep_l2 import D1_PARAMS, D2_PARAMS, _sqrt0, abs_op, dirac_family
@@ -45,33 +45,40 @@ NORM_FLOOR = 1e-14
 SCAN_LEVELS = tuple(HalfInt(t) for t in range(2, 13))
 
 
-def build_U(n_max) -> SparseOp:
-    """The unitary L2 (+) L2 -> Double.
+def build_U(n_max) -> np.ndarray:
+    """The unitary L2 (+) L2 -> Double as a map of ordinals.
 
-    Copy 0 fills the down band (j -> j + 1/2) except at the weight edge
-    j = n, which lands on u^n_{i, n+1/2}; copy 1 fills the rest of the up
-    band (j -> j - 1/2).  Every matrix entry is 1.0 and every basis vector
-    is hit exactly once, so U is a permutation.
+    Entry k is the Double ordinal of ordinal k of the sum: copy 0 (the first
+    dim L2 entries) fills the down band (j -> j + 1/2) except at the weight
+    edge j = n, which lands on u^n_{i, n+1/2}; copy 1 fills the rest of the
+    up band (j -> j - 1/2).  Every matrix entry of U is 1.0 and every basis
+    vector is hit exactly once, so U is a permutation and conjugation by it
+    relabels ordinals.
     """
     n_max = half(n_max)
     l2 = enumerate_space("L2", n_max)
     dbl = enumerate_space("Double", n_max)
     tn, ti, tj = l2.tn, l2.ti, l2.tj
     edge = tj == tn
-    rows = np.concatenate([
+    return np.concatenate([
         dbl.ordinals(tn, ti, np.where(edge, tn + 1, tj + 1), band=~edge),
         dbl.ordinals(tn, ti, tj - 1, band=0)])
-    return SparseOp.from_coo(direct_sum(l2, l2), dbl, rows,
-                             np.arange(2 * l2.dim), np.ones(2 * l2.dim))
 
 
-def direct_sum_op(A: SparseOp, B: SparseOp) -> SparseOp:
-    """Block-diagonal lift A (+) B acting on the direct sum of the domains."""
-    dom = direct_sum(A.dom, B.dom)
-    cod = direct_sum(A.cod, B.cod)
+def direct_sum_op(A: SparseOp, B: SparseOp, U: np.ndarray,
+                  dbl: TruncatedSpace) -> SparseOp:
+    """U (A (+) B) U* on ``dbl``, for L2 operators A and B at the n_max of
+    the map U: A's entries relabelled through the first half of U, B's
+    through the second."""
+    if len(U) != dbl.dim or dbl.kind != "Double" or any(
+            s.kind != "L2" or s.n_max != dbl.n_max
+            for s in (A.dom, A.cod, B.dom, B.cod)):
+        raise SpaceMismatchError("direct_sum_op expects two L2 operators at "
+                                 "the n_max of U and its Double space")
+    lo, hi = U[:A.dom.dim], U[A.dom.dim:]
     return SparseOp.from_coo(
-        dom, cod, np.concatenate([A.rows, B.rows + A.cod.dim]),
-        np.concatenate([A.cols, B.cols + A.dom.dim]),
+        dbl, dbl, np.concatenate([lo[A.rows], hi[B.rows]]),
+        np.concatenate([lo[A.cols], hi[B.cols]]),
         np.concatenate([A.vals, B.vals]))
 
 
@@ -86,29 +93,32 @@ class DecompositionReport(NamedTuple):
     n_max: HalfInt
     dim_sum: int
     dim_double: int
-    unitary_defect: float      # max entry of |U*U - I| and |UU* - I|
+    unitary_defect: float      # max |hits - 1| over Double ordinals
     conjugation_defect: float  # max entry of |U (D1 (+) |D2|) U* - D|
-    U: SparseOp                # the unitary checked, for kq_defect
+    U: np.ndarray              # the map checked, for kq_defect
 
 
 def check_dirac_intertwine(n_max) -> DecompositionReport:
     """Verify U (D1 (+) |D2|) U* = D exactly on the truncation.
 
-    Both reported defects are exactly 0.0: the three diagonals hold machine
-    integers and conjugation by a permutation only reorders them.
+    U is unitary iff its map hits every Double ordinal exactly once; an
+    absent target (-1) counts as a defect.  Both reported defects are
+    exactly 0.0: the three diagonals hold machine integers and conjugation
+    by a permutation only reorders them.
     """
     from .rep_double import dirac_D
 
     n_max = half(n_max)
     U = build_U(n_max)
-    blk = direct_sum_op(*dirac_pair(enumerate_space("L2", n_max)))
-    unitary = max((U.adjoint() @ U - SparseOp.identity(U.dom)).max_abs(),
-                  (U @ U.adjoint() - SparseOp.identity(U.cod)).max_abs())
-    conj = (U @ blk @ U.adjoint() - dirac_D(U.cod)).max_abs()
-    return DecompositionReport(n_max, U.dom.dim, U.cod.dim, unitary, conj, U)
+    dbl = enumerate_space("Double", n_max)
+    hits = np.bincount(U[U >= 0], minlength=dbl.dim)
+    unitary = float(max(np.abs(hits - 1).max(), np.any(U < 0)))
+    blk = direct_sum_op(*dirac_pair(enumerate_space("L2", n_max)), U, dbl)
+    conj = (blk - dirac_D(dbl)).max_abs()
+    return DecompositionReport(n_max, len(U), dbl.dim, unitary, conj, U)
 
 
-def kq_defect(gen: str, hat: dict, prime: dict, U: SparseOp) -> SparseOp:
+def kq_defect(gen: str, hat: dict, prime: dict, U: np.ndarray) -> SparseOp:
     """Defect Delta = U (pi_hat(g) (+) pi_hat(g)) U* - pi'(g) on Double.
 
     hat and prime are one q's generators at one n_max, as built by
@@ -121,8 +131,8 @@ def kq_defect(gen: str, hat: dict, prime: dict, U: SparseOp) -> SparseOp:
     if gen not in KQ_GENERATORS:
         raise ValueError(f"kq_defect: gen must be one of {KQ_GENERATORS}, "
                          f"got {gen!r}")
-    lifted = U @ direct_sum_op(hat[gen], hat[gen]) @ U.adjoint()
-    return lifted - prime[gen]
+    return (direct_sum_op(hat[gen], hat[gen], U, prime[gen].cod)
+            - prime[gen])
 
 
 class DecayFit(NamedTuple):
@@ -191,7 +201,7 @@ def _level_fit(gen: str, q: float, T: SparseOp) -> KqDecay:
                    fit.gamma_hat / math.log(1.0 / q))
 
 
-def kq_decay(gen: str, hat: dict, prime: dict, U: SparseOp,
+def kq_decay(gen: str, hat: dict, prime: dict, U: np.ndarray,
              q: float) -> KqDecay:
     """Block norms per level of the kq defect, plus their decay fit; q is
     the modulus that hat and prime were built at."""

@@ -99,9 +99,13 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             raise ValueError(f"config: unknown suite {s!r} "
                              f"(expected a subset of {SUITES})")
     suites = tuple(s for s in SUITES if s in suites)  # canonical order
-    if "commutators" in suites and n_max.twice < 4:
+    if "kq-decay" in suites and n_max.twice < 8:
+        raise ValueError("config: the kq-decay suite fits levels n in "
+                         "[2, n_max - 1], at least three, and needs n_max >= 4")
+    if "commutators" in suites and n_max.twice < 6:
         raise ValueError("config: the commutators suite compares n_max "
-                         "against n_max - 2 and needs n_max >= 2")
+                         "against the interior of n_max - 2 and needs "
+                         "n_max >= 3")
     if "minimality" in suites and n_max.twice < 1:
         raise ValueError("config: the minimality suite needs n_max >= 1/2 "
                          "for its depth-1 oracle")

@@ -8,7 +8,8 @@ n = 0, 1/2, 1, ... and weights i, j in {-n, ..., n} (integer steps).
     up:   j in {-n-1/2, ..., n+1/2}   -> (2n+1)(2n+2) vectors,
     down: j in {-n+1/2, ..., n-1/2}   -> (2n+1)(2n)   vectors (empty at n=0),
 
-so level n holds 2(2n+1)^2 vectors and the doubled space is two copies of L2.
+so level n holds 2(2n+1)^2 vectors and the doubled space is two copies of L2
+(the unitary ``decomp.build_U`` maps L2 (+) L2 onto it as a map of ordinals).
 
 Truncation keeps levels n <= n_max.  Operators silently drop components that
 would leave the truncated space; quantitative assertions are made only on
@@ -16,11 +17,11 @@ would leave the truncated space; quantitative assertions are made only on
 
 A space holds its labels as integer arrays, one entry per ordinal: twice
 the level ``tn``, twice the weights ``ti`` and ``tj``, and ``band`` (0 up,
-1 down) on Double or ``copy`` (0 or 1) on L2+L2.  Operators are assembled
-by evaluating their coefficients over these arrays, and
-:meth:`TruncatedSpace.ordinals` finds target ordinals by arithmetic: level
-tn starts at tn(tn+1)(2tn+1)/6 in L2 and at tn(tn+1)(2tn+1)/3 in Double;
-within a level the up band precedes the down band, then i, then j.
+1 down) on Double.  Operators are assembled by evaluating their
+coefficients over these arrays, and :meth:`TruncatedSpace.ordinals` finds
+target ordinals by arithmetic: level tn starts at tn(tn+1)(2tn+1)/6 in L2
+and at tn(tn+1)(2tn+1)/3 in Double; within a level the up band precedes
+the down band, then i, then j.
 """
 
 from __future__ import annotations
@@ -47,13 +48,6 @@ class DoubleIndex(NamedTuple):
     j: HalfInt
 
 
-class SumIndex(NamedTuple):
-    """Label in a direct sum of two copies of L2 (copy is 0 or 1)."""
-
-    copy: int
-    label: L2Index
-
-
 _BANDS = ("up", "down")
 
 
@@ -71,7 +65,6 @@ class TruncatedSpace:
     ti: np.ndarray = field(repr=False)
     tj: np.ndarray = field(repr=False)
     band: np.ndarray | None = field(default=None, repr=False)  # Double
-    copy: np.ndarray | None = field(default=None, repr=False)  # L2+L2
 
     @property
     def dim(self) -> int:
@@ -101,9 +94,6 @@ class TruncatedSpace:
         if self.band is not None:
             return tuple(DoubleIndex(_BANDS[b], *lab)
                          for b, lab in zip(self.band.tolist(), labels))
-        if self.copy is not None:
-            return tuple(SumIndex(c, lab)
-                         for c, lab in zip(self.copy.tolist(), labels))
         return tuple(labels)
 
     @cached_property
@@ -113,11 +103,11 @@ class TruncatedSpace:
         key = (self.ti + t) * (2 * t + 1) + self.tj + t
         return _frozen((np.cumsum(np.bincount(key) > 0) - 1)[key])
 
-    def ordinals(self, tn, ti, tj, band=None, copy=None) -> np.ndarray:
+    def ordinals(self, tn, ti, tj, band=None) -> np.ndarray:
         """Ordinals of the labels (tn, ti, tj), -1 where a label is absent.
 
         Arguments are twice-valued integers or integer arrays, broadcast
-        together; Double spaces also need ``band`` and L2+L2 spaces ``copy``.
+        together; Double spaces also need ``band``.
         """
         tn, ti, tj = (np.asarray(x, dtype=np.int64) for x in (tn, ti, tj))
         if self.kind == "Double":
@@ -132,22 +122,17 @@ class TruncatedSpace:
               & (np.abs(ti) <= tn) & ((ti - tn) % 2 == 0)
               & (np.abs(tj) <= h) & ((tj - h) % 2 == 0))
         k = start + (ti + tn) // 2 * (h + 1) + (tj + h) // 2
-        if self.kind == "L2+L2":
-            k = k + np.asarray(copy, dtype=np.int64) * (self.dim // 2)
         return np.where(ok, k, -1)
 
     def ordinal(self, label) -> int:
-        """Ordinal of one label: an L2Index, DoubleIndex or SumIndex."""
-        copy = band = None
-        if isinstance(label, SumIndex):
-            copy, label = label.copy, label.label
+        """Ordinal of one label: an L2Index or DoubleIndex."""
+        band = None
         if isinstance(label, DoubleIndex):
             band = _BANDS.index(label.band)
-        if (self.kind == "Double") != (band is not None) \
-                or (self.kind == "L2+L2") != (copy is not None):
+        if (self.kind == "Double") != (band is not None):
             raise KeyError(label)
         k = int(self.ordinals(label.n.twice, label.i.twice, label.j.twice,
-                              band=band, copy=copy))
+                              band=band))
         if k < 0:
             raise KeyError(label)
         return k
@@ -187,16 +172,6 @@ def enumerate_space(kind: str, n_max) -> TruncatedSpace:
     tj = 2 * (r % (h + 1)) - h
     return TruncatedSpace(kind, n_max, _frozen(tn), _frozen(ti), _frozen(tj),
                           band=None if band is None else _frozen(band))
-
-
-def direct_sum(a: TruncatedSpace, b: TruncatedSpace) -> TruncatedSpace:
-    """Direct sum of two L2 truncations (the domain of the unitary U)."""
-    if a.kind != "L2" or b.kind != "L2" or a.n_max != b.n_max:
-        raise ValueError("direct_sum expects two L2 spaces with equal n_max")
-    return TruncatedSpace(
-        "L2+L2", a.n_max, *(_frozen(np.concatenate([x, y])) for x, y in
-                            ((a.tn, b.tn), (a.ti, b.ti), (a.tj, b.tj))),
-        copy=_frozen(np.repeat([0, 1], [a.dim, b.dim])))
 
 
 def interior(space: TruncatedSpace, margin) -> np.ndarray:

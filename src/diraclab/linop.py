@@ -55,8 +55,8 @@ class SparseOp:
         group = new.astype(np.int64)  # index of each sorted coordinate
         group[:1] = 0
         np.cumsum(group, out=group)
-        vals = np.bincount(group, np.asarray(vals, np.float64)[order]).astype(
-            np.float64, copy=False)  # (bincount gives integers if empty)
+        vals = np.asarray(  # (bincount gives integers if empty)
+            np.bincount(group, np.asarray(vals, np.float64)[order]), np.float64)
         keep = ~(np.abs(vals) < PRUNE_TOL)
         rows, cols = np.divmod(key[new][keep], max(dom.dim, 1))
         return SparseOp(dom, cod, rows, cols, vals[keep])
@@ -87,7 +87,7 @@ class SparseOp:
                 f"vector of length {v.shape} applied to operator with "
                 f"domain dim {self.dom.dim}")
         Tv = np.bincount(self.rows, self.vals * v[self.cols], self.cod.dim)
-        return Tv.astype(np.float64, copy=False)  # (integers if no entry)
+        return np.asarray(Tv, np.float64)  # (integers if no entry)
 
     def compose(self, other: "SparseOp") -> "SparseOp":
         """self after other (matrix product self @ other)."""
@@ -140,7 +140,7 @@ class SparseOp:
         """P T P on a smaller truncation ``space`` of the same kind, whose
         basis is a prefix of the level-major basis."""
         big = {(s.kind, s.n_max >= space.n_max) for s in (self.dom, self.cod)}
-        if space.kind == "L2+L2" or big != {(space.kind, True)}:
+        if big != {(space.kind, True)}:
             raise SpaceMismatchError("compress: not a smaller truncation")
         keep = (self.rows < space.dim) & (self.cols < space.dim)
         return SparseOp(space, space, self.rows[keep], self.cols[keep],

@@ -5,7 +5,8 @@ space.  The oracles below are the per-label loops that assembly replaced:
 they walk a basis enumerated here, label by label, find target ordinals in
 a dict and call the scalar leaves once per label.  Each array-assembled
 operator must have the oracle's CSR pattern and its entries to 1e-14
-relative, and the arithmetic ordinals must reproduce the enumeration order.
+relative, the map of U must be the oracle's, and the arithmetic ordinals
+must reproduce the enumeration order.
 """
 
 import math
@@ -15,8 +16,7 @@ import pytest
 
 from diraclab.decomp import (SCAN_LEVELS, asymptotic_residual, build_U,
                              leading_form)
-from diraclab.hilbert import (DoubleIndex, L2Index, SumIndex, direct_sum,
-                              enumerate_space)
+from diraclab.hilbert import DoubleIndex, L2Index, enumerate_space
 from diraclab.linop import SparseOp
 from diraclab.qnum import HalfInt, q_number
 from diraclab.rep_double import (a_minus, a_plus, b_minus, b_plus, dirac_D,
@@ -53,10 +53,7 @@ def _double_labels(tnmax):
 def _oracle_basis(kind, tnmax):
     if kind == "L2":
         return list(_l2_labels(tnmax))
-    if kind == "Double":
-        return list(_double_labels(tnmax))
-    l2 = list(_l2_labels(tnmax))
-    return [SumIndex(0, b) for b in l2] + [SumIndex(1, b) for b in l2]
+    return list(_double_labels(tnmax))
 
 
 def _lookup(kind, tnmax):
@@ -130,9 +127,10 @@ def _hat_loop(gen, space, q):
     return SparseOp.from_coo(space, space, rows, cols, vals)
 
 
-def _build_U_loop(U):
-    l2 = _oracle_basis("L2", U.dom.n_max.twice)
-    dbl = _lookup("Double", U.dom.n_max.twice)
+def _build_U_loop(tnmax):
+    """The map of U: the Double ordinal of copy 0, then copy 1, of L2."""
+    l2 = _oracle_basis("L2", tnmax)
+    dbl = _lookup("Double", tnmax)
     rows = []
     for lab in l2:
         tn, ti, tj = lab.n.twice, lab.i.twice, lab.j.twice
@@ -142,8 +140,7 @@ def _build_U_loop(U):
             rows.append(dbl[DoubleIndex("up", lab.n, lab.i, HalfInt(tn + 1))])
     for lab in l2:
         rows.append(dbl[DoubleIndex("up", lab.n, lab.i, HalfInt(lab.j.twice - 1))])
-    return SparseOp.from_coo(U.dom, U.cod, rows, range(len(rows)),
-                             [1.0] * len(rows))
+    return rows
 
 
 def _dirac_D_loop(space):
@@ -222,8 +219,10 @@ def test_generators_match_loop_oracles(tn_max, q):
 @pytest.mark.parametrize("tn_max", TN_MAX)
 def test_q_free_operators_match_loop_oracles(tn_max):
     U = build_U(HalfInt(tn_max))
-    _assert_same(U, _build_U_loop(U))
-    _assert_same(dirac_D(U.cod), _dirac_D_loop(U.cod))
+    assert U.dtype == np.int64
+    np.testing.assert_array_equal(U, _build_U_loop(tn_max))
+    dbl = enumerate_space("Double", HalfInt(tn_max))
+    _assert_same(dirac_D(dbl), _dirac_D_loop(dbl))
     l2 = enumerate_space("L2", HalfInt(tn_max))
     for params in (D1_PARAMS, D2_PARAMS, DiracParams(1, -1.5, 0.25, 3.0, -2.0)):
         for side in ("left", "right"):
@@ -284,28 +283,23 @@ def test_asymptotic_residual_equals_a_per_level_evaluation(kind, q):
 
 @pytest.mark.parametrize("tn_max", TN_MAX)
 def test_ordinals_follow_enumeration_order(tn_max):
-    l2 = enumerate_space("L2", HalfInt(tn_max))
-    spaces = {"L2": l2, "Double": enumerate_space("Double", HalfInt(tn_max)),
-              "L2+L2": direct_sum(l2, l2)}
-    for kind, space in spaces.items():
+    for kind in ("L2", "Double"):
+        space = enumerate_space(kind, HalfInt(tn_max))
         labels = _oracle_basis(kind, tn_max)
         assert space.basis == tuple(labels)
-        inner = [getattr(b, "label", b) for b in labels]
         extra = {}
         if kind == "Double":
             extra["band"] = [_BAND[b.band] for b in labels]
-        if kind == "L2+L2":
-            extra["copy"] = [b.copy for b in labels]
-        got = space.ordinals([b.n.twice for b in inner],
-                             [b.i.twice for b in inner],
-                             [b.j.twice for b in inner], **extra)
+        got = space.ordinals([b.n.twice for b in labels],
+                             [b.i.twice for b in labels],
+                             [b.j.twice for b in labels], **extra)
         np.testing.assert_array_equal(got, np.arange(space.dim))
         for k, lab in enumerate(labels):
             assert space.ordinal(lab) == k
         for tn in space.levels:
             np.testing.assert_array_equal(
                 space.levels[tn],
-                [k for k, b in enumerate(inner) if b.n.twice == tn])
+                [k for k, b in enumerate(labels) if b.n.twice == tn])
 
 
 def test_labels_outside_the_space_have_no_ordinal():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diraclab import decomp
 from diraclab.decomp import (
     KQ_GENERATORS,
     asymptotic_residual,
@@ -18,10 +19,10 @@ from diraclab.decomp import (
     leading_form,
     level_block_norms,
 )
-from diraclab.hilbert import DoubleIndex, L2Index, SumIndex, enumerate_space
-from diraclab.linop import SparseOp
+from diraclab.hilbert import DoubleIndex, L2Index, enumerate_space
+from diraclab.linop import SparseOp, SpaceMismatchError
 from diraclab.qnum import HalfInt, half
-from diraclab.rep_double import a_plus, pi_prime_generators
+from diraclab.rep_double import a_plus, dirac_D, pi_prime_generators
 from diraclab.rep_l2 import hat_generators
 
 Q = 0.5
@@ -34,16 +35,28 @@ def _gens(n_max, q=Q):
             build_U(n_max))
 
 
+def _U_matrix(U, dbl):
+    """The matrix of the map U: 1.0 at (U[k], k) for every ordinal k of
+    L2 (+) L2, built from the map alone."""
+    assert U.dtype == np.int64 and U.shape == (dbl.dim,)
+    assert U.min() >= 0 and U.max() < dbl.dim
+    dense = np.zeros((dbl.dim, len(U)))
+    np.add.at(dense, (U, np.arange(len(U))), 1.0)
+    return dense
+
+
 def test_U_pinned_columns():
     U = build_U(1)
     l2 = enumerate_space("L2", half(1))
-    dbl = U.cod
-    dense = U.to_dense()
+    dbl = enumerate_space("Double", half(1))
+    dense = _U_matrix(U, dbl)
 
     def image_of(copy, n, i, j):
-        col = U.dom.ordinal(SumIndex(copy, L2Index(half(n), half(i), half(j))))
+        # the sum lists copy 0, then copy 1, each in the order of L2
+        col = copy * l2.dim + l2.ordinal(L2Index(half(n), half(i), half(j)))
         hits = np.nonzero(dense[:, col])[0]
         assert hits.size == 1 and dense[hits[0], col] == 1.0
+        assert hits[0] == U[col]
         return dbl.basis[hits[0]]
 
     assert image_of(0, 0, 0, 0) == DoubleIndex("up", half(0), half(0), half(0.5))
@@ -54,24 +67,59 @@ def test_U_pinned_columns():
 def test_U_is_permutation_and_unitary():
     for nm in (0, 1.5, 3):
         U = build_U(nm)
-        dense = U.to_dense()
-        assert dense.shape == (U.cod.dim, U.dom.dim)
-        assert U.cod.dim == U.dom.dim
+        l2 = enumerate_space("L2", half(nm))
+        dbl = enumerate_space("Double", half(nm))
+        dense = _U_matrix(U, dbl)
+        assert dense.shape == (dbl.dim, 2 * l2.dim)
+        assert dense.shape[0] == dense.shape[1]
         # exactly one 1.0 per column and per row
-        assert np.array_equal(np.sort(np.nonzero(dense)[0]), np.arange(U.cod.dim))
+        assert np.array_equal(np.sort(np.nonzero(dense)[0]), np.arange(dbl.dim))
         assert set(np.unique(dense)) == {0.0, 1.0}
-        eye = np.eye(U.dom.dim)
-        assert np.array_equal((U.adjoint() @ U).to_dense(), eye)
-        assert np.array_equal((U @ U.adjoint()).to_dense(), eye)
+        eye = np.eye(dbl.dim)
+        assert np.array_equal(dense.T @ dense, eye)
+        assert np.array_equal(dense @ dense.T, eye)
 
 
 def test_direct_sum_op_blocks():
     sp = enumerate_space("L2", half(0.5))
+    dbl = enumerate_space("Double", half(0.5))
+    U = build_U(half(0.5))
     A = SparseOp.diagonal(sp, [1, 2, 3, 4, 5])
     B = SparseOp.diagonal(sp, [6, 7, 8, 9, 10])
-    blk = direct_sum_op(A, B).to_dense()
-    assert np.array_equal(np.diag(blk), np.arange(1, 11, dtype=float))
+    blk = direct_sum_op(A, B, U, dbl).to_dense()
+    # A's ordinal k sits at U[k], B's at U[dim + k]
+    assert np.array_equal(np.diag(blk)[U], np.arange(1, 11, dtype=float))
     assert np.count_nonzero(blk) == 10
+    # off the diagonal too: U (A (+) B) U* as matrices, bit for bit
+    rng = np.random.default_rng(7)
+    dense = [rng.standard_normal((sp.dim, sp.dim)) for _ in range(2)]
+    A, B = (SparseOp.from_coo(sp, sp, *np.nonzero(np.ones_like(d)), d.ravel())
+            for d in dense)
+    Um = _U_matrix(U, dbl)
+    sum_ = np.zeros((2 * sp.dim, 2 * sp.dim))
+    sum_[:sp.dim, :sp.dim], sum_[sp.dim:, sp.dim:] = dense
+    assert np.array_equal(direct_sum_op(A, B, U, dbl).to_dense(),
+                          Um @ sum_ @ Um.T)
+
+
+def test_direct_sum_op_rejects_other_spaces():
+    # only two L2 operators at the n_max of U and of the Double space
+    nm = half(1)
+    l2 = enumerate_space("L2", nm)
+    dbl = enumerate_space("Double", nm)
+    U = build_U(nm)
+    I = SparseOp.identity(l2)
+    assert direct_sum_op(I, I, U, dbl).nnz == dbl.dim
+    bad = (SparseOp.identity(dbl), SparseOp.identity(enumerate_space("L2", 2)),
+           SparseOp.identity(enumerate_space("L2", half(0.5))))
+    for T in bad:
+        for args in ((T, I, U, dbl), (I, T, U, dbl)):
+            with pytest.raises(SpaceMismatchError):
+                direct_sum_op(*args)
+    with pytest.raises(SpaceMismatchError):  # a map of another n_max
+        direct_sum_op(I, I, build_U(half(0.5)), dbl)
+    with pytest.raises(SpaceMismatchError):  # not the Double space
+        direct_sum_op(I, I, U, enumerate_space("L2", half(2)))
 
 
 @pytest.mark.parametrize("nm", [0, 4])
@@ -82,26 +130,42 @@ def test_intertwine_is_exact(nm):
     assert rep.dim_sum == rep.dim_double
 
 
-def test_intertwine_negative_control():
+def test_intertwine_negative_control(monkeypatch):
     # redirecting U through a swap of two eigenvectors with different
     # eigenvalues must produce a nonzero conjugation defect
-    from diraclab.rep_double import dirac_D
-
     nm = half(1)
     U = build_U(nm)
     l2 = enumerate_space("L2", nm)
+    dbl = enumerate_space("Double", nm)
     d1, absd2 = dirac_pair(l2)
-    blk = direct_sum_op(d1, absd2)
-    diag = blk.mat.diagonal()
+    diag = np.concatenate([d1.diag(), absd2.diag()])  # of D1 (+) |D2|
     a, b = 0, int(np.argmax(diag != diag[0]))
-    perm = np.arange(U.dom.dim)
-    perm[a], perm[b] = perm[b], perm[a]
-    S = SparseOp.from_coo(U.dom, U.dom, perm, np.arange(U.dom.dim),
-                          np.ones(U.dom.dim))
-    Ubad = U @ S
-    defect = (Ubad @ blk @ Ubad.adjoint() - dirac_D(U.cod)).max_abs()
+    Ubad = U.copy()
+    Ubad[a], Ubad[b] = U[b], U[a]
+    defect = (direct_sum_op(d1, absd2, Ubad, dbl) - dirac_D(dbl)).max_abs()
     assert defect >= abs(diag[a] - diag[b]) - 1e-12
     assert defect > 0.5
+    # the swapped map is still a permutation: only the conjugation fails
+    monkeypatch.setattr(decomp, "build_U", lambda n_max: Ubad)
+    rep = check_dirac_intertwine(nm)
+    assert rep.unitary_defect == 0.0
+    assert rep.conjugation_defect == defect
+
+
+@pytest.mark.parametrize("fault", ["repeated", "absent"])
+def test_unitary_defect_negative_control(monkeypatch, fault):
+    # a map that hits one Double ordinal twice, or sends an ordinal to no
+    # label (-1), is not unitary
+    nm = half(1.5)
+    bad = build_U(nm).copy()
+    if fault == "repeated":
+        bad[1] = bad[0]
+    else:
+        bad[0] = -1
+    monkeypatch.setattr(decomp, "build_U", lambda n_max: bad)
+    rep = check_dirac_intertwine(nm)
+    assert rep.unitary_defect >= 1.0
+    assert rep.U is bad
 
 
 def test_kq_defect_validates_generator():

@@ -34,7 +34,8 @@ def test_validate_config_distinct_errors():
         (dict(tolerances={"relation": 0.0}), "must be positive"),
         (dict(suites=()), "at least one suite"),
         (dict(suites=("nonesuch",)), "unknown suite"),
-        (dict(suites=("commutators",), n_max=HalfInt(2)), "needs n_max >= 2"),
+        (dict(suites=("kq-decay",), n_max=HalfInt(7)), "needs n_max >= 4"),
+        (dict(suites=("commutators",), n_max=HalfInt(5)), "needs n_max >= 3"),
         (dict(suites=("minimality",), n_max=HalfInt(0)), "needs n_max >= 1/2"),
         (dict(emit_plot=True), "needs an output directory"),
     ]

@@ -3,9 +3,7 @@ import pytest
 from diraclab.hilbert import (
     DoubleIndex,
     L2Index,
-    SumIndex,
     TruncatedSpace,
-    direct_sum,
     enumerate_space,
     interior,
 )
@@ -130,21 +128,6 @@ def test_interior_monotone():
         if prev is not None:
             assert cur <= prev
         prev = cur
-
-
-def test_direct_sum():
-    l2 = enumerate_space("L2", half(1))
-    sm = direct_sum(l2, l2)
-    assert sm.dim == 2 * l2.dim
-    assert sm.kind == "L2+L2"
-    # copy 0 labels come first, in the summand's order
-    for k in range(l2.dim):
-        lab = sm.basis[k]
-        assert isinstance(lab, SumIndex)
-        assert lab.copy == 0 and lab.label == l2.basis[k]
-    for k in range(l2.dim):
-        assert sm.basis[l2.dim + k].copy == 1
-    assert sm.ordinal(SumIndex(1, l2.basis[3])) == l2.dim + 3
 
 
 def test_signature_distinguishes_spaces():

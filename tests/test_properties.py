@@ -5,6 +5,7 @@ example database is kept, so every run checks the same cases.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +38,11 @@ def test_unstarred_generators_are_exact_transposes(q, tn_max):
 @deterministic
 @given(tn_max=tn_maxes)
 def test_U_is_a_permutation(tn_max):
-    U = build_U(HalfInt(tn_max)).mat
+    # the matrix of the map: duplicate coordinates would sum to 2.0
+    U = build_U(HalfInt(tn_max))
+    dim = enumerate_space("Double", HalfInt(tn_max)).dim
+    assert U.shape == (dim,) and U.min() >= 0
+    U = sp.csr_matrix((np.ones(dim), (U, np.arange(dim))), shape=(dim, dim))
     assert U.shape[0] == U.shape[1]
     assert (U.data == 1.0).all()
     np.testing.assert_array_equal(np.diff(U.indptr), 1)
