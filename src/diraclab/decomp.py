@@ -31,7 +31,8 @@ from ._kernels import spectral_norms
 from .hilbert import TruncatedSpace, enumerate_space
 from .linop import SparseOp, SpaceMismatchError
 from .qnum import HalfInt, half, q_power, validate_q
-from .rep_double import _halves, _matrix, a_minus, a_plus, b_minus, b_plus
+from .rep_double import (_halves, _matrix, a_minus, a_plus, b_minus, b_plus,
+                         dirac_D)
 from .rep_l2 import D1_PARAMS, D2_PARAMS, _sqrt0, abs_op, dirac_family
 
 #: Generators whose defect the reduction step actually needs (the other two
@@ -102,19 +103,21 @@ def check_dirac_intertwine(n_max) -> DecompositionReport:
     """Verify U (D1 (+) |D2|) U* = D exactly on the truncation.
 
     U is unitary iff its map hits every Double ordinal exactly once; an
-    absent target (-1) counts as a defect.  Both reported defects are
-    exactly 0.0: the three diagonals hold machine integers and conjugation
-    by a permutation only reorders them.
+    absent target (-1) counts as a defect, and leaves no conjugate to
+    compare, so the conjugation defect is then inf.  Both reported defects
+    are exactly 0.0: the three diagonals hold machine integers and
+    conjugation by a permutation only reorders them.
     """
-    from .rep_double import dirac_D
-
     n_max = half(n_max)
     U = build_U(n_max)
     dbl = enumerate_space("Double", n_max)
+    absent = bool(np.any(U < 0))
     hits = np.bincount(U[U >= 0], minlength=dbl.dim)
-    unitary = float(max(np.abs(hits - 1).max(), np.any(U < 0)))
-    blk = direct_sum_op(*dirac_pair(enumerate_space("L2", n_max)), U, dbl)
-    conj = (blk - dirac_D(dbl)).max_abs()
+    unitary = float(max(np.abs(hits - 1).max(), absent))
+    conj = math.inf
+    if not absent:
+        blk = direct_sum_op(*dirac_pair(enumerate_space("L2", n_max)), U, dbl)
+        conj = (blk - dirac_D(dbl)).max_abs()
     return DecompositionReport(n_max, len(U), dbl.dim, unitary, conj, U)
 
 
@@ -253,22 +256,24 @@ def leading_form(kind: str, n, i, j, q: float) -> np.ndarray:
 def asymptotic_residual(kind: str, levels, q: float) -> np.ndarray:
     """Max entrywise |exact - leading| over the (i, j) grid, per level.
 
-    The grid at level n runs i in {-n..n}, j in {-n-1/2..n+1/2} (the labels
-    the coefficient matrices are evaluated at in the doubled representation);
-    the grids of all levels are evaluated as one label array.
+    The grid at level n is the up band of the Double space, i in {-n..n}
+    and j in {-n-1/2..n+1/2}; the requested levels of one Double
+    enumeration are evaluated as one label array.  One value per entry of
+    ``levels``, in its order, repeats kept.
     """
     if kind not in _EXACT:
         raise ValueError(f"asymptotic_residual: kind must be one of "
                          f"{tuple(_EXACT)}, got {kind!r}")
     q = validate_q(q)
-    tns = [half(n).twice for n in levels]
-    size = [(tn + 1) * (tn + 2) for tn in tns]
-    tn, first = np.repeat(tns, size), np.cumsum(size) - size
-    r = np.arange(len(tn)) - np.repeat(first, size)
-    lab = (tn / 2.0, (2 * (r // (tn + 2)) - tn) / 2.0,
-           (2 * (r % (tn + 2)) - tn - 1) / 2.0)
+    tns = np.array([half(n).twice for n in levels])
+    dbl = enumerate_space("Double", HalfInt(int(tns.max())))
+    at = np.flatnonzero((dbl.band == 0) & np.isin(dbl.tn, tns))
+    tn = dbl.tn[at]
+    lab = (tn / 2.0, dbl.ti[at] / 2.0, dbl.tj[at] / 2.0)
     res = np.abs(_EXACT[kind](*lab, q) - leading_form(kind, *lab, q))
-    return np.maximum.reduceat(res.max(axis=(1, 2)), first)
+    first = np.flatnonzero(np.diff(tn, prepend=-1))  # each level's first label
+    return np.maximum.reduceat(res.max(axis=(1, 2)), first)[
+        np.searchsorted(tn[first], tns)]
 
 
 class AsymptoticScan(NamedTuple):

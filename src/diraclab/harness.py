@@ -99,6 +99,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             raise ValueError(f"config: unknown suite {s!r} "
                              f"(expected a subset of {SUITES})")
     suites = tuple(s for s in SUITES if s in suites)  # canonical order
+    if "relations" in suites and n_max.twice < 2:
+        raise ValueError("config: the relations suite measures defects on "
+                         "the interior of n_max - 1 and needs n_max >= 1")
     if "kq-decay" in suites and n_max.twice < 8:
         raise ValueError("config: the kq-decay suite fits levels n in "
                          "[2, n_max - 1], at least three, and needs n_max >= 4")

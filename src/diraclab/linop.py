@@ -44,9 +44,16 @@ class SparseOp:
     def from_coo(dom, cod, rows, cols, vals) -> "SparseOp":
         """Canonical operator from coordinates: sorted stably by
         row * dom.dim + col, duplicates summed in input order, entries below
-        PRUNE_TOL dropped."""
-        key = np.asarray(rows, dtype=np.int64) * max(dom.dim, 1)
-        key += np.asarray(cols, dtype=np.int64)
+        PRUNE_TOL dropped.  A row outside [0, cod.dim) or a column outside
+        [0, dom.dim) raises SpaceMismatchError."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if len(rows) and not (0 <= rows.min() and rows.max() < cod.dim
+                              and 0 <= cols.min() and cols.max() < dom.dim):
+            raise SpaceMismatchError("from_coo: a coordinate lies outside "
+                                     "the domain or codomain")
+        key = rows * max(dom.dim, 1)
+        key += cols
         order = np.argsort(key, kind="stable")
         key = key[order]
         new = np.empty(len(key), dtype=bool)

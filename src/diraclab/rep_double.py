@@ -18,19 +18,23 @@ Transcription of the four displays is isolated in one leaf function per
 matrix below — it is the highest-risk step of the whole build, and each leaf
 is pinned against independent evaluation oracles in the tests.  The leaves
 broadcast: given arrays of labels they return one 2x2 matrix per label (in
-the last two axes), so a generator is assembled in one numpy pass over the
-label arrays of the space.  Overflow of q^{-m} at tiny q raises
-OverflowError, for an array of labels as for one (see :data:`_silent`).
+the last two axes).  :func:`rep_l2._band_op`, which assembles the hatted
+pair too, evaluates each leaf once over the label arrays of the space and
+reads entry [t, s] at the hits of each target band t.  Overflow of q^{-m}
+at tiny q raises OverflowError, for an array of labels as for one (see
+:data:`_silent`).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .hilbert import TruncatedSpace
 from .linop import SparseOp
 from .qnum import q_number, q_power, twice, validate_q
-from .rep_l2 import _sqrt0
+from .rep_l2 import _band_op, _sqrt0
 
 
 #: Float semantics of the leaves over arrays, as for Python floats: every
@@ -158,9 +162,6 @@ def pi_prime(gen: str, space: TruncatedSpace, q: float) -> SparseOp:
     would target d^n_{i, +-(n+1/2)} never appear (those labels are not in the
     basis).  'alpha' and 'beta*' are the adjoints of 'alpha*' and 'beta';
     all five defining relations hold on interior vectors at machine precision.
-
-    Each coefficient matrix is evaluated once over the label arrays of the
-    space; source band s and target band t select the entry M[t, s].
     """
     q = validate_q(q)
     if space.kind != "Double":
@@ -169,21 +170,9 @@ def pi_prime(gen: str, space: TruncatedSpace, q: float) -> SparseOp:
         return pi_prime(_ADJOINTS[gen], space, q).adjoint()
     if gen not in _MOVES:
         raise ValueError(f"unknown generator {gen!r}")
-    (mat_up, mat_dn), (di, dj), sgn = _MOVES[gen]
-    labels = (space.tn / 2.0, space.ti / 2.0, space.tj / 2.0)
-    col = np.arange(space.dim)
-    rows, cols, vals = [], [], []
-    for mat_fn, dn in ((mat_up, +1), (mat_dn, -1)):
-        M = mat_fn(*labels, q)
-        for tb in (0, 1):
-            row = space.ordinals(space.tn + dn, space.ti + di, space.tj + dj,
-                                 band=tb)
-            hit = row >= 0
-            rows.append(row[hit])
-            cols.append(col[hit])
-            vals.append(sgn * M[col[hit], tb, space.band[hit]])
-    return SparseOp.from_coo(space, space, np.concatenate(rows),
-                             np.concatenate(cols), np.concatenate(vals))
+    (up, down), shift, sgn = _MOVES[gen]
+    return _band_op(space, shift, functools.partial(up, q=q),
+                    functools.partial(down, q=q), sgn)
 
 
 def pi_prime_generators(space: TruncatedSpace, q: float) -> dict:

@@ -18,6 +18,11 @@ level (they belong to the compact ideal measured in :mod:`diraclab.decomp`);
 the worst-case relation defects have closed forms, pinned in the test suite.
 The spinorial representation in :mod:`diraclab.rep_double` satisfies the same
 relations at machine precision.
+
+:func:`_band_op` assembles a band operator on either space kind, so it
+builds both this pair and pi'.  A word over ``GENERATORS`` is a plain tuple
+of (weight, symbols) terms: :func:`relation_words` writes the five defining
+relations so, and :func:`pi_hat` evaluates any word on any generator dict.
 """
 
 from __future__ import annotations
@@ -38,22 +43,28 @@ def _sqrt0(x):
     return np.sqrt(np.maximum(x, 0.0))
 
 
-def _band_op(space, shift, up, down) -> SparseOp:
-    """The operator moving e^{(n)}_{ij} to levels n +- 1/2 and weights
-    (i, j) + shift/2, with coefficients up(n, i, j) and down(n, i, j)
-    evaluated over the label arrays of an L2 space."""
-    _check_l2(space)
+def _band_op(space, shift, up, down, sign=1.0) -> SparseOp:
+    """The operator moving each basis vector of level n to levels n +- 1/2
+    and weights (i, j) + shift/2, with coefficients up(n, i, j) and
+    down(n, i, j), each evaluated once over the label arrays of the space.
+
+    On L2 a coefficient is one value per ordinal.  On Double it is one 2x2
+    matrix per ordinal, and source band s feeds target band t its entry
+    [t, s].  ``sign`` multiplies the selected values.
+    """
     tn, ti, tj = space.tn, space.ti, space.tj
-    n, i, j = tn / 2.0, ti / 2.0, tj / 2.0
+    labels = (tn / 2.0, ti / 2.0, tj / 2.0)
     di, dj = shift
-    col = np.arange(space.dim)
     rows, cols, vals = [], [], []
     for dn, coeff in ((+1, up), (-1, down)):
-        row = space.ordinals(tn + dn, ti + di, tj + dj)
-        hit = row >= 0
-        rows.append(row[hit])
-        cols.append(col[hit])
-        vals.append(coeff(n[hit], i[hit], j[hit]))
+        c = coeff(*labels)
+        for tb in (None,) if space.band is None else (0, 1):
+            row = space.ordinals(tn + dn, ti + di, tj + dj, band=tb)
+            hit = np.flatnonzero(row >= 0)
+            rows.append(row[hit])
+            cols.append(hit)
+            vals.append(sign * (c[hit] if tb is None
+                                else c[hit, tb, space.band[hit]]))
     return SparseOp.from_coo(space, space, np.concatenate(rows),
                              np.concatenate(cols), np.concatenate(vals))
 
@@ -61,6 +72,7 @@ def _band_op(space, shift, up, down) -> SparseOp:
 def alpha_hat(space: TruncatedSpace, q: float) -> SparseOp:
     """The band operator alpha_hat on a truncated L2 space."""
     q = validate_q(q)
+    _check_l2(space)
     return _band_op(
         space, (-1, -1),
         lambda n, i, j: q_power(2 * n + i + j + 1, q),
@@ -71,6 +83,7 @@ def alpha_hat(space: TruncatedSpace, q: float) -> SparseOp:
 def beta_hat(space: TruncatedSpace, q: float) -> SparseOp:
     """The band operator beta_hat on a truncated L2 space."""
     q = validate_q(q)
+    _check_l2(space)
     return _band_op(
         space, (+1, -1),
         lambda n, i, j: (-q_power(n + j, q)
@@ -92,46 +105,22 @@ def hat_generators(space: TruncatedSpace, q: float) -> dict:
             "beta": b, "beta*": b.adjoint()}
 
 
-# ------------------------------------------------------------ generator words
-
-class GeneratorWord(NamedTuple):
-    """A *-polynomial: weighted sum of words over {alpha, alpha*, beta, beta*}.
-
-    Each term is (weight, symbols); the empty symbol tuple is the identity.
-    Under evaluation, symbols multiply left to right as operators (the
-    rightmost factor acts first), and evaluation is multiplicative over
-    concatenation of words.
-    """
-
-    terms: tuple
-
-    @property
-    def length(self) -> int:
-        return max((len(s) for _, s in self.terms), default=0)
-
-    def __add__(self, other):
-        return GeneratorWord(self.terms + other.terms)
-
-
-def word(*symbols, weight: float = 1.0) -> GeneratorWord:
-    for s in symbols:
-        if s not in GENERATORS:
-            raise ValueError(f"unknown generator symbol {s!r}")
-    return GeneratorWord(((float(weight), tuple(symbols)),))
-
-
-def pi_hat(w: GeneratorWord, space: TruncatedSpace, q: float,
+def pi_hat(w: tuple, space: TruncatedSpace, q: float,
            ops: dict | None = None) -> SparseOp:
-    """Evaluate a generator word in the hatted pair.
+    """Evaluate a word, a tuple of (weight, symbols) terms, in the hatted
+    pair or in the generators ``ops``.
 
-    Assertions about the result are only meaningful on interior vectors with
-    margin = word length / 2: a length-L word moves the level by at most L/2,
-    so on that subset truncation cannot contaminate the outcome.
+    Symbols multiply left to right as operators (the rightmost acts first),
+    the empty symbol tuple is the identity and the empty tuple of terms is
+    zero; an unknown symbol raises KeyError.  Assertions about the result
+    are only meaningful on interior vectors with margin = word length / 2:
+    a length-L word moves the level by at most L/2, so on that subset
+    truncation cannot contaminate the outcome.
     """
     if ops is None:
         ops = hat_generators(space, q)
     out = None
-    for weight, syms in w.terms:
+    for weight, syms in w:
         cur = ops[syms[0]] if syms else SparseOp.identity(space)
         for s in syms[1:]:
             cur = cur @ ops[s]
@@ -140,7 +129,7 @@ def pi_hat(w: GeneratorWord, space: TruncatedSpace, q: float,
 
 
 def relation_words(q: float) -> dict:
-    """The five defining relations as defect words (each should evaluate to 0).
+    """The five defining relations as words (each should evaluate to 0).
 
     unit_left        alpha* alpha + beta* beta - 1
     unit_right       alpha alpha* + q^2 beta beta* - 1
@@ -150,14 +139,14 @@ def relation_words(q: float) -> dict:
     """
     q = validate_q(q)
     return {
-        "unit_left": (word("alpha*", "alpha") + word("beta*", "beta")
-                      + word(weight=-1.0)),
-        "unit_right": (word("alpha", "alpha*") + word("beta", "beta*", weight=q * q)
-                       + word(weight=-1.0)),
-        "twist_beta": word("alpha", "beta") + word("beta", "alpha", weight=-q),
-        "twist_beta_star": (word("alpha", "beta*")
-                            + word("beta*", "alpha", weight=-q)),
-        "beta_normal": word("beta*", "beta") + word("beta", "beta*", weight=-1.0),
+        "unit_left": ((1.0, ("alpha*", "alpha")), (1.0, ("beta*", "beta")),
+                      (-1.0, ())),
+        "unit_right": ((1.0, ("alpha", "alpha*")), (q * q, ("beta", "beta*")),
+                       (-1.0, ())),
+        "twist_beta": ((1.0, ("alpha", "beta")), (-q, ("beta", "alpha"))),
+        "twist_beta_star": ((1.0, ("alpha", "beta*")),
+                            (-q, ("beta*", "alpha"))),
+        "beta_normal": ((1.0, ("beta*", "beta")), (-1.0, ("beta", "beta*"))),
     }
 
 

@@ -166,6 +166,9 @@ def test_unitary_defect_negative_control(monkeypatch, fault):
     rep = check_dirac_intertwine(nm)
     assert rep.unitary_defect >= 1.0
     assert rep.U is bad
+    if fault == "absent":
+        # no relabelled operator exists to compare with D
+        assert rep.conjugation_defect == math.inf
 
 
 def test_kq_defect_validates_generator():

@@ -34,6 +34,7 @@ def test_validate_config_distinct_errors():
         (dict(tolerances={"relation": 0.0}), "must be positive"),
         (dict(suites=()), "at least one suite"),
         (dict(suites=("nonesuch",)), "unknown suite"),
+        (dict(suites=("relations",), n_max=HalfInt(1)), "needs n_max >= 1"),
         (dict(suites=("kq-decay",), n_max=HalfInt(7)), "needs n_max >= 4"),
         (dict(suites=("commutators",), n_max=HalfInt(5)), "needs n_max >= 3"),
         (dict(suites=("minimality",), n_max=HalfInt(0)), "needs n_max >= 1/2"),

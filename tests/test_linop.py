@@ -65,6 +65,21 @@ def test_prune_tolerance():
     assert T.nnz == 1
 
 
+def test_from_coo_rejects_coordinates_outside_its_spaces():
+    dbl = enumerate_space("Double", half(1))
+    # row * dim + col would fold (5, dim + 3) onto the entry (6, 3)
+    for rows, cols in (([5], [dbl.dim + 3]), ([dbl.dim], [0]), ([-1], [0]),
+                       ([0], [-1])):
+        with pytest.raises(SpaceMismatchError):
+            SparseOp.from_coo(dbl, dbl, rows, cols, [1.0])
+    # the bounds are the codomain's for rows and the domain's for columns
+    a, b = _toy_space(0.5), _toy_space(1)
+    T = SparseOp.from_coo(a, b, [b.dim - 1], [a.dim - 1], [1.0])
+    assert (T.rows.tolist(), T.cols.tolist()) == ([b.dim - 1], [a.dim - 1])
+    with pytest.raises(SpaceMismatchError):
+        SparseOp.from_coo(a, b, [0], [a.dim], [1.0])
+
+
 def test_adjoint_involution_and_shift():
     sp = _toy_space(1)
     rng = np.random.default_rng(7)

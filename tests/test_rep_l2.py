@@ -10,7 +10,6 @@ from diraclab.rep_l2 import (
     D1_PARAMS,
     D2_PARAMS,
     DiracParams,
-    GeneratorWord,
     abs_op,
     alpha_hat,
     beta_hat,
@@ -18,7 +17,6 @@ from diraclab.rep_l2 import (
     hat_generators,
     pi_hat,
     relation_words,
-    word,
 )
 
 Q = 0.5
@@ -120,29 +118,31 @@ def test_hat_generators_adjoints():
 
 def test_pi_hat_empty_word_is_identity():
     sp = enumerate_space("L2", half(1))
-    T = pi_hat(word(), sp, Q)
+    T = pi_hat(((1.0, ()),), sp, Q)
     assert np.array_equal(T.to_dense(), np.eye(sp.dim))
     # and a word with no terms is the empty sum
-    assert np.array_equal(pi_hat(GeneratorWord(()), sp, Q).to_dense(),
+    assert np.array_equal(pi_hat((), sp, Q).to_dense(),
                           np.zeros((sp.dim, sp.dim)))
 
 
 def test_pi_hat_is_multiplicative():
     sp = enumerate_space("L2", half(2))
     ops = hat_generators(sp, Q)
-    T = pi_hat(word("alpha", "beta"), sp, Q, ops)
+    T = pi_hat(((1.0, ("alpha", "beta")),), sp, Q, ops)
     np.testing.assert_allclose(T.to_dense(),
                                (ops["alpha"] @ ops["beta"]).to_dense(),
                                atol=1e-15)
-    S = pi_hat(word("beta", weight=2.0) + word(weight=-0.5), sp, Q, ops)
+    S = pi_hat(((2.0, ("beta",)), (-0.5, ())), sp, Q, ops)
     np.testing.assert_allclose(
         S.to_dense(), 2.0 * ops["beta"].to_dense() - 0.5 * np.eye(sp.dim),
         atol=1e-15)
 
 
 def test_word_rejects_unknown_symbol():
-    with pytest.raises(ValueError):
-        word("gamma")
+    sp = enumerate_space("L2", half(1))
+    for syms in (("gamma",), ("alpha", "gamma")):
+        with pytest.raises(KeyError):
+            pi_hat(((1.0, syms),), sp, Q)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
@@ -199,7 +199,7 @@ def test_relation_words_shape():
     rel = relation_words(Q)
     assert set(rel) == {"unit_left", "unit_right", "twist_beta",
                         "twist_beta_star", "beta_normal"}
-    assert all(w.length == 2 for w in rel.values())
+    assert all(max(len(syms) for _, syms in w) == 2 for w in rel.values())
 
 
 def test_dirac_family_tables():
