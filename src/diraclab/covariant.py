@@ -80,6 +80,9 @@ def cyclic_dimension(generators, seed, depth: int,
             f"beyond the truncation n_max = {space.n_max}")
 
     if isinstance(seed, (int, np.integer)):
+        if not 0 <= seed < space.dim:
+            raise ValueError(f"cyclic_dimension: seed ordinal {seed} lies "
+                             f"outside [0, {space.dim})")
         v0 = np.zeros(space.dim)
         v0[int(seed)] = 1.0
     else:

@@ -79,6 +79,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     for v in qs:
         if not 0.0 < v < 1.0:
             raise ValueError(f"config: q values must lie in (0, 1), got {v}")
+    if len(set(qs)) < len(qs):
+        raise ValueError(f"config: q values must be distinct, got {qs}")
     n_max = half(cfg.n_max)
     if n_max.twice < 0:
         raise ValueError(f"config: n_max must be >= 0, got {n_max}")
@@ -182,11 +184,13 @@ def _commutator_norms(ops) -> dict:
     for rep, kind in (("hat", "L2"), ("prime", "Double")):
         space, gens = ops(kind)
         D = dirac_family(D1_PARAMS, space) if rep == "hat" else dirac_D(space)
-        small = enumerate_space(kind, HalfInt(space.n_max.twice - 4))
-        pl, ps = interior_projector(space, 1), interior_projector(small, 1)
+        p1, p3 = interior_projector(space, 1), interior_projector(space, 3)
         for g, T in gens.items():
-            C = (D @ T - T @ D) @ pl  # pl is 1 on every level of small
-            vals[(rep, g)] = op_norm(C.compress(small) @ ps), op_norm(C)
+            C = (D @ T - T @ D) @ p1
+            # columns at levels <= n_max - 3 map into levels <= n_max - 5/2,
+            # so C @ p3 holds the entries of the commutator built at
+            # n_max - 2 on its interior(1), in the same order
+            vals[(rep, g)] = op_norm(C @ p3), op_norm(C)
     return vals
 
 
@@ -386,7 +390,7 @@ def emit(reports, cfg: RunConfig, plots: dict | None = None) -> list:
         for (gen, q), (levels, norms) in sorted(plots.items()):
             rows = [f"{lev.value:g} {math.log(v):.17g}"
                     for lev, v in zip(levels, norms) if v > 0.0]
-            ppath = os.path.join(out, f"kq_{_PLOT_GEN_NAME[gen]}_q{q:g}.dat")
+            ppath = os.path.join(out, f"kq_{_PLOT_GEN_NAME[gen]}_q{q!r}.dat")
             _write_text(ppath, "\n".join(rows) + "\n")
             paths.append(ppath)
     return paths

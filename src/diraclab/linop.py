@@ -143,16 +143,6 @@ class SparseOp:
         return SparseOp(self.cod, self.dom, self.cols[order],
                         self.rows[order], self.vals[order])
 
-    def compress(self, space) -> "SparseOp":
-        """P T P on a smaller truncation ``space`` of the same kind, whose
-        basis is a prefix of the level-major basis."""
-        big = {(s.kind, s.n_max >= space.n_max) for s in (self.dom, self.cod)}
-        if big != {(space.kind, True)}:
-            raise SpaceMismatchError("compress: not a smaller truncation")
-        keep = (self.rows < space.dim) & (self.cols < space.dim)
-        return SparseOp(space, space, self.rows[keep], self.cols[keep],
-                        self.vals[keep])
-
     def __matmul__(self, other):
         return self.compose(other)
 

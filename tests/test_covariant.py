@@ -134,6 +134,9 @@ def test_input_validation():
         cyclic_dimension(gens, np.zeros(sp.dim), 1)
     with pytest.raises(ValueError):
         cyclic_dimension(gens, np.ones(3), 1)
+    for bad_seed in (-1, sp.dim):  # ordinals outside [0, dim)
+        with pytest.raises(ValueError):
+            cyclic_dimension(gens, bad_seed, 1)
     other = enumerate_space("L2", half(3))
     bad = [SparseOp.identity(other)] + gens
     with pytest.raises(SpaceMismatchError):

@@ -29,6 +29,7 @@ def test_validate_config_distinct_errors():
     cases = [
         (dict(q=()), "at least one q"),
         (dict(q=(1.5,)), "lie in (0, 1)"),
+        (dict(q=(0.5, 0.3, 0.5)), "must be distinct"),
         (dict(n_max=HalfInt(-2)), "n_max must be >= 0"),
         (dict(tolerances={"bogus": 1e-9}), "unknown tolerance"),
         (dict(tolerances={"relation": 0.0}), "must be positive"),
@@ -157,7 +158,7 @@ def test_generators_are_assembled_once_per_q(monkeypatch, suites, calls):
 
 @pytest.mark.parametrize("q", [0.3, 0.8])
 def test_commutator_norms_match_operators_built_at_each_size(q):
-    # the small norm comes from compressing the large commutator; it must
+    # the small norm comes from projecting the large commutator; it must
     # equal the norm of the commutator built at n_max - 2, cut to the
     # interior of that truncation
     from diraclab.harness import _commutator_norms, _operators
@@ -259,6 +260,25 @@ def test_kq_plot_files(tmp_path):
         # past the pre-asymptotic region the log-norms decrease
         tail = [v for l, v in zip(levels, lnn) if l >= 2]
         assert all(tail[k + 1] < tail[k] for k in range(len(tail) - 1))
+
+    # q values equal to six significant digits get a file each, holding
+    # the same norms as a run of that q alone
+    qs = (0.1234567, 0.1234568)
+    both = tmp_path / "both"
+    run(_cfg(suites=("kq-decay",), q=qs, n_max=HalfInt(10),
+             out_dir=str(both), emit_plot=True))
+    assert len(list(both.glob("kq_*.dat"))) == 4
+    texts = {}
+    for q in qs:
+        alone = tmp_path / repr(q)
+        run(_cfg(suites=("kq-decay",), q=(q,), n_max=HalfInt(10),
+                 out_dir=str(alone), emit_plot=True))
+        for gen in ("alphastar", "beta"):
+            name = f"kq_{gen}_q{q!r}.dat"
+            texts[gen, q] = (alone / name).read_text()
+            assert (both / name).read_text() == texts[gen, q], name
+    for gen in ("alphastar", "beta"):
+        assert texts[gen, qs[0]] != texts[gen, qs[1]]
 
 
 def test_cli_exit_codes(tmp_path, capsys):
