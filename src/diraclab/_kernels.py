@@ -5,9 +5,9 @@ amount, so it maps each weight sector (``TruncatedSpace.sector``) into one
 other sector (:func:`sector_map`).  A graded operator splits into (target x
 source sector) blocks at most floor(n_max) + 1 square, so a dense SVD of
 each is exact and cheap; an ungraded one is one block.  :func:`spectral_norms`
-fills the blocks of every row group (the levels, or all rows as one) in one
-pass and decomposes only those whose Schur bound reaches the norm of their
-group's block of largest bound.
+bounds every block of every row group (the levels, or all rows as one) from
+its entries (:func:`schur_bounds`), and fills and decomposes only the blocks
+whose bound reaches the norm of their group's block of largest bound.
 """
 
 import numpy as np
@@ -51,12 +51,6 @@ def _positions(lab, n_labels):
     return pos, size
 
 
-def schur_bounds(a):
-    """sqrt(max row sum x max column sum) of |A| per A of a batch: >= |A|_2."""
-    a = np.abs(a)
-    return np.sqrt(a.sum(2).max(1)) * np.sqrt(a.sum(1).max(1))
-
-
 def _places(blk, idx, n_idx, n_blocks):
     """(place of each entry's index among its block's, count per block)."""
     lab = np.full(n_idx, n_blocks)
@@ -68,6 +62,21 @@ def _places(blk, idx, n_idx, n_blocks):
     return pos[idx], size[:n_blocks]
 
 
+def schur_bounds(blk, rpos, cpos, data, nrows, ncols):
+    """sqrt(max row sum x max column sum) of |data| per block: at least the
+    2-norm of each block, whose entry k is ``data[k]`` at place ``(rpos[k],
+    cpos[k])`` of block ``blk[k]`` (duplicates summed, as the sums of their
+    absolute values bound |sum x| <= sum |x|).  Every block holds an entry.
+    A NaN entry makes its block's bound NaN, an inf one inf.
+    """
+    rstart, cstart = np.cumsum(nrows) - nrows, np.cumsum(ncols) - ncols
+    a = np.abs(data)
+    rsum = np.bincount(rstart[blk] + rpos, a, minlength=int(nrows.sum()))
+    csum = np.bincount(cstart[blk] + cpos, a, minlength=int(ncols.sum()))
+    return (np.sqrt(np.maximum.reduceat(rsum, rstart))
+            * np.sqrt(np.maximum.reduceat(csum, cstart)))
+
+
 def spectral_norms(row, col, data, row_sector, col_sector, row_group,
                    n_groups) -> np.ndarray:
     """Largest singular value of each row group (``row_group[r]`` in
@@ -76,10 +85,14 @@ def spectral_norms(row, col, data, row_sector, col_sector, row_group,
 
     The largest dense 2-norm over the group's (target x source sector)
     blocks, or of one block if its entries are not graded, each cut to its
-    rows and columns.  One ``np.bincount`` fills every block (duplicates are
-    summed), one batch per shape.  Blocks whose Schur bound is below the
-    norm of their group's block of largest bound are skipped; LAPACK takes
-    each matrix of a batch alone, so the result is that of decomposing all.
+    rows and columns.  Each block's Schur bound comes from its entries
+    (:func:`schur_bounds`).  Each group's block of largest bound is filled
+    and decomposed first; its norm is a lower bound of the group's, and of
+    the other blocks only those whose bound reaches it are filled and
+    decomposed.  A fill is one ``np.bincount`` (duplicates summed in input
+    order) with the blocks of one shape side by side, one batch per shape;
+    LAPACK takes each matrix of a batch alone, so the result is that of
+    decomposing all.
     """
     out = np.zeros(n_groups)
     if len(data) == 0:
@@ -100,28 +113,34 @@ def spectral_norms(row, col, data, row_sector, col_sector, row_group,
     nb = len(group)
     rpos, nrows = _places(blk, row, len(row_sector), nb)
     cpos, ncols = _places(blk, col, len(col_sector), nb)
-    order = np.lexsort((ncols, nrows))  # blocks grouped by shape
-    area = nrows[order] * ncols[order]
-    start = (np.cumsum(area) - area)[np.argsort(order)]
-    flat = np.bincount(start[blk] + rpos * ncols[blk] + cpos, weights=data,
-                       minlength=int(area.sum()))
-    # one batch per shape: its blocks and their matrices
-    cut = np.flatnonzero(np.diff(nrows[order]) | np.diff(ncols[order])) + 1
-    batches = [(k, b.reshape(len(k), nrows[k[0]], ncols[k[0]])) for k, b in
-               zip(np.split(order, cut), np.split(flat, start[order[cut]]))]
-    norm, bound = np.zeros(nb), np.empty(nb)
+    norm = np.zeros(nb)
 
     def decompose(take):
-        for k, b in batches:
-            if take[k].any():
-                norm[k[take[k]]] = np.linalg.norm(b[take[k]], 2, axis=(1, 2))
+        """Fill the blocks ``take`` and set their norms."""
+        k = np.flatnonzero(take)
+        if len(k) == 0:
+            return
+        k = k[np.lexsort((ncols[k], nrows[k]))]  # grouped by shape
+        area = nrows[k] * ncols[k]
+        start = np.cumsum(area) - area
+        offset = np.zeros(nb, np.int64)
+        offset[k] = start
+        e = np.flatnonzero(take[blk])  # the entries of those blocks
+        b = blk[e]
+        flat = np.bincount(offset[b] + rpos[e] * ncols[b] + cpos[e],
+                           weights=data[e], minlength=int(area.sum()))
+        cut = np.flatnonzero(np.diff(nrows[k]) | np.diff(ncols[k])) + 1
+        for kk, f in zip(np.split(k, cut), np.split(flat, start[cut])):
+            norm[kk] = np.linalg.norm(
+                f.reshape(len(kk), nrows[kk[0]], ncols[kk[0]]), 2, axis=(1, 2))
 
     with np.errstate(all="ignore"):  # an overflowing bound keeps its block
-        bound[order] = np.concatenate([schur_bounds(b) for _, b in batches])
+        bound = schur_bounds(blk, rpos, cpos, data, nrows, ncols)
         # each group's top block, a NaN bound first (its SVD raises), then
         # the largest bound; its norm is the group's lower bound
         by = np.lexsort((np.where(np.isnan(bound), -np.inf, -bound), group))
-        top = np.isin(np.arange(nb), by[np.diff(group[by], prepend=-1) > 0])
+        top = np.zeros(nb, bool)
+        top[by[np.diff(group[by], prepend=-1) > 0]] = True
         decompose(top)
         out[group[top]] = norm[top]
         # a NaN lower bound keeps every block of its group

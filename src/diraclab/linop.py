@@ -9,8 +9,8 @@ Scalars are real doubles throughout (every displayed coefficient in this
 problem is real), so the adjoint is the transpose; a diagonal factor of a
 product scales the other's entries in place.  :func:`op_norm` and
 :func:`block_norm` are exact up to rounding: one row group of
-:func:`_kernels.spectral_norms`.  :meth:`SparseOp.compress` cuts an operator
-to a smaller truncation.
+:func:`_kernels.spectral_norms`.  :func:`commutator` builds [D, T] for a
+diagonal D from T's entries alone.
 """
 
 from __future__ import annotations
@@ -195,6 +195,29 @@ def block_norm(T: SparseOp, n) -> float:
     T.cod.level_ordinals(n)  # raises if T has no level n
     at = T.cod.tn[T.rows] == half(n).twice
     return op_norm(SparseOp(T.dom, T.cod, T.rows[at], T.cols[at], T.vals[at]))
+
+
+def commutator(D: SparseOp, T: SparseOp) -> SparseOp:
+    """[D, T] = D @ T - T @ D for a diagonal D, from T's entries in their
+    order: a = T * d[row] and b = T * d[col], each dropped where D stores
+    no diagonal entry (T may hold inf, which a 0 would turn into nan) or
+    below PRUNE_TOL, then a - b pruned; bit for bit the operator
+    ``D @ T - T @ D``, whose sum adds each entry's a and -b to 0.0."""
+    if not np.array_equal(D.rows, D.cols):
+        raise ValueError("commutator expects a diagonal operator")
+    if not (T.dom.signature == T.cod.signature == D.dom.signature):
+        raise SpaceMismatchError("commutator: T must act on the space of D")
+    d, on = np.zeros(D.dom.dim), np.zeros(D.dom.dim, bool)
+    d[D.rows], on[D.rows] = D.vals, True
+    a, b = np.zeros(T.nnz), np.zeros(T.nnz)
+    for out, idx in ((a, T.rows), (b, T.cols)):
+        at = np.flatnonzero(on[idx])
+        out[at] = T.vals[at] * d[idx[at]]
+        out[np.abs(out) < PRUNE_TOL] = 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as summed
+        vals = a - b
+    keep = ~(np.abs(vals) < PRUNE_TOL)
+    return SparseOp(T.dom, T.cod, T.rows[keep], T.cols[keep], vals[keep])
 
 
 def interior_projector(space: TruncatedSpace, margin) -> SparseOp:

@@ -106,7 +106,8 @@ def hat_generators(space: TruncatedSpace, q: float) -> dict:
 
 
 def pi_hat(w: tuple, space: TruncatedSpace, q: float,
-           ops: dict | None = None) -> SparseOp:
+           ops: dict | None = None, right: SparseOp | None = None,
+           terms: dict | None = None) -> SparseOp:
     """Evaluate a word, a tuple of (weight, symbols) terms, in the hatted
     pair or in the generators ``ops``.
 
@@ -116,15 +117,35 @@ def pi_hat(w: tuple, space: TruncatedSpace, q: float,
     are only meaningful on interior vectors with margin = word length / 2:
     a length-L word moves the level by at most L/2, so on that subset
     truncation cannot contaminate the outcome.
+
+    ``right``, an orthogonal projector onto basis vectors (a diagonal of
+    ones), gives ``w @ right`` with each term's last factor L projected
+    first, X @ (L @ right): bit for bit the same operator, since each of
+    its entries is the same sum in the same order, from fewer products.
+    ``terms`` keeps each unscaled term by its symbols, so that words
+    evaluated with the same ``ops`` and ``right`` share their products.
     """
     if ops is None:
         ops = hat_generators(space, q)
+    if right is not None and not (np.array_equal(right.rows, right.cols)
+                                  and np.all(right.vals == 1.0)):
+        raise ValueError("right must be a diagonal of ones")
+    if terms is None:
+        terms = {}
     out = None
     for weight, syms in w:
-        cur = ops[syms[0]] if syms else SparseOp.identity(space)
-        for s in syms[1:]:
-            cur = cur @ ops[s]
-        out = cur.scale(weight) if out is None else out + cur.scale(weight)
+        if syms not in terms:
+            cur = ops[syms[-1]] if syms else SparseOp.identity(space)
+            if right is not None:
+                cur = cur @ right if syms else right
+            if len(syms) > 1:
+                head = ops[syms[0]]
+                for s in syms[1:-1]:
+                    head = head @ ops[s]
+                cur = head @ cur
+            terms[syms] = cur
+        term = terms[syms] if weight == 1.0 else terms[syms].scale(weight)
+        out = term if out is None else out + term
     return SparseOp.zero(space) if out is None else out
 
 
@@ -132,21 +153,25 @@ def relation_words(q: float) -> dict:
     """The five defining relations as words (each should evaluate to 0).
 
     unit_left        alpha* alpha + beta* beta - 1
+    beta_normal      beta* beta - beta beta*
     unit_right       alpha alpha* + q^2 beta beta* - 1
     twist_beta       alpha beta - q beta alpha
     twist_beta_star  alpha beta* - q beta* alpha
-    beta_normal      beta* beta - beta beta*
+
+    In this order each product two words share (beta* beta, beta beta*)
+    is used by consecutive words, so an evaluation that keeps products
+    for later words (``pi_hat(..., terms=...)``) keeps each one briefly.
     """
     q = validate_q(q)
     return {
         "unit_left": ((1.0, ("alpha*", "alpha")), (1.0, ("beta*", "beta")),
                       (-1.0, ())),
+        "beta_normal": ((1.0, ("beta*", "beta")), (-1.0, ("beta", "beta*"))),
         "unit_right": ((1.0, ("alpha", "alpha*")), (q * q, ("beta", "beta*")),
                        (-1.0, ())),
         "twist_beta": ((1.0, ("alpha", "beta")), (-q, ("beta", "alpha"))),
         "twist_beta_star": ((1.0, ("alpha", "beta*")),
                             (-q, ("beta*", "alpha"))),
-        "beta_normal": ((1.0, ("beta*", "beta")), (-1.0, ("beta", "beta*"))),
     }
 
 

@@ -17,6 +17,7 @@ from diraclab.linop import (
     SparseOp,
     SpaceMismatchError,
     block_norm,
+    commutator,
     interior_projector,
     op_norm,
 )
@@ -602,13 +603,49 @@ def test_level_block_norms_equal_unpruned_norm_per_level(q, nmax):
     assert cut[0] == cut[-1] == cut[-2] == 0.0 and cut[1:-2].all()
 
 
+def _dense_bound(M):
+    """The entry bound of one dense block, every place an entry."""
+    r, c = np.indices(M.shape)
+    return schur_bounds(np.zeros(M.size, np.int64), r.ravel(), c.ravel(),
+                        M.ravel(), np.array([M.shape[0]]),
+                        np.array([M.shape[1]]))[0]
+
+
 @deterministic
 @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5),
-       st.lists(values, min_size=100, max_size=100))
-def test_schur_bound_is_not_below_the_norm(count, m, n, pool):
-    batch = np.resize(np.array(pool), count * m * n).reshape(count, m, n)
-    norms = np.linalg.norm(batch, 2, axis=(1, 2))
-    assert np.all(schur_bounds(batch) * (1 + BOUND_SLACK) >= norms)
+       st.lists(values, min_size=100, max_size=100),
+       st.lists(st.tuples(st.integers(0, 99), values), max_size=30))
+def test_schur_bound_is_not_below_the_norm(count, m, n, pool, extra):
+    """Every place of ``count`` blocks of shape m x n holds an entry, and
+    the places in ``extra`` hold a second one, summed in the dense block."""
+    blk, rpos, cpos = (a.ravel() for a in np.indices((count, m, n)))
+    data = np.resize(np.array(pool), count * m * n)
+    at = np.array([k for k, _ in extra], np.int64) % len(data)
+    blk, rpos, cpos = (np.concatenate([a, a[at]]) for a in (blk, rpos, cpos))
+    data = np.concatenate([data, [v for _, v in extra]])
+    dense = np.zeros((count, m, n))
+    np.add.at(dense, (blk, rpos, cpos), data)
+    norms = np.linalg.norm(dense, 2, axis=(1, 2))
+    bounds = schur_bounds(blk, rpos, cpos, data, np.full(count, m),
+                          np.full(count, n))
+    assert np.all(bounds * (1 + BOUND_SLACK) >= norms)
+
+
+def test_schur_bound_of_a_non_finite_entry_is_not_finite():
+    # four 2 x 2 blocks: finite, an inf entry, an inf and a -inf at one
+    # place (a nan in the dense block) and a NaN entry; no bound may rule
+    # out a block that is not finite
+    M = np.array([[1.0, -2.0], [0.5, 3.0]])
+    r, c = (np.tile(x.ravel(), 4) for x in np.indices((2, 2)))
+    blk, data = np.repeat(np.arange(4), 4), np.tile(M.ravel(), 4)
+    data[[5, 9, 14]] = np.inf, np.inf, np.nan
+    blk, r, c = (np.append(x, x[9]) for x in (blk, r, c))
+    data = np.append(data, -np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = schur_bounds(blk, r, c, data, np.full(4, 2), np.full(4, 2))
+    assert bounds[0] == _dense_bound(M) >= np.linalg.norm(M, 2)
+    assert bounds[1] == bounds[2] == np.inf and np.isnan(bounds[3])
 
 
 def test_spectral_norm_keeps_a_block_whose_bound_rounds_below_its_norm():
@@ -616,9 +653,9 @@ def test_spectral_norm_keeps_a_block_whose_bound_rounds_below_its_norm():
     # three ulps below the computed norm; the 1 x 1 block x in between has
     # the larger bound, so its norm is the lower bound and M must survive it
     M = np.array([[1 / 3, 7.0], [7.0, 1 / 3]])
-    bound, norm = schur_bounds(M[None])[0], np.linalg.norm(M, 2)
+    bound, norm = _dense_bound(M), np.linalg.norm(M, 2)
     x = np.nextafter(np.nextafter(bound, 8.0), 8.0)
-    assert bound < x < norm and schur_bounds(np.array([[[x]]]))[0] > bound
+    assert bound < x < norm and _dense_bound(np.array([[x]])) > bound
     args = (np.array([0, 1, 1, 2, 2]), np.array([0, 1, 2, 1, 2]),
             np.array([x, *M.ravel()]), np.array([0, 1, 1]),
             np.array([0, 1, 1]))
@@ -705,3 +742,63 @@ def test_compressed_commutator_is_the_small_truncation(kind, q, nmax):
             assert np.array_equal(getattr(got, attr),
                                   getattr(want, attr)), (g, attr)
         assert op_norm(got) == op_norm(want), g
+
+
+# ------------------------------- [D, T] by entry scaling, bit for bit
+
+
+def _assert_same_entries(got, want, key=None):
+    assert got.dom is want.dom and got.cod is want.cod
+    for attr in ("rows", "cols", "vals"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr),
+                              equal_nan=True), (key, attr)
+
+
+@pytest.mark.parametrize("kind", ["L2", "Double"])
+@pytest.mark.parametrize("q", [0.3, 0.9])
+@pytest.mark.parametrize("nmax", [8, 16])  # twice n_max, as on the CLI
+def test_commutator_by_scaling_is_the_product_difference(kind, q, nmax):
+    from diraclab.rep_double import dirac_D, pi_prime_generators
+    from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
+
+    space = enumerate_space(kind, half(nmax / 2))
+    if kind == "L2":
+        D, gens = dirac_family(D1_PARAMS, space), hat_generators(space, q)
+    else:
+        D, gens = dirac_D(space), pi_prime_generators(space, q)
+    for g, T in gens.items():
+        _assert_same_entries(commutator(D, T), D @ T - T @ D, g)
+
+
+def test_commutator_by_scaling_masks_rows_where_d_stores_nothing():
+    # D1 projected onto interior(1) stores no diagonal entry above level
+    # n_max - 1; T holds inf and NaN on the top level, and inside, where
+    # both a and b can be inf (a difference of infs, like their sum, is nan)
+    from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
+
+    space = enumerate_space("L2", half(3))
+    D = dirac_family(D1_PARAMS, space) @ interior_projector(space, 1)
+    assert len(D.rows) < space.dim
+    for g, T in hat_generators(space, 0.5).items():
+        vals = T.vals.copy()
+        top = np.flatnonzero(space.tn[T.rows] == space.tn.max())
+        inner = np.flatnonzero(space.tn[T.rows] < space.tn.max())
+        vals[top[::3]], vals[top[1::3]] = np.inf, np.nan
+        vals[inner[::5]], vals[inner[1::7]] = -np.inf, np.nan
+        bad = SparseOp(T.dom, T.cod, T.rows, T.cols, vals)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = commutator(D, bad)
+        _assert_same_entries(got, D @ bad - bad @ D, g)
+        assert np.isnan(got.vals).any() and np.isinf(got.vals).any()
+
+
+def test_commutator_rejects_a_non_diagonal_or_foreign_operator():
+    from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
+
+    space, other = enumerate_space("L2", half(2)), enumerate_space("L2", 1)
+    T = hat_generators(space, 0.5)["beta"]
+    with pytest.raises(ValueError):
+        commutator(T, T)
+    with pytest.raises(SpaceMismatchError):
+        commutator(dirac_family(D1_PARAMS, other), T)

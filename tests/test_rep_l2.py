@@ -145,6 +145,42 @@ def test_word_rejects_unknown_symbol():
             pi_hat(((1.0, syms),), sp, Q)
 
 
+@pytest.mark.parametrize("kind", ["L2", "Double"])
+@pytest.mark.parametrize("q", [0.3, 0.9])
+@pytest.mark.parametrize("nmax", [8, 16])  # twice n_max, as on the CLI
+def test_projected_words_are_the_word_then_the_projector(kind, q, nmax):
+    """Each term's last factor projected first, and the products shared
+    between the words, give w @ P bit for bit: the five relations and a
+    length-3 word with a weight 1.0, a scaled and an identity term."""
+    from diraclab.rep_double import pi_prime_generators
+
+    space = enumerate_space(kind, half(nmax / 2))
+    ops = (hat_generators if kind == "L2" else pi_prime_generators)(space, q)
+    words = dict(relation_words(q))
+    words["length_3"] = ((1.0, ("alpha", "beta*", "alpha*")),
+                         (-q, ("beta", "beta", "alpha")), (2.0, ()),
+                         (1.0, ("beta*", "beta")))
+    P, terms = interior_projector(space, 1), {}
+    for name, w in words.items():
+        got = pi_hat(w, space, q, ops=ops, right=P, terms=terms)
+        want = pi_hat(w, space, q, ops=ops) @ P
+        for attr in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr),
+                                  equal_nan=True), (name, attr)
+    # 9 distinct terms in the relations (beta* beta, beta beta* and the
+    # identity each serve two) and 2 more in the last word
+    assert len(terms) == 11
+
+
+def test_pi_hat_right_factor_must_be_a_projector():
+    sp = enumerate_space("L2", half(1))
+    w = ((1.0, ("alpha",)),)
+    with pytest.raises(ValueError):
+        pi_hat(w, sp, Q, right=interior_projector(sp, 0.5).scale(2.0))
+    with pytest.raises(ValueError):
+        pi_hat(w, sp, Q, right=hat_generators(sp, Q)["beta"])
+
+
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
 def test_hat_relation_defects_have_closed_forms(q):
     """Regression pin for the asymptotic-model defects of the hatted pair.
