@@ -23,6 +23,12 @@ _SUITE_HELP = {
     "all": "every suite above, in canonical order",
 }
 
+_TOL_HELP = {
+    "relation": "relation-defect gate",
+    "gram": "minimality's Gram-Schmidt discard threshold, read only where "
+            "the exact certificate does not hold",
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -34,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in sorted(DEFAULT_TOLERANCES):
         common.add_argument(f"--tol-{name}", type=float, default=None,
                             metavar="X",
-                            help=f"{name} tolerance "
+                            help=f"{_TOL_HELP[name]} "
                                  f"(default {DEFAULT_TOLERANCES[name]:g})")
     common.add_argument("--out", default=None, metavar="DIR",
                         help="write report.json and report.csv here")

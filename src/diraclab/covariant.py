@@ -3,24 +3,40 @@
 The doubled representation is minimal iff the invariant-mean projection has
 rank one, which on the truncations reduces to a checkable statement: the
 span of words of length <= L in the generators, applied to the seed vector,
-exhausts the n <= L/2 subspace.  ``cyclic_dimension`` measures that span by
-breadth-first Gram-Schmidt: only the directions new at depth d need their
-generator images examined at depth d+1, since images of older directions
-already lie in the current span.
+exhausts the n <= L/2 subspace.  ``cyclic_dimension`` decides it by an
+exact certificate first and by breadth-first Gram-Schmidt when the
+certificate does not apply.
 
-The frame splits by torus weight.  Each hatted generator shifts (i, j) by a
-fixed amount (alpha by (-1/2, -1/2), beta by (+1/2, -1/2), the adjoints the
-other way, a diagonal Dirac operator by (0, 0)), so it maps each weight
-sector into one sector (:func:`_kernels.sector_map`, as for the norms), and
-the seed e^{(0)}_{00} lies in sector (0, 0).  Sectors are orthogonal, so a
-frame is kept per sector in sector-local coordinates (at most
-floor(n_max) + 1 vectors, one per level holding that weight).  Candidates
-are batched per depth: one ``np.bincount`` over the generators' entries
-forms every image, and round r orthogonalises the r-th candidate of every
-target sector against its frame at once, so that each candidate sees
-exactly the directions accepted before it in the sequential order (frontier
-vector, then generator).  When some generator is not graded, or the seed
-spans several sectors, all ordinals form one sector.
+The certificate.  Each hatted generator shifts (i, j) by a fixed amount
+(alpha by (-1/2, -1/2), beta by (+1/2, -1/2), the adjoints the other way)
+and moves the level by +-1/2, so it maps a basis vector e_y to at most one
+vector one level up, g[x, y] e_x, plus one vector one level down.  Write
+V_d for the span at depth d.  If V_{d-1} is every level <= (d-1)/2, then
+g e_y for y at twice-level d - 1 puts e_x in V_d, its down part already
+lying in V_{d-1}; and V_d lies in the levels <= d/2.  So, by induction
+from the seed e^{(0)}_{00}, V_d is exactly the levels <= d/2 when every
+label at twice-level 1..d receives a nonzero up entry from some
+generator, and the report is a count of labels: no tolerance is read.
+For the hatted pair it holds at every q >= 1e-15; below that,
+``linop.PRUNE_TOL`` deletes real coefficients and the certificate fails.
+
+The fallback serves a space other than L2, a vector seed, a seed off
+level 0, a generator with several weight shifts or with an entry at
+another level offset, and a label that no nonzero up entry reaches.  It is
+Gram-Schmidt with the absolute tolerance ``gram_tol``, the only reader of
+that tolerance.  Only the directions new at depth d
+need their generator images examined at depth d+1, since images of older
+directions already lie in the current span.  The frame splits by torus
+weight: a generator with one weight shift maps each weight sector into one
+sector (:func:`_kernels.sector_map`, as for the norms; a diagonal Dirac
+operator shifts by (0, 0)), so a frame is kept per sector in sector-local
+coordinates (at most floor(n_max) + 1 vectors, one per level holding that
+weight).  Candidates are batched per depth: one ``np.bincount`` over the
+generators' entries forms every image, and round r orthogonalises the r-th
+candidate of every target sector against its frame at once, so that each
+candidate sees exactly the directions accepted before it in the sequential
+order (frontier vector, then generator).  When some generator is not
+graded, or the seed spans several sectors, all ordinals form one sector.
 
 Saturation is an empirical observation, not a theorem asserted by the code:
 when a run falls short, the report carries the per-level shortfall instead
@@ -56,9 +72,11 @@ def cyclic_dimension(generators, seed, depth: int,
 
     generators: square SparseOps on a common space.  seed: either an ordinal
     into that space's basis or an explicit vector.  Requires
-    depth/2 <= n_max, so that the target subspace exists in the truncation;
-    a candidate image whose component orthogonal to the current span falls
-    below gram_tol is discarded and counted.
+    depth/2 <= n_max, so that the target subspace exists in the truncation.
+    The report comes from the certificate (:func:`_certificate`) when it
+    holds; otherwise from the Gram-Schmidt, where a candidate image whose
+    component orthogonal to the current span falls below gram_tol is
+    discarded and counted.
     """
     gens = list(generators)
     if not gens:
@@ -83,6 +101,9 @@ def cyclic_dimension(generators, seed, depth: int,
         if not 0 <= seed < space.dim:
             raise ValueError(f"cyclic_dimension: seed ordinal {seed} lies "
                              f"outside [0, {space.dim})")
+        report = _certificate(gens, int(seed), depth, gram_tol)
+        if report is not None:
+            return report
         v0 = np.zeros(space.dim)
         v0[int(seed)] = 1.0
     else:
@@ -186,3 +207,35 @@ def cyclic_dimension(generators, seed, depth: int,
     return CyclicityReport(depth, history[-1], target, saturated, gram_tol,
                            discarded, tuple(history), deficiency)
 
+
+def _certificate(gens, seed, depth, gram_tol):
+    """The report of a span the structure decides exactly, or None.
+
+    It holds on L2 with the seed at level 0 when every generator has one
+    weight shift, every entry moves the level by +-1/2, and every label at
+    twice-level t in 1..depth receives a nonzero entry from twice-level
+    t - 1.  Then depth d adds the labels(d) labels at twice-level d, and
+    its frontier, one vector per label at twice-level d - 1, has
+    labels(d - 1) x (number of generators) candidates; every candidate
+    that adds no direction is discarded, as in the Gram-Schmidt.
+    """
+    space = gens[0].dom
+    tn, ti, tj = space.tn, space.ti, space.tj
+    # on L2, (n, i, j) fixes a label: one up target per entry's source, and
+    # level 0 is the seed alone
+    if space.kind != "L2" or tn[seed] != 0:
+        return None
+    reached = np.zeros(space.dim, dtype=bool)
+    for g in gens:
+        dn, di, dj = (t[g.rows] - t[g.cols] for t in (tn, ti, tj))
+        if np.any(np.abs(dn) != 1) or np.any(di != di[:1]) \
+                or np.any(dj != dj[:1]):
+            return None
+        reached[g.rows[(dn == 1) & (g.vals != 0)]] = True
+    if not reached[(tn > 0) & (tn <= depth)].all():
+        return None
+    labels = np.bincount(tn, minlength=depth + 1)[:depth + 1]
+    history = tuple(np.cumsum(labels).tolist())
+    discarded = int((labels[:-1] * len(gens) - labels[1:]).sum())
+    return CyclicityReport(depth, history[-1], history[-1], True, gram_tol,
+                           discarded, history, ())

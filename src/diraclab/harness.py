@@ -92,6 +92,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         if not float(v) > 0.0:
             raise ValueError(f"config: tolerance {k!r} must be positive, "
                              f"got {v}")
+        if not math.isfinite(float(v)):
+            raise ValueError(f"config: tolerance {k!r} must be finite, "
+                             f"got {v}")
         tol[k] = float(v)
     suites = tuple(cfg.suites)
     if not suites:

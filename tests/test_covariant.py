@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from diraclab._kernels import sector_map
-from diraclab.covariant import GRAM_TOL, cyclic_dimension
+from diraclab.covariant import GRAM_TOL, _certificate, cyclic_dimension
+from diraclab.harness import RunConfig, run
 from diraclab.hilbert import L2Index, enumerate_space
 from diraclab.linop import SpaceMismatchError, SparseOp
 from diraclab.qnum import half
@@ -21,9 +22,25 @@ def _setup(tn_max=6, q=Q):
     return sp, gens, seed
 
 
+def _gram_schmidt(gens, seed, depth):
+    """cyclic_dimension's Gram-Schmidt: an explicit seed vector skips the
+    certificate."""
+    v0 = np.zeros(gens[0].dom.dim)
+    v0[seed] = 1.0
+    return cyclic_dimension(gens, v0, depth)
+
+
+def _both_paths(gens, seed, depth):
+    """The report for an ordinal seed, asserted equal to the Gram-Schmidt's,
+    so that the fallback keeps its checks where the certificate holds."""
+    rep = cyclic_dimension(gens, seed, depth)
+    assert rep == _gram_schmidt(gens, seed, depth)
+    return rep
+
+
 def test_depth_zero():
     sp, gens, seed = _setup()
-    rep = cyclic_dimension(gens, seed, 0)
+    rep = _both_paths(gens, seed, 0)
     assert rep.reached == 1
     assert rep.target == 1
     assert rep.saturated
@@ -33,7 +50,7 @@ def test_depth_zero():
 
 def test_depth_one_reaches_five():
     sp, gens, seed = _setup()
-    rep = cyclic_dimension(gens, seed, 1)
+    rep = _both_paths(gens, seed, 1)
     assert rep.reached == 5
     assert rep.target == 5
     assert rep.saturated
@@ -67,7 +84,7 @@ def test_depth_one_matches_brute_force_oracle():
 
 def test_history_is_monotone_and_level_capped():
     sp, gens, seed = _setup()
-    rep = cyclic_dimension(gens, seed, 4)
+    rep = _both_paths(gens, seed, 4)
     assert rep.history == tuple(sorted(rep.history))
     # after d applications the span lives inside levels n <= d/2
     for d, dim_d in enumerate(rep.history):
@@ -77,7 +94,7 @@ def test_history_is_monotone_and_level_capped():
 
 def test_saturation_at_double_depth():
     sp, gens, seed = _setup(tn_max=6)
-    rep = cyclic_dimension(gens, seed, 6)
+    rep = _both_paths(gens, seed, 6)
     assert rep.target == sp.dim
     assert rep.saturated
     assert rep.reached == sp.dim
@@ -189,12 +206,12 @@ def _dense_oracle(gens, v0, depth, gram_tol=GRAM_TOL):
 
 
 def _assert_matches_dense(gens, seed, depth):
-    v0 = np.zeros(gens[0].dom.dim)
     if isinstance(seed, (int, np.integer)):
-        v0[seed] = 1.0
+        v0 = np.eye(gens[0].dom.dim)[seed]
+        rep = _both_paths(gens, seed, depth)
     else:
         v0 = np.asarray(seed, dtype=float)
-    rep = cyclic_dimension(gens, seed, depth)
+        rep = cyclic_dimension(gens, seed, depth)
     assert (rep.reached, rep.discarded, rep.history, rep.deficiency) \
         == _dense_oracle(gens, v0, depth)
     return rep
@@ -256,7 +273,7 @@ def test_regression_pin_beyond_dense_oracle_sizes():
     # the parent's values at n_max 16, depth 32, q = 0.5: far beyond what
     # the dense oracle can check, so pinned numbers guard the sector blocks
     sp = enumerate_space("L2", half(16))
-    rep = cyclic_dimension(hat_generators(sp, 0.5).values(), 0, 32)
+    rep = _both_paths(list(hat_generators(sp, 0.5).values()), 0, 32)
     assert (rep.reached, rep.discarded, rep.saturated) == (12529, 33232, True)
 
 
@@ -267,7 +284,7 @@ def test_regression_pins_across_q(q, tn_max, reached, discarded):
     # counts of one-candidate-at-a-time Gram-Schmidt, pinned beyond the dense
     # oracle's reach; saturated, so depth d reaches every level <= d/2
     sp = enumerate_space("L2", half(tn_max / 2))
-    rep = cyclic_dimension(hat_generators(sp, q).values(), 0, tn_max)
+    rep = _both_paths(list(hat_generators(sp, q).values()), 0, tn_max)
     levels = itertools.accumulate((d + 1) ** 2 for d in range(tn_max + 1))
     assert (rep.reached, rep.discarded, rep.history, rep.deficiency) \
         == (reached, discarded, tuple(levels), ())
@@ -275,7 +292,7 @@ def test_regression_pins_across_q(q, tn_max, reached, discarded):
 
 def test_regression_pin_at_nmax_48():
     sp = enumerate_space("L2", half(24))
-    rep = cyclic_dimension(hat_generators(sp, 0.5).values(), 0, 48)
+    rep = _both_paths(list(hat_generators(sp, 0.5).values()), 0, 48)
     assert (rep.reached, rep.discarded, rep.saturated) == (40425, 111672, True)
 
 
@@ -324,8 +341,81 @@ def test_zero_gram_tol_stops_at_the_dimension():
 
 def test_tiny_q_drops_the_alpha_image():
     # at q = 1e-100 alpha maps the seed to q e^{(1/2)}_{-1/2,-1/2}, far below
-    # gram_tol (SparseOp even prunes the coefficient), so only the other
-    # three images are new at depth 1
+    # gram_tol (SparseOp even prunes the coefficient, so the certificate
+    # fails), and only the other three images are new at depth 1
     sp, gens, seed = _setup(q=1e-100)
+    assert _certificate(gens, seed, 6, GRAM_TOL) is None
     rep = _assert_matches_dense(gens, seed, 6)
     assert rep.history[1] == 4
+
+
+# ------------------------------------------- the certificate and its fallback
+
+@pytest.mark.parametrize("q", [0.3, 0.7, 0.95, 1e-3])
+def test_certificate_equals_gram_schmidt_and_dense(q):
+    for tn_max in (*range(1, 9), 16, 24):
+        sp, gens, seed = _setup(tn_max=tn_max, q=q)
+        assert _certificate(gens, seed, tn_max, GRAM_TOL) is not None
+        rep = _both_paths(gens, seed, tn_max)
+        assert rep.saturated and rep.deficiency == ()
+        if tn_max <= 8:
+            assert (rep.reached, rep.discarded, rep.history, rep.deficiency) \
+                == _dense_oracle(gens, np.eye(sp.dim)[seed], tn_max)
+
+
+def _zeroed(g, row, col):
+    """g with its (row, col) entry stored as an explicit 0."""
+    hit = (g.rows == row) & (g.cols == col)
+    assert hit.sum() == 1
+    return SparseOp(g.dom, g.cod, g.rows, g.cols, np.where(hit, 0.0, g.vals))
+
+
+def test_fallback_triggers_take_the_gram_schmidt():
+    sp, gens, seed = _setup(tn_max=4)
+    depth = 4
+    # an explicit seed vector never reaches the certificate
+    v0 = np.zeros(sp.dim)
+    v0[seed] = 1.0
+    _assert_matches_dense(gens, v0, depth)
+    # a seed off level 0
+    off = sp.ordinal(L2Index(half(0.5), half(0.5), half(0.5)))
+    assert _certificate(gens, off, depth, GRAM_TOL) is None
+    _assert_matches_dense(gens, off, depth)
+    # a generator with two weight shifts
+    mixed = [gens[0] + gens[2]] + gens[1:]
+    assert _certificate(mixed, seed, depth, GRAM_TOL) is None
+    _assert_matches_dense(mixed, seed, depth)
+    # a generator with entries at level offset 0 (a diagonal D1)
+    with_d1 = gens + [dirac_family(D1_PARAMS, sp)]
+    assert _certificate(with_d1, seed, depth, GRAM_TOL) is None
+    _assert_matches_dense(with_d1, seed, depth)
+
+
+def test_fallback_reports_an_unreached_label():
+    # the top corner e^{(2)}_{-2,-2} receives its only up entry from alpha;
+    # with that entry zeroed no word reaches the label, the certificate
+    # fails, and the Gram-Schmidt reports the shortfall
+    sp, gens, seed = _setup(tn_max=4)
+    corner = sp.ordinal(L2Index(half(2), half(-2), half(-2)))
+    source = sp.ordinal(L2Index(half(1.5), half(-1.5), half(-1.5)))
+    up = [g for g in gens if np.any((g.rows == corner)
+                                    & (sp.tn[g.cols] == 3))]
+    assert up == [gens[0]]
+    cut = [_zeroed(gens[0], corner, source)] + gens[1:]
+    assert _certificate(cut, seed, 4, GRAM_TOL) is None
+    rep = _assert_matches_dense(cut, seed, 4)
+    assert not rep.saturated
+    assert rep.reached == rep.target - 1
+    assert rep.deficiency == ((4, 1),)
+
+
+@pytest.mark.parametrize("q", [1e-9, 1e-12])
+def test_minimality_saturates_at_small_q(q):
+    # alpha maps the seed to q e^{(1/2)}_{-1/2,-1/2}, a length below the
+    # default gram_tol: only the certificate sees it as a new direction
+    (cell,) = run(RunConfig(q=(q,), n_max=half(8), suites=("minimality",)))
+    assert cell.passed
+    m = cell.metrics
+    assert (m["reached"], m["target"], m["depth1_dim"], m["discarded"]) \
+        == (1785, 1785, 5, 4200)
+    assert m["saturated"] == 1.0 and m["missing_total"] == 0

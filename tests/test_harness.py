@@ -33,6 +33,7 @@ def test_validate_config_distinct_errors():
         (dict(n_max=HalfInt(-2)), "n_max must be >= 0"),
         (dict(tolerances={"bogus": 1e-9}), "unknown tolerance"),
         (dict(tolerances={"relation": 0.0}), "must be positive"),
+        (dict(tolerances={"gram": float("inf")}), "must be finite"),
         (dict(suites=()), "at least one suite"),
         (dict(suites=("nonesuch",)), "unknown suite"),
         (dict(suites=("relations",), n_max=HalfInt(1)), "needs n_max >= 1"),
