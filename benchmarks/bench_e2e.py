@@ -126,6 +126,7 @@ def main(argv=None):
     p.add_argument("--out", default=HERE,
                    help="directory of the BENCH file (default: benchmarks/)")
     args = p.parse_args(argv)
+    os.makedirs(args.out, exist_ok=True)  # before minutes of runs, not after
     bench = record(os.path.abspath(args.repo))
     path = os.path.join(args.out, f"BENCH_{bench['tag']}.json")
     with open(path, "w") as fh:

@@ -2,12 +2,13 @@
 
 Every operator the suites measure shifts the weights (i, j) by a fixed
 amount, so it maps each weight sector (``TruncatedSpace.sector``) into one
-other sector (:func:`sector_map`).  A graded operator splits into (target x
-source sector) blocks at most floor(n_max) + 1 square, so a dense SVD of
-each is exact and cheap; an ungraded one is one block.  :func:`spectral_norms`
-bounds every block of every row group (the levels, or all rows as one) from
-its entries (:func:`schur_bounds`), and fills and decomposes only the blocks
-whose bound reaches the norm of their group's block of largest bound.
+other sector.  A graded operator splits into (target x source sector)
+blocks at most floor(n_max) + 1 square, so a dense SVD of each is exact and
+cheap; an ungraded one is one block.  :func:`spectral_norms` checks the
+grading per row group (the levels, or all rows as one), bounds every block
+of every row group from its entries (:func:`schur_bounds`), and fills and
+decomposes only the blocks whose bound reaches the norm of their group's
+block of largest bound.
 """
 
 import numpy as np
@@ -23,22 +24,6 @@ def power_iteration(*args, **kwargs):
     (``perfbench/tracer.py`` wraps it), so it stays.
     """
     raise NotImplementedError("use spectral_norms")
-
-
-def sector_map(src, dst, n_src):
-    """Target sector of each source sector, or None unless one-to-one.
-
-    ``src[k]``, ``dst[k]``: source and target sector of an operator's k-th
-    entry.  ``to[s]`` is the one sector the entries leaving sector s land
-    in (-1 if none leave s); None if a source sector reaches two targets
-    or a target is reached from two sources.
-    """
-    to = np.full(n_src, -1)
-    to[src] = dst
-    held = to[to >= 0]
-    if not np.array_equal(to[src], dst) or len(np.unique(held)) < len(held):
-        return None
-    return to
 
 
 def _positions(lab, n_labels):

@@ -23,11 +23,7 @@ _SUITE_HELP = {
     "all": "every suite above, in canonical order",
 }
 
-_TOL_HELP = {
-    "relation": "relation-defect gate",
-    "gram": "minimality's Gram-Schmidt discard threshold, read only where "
-            "the exact certificate does not hold",
-}
+_TOL_HELP = {"relation": "relation-defect gate"}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -49,7 +49,7 @@ SUITES = ("relations", "decompose", "kq-decay", "asymptotics",
 
 DEFAULT_Q = (0.3, 0.5, 0.7)
 DEFAULT_N_MAX = HalfInt(16)  # n_max = 8
-DEFAULT_TOLERANCES = {"relation": 1e-10, "gram": 1e-8}
+DEFAULT_TOLERANCES = {"relation": 1e-10}
 
 #: kq-decay gates: fitted exponent at least 1.8 ln(1/q); the control fit on
 #: the representation itself must stay below 0.5 ln(1/q).
@@ -215,8 +215,7 @@ def _suite_commutators(cfg: RunConfig, q: float, ops, plots: dict):
 
 def _suite_minimality(cfg: RunConfig, q: float, ops, plots: dict):
     depth = cfg.n_max.twice  # words of length 2 n_max reach the last level
-    rep = cyclic_dimension(ops("L2")[1].values(), 0, depth,
-                           gram_tol=cfg.tolerances["gram"])
+    rep = cyclic_dimension(ops("L2")[1].values(), depth)
     monotone = all(a <= b for a, b in zip(rep.history, rep.history[1:]))
     # depth-1 dimension can never exceed 5 (level cap), so the
     # lower-bound gate is an equality in disguise
@@ -226,7 +225,7 @@ def _suite_minimality(cfg: RunConfig, q: float, ops, plots: dict):
                "saturated": 1.0 if rep.saturated else 0.0,
                "monotone": 1.0 if monotone else 0.0,
                "discarded": rep.discarded,
-               "missing_total": sum(m for _, m in rep.deficiency)}
+               "missing_total": rep.target - rep.reached}
     yield "hat", metrics, ("depth1_dim", ">=", 5.0)
 
 

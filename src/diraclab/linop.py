@@ -2,7 +2,10 @@
 
 A :class:`SparseOp` is a sparse coefficient table with domain and codomain
 metadata: numpy arrays ``rows``, ``cols`` and ``vals``, sorted row-major,
-no coordinate twice, entries below 1e-15 pruned.  All algebra enforces
+no coordinate twice.  An assembled generator keeps every nonzero
+coefficient; :meth:`SparseOp.from_coo`, sums and products drop the entries
+they form below PRUNE_TOL = 1e-15, the residue of rounding and
+cancellation.  All algebra enforces
 space compatibility, and a product sums each entry over the inner index in
 ascending order, as a compressed-sparse-row product does, bit for bit.
 Scalars are real doubles throughout (every displayed coefficient in this

@@ -3,7 +3,8 @@
 Every operator is assembled in one numpy pass over the label arrays of its
 space.  The oracles below are the per-label loops that assembly replaced:
 they walk a basis enumerated here, label by label, find target ordinals in
-a dict and call the scalar leaves once per label.  Each array-assembled
+a dict and call the scalar leaves once per label, and like assembly they
+drop exact zeros only (``tilde_oracle.exact_op``).  Each array-assembled
 operator must have the oracle's CSR pattern and its entries to 1e-14
 relative, the map of U must be the oracle's, and the arithmetic ordinals
 must reproduce the enumeration order.
@@ -23,7 +24,8 @@ from diraclab.rep_double import (a_minus, a_plus, b_minus, b_plus, dirac_D,
                                  pi_prime, pi_prime_generators)
 from diraclab.rep_l2 import (D1_PARAMS, D2_PARAMS, DiracParams, alpha_hat,
                              beta_hat, dirac_family, hat_generators)
-from tilde_oracle import pi_prime_tilde, tilde_coeffs, valid_v_label
+from tilde_oracle import (exact_op, pi_prime_tilde, tilde_coeffs,
+                          valid_v_label)
 
 TN_MAX = (0, 1, 2, 3, 4, 6, 8)  # n_max = 0, 1/2, 1, 3/2, 2, 3, 4
 QS = (0.3, 0.5, 0.7, 0.8, 0.9)
@@ -95,7 +97,7 @@ def _pi_prime_loop(gen, space, q):
                     rows.append(row)
                     cols.append(col)
                     vals.append(c)
-    return SparseOp.from_coo(space, space, rows, cols, vals)
+    return exact_op(space, rows, cols, vals)
 
 
 def _sqrt0(x):
@@ -124,7 +126,7 @@ def _hat_loop(gen, space, q):
                 rows.append(row)
                 cols.append(col)
                 vals.append(c)
-    return SparseOp.from_coo(space, space, rows, cols, vals)
+    return exact_op(space, rows, cols, vals)
 
 
 def _build_U_loop(tnmax):

@@ -3,15 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from diraclab._kernels import sector_map
-from diraclab.covariant import GRAM_TOL, _certificate, cyclic_dimension
+from diraclab.covariant import cyclic_dimension
 from diraclab.harness import RunConfig, run
 from diraclab.hilbert import L2Index, enumerate_space
 from diraclab.linop import SpaceMismatchError, SparseOp
 from diraclab.qnum import half
+from diraclab.rep_double import pi_prime_generators
 from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
 
 Q = 0.5
+GRAM_TOL = 1e-8  # the dense oracle's discard threshold
 
 
 def _setup(tn_max=6, q=Q):
@@ -22,35 +23,19 @@ def _setup(tn_max=6, q=Q):
     return sp, gens, seed
 
 
-def _gram_schmidt(gens, seed, depth):
-    """cyclic_dimension's Gram-Schmidt: an explicit seed vector skips the
-    certificate."""
-    v0 = np.zeros(gens[0].dom.dim)
-    v0[seed] = 1.0
-    return cyclic_dimension(gens, v0, depth)
-
-
-def _both_paths(gens, seed, depth):
-    """The report for an ordinal seed, asserted equal to the Gram-Schmidt's,
-    so that the fallback keeps its checks where the certificate holds."""
-    rep = cyclic_dimension(gens, seed, depth)
-    assert rep == _gram_schmidt(gens, seed, depth)
-    return rep
-
-
 def test_depth_zero():
     sp, gens, seed = _setup()
-    rep = _both_paths(gens, seed, 0)
+    assert seed == 0  # e_0 is the first ordinal
+    rep = cyclic_dimension(gens, 0)
     assert rep.reached == 1
     assert rep.target == 1
     assert rep.saturated
     assert rep.history == (1,)
-    assert rep.deficiency == ()
 
 
 def test_depth_one_reaches_five():
     sp, gens, seed = _setup()
-    rep = _both_paths(gens, seed, 1)
+    rep = cyclic_dimension(gens, 1)
     assert rep.reached == 5
     assert rep.target == 5
     assert rep.saturated
@@ -59,15 +44,16 @@ def test_depth_one_reaches_five():
 
 def test_depth_one_matches_brute_force_oracle():
     # the four generator images of the ground vector, computed without any
-    # package Gram-Schmidt: their numpy matrix rank (with the seed) must
-    # equal the reported dimension, and each level-1/2 basis vector must be
-    # a single-coefficient image
+    # package code: their numpy matrix rank (with the seed) must equal the
+    # reported dimension, and each level-1/2 basis vector must be a
+    # single-coefficient image
     sp, gens, seed = _setup()
     v0 = np.zeros(sp.dim)
     v0[seed] = 1.0
     images = [g.apply(v0) for g in gens]
     stack = np.column_stack([v0] + images)
-    assert np.linalg.matrix_rank(stack, tol=1e-10) == 5
+    assert np.linalg.matrix_rank(stack, tol=1e-10) \
+        == cyclic_dimension(gens, 1).reached == 5
     expected = {
         ("alpha", -0.5, -0.5): Q,
         ("alpha*", 0.5, 0.5): 1 - Q ** 2,
@@ -84,7 +70,7 @@ def test_depth_one_matches_brute_force_oracle():
 
 def test_history_is_monotone_and_level_capped():
     sp, gens, seed = _setup()
-    rep = _both_paths(gens, seed, 4)
+    rep = cyclic_dimension(gens, 4)
     assert rep.history == tuple(sorted(rep.history))
     # after d applications the span lives inside levels n <= d/2
     for d, dim_d in enumerate(rep.history):
@@ -94,80 +80,61 @@ def test_history_is_monotone_and_level_capped():
 
 def test_saturation_at_double_depth():
     sp, gens, seed = _setup(tn_max=6)
-    rep = _both_paths(gens, seed, 6)
+    rep = cyclic_dimension(gens, 6)
     assert rep.target == sp.dim
     assert rep.saturated
     assert rep.reached == sp.dim
-    assert rep.deficiency == ()
-    assert rep.gram_tol == GRAM_TOL
 
 
 def test_diagonal_generator_is_not_cyclic():
     # negative control: a diagonal operator keeps the seed direction fixed,
-    # so the span never grows and every image is discarded
+    # so the span never grows (the dense oracle discards the lone image
+    # once, then has an empty frontier); it is no band operator, so the
+    # certificate does not decide it and says why
     sp, gens, seed = _setup()
     D1 = dirac_family(D1_PARAMS, sp)
     for depth in (1, 3, 6):
-        rep = cyclic_dimension([D1], seed, depth)
-        assert rep.reached == 1
-        assert not rep.saturated
-        # the lone image is discarded once; the frontier then empties, so
-        # deeper passes have nothing left to try
-        assert rep.discarded == 1
-        assert rep.history == tuple([1] * (depth + 1))
+        with pytest.raises(ValueError, match="generator 0 is not a"):
+            cyclic_dimension([D1], depth)
+        assert _dense_oracle([D1], seed, depth)[:3] \
+            == (1, 1, tuple([1] * (depth + 1)))
 
 
 def test_deficiency_reporting():
-    # alpha alone only walks the i = j = -n diagonal, leaving a measured
-    # per-level shortfall
+    # alpha alone only walks the i = j = -n diagonal: the first label it
+    # misses is named, and the dense oracle measures the shortfall
     sp, gens, seed = _setup()
     alpha = gens[0]
-    rep = cyclic_dimension([alpha], seed, 2)
-    assert rep.reached < rep.target
-    assert not rep.saturated
-    got = dict(rep.deficiency)
+    with pytest.raises(ValueError,
+                       match=r"\(1/2, -1/2, 1/2\) receives no nonzero up"):
+        cyclic_dimension([alpha], 2)
+    got = dict(_dense_oracle([alpha], seed, 2)[3])
     assert got[1] == 3   # level 1/2: rank 1 of 4
     assert got[2] == 8   # level 1: rank 1 of 9
-
-
-def test_seed_vector_forms():
-    sp, gens, seed = _setup(tn_max=2)
-    v = np.zeros(sp.dim)
-    v[seed] = 2.0  # unnormalized is fine
-    a = cyclic_dimension(gens, seed, 1)
-    b = cyclic_dimension(gens, v, 1)
-    assert a.reached == b.reached == 5
 
 
 def test_input_validation():
     sp, gens, seed = _setup(tn_max=2)
     with pytest.raises(ValueError):
-        cyclic_dimension([], seed, 1)
+        cyclic_dimension([], 1)
     with pytest.raises(ValueError):
-        cyclic_dimension(gens, seed, -1)
+        cyclic_dimension(gens, -1)
     with pytest.raises(ValueError):
-        cyclic_dimension(gens, seed, sp.n_max.twice + 1)
-    with pytest.raises(ValueError):
-        cyclic_dimension(gens, np.zeros(sp.dim), 1)
-    with pytest.raises(ValueError):
-        cyclic_dimension(gens, np.ones(3), 1)
-    for bad_seed in (-1, sp.dim):  # ordinals outside [0, dim)
-        with pytest.raises(ValueError):
-            cyclic_dimension(gens, bad_seed, 1)
+        cyclic_dimension(gens, sp.n_max.twice + 1)
     other = enumerate_space("L2", half(3))
     bad = [SparseOp.identity(other)] + gens
     with pytest.raises(SpaceMismatchError):
-        cyclic_dimension(bad, seed, 1)
+        cyclic_dimension(bad, 1)
 
 
-# ------------------------------------------ weight sectors vs one dense frame
+# -------------------------------------- the certificate against a dense frame
 
-def _dense_oracle(gens, v0, depth, gram_tol=GRAM_TOL):
-    """Breadth-first Gram-Schmidt with one frame over the whole space, one
-    candidate at a time.
+def _dense_oracle(gens, seed, depth, gram_tol=GRAM_TOL):
+    """Breadth-first Gram-Schmidt of the words applied to e_seed, with one
+    frame over the whole space, one candidate at a time.
 
-    Returns (reached, discarded, history, deficiency) for comparison with
-    the per-sector frames and batched rounds of cyclic_dimension.
+    Returns (reached, discarded, history, deficiency), where deficiency
+    lists (twice-level, missing dims) pairs, () when saturated.
     """
     space = gens[0].dom
     Q = np.zeros((space.dim, 0))
@@ -183,7 +150,7 @@ def _dense_oracle(gens, v0, depth, gram_tol=GRAM_TOL):
         Q = np.column_stack([Q, w / nw])
         return True
 
-    try_add(v0 / np.linalg.norm(v0))
+    try_add(np.eye(space.dim)[seed])
     frontier, discarded, history = [Q[:, 0]], 0, [1]
     for _ in range(depth):
         fresh = []
@@ -206,15 +173,22 @@ def _dense_oracle(gens, v0, depth, gram_tol=GRAM_TOL):
 
 
 def _assert_matches_dense(gens, seed, depth):
-    if isinstance(seed, (int, np.integer)):
-        v0 = np.eye(gens[0].dom.dim)[seed]
-        rep = _both_paths(gens, seed, depth)
-    else:
-        v0 = np.asarray(seed, dtype=float)
-        rep = cyclic_dimension(gens, seed, depth)
-    assert (rep.reached, rep.discarded, rep.history, rep.deficiency) \
-        == _dense_oracle(gens, v0, depth)
+    rep = cyclic_dimension(gens, depth)
+    assert (rep.reached, rep.discarded, rep.history, ()) \
+        == _dense_oracle(gens, seed, depth)
     return rep
+
+
+def _assert_undecided(gens, seed, depth, cause):
+    """The certificate raises, naming the cause; the dense oracle's report
+    of the same words, for the test to check."""
+    with pytest.raises(ValueError, match=cause):
+        cyclic_dimension(gens, depth)
+    return _dense_oracle(gens, seed, depth)
+
+
+NOT_BAND = "is not a \\+-1/2 band operator with one weight shift"
+UNREACHED = "receives no nonzero up entry"
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.8, 0.9])
@@ -227,53 +201,38 @@ def test_sector_frames_match_dense_all_generators(q, tn_max):
 
 def test_sector_frames_match_dense_alpha_alone():
     sp, gens, seed = _setup()
-    rep = _assert_matches_dense([gens[0]], seed, 6)
-    assert rep.deficiency  # the shortfall case
+    assert _assert_undecided([gens[0]], seed, 6, UNREACHED)[3]  # shortfall
 
 
 def test_sector_frames_match_dense_alpha_beta():
     # alpha and beta both lower j by 1/2, so a word fixes j by its length
-    # and the span falls short at every level past the ground: the shortfall
-    # count ranks blocks of several shapes
+    # and the span falls short at every level past the ground
     sp, gens, seed = _setup()
-    rep = _assert_matches_dense([gens[0], gens[2]], seed, 6)
-    assert len(rep.deficiency) == 6
+    assert len(_assert_undecided([gens[0], gens[2]], seed, 6,
+                                 UNREACHED)[3]) == 6
 
 
 def test_sector_frames_match_dense_diagonal():
     sp, gens, seed = _setup()
     D1 = dirac_family(D1_PARAMS, sp)
-    rep = _assert_matches_dense([D1], seed, 6)
-    assert rep.reached == 1
+    assert _assert_undecided([D1], seed, 6, NOT_BAND)[0] == 1
 
 
 def test_mixed_weight_shift_falls_back_to_one_sector():
     # alpha + beta shifts (i, j) by (-1/2, -1/2) on some nonzeros and by
-    # (+1/2, -1/2) on others, so it maps a weight sector into two and the
-    # weights do not grade its images
+    # (+1/2, -1/2) on others, so it maps a weight sector into two: the
+    # certificate names it, although each summand alone is accepted
     sp, gens, seed = _setup()
-
-    def to(g):
-        return sector_map(sp.sector[g.cols], sp.sector[g.rows],
-                          sp.sector.max() + 1)
-
     mixed = gens[0] + gens[2]
-    assert to(mixed) is None
-    assert all(to(g) is not None for g in gens)
-    _assert_matches_dense([mixed, gens[1]], seed, 6)
-    # a seed spread over two sectors also forces the single frame
-    two = np.zeros(sp.dim)
-    two[seed] = 1.0
-    two[sp.ordinal(L2Index(half(0.5), half(0.5), half(0.5)))] = 1.0
-    assert len(set(sp.sector[np.flatnonzero(two)])) == 2
-    _assert_matches_dense(gens, two, 4)
+    _assert_undecided([gens[1], mixed], seed, 6, "generator 1 " + NOT_BAND)
+    assert cyclic_dimension(gens, 6).saturated
 
 
 def test_regression_pin_beyond_dense_oracle_sizes():
     # the parent's values at n_max 16, depth 32, q = 0.5: far beyond what
-    # the dense oracle can check, so pinned numbers guard the sector blocks
+    # the dense oracle can check, so pinned numbers guard the count
     sp = enumerate_space("L2", half(16))
-    rep = _both_paths(list(hat_generators(sp, 0.5).values()), 0, 32)
+    rep = cyclic_dimension(list(hat_generators(sp, 0.5).values()), 32)
     assert (rep.reached, rep.discarded, rep.saturated) == (12529, 33232, True)
 
 
@@ -284,15 +243,15 @@ def test_regression_pins_across_q(q, tn_max, reached, discarded):
     # counts of one-candidate-at-a-time Gram-Schmidt, pinned beyond the dense
     # oracle's reach; saturated, so depth d reaches every level <= d/2
     sp = enumerate_space("L2", half(tn_max / 2))
-    rep = _both_paths(list(hat_generators(sp, q).values()), 0, tn_max)
+    rep = cyclic_dimension(list(hat_generators(sp, q).values()), tn_max)
     levels = itertools.accumulate((d + 1) ** 2 for d in range(tn_max + 1))
-    assert (rep.reached, rep.discarded, rep.history, rep.deficiency) \
-        == (reached, discarded, tuple(levels), ())
+    assert (rep.reached, rep.discarded, rep.history) \
+        == (reached, discarded, tuple(levels))
 
 
 def test_regression_pin_at_nmax_48():
     sp = enumerate_space("L2", half(24))
-    rep = _both_paths(list(hat_generators(sp, 0.5).values()), 0, 48)
+    rep = cyclic_dimension(list(hat_generators(sp, 0.5).values()), 48)
     assert (rep.reached, rep.discarded, rep.saturated) == (40425, 111672, True)
 
 
@@ -300,7 +259,8 @@ def test_same_target_candidates_are_decided_in_order():
     # at depth 2, beta(alpha seed) and then alpha(beta seed) land in weight
     # sector (0, -1), whose only vector at level <= 1 is e^{(1)}_{0,-1}: the
     # later image is nonzero on its own and is discarded only because the
-    # earlier one of the same depth was accepted
+    # earlier one of the same depth was accepted.  The pair misses labels,
+    # so only the dense oracle counts it.
     sp, gens, seed = _setup()
     alpha, beta = gens[0], gens[2]
     v0 = np.zeros(sp.dim)
@@ -309,58 +269,75 @@ def test_same_target_candidates_are_decided_in_order():
     for w in (beta.apply(alpha.apply(v0)), alpha.apply(beta.apply(v0))):
         assert np.flatnonzero(w).tolist() == [k]
         assert abs(w[k]) > GRAM_TOL
-    rep = _assert_matches_dense([alpha, beta], seed, 2)
-    assert rep.history == (1, 3, 6)
-    assert rep.discarded == 1
+    _, discarded, history, _ = _assert_undecided([alpha, beta], seed, 2,
+                                                 UNREACHED)
+    assert history == (1, 3, 6)
+    assert discarded == 1
 
 
 @pytest.mark.parametrize("names", [("alpha",), ("alpha", "alpha*")],
                          ids=["alpha", "alpha+alpha*"])
 def test_part_filled_sector_frames_match_dense(names):
-    # alpha (and alpha*) keep to the i = j sectors: many frames are left
-    # part-filled, and the shortfall is reported per level
+    # alpha (and alpha*) keep to the i = j sectors: most labels are never
+    # reached, and the dense oracle reports the shortfall per level
     sp, gens, seed = _setup(tn_max=8)
     ops = hat_generators(sp, Q)
-    rep = _assert_matches_dense([ops[g] for g in names], seed, 8)
-    assert rep.deficiency
+    assert _assert_undecided([ops[g] for g in names], seed, 8, UNREACHED)[3]
 
 
-def test_zero_gram_tol_stops_at_the_dimension():
-    # with gram_tol = 0 the rounding residue left by a full frame would count
-    # as a new direction; a frame holds at most its sector's dimension
+def test_dense_random_generators_are_undecided():
+    # generic dense operators move the level by every amount: the words do
+    # fill the space (by the dense oracle), but the structure cannot say so
     sp = enumerate_space("L2", half(1))
     rng = np.random.default_rng(0)
     rows, cols = np.divmod(np.arange(sp.dim ** 2), sp.dim)
     gens = [SparseOp.from_coo(sp, sp, rows, cols,
                               rng.standard_normal(sp.dim ** 2))
             for _ in range(5)]
-    rep = cyclic_dimension(gens, 0, 2, gram_tol=0.0)
-    assert rep.history == (1, 6, sp.dim)
-    assert rep.saturated
+    history = _assert_undecided(gens, 0, 2, "generator 0 " + NOT_BAND)[2]
+    assert history == (1, 6, sp.dim)
 
 
-def test_tiny_q_drops_the_alpha_image():
-    # at q = 1e-100 alpha maps the seed to q e^{(1/2)}_{-1/2,-1/2}, far below
-    # gram_tol (SparseOp even prunes the coefficient, so the certificate
-    # fails), and only the other three images are new at depth 1
+def test_tiny_q_keeps_the_alpha_image():
+    # at q = 1e-100 alpha maps the seed to q e^{(1/2)}_{-1/2,-1/2}: far
+    # below any Gram-Schmidt tolerance, but a nonzero entry, and the only
+    # up entry that label receives
     sp, gens, seed = _setup(q=1e-100)
-    assert _certificate(gens, seed, 6, GRAM_TOL) is None
-    rep = _assert_matches_dense(gens, seed, 6)
-    assert rep.history[1] == 4
+    k = sp.ordinal(L2Index(half(0.5), half(-0.5), half(-0.5)))
+    ups = [g.vals[(g.rows == k) & (g.cols == seed)] for g in gens]
+    assert [u.tolist() for u in ups] == [[1e-100], [], [], []]
+    rep = cyclic_dimension(gens, 6)
+    assert rep.history[1] == 5
+    assert rep.saturated
+    assert _dense_oracle(gens, seed, 1)[2] == (1, 4)  # the tolerance's view
 
 
-# ------------------------------------------- the certificate and its fallback
+# ------------------------------------------------ the certificate across q
 
 @pytest.mark.parametrize("q", [0.3, 0.7, 0.95, 1e-3])
 def test_certificate_equals_gram_schmidt_and_dense(q):
     for tn_max in (*range(1, 9), 16, 24):
         sp, gens, seed = _setup(tn_max=tn_max, q=q)
-        assert _certificate(gens, seed, tn_max, GRAM_TOL) is not None
-        rep = _both_paths(gens, seed, tn_max)
-        assert rep.saturated and rep.deficiency == ()
         if tn_max <= 8:
-            assert (rep.reached, rep.discarded, rep.history, rep.deficiency) \
-                == _dense_oracle(gens, np.eye(sp.dim)[seed], tn_max)
+            rep = _assert_matches_dense(gens, seed, tn_max)
+        else:
+            rep = cyclic_dimension(gens, tn_max)
+        assert rep.saturated
+
+
+@pytest.mark.parametrize("tn_max", [2, 16, 32])
+def test_certificate_holds_for_the_hatted_pair_at_every_q(tn_max):
+    # every label at N >= 1/2 receives a nonzero up entry at every q in
+    # (0, 1): (N, -N, -N) q^1 from alpha, (N, I, -N) a factor
+    # (1 - q^{2N+2I})^{1/2} from beta, (N, -N, J) one from beta*, the rest
+    # one from alpha*
+    sp = enumerate_space("L2", half(tn_max / 2))
+    levels = tuple(itertools.accumulate((d + 1) ** 2
+                                        for d in range(tn_max + 1)))
+    for q in (5e-324, 1e-300, 1e-100, 1e-30, 1e-15, 1e-9, 0.3, 0.9,
+              0.9999999999999999):
+        rep = cyclic_dimension(hat_generators(sp, q).values(), tn_max)
+        assert rep.history == levels, q
 
 
 def _zeroed(g, row, col):
@@ -370,31 +347,26 @@ def _zeroed(g, row, col):
     return SparseOp(g.dom, g.cod, g.rows, g.cols, np.where(hit, 0.0, g.vals))
 
 
-def test_fallback_triggers_take_the_gram_schmidt():
+def test_undecided_structures_raise():
     sp, gens, seed = _setup(tn_max=4)
     depth = 4
-    # an explicit seed vector never reaches the certificate
-    v0 = np.zeros(sp.dim)
-    v0[seed] = 1.0
-    _assert_matches_dense(gens, v0, depth)
-    # a seed off level 0
-    off = sp.ordinal(L2Index(half(0.5), half(0.5), half(0.5)))
-    assert _certificate(gens, off, depth, GRAM_TOL) is None
-    _assert_matches_dense(gens, off, depth)
     # a generator with two weight shifts
     mixed = [gens[0] + gens[2]] + gens[1:]
-    assert _certificate(mixed, seed, depth, GRAM_TOL) is None
-    _assert_matches_dense(mixed, seed, depth)
+    _assert_undecided(mixed, seed, depth, "generator 0 " + NOT_BAND)
     # a generator with entries at level offset 0 (a diagonal D1)
     with_d1 = gens + [dirac_family(D1_PARAMS, sp)]
-    assert _certificate(with_d1, seed, depth, GRAM_TOL) is None
-    _assert_matches_dense(with_d1, seed, depth)
+    _assert_undecided(with_d1, seed, depth, "generator 4 " + NOT_BAND)
+    # a Double space: (n, i, j) does not fix a label
+    dbl = enumerate_space("Double", half(2))
+    with pytest.raises(ValueError, match="needs an L2 space, got kind "
+                                         "'Double'"):
+        cyclic_dimension(pi_prime_generators(dbl, Q).values(), depth)
 
 
 def test_fallback_reports_an_unreached_label():
     # the top corner e^{(2)}_{-2,-2} receives its only up entry from alpha;
-    # with that entry zeroed no word reaches the label, the certificate
-    # fails, and the Gram-Schmidt reports the shortfall
+    # with that entry zeroed no word reaches the label: the certificate
+    # names it, and the dense oracle finds that one dimension is missing
     sp, gens, seed = _setup(tn_max=4)
     corner = sp.ordinal(L2Index(half(2), half(-2), half(-2)))
     source = sp.ordinal(L2Index(half(1.5), half(-1.5), half(-1.5)))
@@ -402,17 +374,16 @@ def test_fallback_reports_an_unreached_label():
                                     & (sp.tn[g.cols] == 3))]
     assert up == [gens[0]]
     cut = [_zeroed(gens[0], corner, source)] + gens[1:]
-    assert _certificate(cut, seed, 4, GRAM_TOL) is None
-    rep = _assert_matches_dense(cut, seed, 4)
-    assert not rep.saturated
-    assert rep.reached == rep.target - 1
-    assert rep.deficiency == ((4, 1),)
+    reached, _, _, deficiency = _assert_undecided(
+        cut, seed, 4, r"\(2, -2, -2\) " + UNREACHED)
+    assert reached == sp.dim - 1
+    assert deficiency == ((4, 1),)
 
 
-@pytest.mark.parametrize("q", [1e-9, 1e-12])
+@pytest.mark.parametrize("q", [1e-9, 1e-12, 1e-30, 1e-100, 5e-324])
 def test_minimality_saturates_at_small_q(q):
-    # alpha maps the seed to q e^{(1/2)}_{-1/2,-1/2}, a length below the
-    # default gram_tol: only the certificate sees it as a new direction
+    # alpha maps the seed to q e^{(1/2)}_{-1/2,-1/2}, a length below any
+    # Gram-Schmidt tolerance: the certificate sees it as a new direction
     (cell,) = run(RunConfig(q=(q,), n_max=half(8), suites=("minimality",)))
     assert cell.passed
     m = cell.metrics

@@ -33,7 +33,8 @@ def test_validate_config_distinct_errors():
         (dict(n_max=HalfInt(-2)), "n_max must be >= 0"),
         (dict(tolerances={"bogus": 1e-9}), "unknown tolerance"),
         (dict(tolerances={"relation": 0.0}), "must be positive"),
-        (dict(tolerances={"gram": float("inf")}), "must be finite"),
+        (dict(tolerances={"relation": float("inf")}), "must be finite"),
+        (dict(tolerances={"gram": 1e-8}), "unknown tolerance"),
         (dict(suites=()), "at least one suite"),
         (dict(suites=("nonesuch",)), "unknown suite"),
         (dict(suites=("relations",), n_max=HalfInt(1)), "needs n_max >= 1"),
@@ -54,8 +55,7 @@ def test_validate_config_normalizes():
     assert cfg.q == (0.5, 0.3)
     assert cfg.tolerances == DEFAULT_TOLERANCES
     cfg2 = validate_config(_cfg(tolerances={"relation": 1e-8}))
-    assert cfg2.tolerances["relation"] == 1e-8
-    assert cfg2.tolerances["gram"] == DEFAULT_TOLERANCES["gram"]
+    assert cfg2.tolerances == {"relation": 1e-8}
 
 
 def test_relations_suite_emits_exactly_ten_reports_per_q():
@@ -318,10 +318,20 @@ def test_cli_tolerance_flags(capsys):
     out = capsys.readouterr().out
     assert "10/10 cells passed" in out
     # only the tolerances a suite reads are options
-    assert sorted(DEFAULT_TOLERANCES) == ["gram", "relation"]
-    for gone in ("--tol-adjoint", "--tol-norm"):
-        with pytest.raises(SystemExit):
-            main(["relations", "--nmax", "4", gone, "1e-10"])
+    assert sorted(DEFAULT_TOLERANCES) == ["relation"]
+    for gone in ("--tol-adjoint", "--tol-norm", "--tol-gram"):
+        with pytest.raises(SystemExit) as exc:
+            main(["minimality", "--nmax", "4", gone, "1e-10"])
+        assert exc.value.code == 2  # a parse error
+    capsys.readouterr()
+
+
+def test_cli_minimality_at_extreme_q(capsys):
+    # assembly keeps q^1 = 5e-324, so the certificate holds down to the
+    # smallest double and up to the largest double below 1
+    assert main(["minimality", "--nmax", "16", "--q", "5e-324",
+                 "--q", "1e-100", "--q", "0.9999999999999999"]) == 0
+    assert "3/3 cells passed" in capsys.readouterr().out
 
 
 def test_suites_tuple_matches_cli():

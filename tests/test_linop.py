@@ -10,8 +10,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diraclab._kernels import (BOUND_SLACK, schur_bounds, sector_map,
-                               spectral_norms)
+from diraclab._kernels import BOUND_SLACK, schur_bounds, spectral_norms
 from diraclab.hilbert import enumerate_space
 from diraclab.linop import (
     SparseOp,
@@ -22,6 +21,23 @@ from diraclab.linop import (
     op_norm,
 )
 from diraclab.qnum import half
+
+
+def sector_map(src, dst, n_src):
+    """Target sector of each source sector, or None unless one-to-one.
+
+    ``src[k]``, ``dst[k]``: source and target sector of an operator's k-th
+    entry.  ``to[s]`` is the one sector the entries leaving sector s land
+    in (-1 if none leave s); None if a source sector reaches two targets
+    or a target is reached from two sources.  The grading oracle of the
+    tests below.
+    """
+    to = np.full(n_src, -1)
+    to[src] = dst
+    held = to[to >= 0]
+    if not np.array_equal(to[src], dst) or len(np.unique(held)) < len(held):
+        return None
+    return to
 
 
 def spectral_norm(row, col, data, row_sector, col_sector):

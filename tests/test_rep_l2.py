@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from diraclab.hilbert import L2Index, enumerate_space
-from diraclab.linop import interior_projector, op_norm
-from diraclab.qnum import HalfInt, half
+from diraclab.linop import PRUNE_TOL, interior_projector, op_norm
+from diraclab.qnum import HalfInt, half, q_power
 from diraclab.rep_l2 import (
     D1_PARAMS,
     D2_PARAMS,
@@ -62,6 +62,34 @@ def test_alpha_hat_lowering_vanishes_on_weight_floor():
         entry = A[sp.ordinal(target), sp.ordinal(label)]
         vanishes = label.i.twice == -tn or label.j.twice == -tn
         assert (entry == 0.0) == vanishes, label
+
+
+def test_assembly_keeps_coefficients_at_tiny_q():
+    # only exact zeros are dropped: at q = 1e-100 alpha has the 10 entries
+    # it has at q = 0.5, down to q^3 = 1e-300, and maps e_0 to q times
+    # e^{(1/2)}_{-1/2,-1/2}
+    sp = enumerate_space("L2", 1)
+    tiny, mid = (hat_generators(sp, q)["alpha"] for q in (1e-100, 0.5))
+    assert tiny.nnz == mid.nnz == 10
+    for attr in ("rows", "cols"):
+        assert np.array_equal(getattr(tiny, attr), getattr(mid, attr))
+    want = np.zeros(sp.dim)
+    want[sp.ordinal(lab(0.5, -0.5, -0.5))] = 1e-100
+    assert np.array_equal(tiny.apply(np.eye(sp.dim)[0]), want)
+
+
+def test_assembly_keeps_entries_below_prune_tol():
+    # at q = 0.3, n_max = 8 the up entries q^{2n+i+j+1} of exponent 29 to
+    # 31 lie below PRUNE_TOL; assembly keeps all seven, exactly
+    sp = enumerate_space("L2", half(8))
+    a = alpha_hat(sp, 0.3)
+    small = np.abs(a.vals) < PRUNE_TOL
+    e = (sp.tn + (sp.ti + sp.tj) // 2 + 1)[a.cols]  # 2n + i + j + 1
+    up = sp.tn[a.rows] > sp.tn[a.cols]
+    assert small.sum() == 7
+    assert np.array_equal(small, up & (e >= 29))
+    assert np.array_equal(a.vals[small], q_power(e[small], 0.3))
+    assert a.vals[small].min() == q_power(31, 0.3) > 6e-17
 
 
 def test_beta_hat_on_vacuum():

@@ -69,5 +69,16 @@ def pi_prime_tilde(gen: str, space, q: float) -> SparseOp:
             rows.append(row[hit])
             cols.append(col[hit])
             vals.append(sgn * M[col[hit], tb, space.band[hit]])
-    return SparseOp.from_coo(space, space, np.concatenate(rows),
-                             np.concatenate(cols), np.concatenate(vals))
+    return exact_op(space, np.concatenate(rows), np.concatenate(cols),
+                    np.concatenate(vals))
+
+
+def exact_op(space, rows, cols, vals) -> SparseOp:
+    """The operator with entries ``vals`` at distinct coordinates, sorted
+    row-major, dropping exact zeros only, as assembly builds its operators
+    (``SparseOp.from_coo`` would also drop entries below PRUNE_TOL)."""
+    rows, cols, vals = (np.asarray(x) for x in (rows, cols, vals))
+    order = np.lexsort((cols, rows))
+    keep = order[vals[order] != 0]
+    return SparseOp(space, space, rows[keep].astype(np.int64),
+                    cols[keep].astype(np.int64), vals[keep].astype(np.float64))
