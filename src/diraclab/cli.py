@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import DEFAULT_Q, DEFAULT_TOLERANCES, SUITES, RunConfig, run
+from .harness import DEFAULT_Q, SUITES, RunConfig, run
 from .qnum import HalfInt
 
 _SUITE_HELP = {
@@ -23,8 +23,6 @@ _SUITE_HELP = {
     "all": "every suite above, in canonical order",
 }
 
-_TOL_HELP = {"relation": "relation-defect gate"}
-
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -33,11 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
                              f"(default: {' '.join(map(str, DEFAULT_Q))})")
     common.add_argument("--nmax", type=int, default=16, metavar="TWICE_N",
                         help="truncation as a doubled integer; 16 -> n_max=8")
-    for name in sorted(DEFAULT_TOLERANCES):
-        common.add_argument(f"--tol-{name}", type=float, default=None,
-                            metavar="X",
-                            help=f"{_TOL_HELP[name]} "
-                                 f"(default {DEFAULT_TOLERANCES[name]:g})")
     common.add_argument("--out", default=None, metavar="DIR",
                         help="write report.json and report.csv here")
     common.add_argument("--plot", action="store_true",
@@ -56,15 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tolerances = {}
-    for name in DEFAULT_TOLERANCES:
-        v = getattr(args, f"tol_{name}")
-        if v is not None:
-            tolerances[name] = v
     cfg = RunConfig(
         q=tuple(args.q) if args.q else DEFAULT_Q,
         n_max=HalfInt(args.nmax),
-        tolerances=tolerances,
         suites=SUITES if args.suite == "all" else (args.suite,),
         out_dir=args.out,
         emit_plot=args.plot,

@@ -28,7 +28,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +49,9 @@ SUITES = ("relations", "decompose", "kq-decay", "asymptotics",
 
 DEFAULT_Q = (0.3, 0.5, 0.7)
 DEFAULT_N_MAX = HalfInt(16)  # n_max = 8
-DEFAULT_TOLERANCES = {"relation": 1e-10}
 
+#: relations gate: each relation word's norm on the interior(1) columns.
+RELATION_DEFECT_MAX = 1e-10
 #: kq-decay gates: fitted exponent at least 1.8 ln(1/q); the control fit on
 #: the representation itself must stay below 0.5 ln(1/q).
 KQ_RATIO_MIN = 1.8
@@ -65,7 +66,6 @@ _PLOT_GEN_NAME = {"alpha*": "alphastar", "beta": "beta"}
 class RunConfig:
     q: tuple = DEFAULT_Q
     n_max: HalfInt = DEFAULT_N_MAX
-    tolerances: dict = field(default_factory=dict)
     suites: tuple = SUITES
     out_dir: str | None = None
     emit_plot: bool = False
@@ -84,18 +84,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     n_max = half(cfg.n_max)
     if n_max.twice < 0:
         raise ValueError(f"config: n_max must be >= 0, got {n_max}")
-    tol = dict(DEFAULT_TOLERANCES)
-    for k, v in dict(cfg.tolerances).items():
-        if k not in DEFAULT_TOLERANCES:
-            raise ValueError(f"config: unknown tolerance {k!r} "
-                             f"(expected one of {sorted(DEFAULT_TOLERANCES)})")
-        if not float(v) > 0.0:
-            raise ValueError(f"config: tolerance {k!r} must be positive, "
-                             f"got {v}")
-        if not math.isfinite(float(v)):
-            raise ValueError(f"config: tolerance {k!r} must be finite, "
-                             f"got {v}")
-        tol[k] = float(v)
     suites = tuple(cfg.suites)
     if not suites:
         raise ValueError("config: need at least one suite")
@@ -119,7 +107,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
                          "for its depth-1 oracle")
     if cfg.emit_plot and cfg.out_dir is None:
         raise ValueError("config: plot emission needs an output directory")
-    return RunConfig(qs, n_max, tol, suites, cfg.out_dir, bool(cfg.emit_plot))
+    return RunConfig(qs, n_max, suites, cfg.out_dir, bool(cfg.emit_plot))
 
 
 class VerificationReport(NamedTuple):
@@ -150,7 +138,7 @@ def _suite_relations(cfg: RunConfig, q: float, ops, plots: dict):
             later = {syms for _, v in words[k + 1:] for _, syms in v}
             terms = {syms: T for syms, T in terms.items() if syms in later}
             yield (f"{rep}:{name}", {"defect": defect},
-                   ("defect", "<=", cfg.tolerances["relation"]))
+                   ("defect", "<=", RELATION_DEFECT_MAX))
 
 
 def _suite_decompose(cfg: RunConfig, q: float, ops, plots: dict):
@@ -316,7 +304,6 @@ def payload_dict(reports, cfg: RunConfig) -> dict:
         "config": {
             "q": list(cfg.q),
             "n_max_twice": cfg.n_max.twice,
-            "tolerances": dict(cfg.tolerances),
             "suites": list(cfg.suites),
         },
         "reports": [

@@ -2,12 +2,12 @@
 
 A :class:`SparseOp` is a sparse coefficient table with domain and codomain
 metadata: numpy arrays ``rows``, ``cols`` and ``vals``, sorted row-major,
-no coordinate twice.  An assembled generator keeps every nonzero
-coefficient; :meth:`SparseOp.from_coo`, sums and products drop the entries
-they form below PRUNE_TOL = 1e-15, the residue of rounding and
-cancellation.  All algebra enforces
-space compatibility, and a product sums each entry over the inner index in
-ascending order, as a compressed-sparse-row product does, bit for bit.
+no coordinate twice, never an exact zero.  Every operator keeps each
+nonzero coefficient, however small: :meth:`SparseOp.from_coo`, sums and
+products drop only the entries that are exactly 0, as ``scipy.sparse``
+does.  All algebra enforces space compatibility, and a product sums each
+entry over the inner index in ascending order, as a compressed-sparse-row
+product does, bit for bit.
 Scalars are real doubles throughout (every displayed coefficient in this
 problem is real), so the adjoint is the transpose; a diagonal factor of a
 product scales the other's entries in place.  :func:`op_norm` and
@@ -25,8 +25,6 @@ import numpy as np
 from ._kernels import spectral_norms
 from .hilbert import TruncatedSpace, interior
 from .qnum import half
-
-PRUNE_TOL = 1e-15
 
 
 class SpaceMismatchError(ValueError):
@@ -46,8 +44,8 @@ class SparseOp:
     @staticmethod
     def from_coo(dom, cod, rows, cols, vals) -> "SparseOp":
         """Canonical operator from coordinates: sorted stably by
-        row * dom.dim + col, duplicates summed in input order, entries below
-        PRUNE_TOL dropped.  A row outside [0, cod.dim) or a column outside
+        row * dom.dim + col, duplicates summed in input order, exact zeros
+        dropped.  A row outside [0, cod.dim) or a column outside
         [0, dom.dim) raises SpaceMismatchError."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -67,7 +65,7 @@ class SparseOp:
         np.cumsum(group, out=group)
         vals = np.asarray(  # (bincount gives integers if empty)
             np.bincount(group, np.asarray(vals, np.float64)[order]), np.float64)
-        keep = ~(np.abs(vals) < PRUNE_TOL)
+        keep = vals != 0
         rows, cols = np.divmod(key[new][keep], max(dom.dim, 1))
         return SparseOp(dom, cod, rows, cols, vals[keep])
 
@@ -85,8 +83,8 @@ class SparseOp:
         if values.shape != (space.dim,):
             raise SpaceMismatchError(
                 f"diagonal needs {space.dim} values, got {values.shape}")
-        return SparseOp.from_coo(space, space, *[np.arange(space.dim)] * 2,
-                                 values)
+        at = np.flatnonzero(values != 0)
+        return SparseOp(space, space, at, at, values[at])
 
     # --------------------------------------------------------------- algebra
 
@@ -114,7 +112,7 @@ class SparseOp:
                 d[diag.rows], on[diag.rows] = diag.vals, True
                 at = np.flatnonzero(on[inner])
                 vals = T.vals[at] * d[inner[at]]
-                keep = ~(np.abs(vals) < PRUNE_TOL)
+                keep = vals != 0
                 return SparseOp(other.dom, self.cod, T.rows[at[keep]],
                                 T.cols[at[keep]], vals[keep])
         # each entry (i, j) of self, in order, meets row j of other in order
@@ -137,7 +135,7 @@ class SparseOp:
 
     def scale(self, c: float) -> "SparseOp":
         vals = self.vals * float(c)
-        keep = ~(np.abs(vals) < PRUNE_TOL)
+        keep = vals != 0
         return SparseOp(self.dom, self.cod, self.rows[keep], self.cols[keep],
                         vals[keep])
 
@@ -203,8 +201,8 @@ def block_norm(T: SparseOp, n) -> float:
 def commutator(D: SparseOp, T: SparseOp) -> SparseOp:
     """[D, T] = D @ T - T @ D for a diagonal D, from T's entries in their
     order: a = T * d[row] and b = T * d[col], each dropped where D stores
-    no diagonal entry (T may hold inf, which a 0 would turn into nan) or
-    below PRUNE_TOL, then a - b pruned; bit for bit the operator
+    no diagonal entry (T may hold inf, which a 0 would turn into nan), then
+    a - b without its exact zeros; bit for bit the operator
     ``D @ T - T @ D``, whose sum adds each entry's a and -b to 0.0."""
     if not np.array_equal(D.rows, D.cols):
         raise ValueError("commutator expects a diagonal operator")
@@ -216,10 +214,9 @@ def commutator(D: SparseOp, T: SparseOp) -> SparseOp:
     for out, idx in ((a, T.rows), (b, T.cols)):
         at = np.flatnonzero(on[idx])
         out[at] = T.vals[at] * d[idx[at]]
-        out[np.abs(out) < PRUNE_TOL] = 0.0
     with np.errstate(invalid="ignore"):  # inf - inf is nan, as summed
         vals = a - b
-    keep = ~(np.abs(vals) < PRUNE_TOL)
+    keep = vals != 0
     return SparseOp(T.dom, T.cod, T.rows[keep], T.cols[keep], vals[keep])
 
 

@@ -50,9 +50,8 @@ def _band_op(space, shift, up, down, sign=1.0) -> SparseOp:
 
     On L2 a coefficient is one value per ordinal.  On Double it is one 2x2
     matrix per ordinal, and source band s feeds target band t its entry
-    [t, s].  ``sign`` multiplies the selected values.  Every coordinate
-    occurs once, so the entries are sorted row-major once and only exact
-    zeros are dropped: a coefficient as small as q^31 at q = 0.3, or q at
+    [t, s].  ``sign`` multiplies the selected values.  Only exact zeros
+    are dropped: a coefficient as small as q^31 at q = 0.3, or q at
     q = 1e-300, is kept.
     """
     tn, ti, tj = space.tn, space.ti, space.tj
@@ -68,10 +67,8 @@ def _band_op(space, shift, up, down, sign=1.0) -> SparseOp:
             cols.append(hit)
             vals.append(sign * (c[hit] if tb is None
                                 else c[hit, tb, space.band[hit]]))
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    order = np.argsort(rows * space.dim + cols)
-    keep = order[vals[order] != 0]
-    return SparseOp(space, space, rows[keep], cols[keep], vals[keep])
+    return SparseOp.from_coo(space, space, *map(np.concatenate,
+                                                (rows, cols, vals)))
 
 
 def alpha_hat(space: TruncatedSpace, q: float) -> SparseOp:
@@ -124,12 +121,9 @@ def pi_hat(w: tuple, space: TruncatedSpace, q: float,
     truncation cannot contaminate the outcome.
 
     ``right``, an orthogonal projector onto basis vectors (a diagonal of
-    ones), gives ``w @ right`` with each term's last factor L cut to the
-    columns of ``right`` first: bit for bit the same operator, since each
-    of its entries is the same sum in the same order, from fewer products.
-    The cut keeps every entry of L: the product L @ right would drop L's
-    entries below PRUNE_TOL, which X @ L sums.  So a word that is one
-    unscaled symbol keeps them too, where ``w @ right`` drops them.
+    ones), gives ``w @ right`` with each term's last factor L replaced by
+    ``L @ right`` first: bit for bit the same operator, since each of its
+    entries is the same sum in the same order, from fewer products.
     ``terms`` keeps each unscaled term by its symbols, so that words
     evaluated with the same ``ops`` and ``right`` share their products.
     """
@@ -139,8 +133,6 @@ def pi_hat(w: tuple, space: TruncatedSpace, q: float,
         if not (np.array_equal(right.rows, right.cols)
                 and np.all(right.vals == 1.0)):
             raise ValueError("right must be a diagonal of ones")
-        on = np.zeros(space.dim, dtype=bool)
-        on[right.rows] = True
     if terms is None:
         terms = {}
     out = None
@@ -148,9 +140,7 @@ def pi_hat(w: tuple, space: TruncatedSpace, q: float,
         if syms not in terms:
             cur = ops[syms[-1]] if syms else SparseOp.identity(space)
             if right is not None:
-                at = on[cur.cols]
-                cur = SparseOp(space, space, cur.rows[at], cur.cols[at],
-                               cur.vals[at])
+                cur = cur @ right
             if len(syms) > 1:
                 head = ops[syms[0]]
                 for s in syms[1:-1]:

@@ -7,7 +7,6 @@ import pytest
 from diraclab.cli import main
 from diraclab.harness import (
     CSV_HEADER,
-    DEFAULT_TOLERANCES,
     RunConfig,
     SUITES,
     csv_lines,
@@ -31,10 +30,6 @@ def test_validate_config_distinct_errors():
         (dict(q=(1.5,)), "lie in (0, 1)"),
         (dict(q=(0.5, 0.3, 0.5)), "must be distinct"),
         (dict(n_max=HalfInt(-2)), "n_max must be >= 0"),
-        (dict(tolerances={"bogus": 1e-9}), "unknown tolerance"),
-        (dict(tolerances={"relation": 0.0}), "must be positive"),
-        (dict(tolerances={"relation": float("inf")}), "must be finite"),
-        (dict(tolerances={"gram": 1e-8}), "unknown tolerance"),
         (dict(suites=()), "at least one suite"),
         (dict(suites=("nonesuch",)), "unknown suite"),
         (dict(suites=("relations",), n_max=HalfInt(1)), "needs n_max >= 1"),
@@ -53,9 +48,6 @@ def test_validate_config_normalizes():
     cfg = validate_config(_cfg(q=[0.5, 0.3], suites=["family", "decompose"]))
     assert cfg.suites == ("decompose", "family")  # canonical order
     assert cfg.q == (0.5, 0.3)
-    assert cfg.tolerances == DEFAULT_TOLERANCES
-    cfg2 = validate_config(_cfg(tolerances={"relation": 1e-8}))
-    assert cfg2.tolerances == {"relation": 1e-8}
 
 
 def test_relations_suite_emits_exactly_ten_reports_per_q():
@@ -308,22 +300,18 @@ def test_cli_extreme_q_is_a_config_error(capsys):
 
 
 def test_cli_tolerance_flags(capsys):
-    # an impossible relation tolerance must fail the config, not the cells
-    assert main(["relations", "--nmax", "4", "--q", "0.5",
-                 "--tol-relation", "0"]) == 2
-    capsys.readouterr()
-    # a loose tolerance lets the hatted cells pass (diagnostic use)
-    assert main(["relations", "--nmax", "4", "--q", "0.5",
-                 "--tol-relation", "10"]) == 0
-    out = capsys.readouterr().out
-    assert "10/10 cells passed" in out
-    # only the tolerances a suite reads are options
-    assert sorted(DEFAULT_TOLERANCES) == ["relation"]
-    for gone in ("--tol-adjoint", "--tol-norm", "--tol-gram"):
+    # every gate is a constant: no tolerance is an option
+    for gone in ("--tol-relation", "--tol-adjoint", "--tol-norm",
+                 "--tol-gram"):
         with pytest.raises(SystemExit) as exc:
-            main(["minimality", "--nmax", "4", gone, "1e-10"])
+            main(["relations", "--nmax", "4", gone, "1e-10"])
         assert exc.value.code == 2  # a parse error
     capsys.readouterr()
+    # the hatted cells fail the fixed relation gate by design
+    assert main(["relations", "--nmax", "4", "--q", "0.5"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("(gate <= 1e-10)") == 10
+    assert "5/10 cells passed" in out
 
 
 def test_cli_minimality_at_extreme_q(capsys):

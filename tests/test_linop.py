@@ -76,10 +76,41 @@ def test_zero_and_diagonal():
         SparseOp.diagonal(sp, [1.0, 2.0])
 
 
-def test_prune_tolerance():
-    sp = _toy_space(0.5)
-    T = SparseOp.from_coo(sp, sp, [0, 1], [0, 1], [1e-16, 1.0])
-    assert T.nnz == 1
+def _triples(T):
+    return list(zip(T.rows.tolist(), T.cols.tolist(), T.vals.tolist()))
+
+
+def test_every_nonzero_entry_is_kept():
+    # an entry is dropped only when it is exactly 0: a 1e-20 entry and the
+    # subnormal product 1e-300 * 1e-20 stay; an exact cancellation, or a
+    # product that underflows to 0, goes
+    sp = _toy_space(0.5)  # dim 5
+    T = SparseOp.from_coo(sp, sp, [0, 1, 2, 2], [0, 1, 2, 2],
+                          [1e-20, 1.0, 0.5, -0.5])
+    assert _triples(T) == [(0, 0, 1e-20), (1, 1, 1.0)]
+    assert _triples(SparseOp.diagonal(sp, [1e-20, 0.0, 1.0, 0.0, 0.0])) \
+        == [(0, 0, 1e-20), (2, 2, 1.0)]
+    # compose, general path: sums over the inner index
+    A = SparseOp.from_coo(sp, sp, [0, 1, 1], [1, 1, 2], [1e-300, 1.0, 1.0])
+    B = SparseOp.from_coo(sp, sp, [1, 1, 2], [3, 4, 4], [1e-20, 0.5, -0.5])
+    assert _triples(A @ B) == [(0, 3, 1e-320), (0, 4, 5e-301),
+                               (1, 3, 1e-20)]
+    # compose, diagonal path, from either side
+    D = SparseOp.diagonal(sp, [1e-300, 1e-300, 1.0, 1.0, 1.0])
+    T = SparseOp.from_coo(sp, sp, [0, 1, 2], [0, 1, 3], [1e-20, 1e-300, 1.0])
+    assert _triples(T @ D) == [(0, 0, 1e-320), (2, 3, 1.0)]
+    assert _triples(D @ T) == [(0, 0, 1e-320), (2, 3, 1.0)]
+    # add and scale
+    assert (T + T.scale(-1.0)).nnz == 0
+    assert _triples(T + B) == [(0, 0, 1e-20), (1, 1, 1e-300), (1, 3, 1e-20),
+                               (1, 4, 0.5), (2, 3, 1.0), (2, 4, -0.5)]
+    assert _triples(T.scale(1e-300)) == [(0, 0, 1e-320), (2, 3, 1e-300)]
+    assert T.scale(0.0).nnz == 0
+    # commutator: (d[row] - d[col]) t, 2e-20 - 1e-20 kept, 1.5 - 1.5 dropped
+    D = SparseOp.diagonal(sp, [2.0, 1.0, 3.0, 3.0, 1.0])
+    T = SparseOp.from_coo(sp, sp, [0, 2], [1, 3], [1e-20, 0.5])
+    assert _triples(commutator(D, T)) == [(0, 1, 1e-20)]
+    assert _triples(D @ T - T @ D) == [(0, 1, 1e-20)]
 
 
 def test_from_coo_rejects_coordinates_outside_its_spaces():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diraclab.hilbert import L2Index, enumerate_space
-from diraclab.linop import PRUNE_TOL, interior_projector, op_norm
+from diraclab.linop import interior_projector, op_norm
 from diraclab.qnum import HalfInt, half, q_power
 from diraclab.rep_l2 import (
     D1_PARAMS,
@@ -80,10 +80,10 @@ def test_assembly_keeps_coefficients_at_tiny_q():
 
 def test_assembly_keeps_entries_below_prune_tol():
     # at q = 0.3, n_max = 8 the up entries q^{2n+i+j+1} of exponent 29 to
-    # 31 lie below PRUNE_TOL; assembly keeps all seven, exactly
+    # 31 lie below 1e-15; assembly keeps all seven, exactly
     sp = enumerate_space("L2", half(8))
     a = alpha_hat(sp, 0.3)
-    small = np.abs(a.vals) < PRUNE_TOL
+    small = np.abs(a.vals) < 1e-15
     e = (sp.tn + (sp.ti + sp.tj) // 2 + 1)[a.cols]  # 2n + i + j + 1
     up = sp.tn[a.rows] > sp.tn[a.cols]
     assert small.sum() == 7
@@ -236,6 +236,21 @@ def test_hat_relation_defects_have_closed_forms(q):
             label = sp.basis[c]
             assert (label.i.twice == label.n.twice
                     or label.j.twice == label.n.twice), (name, label)
+
+
+@pytest.mark.parametrize("q", [1e-9, 1e-100])
+def test_hat_twist_defects_keep_their_closed_form_at_tiny_q(q):
+    # q^3 (1 - q^2)^(1/2) is far below 1e-15, yet a product of kept
+    # coefficients, not a rounding residue: the relations suite reads it
+    # to within an ulp (0 and 1.1e-16 relative, at either truncation)
+    for twice in (4, 8):
+        sp = enumerate_space("L2", half(twice))
+        P = interior_projector(sp, 1)
+        ops = hat_generators(sp, q)
+        for name in ("twist_beta", "twist_beta_star"):
+            T = pi_hat(relation_words(q)[name], sp, q, ops, right=P)
+            assert op_norm(T) == pytest.approx(q ** 3 * math.sqrt(1 - q * q),
+                                               rel=1e-15, abs=0), name
 
 
 def test_hat_relation_defects_past_the_crossover():

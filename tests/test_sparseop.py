@@ -1,16 +1,15 @@
 """SparseOp's numpy algebra against scipy.sparse, bit for bit.
 
 Every result must have exactly the rows, columns and values of scipy's
-canonical CSR result (sorted indices, no duplicates, entries below
-PRUNE_TOL dropped), read through ``tocoo()``; ``from_coo`` must match a
-plain loop that sums each coordinate's duplicates in input order.  Operands
-mix ordinary values, values below PRUNE_TOL and exact cancellations, on
-spaces of dimension 0 to 6, so sums of three or more rounded terms, pruned
-sums and empty operators all occur.  The operands of a product may also
-hold inf and NaN, or be diagonal (every entry at row == column), which
-``compose`` takes as a scaling of the other operand.  Examples are derived
-from each test's source (``derandomize=True``) and no example database is
-kept.
+canonical CSR result (sorted indices, no duplicates, no exact zeros), read
+through ``tocoo()``; ``from_coo`` must match a plain loop that sums each
+coordinate's duplicates in input order.  Operands mix ordinary values, tiny
+values and exact cancellations, on spaces of dimension 0 to 6, so sums of
+three or more rounded terms, cancelled sums and empty operators all occur.
+The operands of a product may also hold inf and NaN, or be diagonal (every
+entry at row == column), which ``compose`` takes as a scaling of the other
+operand.  Examples are derived from each test's source
+(``derandomize=True``) and no example database is kept.
 """
 
 import numpy as np
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab.hilbert import TruncatedSpace
-from diraclab.linop import PRUNE_TOL, SparseOp
+from diraclab.linop import SparseOp
 from diraclab.qnum import HalfInt
 
 deterministic = settings(derandomize=True, database=None, deadline=None,
@@ -32,9 +31,10 @@ values = st.one_of(
     st.sampled_from([1.0, -1.0, 0.5, 0.0, 1e-16, -9e-16, 1e-15, 2e-15,
                      1e-300]))
 extremes = st.sampled_from([np.inf, -np.inf, np.nan])
-# a diagonal entry of 0.0 or below PRUNE_TOL is dropped, so the product has
-# no entry in its column (or row), even where the other operand holds inf or
-# NaN; 1e-8 times 3e-8 and 1/3 times 1e-15 fall below PRUNE_TOL
+# a diagonal entry of 0.0 is dropped, so the product has no entry in its
+# column (or row), even where the other operand holds inf or NaN; 1e-8 times
+# 3e-8 and 1/3 times 1e-15 are tiny products, and 1e-300 times 1e-300
+# underflows to 0
 diagonal_values = st.one_of(values, extremes,
                             st.sampled_from([-2.0, -1 / 3, 1e-8, 3e-8]))
 
@@ -86,9 +86,8 @@ def operands(m, n):
 
 
 def _scipy_canonical(mat):
-    """scipy's canonical CSR with entries below PRUNE_TOL dropped, as COO."""
+    """scipy's canonical CSR without exact zeros, as COO."""
     mat = mat.tocsr()
-    mat.data[np.abs(mat.data) < PRUNE_TOL] = 0.0
     mat.eliminate_zeros()
     mat.sort_indices()
     return mat.tocoo()
@@ -109,7 +108,7 @@ def test_from_coo_matches_a_plain_loop(data, m, n):
     want = {}
     for r, c, v in zip(rows, cols, vals):
         want[(r, c)] = want.get((r, c), 0.0) + v
-    want = sorted((rc, v) for rc, v in want.items() if abs(v) >= PRUNE_TOL)
+    want = sorted((rc, v) for rc, v in want.items() if v != 0)
     T = SparseOp.from_coo(_space(n), _space(m), np.array(rows, dtype=int),
                           np.array(cols, dtype=int), np.array(vals))
     assert T.cod.dim == m and T.dom.dim == n

@@ -76,7 +76,7 @@ def pi_prime_tilde(gen: str, space, q: float) -> SparseOp:
 def exact_op(space, rows, cols, vals) -> SparseOp:
     """The operator with entries ``vals`` at distinct coordinates, sorted
     row-major, dropping exact zeros only, as assembly builds its operators
-    (``SparseOp.from_coo`` would also drop entries below PRUNE_TOL)."""
+    (sorted here by ``np.lexsort``, independently of ``SparseOp.from_coo``)."""
     rows, cols, vals = (np.asarray(x) for x in (rows, cols, vals))
     order = np.lexsort((cols, rows))
     keep = order[vals[order] != 0]
