@@ -19,7 +19,7 @@ from .decomp import (AsymptoticScan, DecayFit, KqDecay, asymptotic_residual,
 from .harness import RunConfig, VerificationReport, run
 from .hilbert import TruncatedSpace, enumerate_space, interior
 from .linop import (SparseOp, SpaceMismatchError, block_norm,
-                    interior_projector, op_norm)
+                    interior_projector, on_columns, op_norm)
 from .qnum import HalfInt, half, q_number, validate_q
 from .rep_double import (a_minus, a_plus, b_minus, b_plus, dirac_D, pi_prime,
                          pi_prime_generators)

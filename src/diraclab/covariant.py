@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linop import SpaceMismatchError
+from .qnum import HalfInt
 
 
 class CyclicityReport(NamedTuple):
@@ -90,10 +91,9 @@ def cyclic_dimension(generators, depth: int) -> CyclicityReport:
         reached[g.rows[(dn == 1) & (g.vals != 0)]] = True
     missing = np.flatnonzero(~reached & (tn > 0) & (tn <= depth))
     if len(missing):
-        lab = space.basis[missing[0]]
-        raise ValueError(
-            f"cyclic_dimension: label (n, i, j) = ({lab.n}, {lab.i}, "
-            f"{lab.j}) receives no nonzero up entry")
+        n, i, j = (HalfInt(int(t[missing[0]])) for t in (tn, ti, tj))
+        raise ValueError(f"cyclic_dimension: label (n, i, j) = ({n}, {i}, "
+                         f"{j}) receives no nonzero up entry")
     labels = np.bincount(tn, minlength=depth + 1)[:depth + 1]
     history = tuple(np.cumsum(labels).tolist())
     discarded = int((labels[:-1] * len(gens) - labels[1:]).sum())

@@ -37,8 +37,8 @@ from . import __version__ as _pkg_version
 from .covariant import cyclic_dimension
 from .decomp import (KQ_GENERATORS, asymptotic_scan, check_dirac_intertwine,
                      control_decay, kq_decay)
-from .hilbert import enumerate_space
-from .linop import commutator, interior_projector, op_norm
+from .hilbert import enumerate_space, interior
+from .linop import commutator, on_columns, op_norm
 from .qnum import HalfInt, half
 from .rep_double import dirac_D, pi_prime_generators
 from .rep_l2 import (D1_PARAMS, D2_PARAMS, DiracParams, dirac_family,
@@ -129,11 +129,11 @@ class VerificationReport(NamedTuple):
 
 def _suite_relations(cfg: RunConfig, q: float, ops, plots: dict):
     for rep, (space, gens) in [("hat", ops("L2")), ("prime", ops("Double"))]:
-        P, terms = interior_projector(space, 1), {}
+        inner, terms = interior(space, 1), {}
         words = list(relation_words(q).items())
         for k, (name, w) in enumerate(words):
-            defect = op_norm(pi_hat(w, space, q, ops=gens, right=P,
-                                    terms=terms))  # w @ P
+            defect = op_norm(pi_hat(w, space, q, ops=gens, right=inner,
+                                    terms=terms))  # w on the inner columns
             # keep only the products that a later word of this rep uses
             later = {syms for _, v in words[k + 1:] for _, syms in v}
             terms = {syms: T for syms, T in terms.items() if syms in later}
@@ -180,13 +180,13 @@ def _commutator_norms(ops) -> dict:
     for rep, kind in (("hat", "L2"), ("prime", "Double")):
         space, gens = ops(kind)
         D = dirac_family(D1_PARAMS, space) if rep == "hat" else dirac_D(space)
-        p1, p3 = interior_projector(space, 1), interior_projector(space, 3)
+        i1, i3 = interior(space, 1), interior(space, 3)
         for g, T in gens.items():
-            C = commutator(D, T) @ p1
+            C = commutator(D, on_columns(T, i1))
             # columns at levels <= n_max - 3 map into levels <= n_max - 5/2,
-            # so C @ p3 holds the entries of the commutator built at
-            # n_max - 2 on its interior(1), in the same order
-            vals[(rep, g)] = op_norm(C @ p3), op_norm(C)
+            # so C on the i3 columns holds the entries of the commutator
+            # built at n_max - 2 on its interior(1), in the same order
+            vals[(rep, g)] = op_norm(on_columns(C, i3)), op_norm(C)
     return vals
 
 

@@ -9,8 +9,10 @@ does.  All algebra enforces space compatibility, and a product sums each
 entry over the inner index in ascending order, as a compressed-sparse-row
 product does, bit for bit.
 Scalars are real doubles throughout (every displayed coefficient in this
-problem is real), so the adjoint is the transpose; a diagonal factor of a
-product scales the other's entries in place.  :func:`op_norm` and
+problem is real), so the adjoint is the transpose.  Every product, a
+diagonal factor included, takes the one CSR-order path; :func:`on_columns`
+keeps an operator's entries on a set of columns, which is the product with
+the projector onto them without forming it.  :func:`op_norm` and
 :func:`block_norm` are exact up to rounding: one row group of
 :func:`_kernels.spectral_norms`.  :func:`commutator` builds [D, T] for a
 diagonal D from T's entries alone.
@@ -103,18 +105,6 @@ class SparseOp:
             raise SpaceMismatchError(
                 f"compose: domain {self.dom.kind}/{self.dom.n_max} does not "
                 f"match codomain {other.cod.kind}/{other.cod.n_max}")
-        # a diagonal factor (all entries at rows == cols) scales the other's
-        # entries in order; CSR would add each single product to 0.0
-        for diag, T, inner in ((other, self, self.cols),
-                               (self, other, other.rows)):
-            if np.array_equal(diag.rows, diag.cols):
-                d, on = np.zeros(self.dom.dim), np.zeros(self.dom.dim, bool)
-                d[diag.rows], on[diag.rows] = diag.vals, True
-                at = np.flatnonzero(on[inner])
-                vals = T.vals[at] * d[inner[at]]
-                keep = vals != 0
-                return SparseOp(other.dom, self.cod, T.rows[at[keep]],
-                                T.cols[at[keep]], vals[keep])
         # each entry (i, j) of self, in order, meets row j of other in order
         ptr = np.bincount(other.rows + 1, minlength=other.cod.dim + 1).cumsum()
         count = np.diff(ptr)[self.cols]
@@ -218,6 +208,16 @@ def commutator(D: SparseOp, T: SparseOp) -> SparseOp:
         vals = a - b
     keep = vals != 0
     return SparseOp(T.dom, T.cod, T.rows[keep], T.cols[keep], vals[keep])
+
+
+def on_columns(T: SparseOp, cols) -> SparseOp:
+    """T's entries whose column is in ``cols``, in T's order: bit for bit
+    ``T @ P`` for the projector P onto those columns, whose every entry is
+    one product with 1.0 added to 0.0."""
+    keep = np.zeros(T.dom.dim, bool)
+    keep[cols] = True
+    at = keep[T.cols]
+    return SparseOp(T.dom, T.cod, T.rows[at], T.cols[at], T.vals[at])
 
 
 def interior_projector(space: TruncatedSpace, margin) -> SparseOp:

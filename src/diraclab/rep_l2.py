@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hilbert import TruncatedSpace
-from .linop import SparseOp
+from .linop import SparseOp, on_columns
 from .qnum import q_power, validate_q
 
 GENERATORS = ("alpha", "alpha*", "beta", "beta*")
@@ -108,7 +108,7 @@ def hat_generators(space: TruncatedSpace, q: float) -> dict:
 
 
 def pi_hat(w: tuple, space: TruncatedSpace, q: float,
-           ops: dict | None = None, right: SparseOp | None = None,
+           ops: dict | None = None, right: np.ndarray | None = None,
            terms: dict | None = None) -> SparseOp:
     """Evaluate a word, a tuple of (weight, symbols) terms, in the hatted
     pair or in the generators ``ops``.
@@ -120,19 +120,16 @@ def pi_hat(w: tuple, space: TruncatedSpace, q: float,
     a length-L word moves the level by at most L/2, so on that subset
     truncation cannot contaminate the outcome.
 
-    ``right``, an orthogonal projector onto basis vectors (a diagonal of
-    ones), gives ``w @ right`` with each term's last factor L replaced by
-    ``L @ right`` first: bit for bit the same operator, since each of its
-    entries is the same sum in the same order, from fewer products.
-    ``terms`` keeps each unscaled term by its symbols, so that words
-    evaluated with the same ``ops`` and ``right`` share their products.
+    ``right``, a set of column ordinals such as ``interior(space, 1)``,
+    gives ``w @ P`` for the projector P onto them, with each term's last
+    factor L cut to ``on_columns(L, right)`` first: bit for bit the same
+    operator, since each of its entries is the same sum in the same order,
+    from fewer products.  ``terms`` keeps each unscaled term by its
+    symbols, so that words evaluated with the same ``ops`` and ``right``
+    share their products.
     """
     if ops is None:
         ops = hat_generators(space, q)
-    if right is not None:
-        if not (np.array_equal(right.rows, right.cols)
-                and np.all(right.vals == 1.0)):
-            raise ValueError("right must be a diagonal of ones")
     if terms is None:
         terms = {}
     out = None
@@ -140,7 +137,7 @@ def pi_hat(w: tuple, space: TruncatedSpace, q: float,
         if syms not in terms:
             cur = ops[syms[-1]] if syms else SparseOp.identity(space)
             if right is not None:
-                cur = cur @ right
+                cur = on_columns(cur, right)
             if len(syms) > 1:
                 head = ops[syms[0]]
                 for s in syms[1:-1]:

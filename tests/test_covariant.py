@@ -100,7 +100,7 @@ def test_diagonal_generator_is_not_cyclic():
             == (1, 1, tuple([1] * (depth + 1)))
 
 
-def test_deficiency_reporting():
+def test_alpha_alone_names_the_first_unreached_label():
     # alpha alone only walks the i = j = -n diagonal: the first label it
     # misses is named, and the dense oracle measures the shortfall
     sp, gens, seed = _setup()
@@ -218,7 +218,7 @@ def test_sector_frames_match_dense_diagonal():
     assert _assert_undecided([D1], seed, 6, NOT_BAND)[0] == 1
 
 
-def test_mixed_weight_shift_falls_back_to_one_sector():
+def test_mixed_weight_shift_raises_not_band():
     # alpha + beta shifts (i, j) by (-1/2, -1/2) on some nonzeros and by
     # (+1/2, -1/2) on others, so it maps a weight sector into two: the
     # certificate names it, although each summand alone is accepted
@@ -240,8 +240,8 @@ def test_regression_pin_beyond_dense_oracle_sizes():
 @pytest.mark.parametrize("tn_max, reached, discarded",
                          [(24, 5525, 14076), (32, 12529, 33232)])
 def test_regression_pins_across_q(q, tn_max, reached, discarded):
-    # counts of one-candidate-at-a-time Gram-Schmidt, pinned beyond the dense
-    # oracle's reach; saturated, so depth d reaches every level <= d/2
+    # the certificate's counts, pinned beyond the dense oracle's reach;
+    # saturated, so depth d reaches every level <= d/2
     sp = enumerate_space("L2", half(tn_max / 2))
     rep = cyclic_dimension(list(hat_generators(sp, q).values()), tn_max)
     levels = itertools.accumulate((d + 1) ** 2 for d in range(tn_max + 1))
@@ -363,7 +363,7 @@ def test_undecided_structures_raise():
         cyclic_dimension(pi_prime_generators(dbl, Q).values(), depth)
 
 
-def test_fallback_reports_an_unreached_label():
+def test_zeroed_up_entry_raises_naming_the_label():
     # the top corner e^{(2)}_{-2,-2} receives its only up entry from alpha;
     # with that entry zeroed no word reaches the label: the certificate
     # names it, and the dense oracle finds that one dimension is missing

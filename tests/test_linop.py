@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab._kernels import BOUND_SLACK, schur_bounds, spectral_norms
-from diraclab.hilbert import enumerate_space
+from diraclab.hilbert import enumerate_space, interior
 from diraclab.linop import (
     SparseOp,
     SpaceMismatchError,
     block_norm,
     commutator,
     interior_projector,
+    on_columns,
     op_norm,
 )
 from diraclab.qnum import half
@@ -849,3 +850,30 @@ def test_commutator_rejects_a_non_diagonal_or_foreign_operator():
         commutator(T, T)
     with pytest.raises(SpaceMismatchError):
         commutator(dirac_family(D1_PARAMS, other), T)
+
+
+# --------------------------------- column cuts are products with projectors
+
+
+@pytest.mark.parametrize("kind", ["L2", "Double"])
+@pytest.mark.parametrize("nmax", [8, 16])  # twice n_max, as on the CLI
+def test_column_cut_is_the_product_with_the_projector(kind, nmax):
+    # every generator and every [D, g] the harness measures, on the
+    # interior(1) and interior(3) columns; cutting T before the commutator
+    # gives the same arrays as cutting the commutator
+    from diraclab.rep_double import dirac_D, pi_prime_generators
+    from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
+
+    space = enumerate_space(kind, half(nmax / 2))
+    if kind == "L2":
+        D, gens = dirac_family(D1_PARAMS, space), hat_generators(space, 0.5)
+    else:
+        D, gens = dirac_D(space), pi_prime_generators(space, 0.5)
+    for m in (1, 3):
+        cols, P = interior(space, m), interior_projector(space, m)
+        for g, T in gens.items():
+            C = commutator(D, T)
+            for key, op in ((g, T), (f"[D,{g}]", C)):
+                _assert_same_entries(on_columns(op, cols), op @ P, (m, key))
+            _assert_same_entries(commutator(D, on_columns(T, cols)),
+                                 on_columns(C, cols), (m, g))

@@ -7,9 +7,9 @@ coordinate's duplicates in input order.  Operands mix ordinary values, tiny
 values and exact cancellations, on spaces of dimension 0 to 6, so sums of
 three or more rounded terms, cancelled sums and empty operators all occur.
 The operands of a product may also hold inf and NaN, or be diagonal (every
-entry at row == column), which ``compose`` takes as a scaling of the other
-operand.  Examples are derived from each test's source
-(``derandomize=True``) and no example database is kept.
+entry at row == column), which ``compose`` multiplies by its one general
+path, each entry one product added to 0.0.  Examples are derived from each
+test's source (``derandomize=True``) and no example database is kept.
 """
 
 import numpy as np
