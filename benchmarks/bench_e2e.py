@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write the performance record of one checkout to ``BENCH_<rev>.json``.
 
-    python3 benchmarks/bench_e2e.py [--repo DIR] [--out DIR]
+    python3 benchmarks/bench_e2e.py [--repo DIR] [--out DIR] [--against DIR]
 
 For each workload of the checkout's ``BENCHMARK.json`` this runs
 ``perfbench/run.py`` of the checkout at ``--repo`` (default: the one holding
@@ -20,6 +20,17 @@ tree whose ``src/`` or ``perfbench/`` differ from ``HEAD`` is no revision
 yet: it is recorded as ``BENCH_src-<sha12>.json`` (the first 12 hex digits
 of ``source_sha256``) with ``revision`` null, and the commit that later holds
 that tree finds its record by the same hash.
+
+With ``--against DIR`` the record compares two checkouts in one session:
+for each workload, ``PAIRS`` pairs of untraced runs, one of DIR (the
+parent) and one of ``--repo`` (the change), the parent first in the odd
+pairs and second in the even ones, the pairs going round the workloads in
+turn.  Each side keeps its runs, medians and quartiles, and ``wins``
+counts the pairs in which the change measured lower than the parent on
+each end-to-end metric.  It is written to ``BENCH_ab-<parent>-<change>.json``
+(the first 12 hex digits of each ``source_sha256``).  Records from
+different sessions of one machine differ by more than most changes do;
+only pairs run side by side resolve a change.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SEED = 1
 SECONDS = 8.0
 RUNS = 5  # untraced perfbench runs per workload
+PAIRS = 10  # parent/change pairs per workload with --against
 E2E = ("wall_s", "setup_s", "peak_rss_mb")
 
 
@@ -95,14 +107,12 @@ def record(repo):
     for w in names:
         env, traced = perfbench(repo, w, 1)
         layers = values(traced)
-        e2e = {k: [values(r)[k] for _, r in runs[w]] for k in E2E}
-        quart = {k: statistics.quantiles(v, n=4, method="inclusive")
-                 for k, v in e2e.items()}
+        e2e = side([r for _, r in runs[w]])
         results = [r for _, r in runs[w]] + [traced]
         bench["workloads"][w] = {
-            **{k: statistics.median(v) for k, v in e2e.items()},
-            "iqr": {k: q3 - q1 for k, (q1, _, q3) in quart.items()},
-            "runs": e2e,
+            **e2e["median"],
+            "iqr": {k: q3 - q1 for k, (q1, _, q3) in e2e["quartiles"].items()},
+            "runs": e2e["runs"],
             "round_s": [e["round_s"] for e, _ in runs[w]],
             "payload_sha256": sorted({h for e, _ in runs[w]
                                       for h in e["payload_sha256"]}),
@@ -119,15 +129,63 @@ def record(repo):
     return bench
 
 
+def side(runs):
+    """Runs, medians and quartiles of one side's end-to-end metrics."""
+    e2e = {k: [values(r)[k] for r in runs] for k in E2E}
+    return {"runs": e2e,
+            "median": {k: statistics.median(v) for k, v in e2e.items()},
+            "quartiles": {k: statistics.quantiles(v, n=4, method="inclusive")
+                          for k, v in e2e.items()},
+            "failed": sum(r["failed"] for r in runs),
+            "correct": all(r["correct"] for r in runs)}
+
+
+def ab_record(repo, base):
+    """``PAIRS`` alternating parent/change pairs per workload of ``repo``:
+    the parent ``base`` runs first in the odd pairs (1, 3, ...)."""
+    checkouts = {"parent": base, "change": repo}
+    shas = {k: source_sha256(path) for k, path in checkouts.items()}
+    names = workloads(repo)
+    runs = {w: {"parent": [], "change": []} for w in names}
+    for pair in range(PAIRS):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for w in names:
+            for key in order:
+                runs[w][key].append(perfbench(checkouts[key], w, 0)[1])
+    bench = {"tag": f"ab-{shas['parent'][:12]}-{shas['change'][:12]}",
+             "source_sha256": shas,
+             "head": {k: git(path, "rev-parse", "HEAD")
+                      for k, path in checkouts.items()},
+             "config": {"seed": SEED, "seconds": SECONDS, "pairs": PAIRS,
+                        "first": "parent in odd pairs"},
+             "workloads": {}}
+    for w in names:
+        parent, change = side(runs[w]["parent"]), side(runs[w]["change"])
+        wins = {k: sum(c < p for p, c in zip(parent["runs"][k],
+                                             change["runs"][k]))
+                for k in E2E}
+        bench["workloads"][w] = {"parent": parent, "change": change,
+                                 "wins": wins}
+        print(f"{w}: wall_s {parent['median']['wall_s']:.3f} -> "
+              f"{change['median']['wall_s']:.3f}, change won "
+              f"{wins['wall_s']}/{PAIRS}", file=sys.stderr)
+    return bench
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--repo", default=os.path.dirname(HERE),
                    help="checkout to measure (default: this one)")
     p.add_argument("--out", default=HERE,
                    help="directory of the BENCH file (default: benchmarks/)")
+    p.add_argument("--against", default=None, metavar="DIR",
+                   help="parent checkout: run it and --repo in alternating "
+                        "pairs")
     args = p.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)  # before minutes of runs, not after
-    bench = record(os.path.abspath(args.repo))
+    repo = os.path.abspath(args.repo)
+    bench = (record(repo) if args.against is None
+             else ab_record(repo, os.path.abspath(args.against)))
     path = os.path.join(args.out, f"BENCH_{bench['tag']}.json")
     with open(path, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)

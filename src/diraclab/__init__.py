@@ -23,6 +23,5 @@ from .linop import (SparseOp, SpaceMismatchError, block_norm,
 from .qnum import HalfInt, half, q_number, validate_q
 from .rep_double import (a_minus, a_plus, b_minus, b_plus, dirac_D, pi_prime,
                          pi_prime_generators)
-from .rep_l2 import (D1_PARAMS, D2_PARAMS, DiracParams, abs_op, alpha_hat,
-                     beta_hat, dirac_family, hat_generators, pi_hat,
-                     relation_words)
+from .rep_l2 import (D1_PARAMS, D2_PARAMS, DiracParams, alpha_hat, beta_hat,
+                     dirac_family, hat_generators, pi_hat, relation_words)

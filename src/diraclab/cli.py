@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import DEFAULT_Q, SUITES, RunConfig, run
+from .harness import DEFAULT_N_MAX, DEFAULT_Q, SUITES, RunConfig, run
 from .qnum import HalfInt
 
 _SUITE_HELP = {
@@ -29,8 +29,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--q", action="append", type=float, metavar="Q",
                         help="modulus in (0, 1); repeatable "
                              f"(default: {' '.join(map(str, DEFAULT_Q))})")
-    common.add_argument("--nmax", type=int, default=16, metavar="TWICE_N",
-                        help="truncation as a doubled integer; 16 -> n_max=8")
+    common.add_argument("--nmax", type=int, default=DEFAULT_N_MAX.twice,
+                        metavar="TWICE_N",
+                        help="truncation as a doubled integer, n_max = "
+                             "TWICE_N / 2 (default: %(default)s)")
     common.add_argument("--out", default=None, metavar="DIR",
                         help="write report.json and report.csv here")
     common.add_argument("--plot", action="store_true",
@@ -67,7 +69,7 @@ def main(argv=None) -> int:
         return 2
     for r in reports:
         mark = "PASS" if r.passed else "FAIL"
-        qtxt = "q=*" if r.q is None else f"q={r.q:g}"
+        qtxt = "q=*" if r.q is None else f"q={r.q!r}"
         print(f"[{mark}] {r.suite:11s} {r.label:22s} {qtxt:7s} "
               f"{r.gate_metric}={r.metrics[r.gate_metric]:.6g} "
               f"(gate {r.gate_op} {r.gate_value:g})")

@@ -33,7 +33,7 @@ from .linop import SparseOp, SpaceMismatchError
 from .qnum import HalfInt, half, q_power, validate_q
 from .rep_double import (_halves, _matrix, a_minus, a_plus, b_minus, b_plus,
                          dirac_D)
-from .rep_l2 import D1_PARAMS, D2_PARAMS, _sqrt0, abs_op, dirac_family
+from .rep_l2 import D1_PARAMS, D2_PARAMS, _sqrt0, dirac_family
 
 #: Generators whose defect the reduction step actually needs (the other two
 #: follow by adjoints).
@@ -83,19 +83,12 @@ def direct_sum_op(A: SparseOp, B: SparseOp, U: np.ndarray,
         np.concatenate([A.vals, B.vals]))
 
 
-def dirac_pair(space: TruncatedSpace):
-    """(D1, |D2|) on an L2 truncation, the diagonal pair conjugated by U."""
-    d1 = dirac_family(D1_PARAMS, space)
-    d2 = dirac_family(D2_PARAMS, space)
-    return d1, abs_op(d2)
-
-
 class DecompositionReport(NamedTuple):
     n_max: HalfInt
     dim_sum: int
     dim_double: int
     unitary_defect: float      # max |hits - 1| over Double ordinals
-    conjugation_defect: float  # max entry of |U (D1 (+) |D2|) U* - D|
+    conjugation_defect: float  # max |(D1 (+) |D2|)_kk - D_(U k)(U k)|
     U: np.ndarray              # the map checked, for kq_defect
 
 
@@ -104,9 +97,11 @@ def check_dirac_intertwine(n_max) -> DecompositionReport:
 
     U is unitary iff its map hits every Double ordinal exactly once; an
     absent target (-1) counts as a defect, and leaves no conjugate to
-    compare, so the conjugation defect is then inf.  Both reported defects
-    are exactly 0.0: the three diagonals hold machine integers and
-    conjugation by a permutation only reorders them.
+    compare, so the conjugation defect is then inf.  All three operators
+    are diagonal and conjugation by the permutation U sends ordinal k of
+    the sum to U[k], so the check compares the diagonal of D1 (+) |D2|
+    with D's diagonal read through U.  Both reported defects are exactly
+    0.0: the diagonals hold machine integers.
     """
     n_max = half(n_max)
     U = build_U(n_max)
@@ -116,8 +111,10 @@ def check_dirac_intertwine(n_max) -> DecompositionReport:
     unitary = float(max(np.abs(hits - 1).max(), absent))
     conj = math.inf
     if not absent:
-        blk = direct_sum_op(*dirac_pair(enumerate_space("L2", n_max)), U, dbl)
-        conj = (blk - dirac_D(dbl)).max_abs()
+        l2 = enumerate_space("L2", n_max)
+        d1, d2 = (dirac_family(p, l2).diag() for p in (D1_PARAMS, D2_PARAMS))
+        conj = float(np.abs(np.concatenate([d1, np.abs(d2)])
+                            - dirac_D(dbl).diag()[U]).max())
     return DecompositionReport(n_max, len(U), dbl.dim, unitary, conj, U)
 
 

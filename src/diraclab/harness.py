@@ -179,10 +179,11 @@ def _commutator_norms(ops) -> dict:
     vals = {}
     for rep, kind in (("hat", "L2"), ("prime", "Double")):
         space, gens = ops(kind)
-        D = dirac_family(D1_PARAMS, space) if rep == "hat" else dirac_D(space)
+        d = (dirac_family(D1_PARAMS, space) if rep == "hat"
+             else dirac_D(space)).diag()
         i1, i3 = interior(space, 1), interior(space, 3)
         for g, T in gens.items():
-            C = commutator(D, on_columns(T, i1))
+            C = commutator(d, on_columns(T, i1))
             # columns at levels <= n_max - 3 map into levels <= n_max - 5/2,
             # so C on the i3 columns holds the entries of the commutator
             # built at n_max - 2 on its interior(1), in the same order

@@ -19,36 +19,20 @@ A space holds its labels as integer arrays, one entry per ordinal: twice
 the level ``tn``, twice the weights ``ti`` and ``tj``, and ``band`` (0 up,
 1 down) on Double.  Operators are assembled by evaluating their
 coefficients over these arrays, and :meth:`TruncatedSpace.ordinals` finds
-target ordinals by arithmetic: level tn starts at tn(tn+1)(2tn+1)/6 in L2
-and at tn(tn+1)(2tn+1)/3 in Double; within a level the up band precedes
-the down band, then i, then j.
+target ordinals by arithmetic: twice-level tn starts at
+:meth:`TruncatedSpace.start`, tn(tn+1)(2tn+1)/6 in L2 and tn(tn+1)(2tn+1)/3
+in Double; within a level the up band precedes the down band, then i, then
+j.  Level ranges and interiors are ranges of ordinals from the same form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .qnum import HalfInt, half
-
-
-class L2Index(NamedTuple):
-    n: HalfInt
-    i: HalfInt
-    j: HalfInt
-
-
-class DoubleIndex(NamedTuple):
-    band: str  # "up" or "down"
-    n: HalfInt
-    i: HalfInt
-    j: HalfInt
-
-
-_BANDS = ("up", "down")
 
 
 def _frozen(a) -> np.ndarray:
@@ -74,27 +58,12 @@ class TruncatedSpace:
     def signature(self):
         return (self.kind, self.n_max.twice, self.dim)
 
-    @cached_property
-    def levels(self) -> dict:
-        """twice-n -> ascending ordinals of that level."""
-        order = _frozen(np.argsort(self.tn, kind="stable"))
-        sizes = np.bincount(self.tn).tolist()
-        ends = np.cumsum(sizes).tolist()
-        return {tn: order[end - size:end]
-                for tn, (end, size) in enumerate(zip(ends, sizes))}
-
-    @cached_property
-    def basis(self) -> tuple:
-        """The labels as named tuples, in ordinal order.
-
-        A readable view for inspection and tests; assembly reads the arrays.
-        """
-        labels = [L2Index(HalfInt(n), HalfInt(i), HalfInt(j)) for n, i, j in
-                  zip(self.tn.tolist(), self.ti.tolist(), self.tj.tolist())]
-        if self.band is not None:
-            return tuple(DoubleIndex(_BANDS[b], *lab)
-                         for b, lab in zip(self.band.tolist(), labels))
-        return tuple(labels)
+    def start(self, tn):
+        """Ordinal of the first label at twice-level tn (array or int):
+        tn(tn+1)(2tn+1)/6 on L2 and /3 on Double, the count of labels on
+        the levels below."""
+        return tn * (tn + 1) * (2 * tn + 1) // (3 if self.kind == "Double"
+                                                else 6)
 
     @cached_property
     def sector(self) -> np.ndarray:
@@ -113,36 +82,23 @@ class TruncatedSpace:
         if self.kind == "Double":
             band = np.asarray(band, dtype=np.int64)
             h = tn + 1 - 2 * band  # j runs over -h..h: n+1/2 up, n-1/2 down
-            start = (tn * (tn + 1) * (2 * tn + 1) // 3
-                     + band * (tn + 1) * (tn + 2))
+            start = self.start(tn) + band * (tn + 1) * (tn + 2)
         else:
             h = tn
-            start = tn * (tn + 1) * (2 * tn + 1) // 6
+            start = self.start(tn)
         ok = ((tn >= 0) & (tn <= self.n_max.twice)
               & (np.abs(ti) <= tn) & ((ti - tn) % 2 == 0)
               & (np.abs(tj) <= h) & ((tj - h) % 2 == 0))
         k = start + (ti + tn) // 2 * (h + 1) + (tj + h) // 2
         return np.where(ok, k, -1)
 
-    def ordinal(self, label) -> int:
-        """Ordinal of one label: an L2Index or DoubleIndex."""
-        band = None
-        if isinstance(label, DoubleIndex):
-            band = _BANDS.index(label.band)
-        if (self.kind == "Double") != (band is not None):
-            raise KeyError(label)
-        k = int(self.ordinals(label.n.twice, label.i.twice, label.j.twice,
-                              band=band))
-        if k < 0:
-            raise KeyError(label)
-        return k
-
     def level_ordinals(self, n) -> np.ndarray:
+        """Ascending ordinals of level n: one range, from ``start``."""
         tn = half(n).twice
-        if tn not in self.levels:
+        if not 0 <= tn <= self.n_max.twice:
             raise ValueError(f"level {half(n)} absent from {self.kind} space "
                              f"truncated at n_max={self.n_max}")
-        return self.levels[tn]
+        return np.arange(self.start(tn), self.start(tn + 1))
 
 
 def enumerate_space(kind: str, n_max) -> TruncatedSpace:
@@ -175,7 +131,8 @@ def enumerate_space(kind: str, n_max) -> TruncatedSpace:
 
 
 def interior(space: TruncatedSpace, margin) -> np.ndarray:
-    """Ordinals of basis vectors with n <= n_max - margin.
+    """Ordinals of basis vectors with n <= n_max - margin: the levels are
+    in order, so these are the ordinals below ``start`` of the next level.
 
     A generator word of length L moves the level by at most L/2, so on
     interior(margin=L/2) vectors no truncation loss can occur; the subset is
@@ -184,4 +141,4 @@ def interior(space: TruncatedSpace, margin) -> np.ndarray:
     tm = half(margin).twice
     if tm < 0:
         raise ValueError("margin must be >= 0")
-    return np.flatnonzero(space.tn <= space.n_max.twice - tm)
+    return np.arange(space.start(max(space.n_max.twice - tm + 1, 0)))

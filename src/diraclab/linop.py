@@ -15,7 +15,7 @@ keeps an operator's entries on a set of columns, which is the product with
 the projector onto them without forming it.  :func:`op_norm` and
 :func:`block_norm` are exact up to rounding: one row group of
 :func:`_kernels.spectral_norms`.  :func:`commutator` builds [D, T] for a
-diagonal D from T's entries alone.
+diagonal D from its eigenvalue array and T's entries alone.
 """
 
 from __future__ import annotations
@@ -149,9 +149,6 @@ class SparseOp:
     def nnz(self) -> int:
         return len(self.vals)
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.vals).max()) if self.nnz else 0.0
-
     def diag(self) -> np.ndarray:
         """The main diagonal as a dense array."""
         out = np.zeros(min(self.cod.dim, self.dom.dim))
@@ -188,23 +185,20 @@ def block_norm(T: SparseOp, n) -> float:
     return op_norm(SparseOp(T.dom, T.cod, T.rows[at], T.cols[at], T.vals[at]))
 
 
-def commutator(D: SparseOp, T: SparseOp) -> SparseOp:
-    """[D, T] = D @ T - T @ D for a diagonal D, from T's entries in their
-    order: a = T * d[row] and b = T * d[col], each dropped where D stores
-    no diagonal entry (T may hold inf, which a 0 would turn into nan), then
-    a - b without its exact zeros; bit for bit the operator
-    ``D @ T - T @ D``, whose sum adds each entry's a and -b to 0.0."""
-    if not np.array_equal(D.rows, D.cols):
-        raise ValueError("commutator expects a diagonal operator")
-    if not (T.dom.signature == T.cod.signature == D.dom.signature):
-        raise SpaceMismatchError("commutator: T must act on the space of D")
-    d, on = np.zeros(D.dom.dim), np.zeros(D.dom.dim, bool)
-    d[D.rows], on[D.rows] = D.vals, True
-    a, b = np.zeros(T.nnz), np.zeros(T.nnz)
-    for out, idx in ((a, T.rows), (b, T.cols)):
-        at = np.flatnonzero(on[idx])
-        out[at] = T.vals[at] * d[idx[at]]
-    with np.errstate(invalid="ignore"):  # inf - inf is nan, as summed
+def commutator(d, T: SparseOp) -> SparseOp:
+    """[D, T] = D @ T - T @ D for the diagonal D with eigenvalues d, from
+    T's entries in their order: a = T * d[row] and b = T * d[col], each 0
+    where d is 0, as D stores no entry there (T may hold inf, which a
+    product with 0 would turn into nan), then a - b without its exact
+    zeros; bit for bit the operator ``D @ T - T @ D`` for
+    ``D = SparseOp.diagonal(T.dom, d)``, whose sum adds each entry's a and
+    -b to 0.0."""
+    d = np.asarray(d, dtype=np.float64)
+    if T.dom.signature != T.cod.signature or d.shape != (T.dom.dim,):
+        raise SpaceMismatchError("commutator: T must act on the space of d")
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf are nan
+        a, b = (np.where(d[idx] != 0, T.vals * d[idx], 0.0)
+                for idx in (T.rows, T.cols))
         vals = a - b
     keep = vals != 0
     return SparseOp(T.dom, T.cod, T.rows[keep], T.cols[keep], vals[keep])

@@ -220,10 +220,3 @@ def dirac_family(params: DiracParams, space: TruncatedSpace,
     return SparseOp.diagonal(space, np.where(tx < space.tn - k2,
                                              params.a * n + params.b,
                                              params.c * n + params.d))
-
-
-def abs_op(D: SparseOp) -> SparseOp:
-    """Entrywise absolute value of a diagonal operator."""
-    if np.any(D.rows != D.cols):
-        raise ValueError("abs_op expects a diagonal operator")
-    return SparseOp.diagonal(D.dom, abs(D.diag()))

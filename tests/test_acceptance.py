@@ -177,12 +177,11 @@ def test_criterion_7_family_structure():
         dense = D.to_dense()
         assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0
         table = {}
-        for k, lab in enumerate(sp.basis):
-            n = lab.n.value
-            expect = 2 * n + 1 if lab.j.twice == lab.n.twice else low(n)
-            assert dense[k, k] == expect, (params, lab)
-            key = (lab.n.twice, lab.j.twice)
-            assert table.setdefault(key, dense[k, k]) == dense[k, k]
+        for k, (tn, tj) in enumerate(zip(sp.tn.tolist(), sp.tj.tolist())):
+            n = tn / 2
+            expect = 2 * n + 1 if tj == tn else low(n)
+            assert dense[k, k] == expect, (params, tn, tj)
+            assert table.setdefault((tn, tj), dense[k, k]) == dense[k, k]
     with pytest.raises(ValueError):
         DiracParams(0, 1.0, 0.0, 2.0, 1.0).validate()
     with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ import pytest
 
 from diraclab.decomp import (SCAN_LEVELS, asymptotic_residual, build_U,
                              leading_form)
-from diraclab.hilbert import DoubleIndex, L2Index, enumerate_space
+from diraclab.hilbert import enumerate_space
 from diraclab.linop import SparseOp
 from diraclab.qnum import HalfInt, q_number
 from diraclab.rep_double import (a_minus, a_plus, b_minus, b_plus, dirac_D,
@@ -35,21 +35,21 @@ GENERATORS = ("alpha", "alpha*", "beta", "beta*")
 # ------------------------------------------------------ oracle enumeration
 
 def _l2_labels(tnmax):
+    # twice-valued (tn, ti, tj)
     for tn in range(tnmax + 1):
         for ti in range(-tn, tn + 1, 2):
             for tj in range(-tn, tn + 1, 2):
-                yield L2Index(HalfInt(tn), HalfInt(ti), HalfInt(tj))
+                yield tn, ti, tj
 
 
 def _double_labels(tnmax):
-    # canonical order: level, then band (up before down), then i, then j
+    # (band, tn, ti, tj), band 0 up and 1 down; canonical order: level,
+    # then band (up before down), then i, then j
     for tn in range(tnmax + 1):
-        for ti in range(-tn, tn + 1, 2):
-            for tj in range(-tn - 1, tn + 2, 2):
-                yield DoubleIndex("up", HalfInt(tn), HalfInt(ti), HalfInt(tj))
-        for ti in range(-tn, tn + 1, 2):
-            for tj in range(-tn + 1, tn, 2):
-                yield DoubleIndex("down", HalfInt(tn), HalfInt(ti), HalfInt(tj))
+        for band, h in ((0, tn + 1), (1, tn - 1)):  # j runs over -h..h
+            for ti in range(-tn, tn + 1, 2):
+                for tj in range(-h, h + 1, 2):
+                    yield band, tn, ti, tj
 
 
 def _oracle_basis(kind, tnmax):
@@ -64,7 +64,6 @@ def _lookup(kind, tnmax):
 
 # ------------------------------------------------------- per-label oracles
 
-_BAND = {"up": 0, "down": 1}
 _MATS = {
     "alpha*": ((a_plus, a_minus), (+1, +1), +1.0),
     "beta": ((b_plus, b_minus), (+1, -1), -1.0),
@@ -82,17 +81,14 @@ def _pi_prime_loop(gen, space, q):
     lookup = _lookup("Double", space.n_max.twice)
     (mat_up, mat_dn), (di, dj), sgn = _MATS[gen]
     rows, cols, vals = [], [], []
-    for lab, col in lookup.items():
-        sb = _BAND[lab.band]
-        tn, ti, tj = lab.n.twice, lab.i.twice, lab.j.twice
+    for (sb, tn, ti, tj), col in lookup.items():
         for mat_fn, dn in ((mat_up, +1), (mat_dn, -1)):
-            M = mat_fn(lab.n, lab.i, lab.j, q)
-            for band, tb in _BAND.items():
+            M = mat_fn(HalfInt(tn), HalfInt(ti), HalfInt(tj), q)
+            for tb in (0, 1):
                 c = sgn * M[tb, sb]
                 if c == 0.0:
                     continue
-                row = lookup.get(DoubleIndex(band, HalfInt(tn + dn),
-                                             HalfInt(ti + di), HalfInt(tj + dj)))
+                row = lookup.get((tb, tn + dn, ti + di, tj + dj))
                 if row is not None:
                     rows.append(row)
                     cols.append(col)
@@ -108,8 +104,8 @@ def _hat_loop(gen, space, q):
     """alpha_hat or beta_hat by Python float arithmetic per label."""
     lookup = _lookup("L2", space.n_max.twice)
     rows, cols, vals = [], [], []
-    for lab, col in lookup.items():
-        n, i, j = lab.n.value, lab.i.value, lab.j.value
+    for (tn, ti, tj), col in lookup.items():
+        n, i, j = tn / 2.0, ti / 2.0, tj / 2.0
         if gen == "alpha":
             moves = ((+1, -1, -1, q ** (2 * n + i + j + 1)),
                      (-1, -1, -1, _sqrt0(1 - q ** (2 * n + 2 * i))
@@ -119,9 +115,7 @@ def _hat_loop(gen, space, q):
                       * _sqrt0(1 - q ** (2 * n + 2 * i + 2))),
                      (-1, +1, -1, q ** (n + i) * _sqrt0(1 - q ** (2 * n + 2 * j))))
         for dn, di, dj, c in moves:
-            row = lookup.get(L2Index(HalfInt(lab.n.twice + dn),
-                                     HalfInt(lab.i.twice + di),
-                                     HalfInt(lab.j.twice + dj)))
+            row = lookup.get((tn + dn, ti + di, tj + dj))
             if row is not None and c:
                 rows.append(row)
                 cols.append(col)
@@ -134,29 +128,27 @@ def _build_U_loop(tnmax):
     l2 = _oracle_basis("L2", tnmax)
     dbl = _lookup("Double", tnmax)
     rows = []
-    for lab in l2:
-        tn, ti, tj = lab.n.twice, lab.i.twice, lab.j.twice
+    for tn, ti, tj in l2:
         if tj < tn:
-            rows.append(dbl[DoubleIndex("down", lab.n, lab.i, HalfInt(tj + 1))])
+            rows.append(dbl[(1, tn, ti, tj + 1)])
         else:
-            rows.append(dbl[DoubleIndex("up", lab.n, lab.i, HalfInt(tn + 1))])
-    for lab in l2:
-        rows.append(dbl[DoubleIndex("up", lab.n, lab.i, HalfInt(lab.j.twice - 1))])
+            rows.append(dbl[(0, tn, ti, tn + 1)])
+    for tn, ti, tj in l2:
+        rows.append(dbl[(0, tn, ti, tj - 1)])
     return rows
 
 
 def _dirac_D_loop(space):
     return SparseOp.diagonal(space, [
-        float(lab.n.twice + 1) if lab.band == "up" else float(-lab.n.twice)
-        for lab in _oracle_basis("Double", space.n_max.twice)])
+        float(tn + 1) if band == 0 else float(-tn)
+        for band, tn, _, _ in _oracle_basis("Double", space.n_max.twice)])
 
 
 def _dirac_family_loop(params, space, side):
     k2 = 2 * params.k
     diag = []
-    for lab in _oracle_basis("L2", space.n_max.twice):
-        tn = lab.n.twice
-        tx = lab.j.twice if side == "left" else lab.i.twice
+    for tn, ti, tj in _oracle_basis("L2", space.n_max.twice):
+        tx = tj if side == "left" else ti
         n = tn / 2.0
         diag.append(params.a * n + params.b if tx < tn - k2
                     else params.c * n + params.d)
@@ -287,21 +279,17 @@ def test_asymptotic_residual_equals_a_per_level_evaluation(kind, q):
 def test_ordinals_follow_enumeration_order(tn_max):
     for kind in ("L2", "Double"):
         space = enumerate_space(kind, HalfInt(tn_max))
-        labels = _oracle_basis(kind, tn_max)
-        assert space.basis == tuple(labels)
-        extra = {}
-        if kind == "Double":
-            extra["band"] = [_BAND[b.band] for b in labels]
-        got = space.ordinals([b.n.twice for b in labels],
-                             [b.i.twice for b in labels],
-                             [b.j.twice for b in labels], **extra)
-        np.testing.assert_array_equal(got, np.arange(space.dim))
-        for k, lab in enumerate(labels):
-            assert space.ordinal(lab) == k
-        for tn in space.levels:
+        labels = np.array(_oracle_basis(kind, tn_max)).T
+        tn, ti, tj = labels[-3:]
+        band = labels[0] if kind == "Double" else None
+        for got, want in zip((space.tn, space.ti, space.tj, space.band),
+                             (tn, ti, tj, band)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(space.ordinals(tn, ti, tj, band=band),
+                                      np.arange(space.dim))
+        for t in range(tn_max + 1):
             np.testing.assert_array_equal(
-                space.levels[tn],
-                [k for k, b in enumerate(labels) if b.n.twice == tn])
+                space.level_ordinals(HalfInt(t)), np.flatnonzero(tn == t))
 
 
 def test_labels_outside_the_space_have_no_ordinal():
@@ -311,16 +299,10 @@ def test_labels_outside_the_space_have_no_ordinal():
     absent_l2 = [(tnm + 1, 1, 1), (-1, 1, 1), (2, 4, 0), (2, 1, 0), (2, 0, 4)]
     for tn, ti, tj in absent_l2:
         assert l2.ordinals(tn, ti, tj) == -1, (tn, ti, tj)
-        with pytest.raises(KeyError):
-            l2.ordinal(L2Index(HalfInt(tn), HalfInt(ti), HalfInt(tj)))
     # the down band has no j = +-(n + 1/2); the up band has no j = n + 3/2
     for band, tn, ti, tj in ((1, 2, 0, 3), (1, 2, 0, -3), (0, 2, 0, 5),
                              (0, 0, 0, 0), (1, 0, 0, 1), (0, tnm + 1, 1, 0)):
         assert dbl.ordinals(tn, ti, tj, band=band) == -1, (band, tn, ti, tj)
-    with pytest.raises(KeyError):
-        dbl.ordinal(L2Index(HalfInt(0), HalfInt(0), HalfInt(0)))
-    with pytest.raises(KeyError):
-        l2.ordinal(DoubleIndex("up", HalfInt(0), HalfInt(0), HalfInt(1)))
 
 
 def _valid_label_arrays(tn_max):

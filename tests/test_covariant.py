@@ -5,9 +5,9 @@ import pytest
 
 from diraclab.covariant import cyclic_dimension
 from diraclab.harness import RunConfig, run
-from diraclab.hilbert import L2Index, enumerate_space
+from diraclab.hilbert import enumerate_space
 from diraclab.linop import SpaceMismatchError, SparseOp
-from diraclab.qnum import half
+from diraclab.qnum import HalfInt, half
 from diraclab.rep_double import pi_prime_generators
 from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
 
@@ -19,7 +19,7 @@ def _setup(tn_max=6, q=Q):
     sp = enumerate_space("L2", half(tn_max / 2))
     ops = hat_generators(sp, q)
     gens = [ops[g] for g in ("alpha", "alpha*", "beta", "beta*")]
-    seed = sp.ordinal(L2Index(half(0), half(0), half(0)))
+    seed = int(sp.ordinals(0, 0, 0))
     return sp, gens, seed
 
 
@@ -55,14 +55,14 @@ def test_depth_one_matches_brute_force_oracle():
     assert np.linalg.matrix_rank(stack, tol=1e-10) \
         == cyclic_dimension(gens, 1).reached == 5
     expected = {
-        ("alpha", -0.5, -0.5): Q,
-        ("alpha*", 0.5, 0.5): 1 - Q ** 2,
-        ("beta", 0.5, -0.5): -np.sqrt(1 - Q ** 2),
-        ("beta*", -0.5, 0.5): np.sqrt(1 - Q ** 2),
-    }
-    for (g, i, j), coeff in expected.items():
+        ("alpha", -1, -1): Q,
+        ("alpha*", 1, 1): 1 - Q ** 2,
+        ("beta", 1, -1): -np.sqrt(1 - Q ** 2),
+        ("beta*", -1, 1): np.sqrt(1 - Q ** 2),
+    }  # twice-valued (i, j) at n = 1/2
+    for (g, ti, tj), coeff in expected.items():
         img = gens[["alpha", "alpha*", "beta", "beta*"].index(g)].apply(v0)
-        k = sp.ordinal(L2Index(half(0.5), half(i), half(j)))
+        k = sp.ordinals(1, ti, tj)
         assert img[k] == pytest.approx(coeff, abs=1e-15)
         img[k] = 0.0
         assert np.max(np.abs(img)) < 1e-15  # single-component image
@@ -74,7 +74,7 @@ def test_history_is_monotone_and_level_capped():
     assert rep.history == tuple(sorted(rep.history))
     # after d applications the span lives inside levels n <= d/2
     for d, dim_d in enumerate(rep.history):
-        cap = sum(len(sp.levels[tn]) for tn in sp.levels if tn <= d)
+        cap = np.count_nonzero(sp.tn <= d)
         assert dim_d <= cap
 
 
@@ -163,12 +163,11 @@ def _dense_oracle(gens, seed, depth, gram_tol=GRAM_TOL):
         frontier = fresh
         history.append(Q.shape[1])
     deficiency = []
-    for tn in sorted(space.levels):
-        if tn <= depth:
-            rows = space.levels[tn]
-            miss = len(rows) - np.linalg.matrix_rank(Q[rows], tol=gram_tol)
-            if miss:
-                deficiency.append((tn, int(miss)))
+    for tn in range(min(depth, space.n_max.twice) + 1):
+        rows = space.level_ordinals(HalfInt(tn))
+        miss = len(rows) - np.linalg.matrix_rank(Q[rows], tol=gram_tol)
+        if miss:
+            deficiency.append((tn, int(miss)))
     return Q.shape[1], discarded, tuple(history), tuple(deficiency)
 
 
@@ -265,7 +264,7 @@ def test_same_target_candidates_are_decided_in_order():
     alpha, beta = gens[0], gens[2]
     v0 = np.zeros(sp.dim)
     v0[seed] = 1.0
-    k = sp.ordinal(L2Index(half(1), half(0), half(-1)))
+    k = sp.ordinals(2, 0, -2)
     for w in (beta.apply(alpha.apply(v0)), alpha.apply(beta.apply(v0))):
         assert np.flatnonzero(w).tolist() == [k]
         assert abs(w[k]) > GRAM_TOL
@@ -303,7 +302,7 @@ def test_tiny_q_keeps_the_alpha_image():
     # below any Gram-Schmidt tolerance, but a nonzero entry, and the only
     # up entry that label receives
     sp, gens, seed = _setup(q=1e-100)
-    k = sp.ordinal(L2Index(half(0.5), half(-0.5), half(-0.5)))
+    k = sp.ordinals(1, -1, -1)
     ups = [g.vals[(g.rows == k) & (g.cols == seed)] for g in gens]
     assert [u.tolist() for u in ups] == [[1e-100], [], [], []]
     rep = cyclic_dimension(gens, 6)
@@ -368,8 +367,8 @@ def test_zeroed_up_entry_raises_naming_the_label():
     # with that entry zeroed no word reaches the label: the certificate
     # names it, and the dense oracle finds that one dimension is missing
     sp, gens, seed = _setup(tn_max=4)
-    corner = sp.ordinal(L2Index(half(2), half(-2), half(-2)))
-    source = sp.ordinal(L2Index(half(1.5), half(-1.5), half(-1.5)))
+    corner = sp.ordinals(4, -4, -4)
+    source = sp.ordinals(3, -3, -3)
     up = [g for g in gens if np.any((g.rows == corner)
                                     & (sp.tn[g.cols] == 3))]
     assert up == [gens[0]]

@@ -12,18 +12,17 @@ from diraclab.decomp import (
     check_dirac_intertwine,
     control_decay,
     decay_fit,
-    dirac_pair,
     direct_sum_op,
     kq_decay,
     kq_defect,
     leading_form,
     level_block_norms,
 )
-from diraclab.hilbert import DoubleIndex, L2Index, enumerate_space
+from diraclab.hilbert import enumerate_space
 from diraclab.linop import SparseOp, SpaceMismatchError
 from diraclab.qnum import HalfInt, half
 from diraclab.rep_double import a_plus, dirac_D, pi_prime_generators
-from diraclab.rep_l2 import hat_generators
+from diraclab.rep_l2 import D1_PARAMS, D2_PARAMS, dirac_family, hat_generators
 
 Q = 0.5
 
@@ -51,17 +50,19 @@ def test_U_pinned_columns():
     dbl = enumerate_space("Double", half(1))
     dense = _U_matrix(U, dbl)
 
-    def image_of(copy, n, i, j):
-        # the sum lists copy 0, then copy 1, each in the order of L2
-        col = copy * l2.dim + l2.ordinal(L2Index(half(n), half(i), half(j)))
+    def image_of(copy, tn, ti, tj):
+        # the sum lists copy 0, then copy 1, each in the order of L2; labels
+        # are twice-valued, and a Double label is (band, tn, ti, tj)
+        col = copy * l2.dim + l2.ordinals(tn, ti, tj)
         hits = np.nonzero(dense[:, col])[0]
         assert hits.size == 1 and dense[hits[0], col] == 1.0
         assert hits[0] == U[col]
-        return dbl.basis[hits[0]]
+        k = hits[0]
+        return dbl.band[k], dbl.tn[k], dbl.ti[k], dbl.tj[k]
 
-    assert image_of(0, 0, 0, 0) == DoubleIndex("up", half(0), half(0), half(0.5))
-    assert image_of(1, 0, 0, 0) == DoubleIndex("up", half(0), half(0), half(-0.5))
-    assert image_of(0, 1, 0, 0) == DoubleIndex("down", half(1), half(0), half(0.5))
+    assert image_of(0, 0, 0, 0) == (0, 0, 0, 1)
+    assert image_of(1, 0, 0, 0) == (0, 0, 0, -1)
+    assert image_of(0, 2, 0, 0) == (1, 2, 0, 1)
 
 
 def test_U_is_permutation_and_unitary():
@@ -137,12 +138,13 @@ def test_intertwine_negative_control(monkeypatch):
     U = build_U(nm)
     l2 = enumerate_space("L2", nm)
     dbl = enumerate_space("Double", nm)
-    d1, absd2 = dirac_pair(l2)
-    diag = np.concatenate([d1.diag(), absd2.diag()])  # of D1 (+) |D2|
+    d1, d2 = (dirac_family(p, l2).diag() for p in (D1_PARAMS, D2_PARAMS))
+    diag = np.concatenate([d1, np.abs(d2)])  # of D1 (+) |D2|
     a, b = 0, int(np.argmax(diag != diag[0]))
     Ubad = U.copy()
     Ubad[a], Ubad[b] = U[b], U[a]
-    defect = (direct_sum_op(d1, absd2, Ubad, dbl) - dirac_D(dbl)).max_abs()
+    Um = _U_matrix(Ubad, dbl)
+    defect = np.abs(Um @ np.diag(diag) @ Um.T - dirac_D(dbl).to_dense()).max()
     assert defect >= abs(diag[a] - diag[b]) - 1e-12
     assert defect > 0.5
     # the swapped map is still a permutation: only the conjugation fails
@@ -180,9 +182,7 @@ def test_kq_defect_validates_generator():
 def test_kq_defect_band_structure_and_level_zero():
     delta = kq_defect("beta", *_gens(3))
     sp = delta.cod
-    coo = delta.mat.tocoo()
-    for r, c in zip(coo.row, coo.col):
-        assert abs(sp.basis[r].n.twice - sp.basis[c].n.twice) == 1
+    assert np.all(np.abs(sp.tn[delta.rows] - sp.tn[delta.cols]) == 1)
     levels, norms = level_block_norms(delta)
     assert norms[0] <= 1.0
     # strictly decreasing block norms from n = 2 on

@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from diraclab.cli import main
+from diraclab.cli import build_parser, main
 from diraclab.harness import (
     CSV_HEADER,
+    DEFAULT_N_MAX,
     RunConfig,
     SUITES,
     csv_lines,
@@ -319,7 +320,16 @@ def test_cli_minimality_at_extreme_q(capsys):
     # smallest double and up to the largest double below 1
     assert main(["minimality", "--nmax", "16", "--q", "5e-324",
                  "--q", "1e-100", "--q", "0.9999999999999999"]) == 0
-    assert "3/3 cells passed" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "3/3 cells passed" in out
+    # q prints exactly, as in the plot file names: not rounded to q=1
+    for q in ("5e-324", "1e-100", "0.9999999999999999"):
+        assert f" q={q} " in out
+    assert " q=1 " not in out
+
+
+def test_cli_nmax_default_is_the_config_default():
+    assert build_parser().parse_args(["family"]).nmax == DEFAULT_N_MAX.twice
 
 
 def test_suites_tuple_matches_cli():

@@ -1,12 +1,7 @@
+import numpy as np
 import pytest
 
-from diraclab.hilbert import (
-    DoubleIndex,
-    L2Index,
-    TruncatedSpace,
-    enumerate_space,
-    interior,
-)
+from diraclab.hilbert import TruncatedSpace, enumerate_space, interior
 from diraclab.qnum import HalfInt, half
 
 
@@ -62,52 +57,63 @@ def test_per_level_count_identity():
 
 def test_l2_labels_are_valid():
     sp = enumerate_space("L2", half(3))
-    for lab in sp.basis:
-        assert isinstance(lab, L2Index)
-        assert abs(lab.i.twice) <= lab.n.twice
-        assert abs(lab.j.twice) <= lab.n.twice
-        assert (lab.i.twice - lab.n.twice) % 2 == 0
-        assert (lab.j.twice - lab.n.twice) % 2 == 0
+    assert sp.band is None
+    assert np.all(np.abs(sp.ti) <= sp.tn) and np.all(np.abs(sp.tj) <= sp.tn)
+    assert np.all((sp.ti - sp.tn) % 2 == 0)
+    assert np.all((sp.tj - sp.tn) % 2 == 0)
 
 
 def test_double_labels_are_valid():
     sp = enumerate_space("Double", half(2))
-    ups = 0
-    for lab in sp.basis:
-        assert isinstance(lab, DoubleIndex)
-        assert lab.band in ("up", "down")
-        tn = lab.n.twice
-        assert abs(lab.i.twice) <= tn and (lab.i.twice - tn) % 2 == 0
-        if lab.band == "up":
-            ups += 1
-            assert abs(lab.j.twice) <= tn + 1 and (lab.j.twice - tn - 1) % 2 == 0
-        else:
-            assert abs(lab.j.twice) <= tn - 1 and (lab.j.twice - tn + 1) % 2 == 0
+    assert set(sp.band.tolist()) == {0, 1}
+    h = sp.tn + 1 - 2 * sp.band  # j runs over -h..h
+    assert np.all(np.abs(sp.ti) <= sp.tn) and np.all((sp.ti - sp.tn) % 2 == 0)
+    assert np.all(np.abs(sp.tj) <= h) and np.all((sp.tj - h) % 2 == 0)
     # levels are half-integers: twice-n runs over 0..4 at n_max = 2
-    assert ups == sum((tn + 1) * (tn + 2) for tn in range(5))
+    assert np.count_nonzero(sp.band == 0) \
+        == sum((tn + 1) * (tn + 2) for tn in range(5))
 
 
 def test_lookup_enumerate_inverse():
+    # the ordinals of the space's own label arrays are its ordinals, and
+    # no label repeats
     for kind, nm in (("L2", half(2)), ("Double", half(1.5))):
         sp = enumerate_space(kind, nm)
-        for k, lab in enumerate(sp.basis):
-            assert sp.ordinal(lab) == k
-        assert len(set(sp.basis)) == sp.dim
+        got = sp.ordinals(sp.tn, sp.ti, sp.tj, band=sp.band)
+        assert np.array_equal(got, np.arange(sp.dim))
+        labels = np.column_stack([sp.tn, sp.ti, sp.tj]
+                                 + ([sp.band] if kind == "Double" else []))
+        assert len(np.unique(labels, axis=0)) == sp.dim
 
 
 def test_levels_partition():
     sp = enumerate_space("L2", half(4))
-    seen = []
-    for tn, ordinals in sorted(sp.levels.items()):
-        ordinals = list(ordinals)
-        assert ordinals == sorted(ordinals)
-        for k in ordinals:
-            assert sp.basis[k].n.twice == tn
-        seen.extend(ordinals)
-    assert sorted(seen) == list(range(sp.dim))
-    assert list(sp.level_ordinals(half(2))) == list(sp.levels[4])
+    seen = np.concatenate([sp.level_ordinals(HalfInt(tn)) for tn in range(9)])
+    assert np.array_equal(seen, np.arange(sp.dim))
+    assert np.array_equal(sp.tn[sp.level_ordinals(half(2))], np.full(25, 4))
     with pytest.raises(ValueError):
         sp.level_ordinals(half(5))
+    with pytest.raises(ValueError):
+        sp.level_ordinals(half(-0.5))
+
+
+@pytest.mark.parametrize("kind", ["L2", "Double"])
+@pytest.mark.parametrize("tn_max", [0, 1, 7, 16])
+def test_closed_forms_equal_their_label_array_definitions(kind, tn_max):
+    sp = enumerate_space(kind, HalfInt(tn_max))
+    assert np.array_equal(sp.ordinals(sp.tn, sp.ti, sp.tj, band=sp.band),
+                          np.arange(sp.dim))
+    for tn in range(tn_max + 1):
+        want = np.flatnonzero(sp.tn == tn)
+        assert sp.start(tn) == want[0]
+        assert np.array_equal(sp.level_ordinals(HalfInt(tn)), want)
+    assert sp.start(tn_max + 1) == sp.dim
+    assert np.array_equal(sp.start(np.arange(tn_max + 1)),
+                          [np.flatnonzero(sp.tn == t)[0]
+                           for t in range(tn_max + 1)])
+    for tm in range(tn_max + 3):  # margins from 0 to past n_max
+        assert np.array_equal(interior(sp, HalfInt(tm)),
+                              np.flatnonzero(sp.tn <= tn_max - tm))
 
 
 def test_interior_examples():
@@ -116,8 +122,7 @@ def test_interior_examples():
     assert len(interior(sp, half(0.5))) == 5
     assert len(interior(sp, half(1))) == 1
     # the surviving ordinals are exactly the low levels
-    for k in interior(sp, half(0.5)):
-        assert sp.basis[k].n.twice <= 1
+    assert np.all(sp.tn[interior(sp, half(0.5))] <= 1)
 
 
 def test_interior_monotone():
@@ -156,9 +161,9 @@ def test_space_is_frozen():
 @pytest.mark.parametrize("kind", ["L2", "Double"])
 def test_sector_numbers_the_weights(kind):
     sp = enumerate_space(kind, half(2))
-    ij = sorted({(b.i.twice, b.j.twice) for b in sp.basis})
+    weights = list(zip(sp.ti.tolist(), sp.tj.tolist()))
+    ij = sorted(set(weights))
     # the sector of an ordinal is the rank of its (2i, 2j) among all weights
-    assert [ij.index((b.i.twice, b.j.twice)) for b in sp.basis] \
-        == sp.sector.tolist()
+    assert [ij.index(w) for w in weights] == sp.sector.tolist()
     with pytest.raises(ValueError):
         sp.sector[0] = 1

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from diraclab.hilbert import L2Index, enumerate_space, interior
+from diraclab.hilbert import enumerate_space, interior
 from diraclab.linop import interior_projector, op_norm
-from diraclab.qnum import HalfInt, half, q_power
+from diraclab.qnum import half, q_power
 from diraclab.rep_l2 import (
     D1_PARAMS,
     D2_PARAMS,
     DiracParams,
-    abs_op,
     alpha_hat,
     beta_hat,
     dirac_family,
@@ -22,28 +21,30 @@ from diraclab.rep_l2 import (
 Q = 0.5
 
 
-def lab(n, i, j):
-    return L2Index(half(n), half(i), half(j))
+def labels(space):
+    """(ordinal, (tn, ti, tj)) over the twice-valued label arrays."""
+    return enumerate(zip(space.tn.tolist(), space.ti.tolist(),
+                         space.tj.tolist()))
 
 
-def column(T, space, label):
-    return T.to_dense()[:, space.ordinal(label)]
+def column(T, space, tn, ti, tj):
+    return T.to_dense()[:, space.ordinals(tn, ti, tj)]
 
 
 def test_alpha_hat_on_vacuum():
     sp = enumerate_space("L2", half(2))
-    col = column(alpha_hat(sp, Q), sp, lab(0, 0, 0))
+    col = column(alpha_hat(sp, Q), sp, 0, 0, 0)
     expected = np.zeros(sp.dim)
-    expected[sp.ordinal(lab(0.5, -0.5, -0.5))] = Q
+    expected[sp.ordinals(1, -1, -1)] = Q
     np.testing.assert_allclose(col, expected, atol=1e-15)
 
 
 def test_alpha_hat_two_terms():
     sp = enumerate_space("L2", half(2))
-    col = column(alpha_hat(sp, Q), sp, lab(0.5, 0.5, 0.5))
+    col = column(alpha_hat(sp, Q), sp, 1, 1, 1)
     expected = np.zeros(sp.dim)
-    expected[sp.ordinal(lab(1, 0, 0))] = Q ** 3
-    expected[sp.ordinal(lab(0, 0, 0))] = 1 - Q ** 2
+    expected[sp.ordinals(2, 0, 0)] = Q ** 3
+    expected[sp.ordinals(0, 0, 0)] = 1 - Q ** 2
     np.testing.assert_allclose(col, expected, atol=1e-15)
 
 
@@ -52,16 +53,14 @@ def test_alpha_hat_lowering_vanishes_on_weight_floor():
     # is zero exactly when i = -n or j = -n
     sp = enumerate_space("L2", half(3))
     A = alpha_hat(sp, Q).to_dense()
-    for label in sp.basis:
-        tn = label.n.twice
+    for k, (tn, ti, tj) in labels(sp):
         if tn == 0 or tn == sp.n_max.twice:
             continue
-        target = L2Index(HalfInt(tn - 1), label.i - half(0.5), label.j - half(0.5))
-        if abs(target.i.twice) > target.n.twice or abs(target.j.twice) > target.n.twice:
+        target = sp.ordinals(tn - 1, ti - 1, tj - 1)
+        if target < 0:  # |i| or |j| exceeds the lower level
             continue
-        entry = A[sp.ordinal(target), sp.ordinal(label)]
-        vanishes = label.i.twice == -tn or label.j.twice == -tn
-        assert (entry == 0.0) == vanishes, label
+        vanishes = ti == -tn or tj == -tn
+        assert (A[target, k] == 0.0) == vanishes, (tn, ti, tj)
 
 
 def test_assembly_keeps_coefficients_at_tiny_q():
@@ -74,7 +73,7 @@ def test_assembly_keeps_coefficients_at_tiny_q():
     for attr in ("rows", "cols"):
         assert np.array_equal(getattr(tiny, attr), getattr(mid, attr))
     want = np.zeros(sp.dim)
-    want[sp.ordinal(lab(0.5, -0.5, -0.5))] = 1e-100
+    want[sp.ordinals(1, -1, -1)] = 1e-100
     assert np.array_equal(tiny.apply(np.eye(sp.dim)[0]), want)
 
 
@@ -94,24 +93,22 @@ def test_assembly_keeps_entries_below_prune_tol():
 
 def test_beta_hat_on_vacuum():
     sp = enumerate_space("L2", half(2))
-    col = column(beta_hat(sp, Q), sp, lab(0, 0, 0))
+    col = column(beta_hat(sp, Q), sp, 0, 0, 0)
     expected = np.zeros(sp.dim)
-    expected[sp.ordinal(lab(0.5, 0.5, -0.5))] = -math.sqrt(1 - Q ** 2)
+    expected[sp.ordinals(1, 1, -1)] = -math.sqrt(1 - Q ** 2)
     np.testing.assert_allclose(col, expected, atol=1e-15)
 
 
 def test_beta_hat_lowering_vanishes_iff_j_floor():
     sp = enumerate_space("L2", half(3))
     B = beta_hat(sp, Q).to_dense()
-    for label in sp.basis:
-        tn = label.n.twice
+    for k, (tn, ti, tj) in labels(sp):
         if tn == 0:
             continue
-        target = L2Index(HalfInt(tn - 1), label.i + half(0.5), label.j - half(0.5))
-        if abs(target.i.twice) > target.n.twice or abs(target.j.twice) > target.n.twice:
+        target = sp.ordinals(tn - 1, ti + 1, tj - 1)
+        if target < 0:  # |i| or |j| exceeds the lower level
             continue
-        entry = B[sp.ordinal(target), sp.ordinal(label)]
-        assert (entry == 0.0) == (label.j.twice == -tn), label
+        assert (B[target, k] == 0.0) == (tj == -tn), (tn, ti, tj)
 
 
 def test_beta_hat_norm_formula():
@@ -121,8 +118,7 @@ def test_beta_hat_norm_formula():
     # the label set and its contribution is dropped
     sp = enumerate_space("L2", half(5))
     B = beta_hat(sp, Q).to_dense()
-    for label in sp.basis:
-        tn, ti, tj = label.n.twice, label.i.twice, label.j.twice
+    for k, (tn, ti, tj) in labels(sp):
         if tn > 8:
             continue
         n, i, j = tn / 2, ti / 2, tj / 2
@@ -130,7 +126,7 @@ def test_beta_hat_norm_formula():
         down_sq = Q ** (2 * n + 2 * i) * (1 - Q ** (2 * n + 2 * j))
         formula = up_sq + down_sq
         assert formula <= 1.0 + 1e-15
-        computed = float(np.sum(B[:, sp.ordinal(label)] ** 2))
+        computed = float(np.sum(B[:, k] ** 2))
         if ti < tn:
             assert computed == pytest.approx(formula, abs=1e-14)
         else:
@@ -226,9 +222,7 @@ def test_hat_relation_defects_have_closed_forms(q):
         # localization: every nonzero defect column is a weight-boundary label
         dense = T.to_dense()
         for c in np.nonzero(np.abs(dense).max(axis=0) > 1e-14)[0]:
-            label = sp.basis[c]
-            assert (label.i.twice == label.n.twice
-                    or label.j.twice == label.n.twice), (name, label)
+            assert sp.tn[c] in (sp.ti[c], sp.tj[c]), (name, c)
 
 
 @pytest.mark.parametrize("q", [1e-9, 1e-100])
@@ -280,12 +274,12 @@ def test_dirac_family_tables():
     D2 = dirac_family(D2_PARAMS, sp)
     d1 = D1.to_dense()
     d2 = D2.to_dense()
-    assert d1[sp.ordinal(lab(0, 0, 0)), sp.ordinal(lab(0, 0, 0))] == 1.0
+    assert d1[sp.ordinals(0, 0, 0), sp.ordinals(0, 0, 0)] == 1.0
     for ti in (-2, 0, 2):
-        k = sp.ordinal(L2Index(half(1), HalfInt(ti), half(0)))
+        k = sp.ordinals(2, ti, 0)
         assert d1[k, k] == -2.0
         assert d2[k, k] == -3.0
-        k2 = sp.ordinal(L2Index(half(1), HalfInt(ti), half(1)))
+        k2 = sp.ordinals(2, ti, 2)
         assert d1[k2, k2] == 3.0
 
 
@@ -294,21 +288,21 @@ def test_dirac_family_eigenvalue_rule():
     # or above it; for the first family that is -2n / 2n+1
     sp = enumerate_space("L2", half(4))
     diag = dirac_family(D1_PARAMS, sp).mat.diagonal()
-    for k, label in enumerate(sp.basis):
-        n = label.n.value
-        expect = -2 * n if label.j.twice < label.n.twice else 2 * n + 1
+    for k, (tn, ti, tj) in labels(sp):
+        n = tn / 2
+        expect = -2 * n if tj < tn else 2 * n + 1
         assert diag[k] == expect
         assert diag[k] == int(diag[k])  # integer spectrum
         # negative exactly off the top weight line j = n
-        assert (diag[k] < 0) == (label.j.twice != label.n.twice and n >= 0.5)
+        assert (diag[k] < 0) == (tj != tn and n >= 0.5)
 
 
 def test_dirac_family_right_side():
     sp = enumerate_space("L2", half(2))
     diag = dirac_family(D1_PARAMS, sp, side="right").mat.diagonal()
-    for k, label in enumerate(sp.basis):
-        n = label.n.value
-        expect = -2 * n if label.i.twice < label.n.twice else 2 * n + 1
+    for k, (tn, ti, tj) in labels(sp):
+        n = tn / 2
+        expect = -2 * n if ti < tn else 2 * n + 1
         assert diag[k] == expect
     with pytest.raises(ValueError):
         dirac_family(D1_PARAMS, sp, side="middle")
@@ -318,9 +312,8 @@ def test_abs_of_second_family_is_linear_table():
     # |D2| has eigenvalue 2n+1 on every label: |-2n-1| = |2n+1| = 2n+1,
     # the split disappears entirely
     sp = enumerate_space("L2", half(3))
-    absd2 = abs_op(dirac_family(D2_PARAMS, sp)).mat.diagonal()
-    for k, label in enumerate(sp.basis):
-        assert absd2[k] == 2 * label.n.value + 1
+    absd2 = np.abs(dirac_family(D2_PARAMS, sp).diag())
+    assert np.array_equal(absd2, sp.tn + 1.0)
 
 
 def test_dirac_params_validation():
@@ -333,12 +326,6 @@ def test_dirac_params_validation():
     with pytest.raises(ValueError):
         DiracParams(0.5, -2.0, 0.0, 2.0, 1.0).validate()
     assert DiracParams(2, -1.0, 5.0, 3.0, 0.0).validate().k == 2
-
-
-def test_abs_op_rejects_non_diagonal():
-    sp = enumerate_space("L2", half(1))
-    with pytest.raises(ValueError):
-        abs_op(alpha_hat(sp, Q))
 
 
 def test_hat_ops_require_l2():
