@@ -25,10 +25,13 @@ With ``--against DIR`` the record compares two checkouts in one session:
 for each workload, ``PAIRS`` pairs of untraced runs, one of DIR (the
 parent) and one of ``--repo`` (the change), the parent first in the odd
 pairs and second in the even ones, the pairs going round the workloads in
-turn.  Each side keeps its runs, medians and quartiles, and ``wins``
-counts the pairs in which the change measured lower than the parent on
-each end-to-end metric.  It is written to ``BENCH_ab-<parent>-<change>.json``
-(the first 12 hex digits of each ``source_sha256``).  Records from
+turn.  Each side keeps its runs, medians and quartiles and the set of
+payload hashes its runs reported; ``wins`` counts the pairs in which the
+change measured lower than the parent on each end-to-end metric, and
+``same_payload`` says whether both sides reported the same hashes, so one
+record shows both "same results" and "no regression".  It is written to
+``BENCH_ab-<parent>-<change>.json`` (the first 12 hex digits of each
+``source_sha256``).  Records from
 different sessions of one machine differ by more than most changes do;
 only pairs run side by side resolve a change.
 """
@@ -107,15 +110,14 @@ def record(repo):
     for w in names:
         env, traced = perfbench(repo, w, 1)
         layers = values(traced)
-        e2e = side([r for _, r in runs[w]])
+        e2e = side(runs[w])
         results = [r for _, r in runs[w]] + [traced]
         bench["workloads"][w] = {
             **e2e["median"],
             "iqr": {k: q3 - q1 for k, (q1, _, q3) in e2e["quartiles"].items()},
             "runs": e2e["runs"],
             "round_s": [e["round_s"] for e, _ in runs[w]],
-            "payload_sha256": sorted({h for e, _ in runs[w]
-                                      for h in e["payload_sha256"]}),
+            "payload_sha256": e2e["payload_sha256"],
             "correct": all(r["correct"] for r in results),
             "failed": sum(r["failed"] for r in results),
             "layer_s": {k: v for k, v in layers.items() if k.endswith(".s")},
@@ -130,14 +132,18 @@ def record(repo):
 
 
 def side(runs):
-    """Runs, medians and quartiles of one side's end-to-end metrics."""
-    e2e = {k: [values(r)[k] for r in runs] for k in E2E}
+    """Runs, medians and quartiles of one side's end-to-end metrics, from
+    its (env, result) pairs, and the payload hashes its runs reported."""
+    results = [r for _, r in runs]
+    e2e = {k: [values(r)[k] for r in results] for k in E2E}
     return {"runs": e2e,
             "median": {k: statistics.median(v) for k, v in e2e.items()},
             "quartiles": {k: statistics.quantiles(v, n=4, method="inclusive")
                           for k, v in e2e.items()},
-            "failed": sum(r["failed"] for r in runs),
-            "correct": all(r["correct"] for r in runs)}
+            "failed": sum(r["failed"] for r in results),
+            "correct": all(r["correct"] for r in results),
+            "payload_sha256": sorted({h for env, _ in runs
+                                      for h in env["payload_sha256"]})}
 
 
 def ab_record(repo, base):
@@ -151,7 +157,7 @@ def ab_record(repo, base):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for w in names:
             for key in order:
-                runs[w][key].append(perfbench(checkouts[key], w, 0)[1])
+                runs[w][key].append(perfbench(checkouts[key], w, 0))
     bench = {"tag": f"ab-{shas['parent'][:12]}-{shas['change'][:12]}",
              "source_sha256": shas,
              "head": {k: git(path, "rev-parse", "HEAD")
@@ -164,11 +170,13 @@ def ab_record(repo, base):
         wins = {k: sum(c < p for p, c in zip(parent["runs"][k],
                                              change["runs"][k]))
                 for k in E2E}
+        same = parent["payload_sha256"] == change["payload_sha256"]
         bench["workloads"][w] = {"parent": parent, "change": change,
-                                 "wins": wins}
+                                 "wins": wins, "same_payload": same}
         print(f"{w}: wall_s {parent['median']['wall_s']:.3f} -> "
               f"{change['median']['wall_s']:.3f}, change won "
-              f"{wins['wall_s']}/{PAIRS}", file=sys.stderr)
+              f"{wins['wall_s']}/{PAIRS}, same payload: {same}",
+              file=sys.stderr)
     return bench
 
 

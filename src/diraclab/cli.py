@@ -1,7 +1,7 @@
 """Command-line front end: one subcommand per verification suite plus `all`.
 
-Half-integer truncation levels are passed as doubled integers (--nmax 16
-means n_max = 8) so the command line stays exact.
+The truncation is passed as the package holds it, a doubled integer
+(--nmax 16 means n_max = 8), so the command line stays exact.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from .harness import DEFAULT_N_MAX, DEFAULT_Q, SUITES, RunConfig, run
-from .qnum import HalfInt
 
 _SUITE_HELP = {
     "relations": "defining-relation defects for both representations",
@@ -29,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--q", action="append", type=float, metavar="Q",
                         help="modulus in (0, 1); repeatable "
                              f"(default: {' '.join(map(str, DEFAULT_Q))})")
-    common.add_argument("--nmax", type=int, default=DEFAULT_N_MAX.twice,
+    common.add_argument("--nmax", type=int, default=DEFAULT_N_MAX,
                         metavar="TWICE_N",
                         help="truncation as a doubled integer, n_max = "
                              "TWICE_N / 2 (default: %(default)s)")
@@ -53,7 +52,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = RunConfig(
         q=tuple(args.q) if args.q else DEFAULT_Q,
-        n_max=HalfInt(args.nmax),
+        n_max=args.nmax,
         suites=SUITES if args.suite == "all" else (args.suite,),
         out_dir=args.out,
         emit_plot=args.plot,

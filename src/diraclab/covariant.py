@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linop import SpaceMismatchError
-from .qnum import HalfInt
+from .qnum import label_text
 
 
 class CyclicityReport(NamedTuple):
@@ -70,10 +70,10 @@ def cyclic_dimension(generators, depth: int) -> CyclicityReport:
     depth = int(depth)
     if depth < 0:
         raise ValueError("cyclic_dimension: depth must be >= 0")
-    if depth > space.n_max.twice:
+    if depth > space.n_max:
         raise ValueError(
             f"cyclic_dimension: depth {depth} reaches level {depth / 2}, "
-            f"beyond the truncation n_max = {space.n_max}")
+            f"beyond the truncation n_max = {label_text(space.n_max)}")
     # on L2, (n, i, j) fixes a label: one up target per entry's source, and
     # level 0 is e_0 alone
     if space.kind != "L2":
@@ -91,7 +91,7 @@ def cyclic_dimension(generators, depth: int) -> CyclicityReport:
         reached[g.rows[(dn == 1) & (g.vals != 0)]] = True
     missing = np.flatnonzero(~reached & (tn > 0) & (tn <= depth))
     if len(missing):
-        n, i, j = (HalfInt(int(t[missing[0]])) for t in (tn, ti, tj))
+        n, i, j = (label_text(t[missing[0]]) for t in (tn, ti, tj))
         raise ValueError(f"cyclic_dimension: label (n, i, j) = ({n}, {i}, "
                          f"{j}) receives no nonzero up entry")
     labels = np.bincount(tn, minlength=depth + 1)[:depth + 1]

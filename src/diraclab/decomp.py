@@ -30,7 +30,7 @@ import numpy as np
 from ._kernels import spectral_norms
 from .hilbert import TruncatedSpace, enumerate_space
 from .linop import SparseOp, SpaceMismatchError
-from .qnum import HalfInt, half, q_power, validate_q
+from .qnum import q_power, validate_q
 from .rep_double import (_halves, _matrix, a_minus, a_plus, b_minus, b_plus,
                          dirac_D)
 from .rep_l2 import D1_PARAMS, D2_PARAMS, _sqrt0, dirac_family
@@ -42,12 +42,13 @@ KQ_GENERATORS = ("alpha*", "beta")
 #: Floor below which a block norm is treated as numerically zero.
 NORM_FLOOR = 1e-14
 
-#: Levels of the asymptotic scan: n = 1..6.
-SCAN_LEVELS = tuple(HalfInt(t) for t in range(2, 13))
+#: Twice-levels of the asymptotic scan: n = 1..6.
+SCAN_LEVELS = tuple(range(2, 13))
 
 
-def build_U(n_max) -> np.ndarray:
-    """The unitary L2 (+) L2 -> Double as a map of ordinals.
+def build_U(n_max: int) -> np.ndarray:
+    """The unitary L2 (+) L2 -> Double at twice-level n_max, as a map of
+    ordinals.
 
     Entry k is the Double ordinal of ordinal k of the sum: copy 0 (the first
     dim L2 entries) fills the down band (j -> j + 1/2) except at the weight
@@ -56,7 +57,6 @@ def build_U(n_max) -> np.ndarray:
     vector is hit exactly once, so U is a permutation and conjugation by it
     relabels ordinals.
     """
-    n_max = half(n_max)
     l2 = enumerate_space("L2", n_max)
     dbl = enumerate_space("Double", n_max)
     tn, ti, tj = l2.tn, l2.ti, l2.tj
@@ -84,7 +84,7 @@ def direct_sum_op(A: SparseOp, B: SparseOp, U: np.ndarray,
 
 
 class DecompositionReport(NamedTuple):
-    n_max: HalfInt
+    n_max: int  # twice-valued
     dim_sum: int
     dim_double: int
     unitary_defect: float      # max |hits - 1| over Double ordinals
@@ -92,8 +92,9 @@ class DecompositionReport(NamedTuple):
     U: np.ndarray              # the map checked, for kq_defect
 
 
-def check_dirac_intertwine(n_max) -> DecompositionReport:
-    """Verify U (D1 (+) |D2|) U* = D exactly on the truncation.
+def check_dirac_intertwine(n_max: int) -> DecompositionReport:
+    """Verify U (D1 (+) |D2|) U* = D exactly on the truncation at
+    twice-level n_max.
 
     U is unitary iff its map hits every Double ordinal exactly once; an
     absent target (-1) counts as a defect, and leaves no conjugate to
@@ -103,7 +104,6 @@ def check_dirac_intertwine(n_max) -> DecompositionReport:
     with D's diagonal read through U.  Both reported defects are exactly
     0.0: the diagonals hold machine integers.
     """
-    n_max = half(n_max)
     U = build_U(n_max)
     dbl = enumerate_space("Double", n_max)
     absent = bool(np.any(U < 0))
@@ -138,7 +138,7 @@ def kq_defect(gen: str, hat: dict, prime: dict, U: np.ndarray) -> SparseOp:
 class DecayFit(NamedTuple):
     """Least-squares exponential decay fit over uncensored levels."""
 
-    levels: tuple       # HalfInt levels that entered the fit
+    levels: tuple       # twice-levels that entered the fit
     norms: tuple        # their block norms
     gamma_hat: float    # decay exponent, nats per unit n
     residual: float     # rms residual of the log-linear fit
@@ -146,12 +146,13 @@ class DecayFit(NamedTuple):
 
 
 def decay_fit(levels, norms) -> DecayFit:
-    """Fit norms ~ C exp(-gamma n) by least squares on ln(norm) vs n.
+    """Fit norms ~ C exp(-gamma n) by least squares on ln(norm) vs n, for
+    twice-levels ``levels`` (x = tn / 2).
 
     Levels whose norm is <= NORM_FLOOR are censored (log of numerical zero);
     at least three uncensored points are required.
     """
-    lev = [half(x) for x in levels]
+    lev = tuple(levels)
     arr = np.asarray(norms, dtype=float)
     if len(lev) != arr.size:
         raise ValueError("decay_fit: levels and norms must have equal length")
@@ -161,29 +162,30 @@ def decay_fit(levels, norms) -> DecayFit:
         raise ValueError(
             f"decay_fit: only {kept} of {arr.size} levels exceed the floor "
             f"{NORM_FLOOR:g}; need >= 3 for a slope estimate")
-    x = np.array([l.value for l, m in zip(lev, mask) if m])
+    x = np.array([tn / 2 for tn, m in zip(lev, mask) if m])
     y = np.log(arr[mask])
     A = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
-    return DecayFit(tuple(l for l, m in zip(lev, mask) if m),
+    return DecayFit(tuple(tn for tn, m in zip(lev, mask) if m),
                     tuple(arr[mask]), float(-coef[0]), resid,
                     int((~mask).sum()))
 
 
 def level_block_norms(T: SparseOp):
-    """(levels, norms): the norm of each level's row block of T, at once."""
-    n_levels = T.cod.n_max.twice + 1
+    """(levels, norms): the twice-levels of T's codomain and the norm of
+    each level's row block of T, at once."""
+    n_levels = T.cod.n_max + 1
     norms = spectral_norms(T.rows, T.cols, T.vals, T.cod.sector,
                            T.dom.sector, T.cod.tn, n_levels)
-    return tuple(HalfInt(tn) for tn in range(n_levels)), norms
+    return tuple(range(n_levels)), norms
 
 
 class KqDecay(NamedTuple):
     gen: str
     q: float
-    n_max: HalfInt
-    levels: tuple        # all HalfInt levels of the Double space
+    n_max: int           # twice-valued
+    levels: tuple        # all twice-levels of the Double space
     norms: np.ndarray    # block norm of the defect at each level
     fit: DecayFit        # fit over the asymptotic window
     gamma_ratio: float   # gamma_hat / ln(1/q)
@@ -194,8 +196,7 @@ def _level_fit(gen: str, q: float, T: SparseOp) -> KqDecay:
     # pre-asymptotic and the last can feel the truncation edge
     n_max = T.cod.n_max
     levels, norms = level_block_norms(T)
-    sel = [(l, v) for l, v in zip(levels, norms)
-           if 2.0 <= l.value <= n_max.value - 1.0]
+    sel = [(tn, v) for tn, v in zip(levels, norms) if 4 <= tn <= n_max - 2]
     fit = decay_fit([l for l, _ in sel], [v for _, v in sel])
     return KqDecay(gen, q, n_max, levels, norms, fit,
                    fit.gamma_hat / math.log(1.0 / q))
@@ -256,14 +257,14 @@ def asymptotic_residual(kind: str, levels, q: float) -> np.ndarray:
     The grid at level n is the up band of the Double space, i in {-n..n}
     and j in {-n-1/2..n+1/2}; the requested levels of one Double
     enumeration are evaluated as one label array.  One value per entry of
-    ``levels``, in its order, repeats kept.
+    ``levels`` (twice-levels), in its order, repeats kept.
     """
     if kind not in _EXACT:
         raise ValueError(f"asymptotic_residual: kind must be one of "
                          f"{tuple(_EXACT)}, got {kind!r}")
     q = validate_q(q)
-    tns = np.array([half(n).twice for n in levels])
-    dbl = enumerate_space("Double", HalfInt(int(tns.max())))
+    tns = np.array(levels, dtype=np.int64)
+    dbl = enumerate_space("Double", int(tns.max()))
     at = np.flatnonzero((dbl.band == 0) & np.isin(dbl.tn, tns))
     tn = dbl.tn[at]
     lab = (tn / 2.0, dbl.ti[at] / 2.0, dbl.tj[at] / 2.0)
@@ -276,7 +277,7 @@ def asymptotic_residual(kind: str, levels, q: float) -> np.ndarray:
 class AsymptoticScan(NamedTuple):
     kind: str
     q: float
-    levels: tuple        # HalfInt
+    levels: tuple        # twice-levels
     residuals: np.ndarray
     ratios: np.ndarray   # residual / q^{2n}
     envelope: float      # max ratio / ratio at the first level
@@ -289,7 +290,7 @@ def asymptotic_scan(kind: str, q: float) -> AsymptoticScan:
     the first level) certifies the O(q^{2n}) rate with an explicit constant.
     """
     res = asymptotic_residual(kind, SCAN_LEVELS, q)
-    ratios = res / np.array([q ** l.twice for l in SCAN_LEVELS])
+    ratios = res / np.array([q ** tn for tn in SCAN_LEVELS])
     base = ratios[0]
     envelope = float(np.max(ratios) / base) if base > 0 else math.inf
     return AsymptoticScan(kind, q, SCAN_LEVELS, res, ratios, envelope)

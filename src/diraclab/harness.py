@@ -39,7 +39,7 @@ from .decomp import (KQ_GENERATORS, asymptotic_scan, check_dirac_intertwine,
                      control_decay, kq_decay)
 from .hilbert import enumerate_space, interior
 from .linop import commutator, on_columns, op_norm
-from .qnum import HalfInt, half
+from .qnum import label_text
 from .rep_double import dirac_D, pi_prime_generators
 from .rep_l2 import (D1_PARAMS, D2_PARAMS, DiracParams, dirac_family,
                      hat_generators, pi_hat, relation_words)
@@ -48,7 +48,7 @@ SUITES = ("relations", "decompose", "kq-decay", "asymptotics",
           "commutators", "minimality", "family")
 
 DEFAULT_Q = (0.3, 0.5, 0.7)
-DEFAULT_N_MAX = HalfInt(16)  # n_max = 8
+DEFAULT_N_MAX = 16  # twice-valued: n_max = 8
 
 #: relations gate: each relation word's norm on the interior(1) columns.
 RELATION_DEFECT_MAX = 1e-10
@@ -65,7 +65,7 @@ _PLOT_GEN_NAME = {"alpha*": "alphastar", "beta": "beta"}
 @dataclass(frozen=True)
 class RunConfig:
     q: tuple = DEFAULT_Q
-    n_max: HalfInt = DEFAULT_N_MAX
+    n_max: int = DEFAULT_N_MAX  # twice-valued
     suites: tuple = SUITES
     out_dir: str | None = None
     emit_plot: bool = False
@@ -81,9 +81,14 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             raise ValueError(f"config: q values must lie in (0, 1), got {v}")
     if len(set(qs)) < len(qs):
         raise ValueError(f"config: q values must be distinct, got {qs}")
-    n_max = half(cfg.n_max)
-    if n_max.twice < 0:
-        raise ValueError(f"config: n_max must be >= 0, got {n_max}")
+    n_max = cfg.n_max
+    if not isinstance(n_max, (int, np.integer)):
+        raise ValueError("config: n_max is twice the top level and must be "
+                         f"an int, got {n_max!r}")
+    n_max = int(n_max)
+    if n_max < 0:
+        raise ValueError("config: n_max must be >= 0, got "
+                         f"{label_text(n_max)}")
     suites = tuple(cfg.suites)
     if not suites:
         raise ValueError("config: need at least one suite")
@@ -92,17 +97,17 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             raise ValueError(f"config: unknown suite {s!r} "
                              f"(expected a subset of {SUITES})")
     suites = tuple(s for s in SUITES if s in suites)  # canonical order
-    if "relations" in suites and n_max.twice < 2:
+    if "relations" in suites and n_max < 2:
         raise ValueError("config: the relations suite measures defects on "
                          "the interior of n_max - 1 and needs n_max >= 1")
-    if "kq-decay" in suites and n_max.twice < 8:
+    if "kq-decay" in suites and n_max < 8:
         raise ValueError("config: the kq-decay suite fits levels n in "
                          "[2, n_max - 1], at least three, and needs n_max >= 4")
-    if "commutators" in suites and n_max.twice < 6:
+    if "commutators" in suites and n_max < 6:
         raise ValueError("config: the commutators suite compares n_max "
                          "against the interior of n_max - 2 and needs "
                          "n_max >= 3")
-    if "minimality" in suites and n_max.twice < 1:
+    if "minimality" in suites and n_max < 1:
         raise ValueError("config: the minimality suite needs n_max >= 1/2 "
                          "for its depth-1 oracle")
     if cfg.emit_plot and cfg.out_dir is None:
@@ -114,7 +119,7 @@ class VerificationReport(NamedTuple):
     suite: str
     label: str           # generator / relation / kind within the suite
     q: float | None      # None for q-independent cells
-    n_max: HalfInt
+    n_max: int           # twice-valued
     metrics: dict        # name -> real
     gate_metric: str     # which metric is gated
     gate_op: str         # "<=" or ">="
@@ -203,7 +208,7 @@ def _suite_commutators(cfg: RunConfig, q: float, ops, plots: dict):
 
 
 def _suite_minimality(cfg: RunConfig, q: float, ops, plots: dict):
-    depth = cfg.n_max.twice  # words of length 2 n_max reach the last level
+    depth = cfg.n_max  # words of length 2 n_max reach the last level
     rep = cyclic_dimension(ops("L2")[1].values(), depth)
     monotone = all(a <= b for a, b in zip(rep.history, rep.history[1:]))
     # depth-1 dimension can never exceed 5 (level cap), so the
@@ -219,7 +224,7 @@ def _suite_minimality(cfg: RunConfig, q: float, ops, plots: dict):
 
 
 def _suite_family(cfg: RunConfig, q: None, ops, plots: dict):
-    table_n = min(half(4), cfg.n_max)
+    table_n = min(8, cfg.n_max)  # n <= 4
     l2 = enumerate_space("L2", table_n)
     d1 = dirac_family(D1_PARAMS, l2).diag()
     d2 = dirac_family(D2_PARAMS, l2).diag()
@@ -250,7 +255,7 @@ _SUITE_FN = {"relations": _suite_relations, "decompose": _suite_decompose,
              "minimality": _suite_minimality, "family": _suite_family}
 
 
-def _operators(n_max: HalfInt, q: float | None, intertwine):
+def _operators(n_max: int, q: float | None, intertwine):
     """One q's lookup: (space, generators) by kind, "L2" or "Double", each
     built on first use; ops("U") is intertwine(), the run's check of U."""
     @functools.cache
@@ -304,12 +309,12 @@ def payload_dict(reports, cfg: RunConfig) -> dict:
     return {
         "config": {
             "q": list(cfg.q),
-            "n_max_twice": cfg.n_max.twice,
+            "n_max_twice": cfg.n_max,
             "suites": list(cfg.suites),
         },
         "reports": [
             {"suite": r.suite, "label": r.label, "q": r.q,
-             "n_max_twice": r.n_max.twice, "metrics": r.metrics,
+             "n_max_twice": r.n_max, "metrics": r.metrics,
              "gate": {"metric": r.gate_metric, "op": r.gate_op,
                       "value": r.gate_value},
              "passed": r.passed}
@@ -342,7 +347,7 @@ def csv_lines(reports) -> list:
     for r in reports:
         qtxt = "" if r.q is None else repr(r.q)
         lines.append(",".join([
-            r.suite, r.label, qtxt, str(r.n_max.twice), r.gate_metric,
+            r.suite, r.label, qtxt, str(r.n_max), r.gate_metric,
             repr(r.metrics[r.gate_metric]), repr(r.gate_value),
             str(r.passed).lower(), f"{r.wall_time:.6f}"]))
     return lines
@@ -383,8 +388,8 @@ def emit(reports, cfg: RunConfig, plots: dict | None = None) -> list:
 
     if cfg.emit_plot and plots:
         for (gen, q), (levels, norms) in sorted(plots.items()):
-            rows = [f"{lev.value:g} {math.log(v):.17g}"
-                    for lev, v in zip(levels, norms) if v > 0.0]
+            rows = [f"{tn / 2:g} {math.log(v):.17g}"
+                    for tn, v in zip(levels, norms) if v > 0.0]
             ppath = os.path.join(out, f"kq_{_PLOT_GEN_NAME[gen]}_q{q!r}.dat")
             _write_text(ppath, "\n".join(rows) + "\n")
             paths.append(ppath)

@@ -11,7 +11,8 @@ n = 0, 1/2, 1, ... and weights i, j in {-n, ..., n} (integer steps).
 so level n holds 2(2n+1)^2 vectors and the doubled space is two copies of L2
 (the unitary ``decomp.build_U`` maps L2 (+) L2 onto it as a map of ordinals).
 
-Truncation keeps levels n <= n_max.  Operators silently drop components that
+Truncation keeps levels n <= n_max, and n_max is held as twice its value,
+an int, like every label.  Operators silently drop components that
 would leave the truncated space; quantitative assertions are made only on
 ``interior`` vectors, where no such loss can occur.
 
@@ -32,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qnum import HalfInt, half
+from .qnum import label_text, twice
 
 
 def _frozen(a) -> np.ndarray:
@@ -44,7 +45,7 @@ def _frozen(a) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TruncatedSpace:
     kind: str
-    n_max: HalfInt
+    n_max: int  # twice the top level
     tn: np.ndarray = field(repr=False)
     ti: np.ndarray = field(repr=False)
     tj: np.ndarray = field(repr=False)
@@ -56,7 +57,7 @@ class TruncatedSpace:
 
     @property
     def signature(self):
-        return (self.kind, self.n_max.twice, self.dim)
+        return (self.kind, self.n_max, self.dim)
 
     def start(self, tn):
         """Ordinal of the first label at twice-level tn (array or int):
@@ -68,7 +69,7 @@ class TruncatedSpace:
     @cached_property
     def sector(self) -> np.ndarray:
         """Weight sector of each ordinal: the rank of its (ti, tj)."""
-        t = self.n_max.twice + 1  # bounds |ti| and |tj|
+        t = self.n_max + 1  # bounds |ti| and |tj|
         key = (self.ti + t) * (2 * t + 1) + self.tj + t
         return _frozen((np.cumsum(np.bincount(key) > 0) - 1)[key])
 
@@ -86,34 +87,38 @@ class TruncatedSpace:
         else:
             h = tn
             start = self.start(tn)
-        ok = ((tn >= 0) & (tn <= self.n_max.twice)
+        ok = ((tn >= 0) & (tn <= self.n_max)
               & (np.abs(ti) <= tn) & ((ti - tn) % 2 == 0)
               & (np.abs(tj) <= h) & ((tj - h) % 2 == 0))
         k = start + (ti + tn) // 2 * (h + 1) + (tj + h) // 2
         return np.where(ok, k, -1)
 
-    def level_ordinals(self, n) -> np.ndarray:
-        """Ascending ordinals of level n: one range, from ``start``."""
-        tn = half(n).twice
-        if not 0 <= tn <= self.n_max.twice:
-            raise ValueError(f"level {half(n)} absent from {self.kind} space "
-                             f"truncated at n_max={self.n_max}")
+    def level_ordinals(self, tn) -> np.ndarray:
+        """Ascending ordinals of twice-level tn: one range, from ``start``."""
+        if not 0 <= tn <= self.n_max:
+            raise ValueError(f"level {label_text(tn)} absent from {self.kind} "
+                             "space truncated at "
+                             f"n_max={label_text(self.n_max)}")
         return np.arange(self.start(tn), self.start(tn + 1))
 
 
-def enumerate_space(kind: str, n_max) -> TruncatedSpace:
-    """Enumerate the truncated basis of kind "L2" or "Double".
+def enumerate_space(kind: str, n_max: int) -> TruncatedSpace:
+    """Enumerate the truncated basis of kind "L2" or "Double" up to
+    twice-level n_max, an int (``enumerate_space("L2", 3)`` stops at n = 3/2).
 
     The total order is canonical (sorted by n, then band, then i, then j)
     so that assembled matrices are reproducible bit-for-bit across runs.
     """
-    n_max = half(n_max)
-    if n_max.twice < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if not isinstance(n_max, (int, np.integer)):
+        raise ValueError("n_max is twice the top level and must be an "
+                         f"int, got {n_max!r}")
+    n_max = int(n_max)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {label_text(n_max)}")
     if kind not in ("L2", "Double"):
         raise ValueError(f"unknown space kind {kind!r} "
                          "(expected 'L2' or 'Double')")
-    levels = np.arange(n_max.twice + 1)
+    levels = np.arange(n_max + 1)
     size = (levels + 1) ** 2 * (2 if kind == "Double" else 1)
     tn = np.repeat(levels, size)
     r = np.arange(len(tn)) - (np.cumsum(size) - size)[tn]  # place in level
@@ -134,11 +139,13 @@ def interior(space: TruncatedSpace, margin) -> np.ndarray:
     """Ordinals of basis vectors with n <= n_max - margin: the levels are
     in order, so these are the ordinals below ``start`` of the next level.
 
-    A generator word of length L moves the level by at most L/2, so on
-    interior(margin=L/2) vectors no truncation loss can occur; the subset is
-    closed under (i, j) -> (-i, -j) since membership depends on n only.
+    The margin is a distance in units of n, not a label (1 is one whole
+    level, 0.5 a half).  A generator word of length L moves the level by
+    at most L/2, so on interior(margin=L/2) vectors no truncation loss can
+    occur; the subset is closed under (i, j) -> (-i, -j) since membership
+    depends on n only.
     """
-    tm = half(margin).twice
+    tm = int(twice(margin))
     if tm < 0:
         raise ValueError("margin must be >= 0")
-    return np.arange(space.start(max(space.n_max.twice - tm + 1, 0)))
+    return np.arange(space.start(max(space.n_max - tm + 1, 0)))

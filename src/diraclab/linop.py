@@ -26,7 +26,7 @@ import numpy as np
 
 from ._kernels import spectral_norms
 from .hilbert import TruncatedSpace, interior
-from .qnum import half
+from .qnum import label_text
 
 
 class SpaceMismatchError(ValueError):
@@ -103,8 +103,9 @@ class SparseOp:
         """self after other (matrix product self @ other)."""
         if other.cod.signature != self.dom.signature:
             raise SpaceMismatchError(
-                f"compose: domain {self.dom.kind}/{self.dom.n_max} does not "
-                f"match codomain {other.cod.kind}/{other.cod.n_max}")
+                f"compose: domain {self.dom.kind}/"
+                f"{label_text(self.dom.n_max)} does not match codomain "
+                f"{other.cod.kind}/{label_text(other.cod.n_max)}")
         # each entry (i, j) of self, in order, meets row j of other in order
         ptr = np.bincount(other.rows + 1, minlength=other.cod.dim + 1).cumsum()
         count = np.diff(ptr)[self.cols]
@@ -178,10 +179,11 @@ def op_norm(T: SparseOp) -> float:
                                 1)[0])
 
 
-def block_norm(T: SparseOp, n) -> float:
-    """Norm of the level-n row block of T."""
-    T.cod.level_ordinals(n)  # raises if T has no level n
-    at = T.cod.tn[T.rows] == half(n).twice
+def block_norm(T: SparseOp, n: int) -> float:
+    """Norm of the row block of T at twice-level n (named ``n``, not
+    ``tn``, because perfbench's tracer binds it by that name)."""
+    T.cod.level_ordinals(n)  # raises if T has no such level
+    at = T.cod.tn[T.rows] == n
     return op_norm(SparseOp(T.dom, T.cod, T.rows[at], T.cols[at], T.vals[at]))
 
 

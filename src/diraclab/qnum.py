@@ -9,69 +9,24 @@ labels as well as single labels.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 
-class HalfInt(NamedTuple):
-    """Exact half-integer, stored as twice its value.
-
-    ``HalfInt(3)`` is the number 3/2.  Use :func:`half` to build one from
-    a float or int when that reads better.
-    """
-
-    twice: int
-
-    @property
-    def value(self) -> float:
-        return self.twice / 2.0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __add__(self, other):
-        return HalfInt(self.twice + other.twice)
-
-    def __sub__(self, other):
-        return HalfInt(self.twice - other.twice)
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    def __str__(self):
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-
-def half(x) -> HalfInt:
-    """Coerce an int, float or HalfInt to a HalfInt.
-
-    Raises ValueError if x is not an exact multiple of 1/2.
-    """
-    if isinstance(x, HalfInt):
-        return x
-    t = 2 * x
-    if t != int(t):
-        raise ValueError(f"{x!r} is not a half-integer")
-    return HalfInt(int(t))
-
-
 def twice(x) -> np.ndarray:
-    """Twice a half-integer label, as integers: the array form of
-    ``half(x).twice``.
+    """Twice a half-integer value, as integers.
 
-    x may be a HalfInt, a number or an array of numbers.  Raises ValueError
-    unless every entry is an exact multiple of 1/2.
+    x may be a number or an array of numbers.  Raises ValueError unless
+    every entry is an exact multiple of 1/2.
     """
-    if isinstance(x, HalfInt):
-        return np.int64(x.twice)
     t = 2 * np.asarray(x, dtype=float)
     if (t != np.rint(t)).any():
         raise ValueError(f"{x!r} is not a half-integer")
     return t.astype(np.int64)
+
+
+def label_text(t) -> str:
+    """A twice-valued label as text: 4 gives "2", -1 gives "-1/2"."""
+    return str(t // 2) if t % 2 == 0 else f"{t}/2"
 
 
 def validate_q(q: float) -> float:
@@ -87,7 +42,7 @@ def q_number(m, q: float) -> float:
 
     Parameters
     ----------
-    m : HalfInt, int, float or array
+    m : int, float or array
         Any half-integer (or real) order; an array gives an array.
     q : float
         Deformation parameter in (0, 1).
@@ -119,8 +74,6 @@ def _each_distinct(f, x):
     not much wider than x is long are found by a table over 4x, without
     a sort; other real orders by ``np.unique``.
     """
-    if isinstance(x, HalfInt):
-        return f(x.value)
     if np.ndim(x) == 0:
         return f(float(x))
     v = np.asarray(x, dtype=float).ravel()

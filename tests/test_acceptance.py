@@ -27,7 +27,6 @@ from diraclab.decomp import (
 from diraclab.harness import RunConfig, payload_hash, run, validate_config
 from diraclab.hilbert import enumerate_space
 from diraclab.linop import interior_projector, op_norm
-from diraclab.qnum import HalfInt
 from diraclab.rep_double import dirac_D, pi_prime_generators
 from diraclab.rep_l2 import (
     D1_PARAMS,
@@ -40,8 +39,8 @@ from diraclab.rep_l2 import (
 )
 
 Q_GRID = (0.3, 0.5, 0.7)
-N8 = HalfInt(16)   # n_max = 8
-N6 = HalfInt(12)   # n_max = 6
+N8 = 16   # n_max = 8
+N6 = 12   # n_max = 6
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +67,7 @@ def test_criterion_1_exact_decomposition():
     # U (D1 (+) |D2|) U* = D with zero deviation at n_max in {2, 4, 8},
     # and U unitary exactly; the n_max = 8 check must finish inside 10 s
     for tw in (4, 8):
-        rep = check_dirac_intertwine(HalfInt(tw))
+        rep = check_dirac_intertwine(tw)
         assert rep.unitary_defect == 0.0, tw
         assert rep.conjugation_defect == 0.0, tw
     t0 = time.perf_counter()
@@ -127,8 +126,8 @@ def test_criterion_4_kq_decay(hat_8, prime_8):
     for q in Q_GRID:
         for gen in ("alpha*", "beta"):
             out = kq_decay(gen, hat_8[q], prime_8[q], U, q)
-            assert out.fit.levels[0].value >= 2.0
-            assert out.fit.levels[-1].value <= 7.0
+            assert out.fit.levels[0] >= 4  # twice-levels: n in [2, 7]
+            assert out.fit.levels[-1] <= 14
             assert out.gamma_ratio >= 1.8, (gen, q, out.gamma_ratio)
         ctl = control_decay("alpha*", prime_8[q], q)
         assert ctl.gamma_ratio < 0.5, (q, ctl.gamma_ratio)
@@ -140,8 +139,8 @@ def test_criterion_5_asymptotic_envelopes():
     for q in Q_GRID:
         for kind in ("a+", "a-", "b+", "b-"):
             scan = asymptotic_scan(kind, q)
-            assert scan.levels[0].twice == 2
-            assert scan.levels[-1].twice == 12
+            assert scan.levels[0] == 2
+            assert scan.levels[-1] == 12
             assert scan.envelope <= 10.0, (kind, q, scan.envelope)
 
 
@@ -170,7 +169,7 @@ def test_criterion_6_commutator_stability(l2_8, dbl_8, hat_8, prime_8):
 
 
 def test_criterion_7_family_structure():
-    sp = enumerate_space("L2", HalfInt(8))  # n <= 4
+    sp = enumerate_space("L2", 8)  # n <= 4
     for params, low in ((D1_PARAMS, lambda n: -2 * n),
                         (D2_PARAMS, lambda n: -2 * n - 1)):
         D = dirac_family(params, sp)
@@ -195,7 +194,7 @@ def test_criterion_8_minimality(l2_8, hat_8):
         gens = list(hat_8[q].values())
         rep = cyclic_dimension(gens, 1)
         assert rep.history[1] == 5, (q, rep.history)
-    deep = cyclic_dimension(list(hat_8[0.5].values()), N8.twice)
+    deep = cyclic_dimension(list(hat_8[0.5].values()), N8)
     assert deep.history == tuple(sorted(deep.history))
     assert deep.target == 1785
     print(f"\n[minimality diagnostics] reached={deep.reached} "
@@ -205,7 +204,7 @@ def test_criterion_8_minimality(l2_8, hat_8):
 
 
 def test_criterion_9_deterministic_payloads():
-    cfg = RunConfig(q=(0.3, 0.5), n_max=HalfInt(10),
+    cfg = RunConfig(q=(0.3, 0.5), n_max=10,
                     suites=("decompose", "kq-decay", "asymptotics", "family"))
     h1 = payload_hash(run(cfg), validate_config(cfg))
     h2 = payload_hash(run(cfg), validate_config(cfg))

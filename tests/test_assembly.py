@@ -19,7 +19,7 @@ from diraclab.decomp import (SCAN_LEVELS, asymptotic_residual, build_U,
                              leading_form)
 from diraclab.hilbert import enumerate_space
 from diraclab.linop import SparseOp
-from diraclab.qnum import HalfInt, q_number
+from diraclab.qnum import q_number
 from diraclab.rep_double import (a_minus, a_plus, b_minus, b_plus, dirac_D,
                                  pi_prime, pi_prime_generators)
 from diraclab.rep_l2 import (D1_PARAMS, D2_PARAMS, DiracParams, alpha_hat,
@@ -78,12 +78,12 @@ _MATS = {
 
 def _pi_prime_loop(gen, space, q):
     """pi_prime by one scalar leaf call per label and band move."""
-    lookup = _lookup("Double", space.n_max.twice)
+    lookup = _lookup("Double", space.n_max)
     (mat_up, mat_dn), (di, dj), sgn = _MATS[gen]
     rows, cols, vals = [], [], []
     for (sb, tn, ti, tj), col in lookup.items():
         for mat_fn, dn in ((mat_up, +1), (mat_dn, -1)):
-            M = mat_fn(HalfInt(tn), HalfInt(ti), HalfInt(tj), q)
+            M = mat_fn(tn / 2, ti / 2, tj / 2, q)
             for tb in (0, 1):
                 c = sgn * M[tb, sb]
                 if c == 0.0:
@@ -102,7 +102,7 @@ def _sqrt0(x):
 
 def _hat_loop(gen, space, q):
     """alpha_hat or beta_hat by Python float arithmetic per label."""
-    lookup = _lookup("L2", space.n_max.twice)
+    lookup = _lookup("L2", space.n_max)
     rows, cols, vals = [], [], []
     for (tn, ti, tj), col in lookup.items():
         n, i, j = tn / 2.0, ti / 2.0, tj / 2.0
@@ -141,13 +141,13 @@ def _build_U_loop(tnmax):
 def _dirac_D_loop(space):
     return SparseOp.diagonal(space, [
         float(tn + 1) if band == 0 else float(-tn)
-        for band, tn, _, _ in _oracle_basis("Double", space.n_max.twice)])
+        for band, tn, _, _ in _oracle_basis("Double", space.n_max)])
 
 
 def _dirac_family_loop(params, space, side):
     k2 = 2 * params.k
     diag = []
-    for tn, ti, tj in _oracle_basis("L2", space.n_max.twice):
+    for tn, ti, tj in _oracle_basis("L2", space.n_max):
         tx = tj if side == "left" else ti
         n = tn / 2.0
         diag.append(params.a * n + params.b if tx < tn - k2
@@ -182,7 +182,7 @@ def _asymptotic_residual_loop(kind, levels, q):
         r = 0.0
         for ti in range(-tn, tn + 1, 2):
             for tj in range(-tn - 1, tn + 2, 2):
-                exact = _EXACT[kind](HalfInt(tn), HalfInt(ti), HalfInt(tj), q)
+                exact = _EXACT[kind](tn / 2, ti / 2, tj / 2, q)
                 lead = _leading_form_scalar(kind, tn, ti, tj, q)
                 r = max(r, np.max(np.abs(exact - lead)))
         out.append(r)
@@ -202,22 +202,22 @@ def _assert_same(T, oracle):
 @pytest.mark.parametrize("q", QS)
 @pytest.mark.parametrize("tn_max", TN_MAX)
 def test_generators_match_loop_oracles(tn_max, q):
-    dbl = enumerate_space("Double", HalfInt(tn_max))
+    dbl = enumerate_space("Double", tn_max)
     for g in GENERATORS:
         _assert_same(pi_prime(g, dbl, q), _pi_prime_loop(g, dbl, q))
-    l2 = enumerate_space("L2", HalfInt(tn_max))
+    l2 = enumerate_space("L2", tn_max)
     _assert_same(alpha_hat(l2, q), _hat_loop("alpha", l2, q))
     _assert_same(beta_hat(l2, q), _hat_loop("beta", l2, q))
 
 
 @pytest.mark.parametrize("tn_max", TN_MAX)
 def test_q_free_operators_match_loop_oracles(tn_max):
-    U = build_U(HalfInt(tn_max))
+    U = build_U(tn_max)
     assert U.dtype == np.int64
     np.testing.assert_array_equal(U, _build_U_loop(tn_max))
-    dbl = enumerate_space("Double", HalfInt(tn_max))
+    dbl = enumerate_space("Double", tn_max)
     _assert_same(dirac_D(dbl), _dirac_D_loop(dbl))
-    l2 = enumerate_space("L2", HalfInt(tn_max))
+    l2 = enumerate_space("L2", tn_max)
     for params in (D1_PARAMS, D2_PARAMS, DiracParams(1, -1.5, 0.25, 3.0, -2.0)):
         for side in ("left", "right"):
             _assert_same(dirac_family(params, l2, side),
@@ -228,12 +228,12 @@ def test_q_free_operators_match_loop_oracles(tn_max):
 @pytest.mark.parametrize("kind", ["a+", "a-", "b+", "b-"])
 def test_asymptotic_residual_matches_loop_oracle(kind, q):
     levels = list(range(0, 9))
-    got = asymptotic_residual(kind, [HalfInt(t) for t in levels], q)
+    got = asymptotic_residual(kind, levels, q)
     np.testing.assert_allclose(got, _asymptotic_residual_loop(kind, levels, q),
                                rtol=1e-14, atol=0.0)
     for tn, ti, tj in ((3, 1, -2), (4, -4, 5), (0, 0, -1)):
         np.testing.assert_allclose(
-            leading_form(kind, HalfInt(tn), HalfInt(ti), HalfInt(tj), q),
+            leading_form(kind, tn / 2, ti / 2, tj / 2, q),
             _leading_form_scalar(kind, tn, ti, tj, q), rtol=1e-14, atol=0.0)
 
 
@@ -242,7 +242,7 @@ def test_adjoint_generators_equal_the_tilde_assembly(q):
     # pi'(alpha) and pi'(beta*) are the adjoints of the two assembled
     # generators; they equal the assembly from the tilde displays bit for bit
     for tn_max in (1, 8, 16, 32):
-        dbl = enumerate_space("Double", HalfInt(tn_max))
+        dbl = enumerate_space("Double", tn_max)
         gens = pi_prime_generators(dbl, q)
         for g in ("alpha", "beta*"):
             want = pi_prime_tilde(g, dbl, q)
@@ -255,8 +255,7 @@ def test_adjoint_generators_equal_the_tilde_assembly(q):
 def _asymptotic_residual_per_level(kind, levels, q):
     """asymptotic_residual as one evaluation per level."""
     out = []
-    for n in levels:
-        tn = n.twice
+    for tn in levels:
         ti, tj = np.meshgrid(np.arange(-tn, tn + 1, 2),
                              np.arange(-tn - 1, tn + 2, 2), indexing="ij")
         lab = (tn / 2.0, ti / 2.0, tj / 2.0)
@@ -270,7 +269,7 @@ def _asymptotic_residual_per_level(kind, levels, q):
 def test_asymptotic_residual_equals_a_per_level_evaluation(kind, q):
     # all levels are one label array; each label's q-powers are the same
     # Python floats, so the per-level maxima are the same bits
-    for levels in (SCAN_LEVELS, [HalfInt(t) for t in (0, 1, 5, 20)]):
+    for levels in (SCAN_LEVELS, [0, 1, 5, 20]):
         assert np.array_equal(asymptotic_residual(kind, levels, q),
                               _asymptotic_residual_per_level(kind, levels, q))
 
@@ -278,7 +277,7 @@ def test_asymptotic_residual_equals_a_per_level_evaluation(kind, q):
 @pytest.mark.parametrize("tn_max", TN_MAX)
 def test_ordinals_follow_enumeration_order(tn_max):
     for kind in ("L2", "Double"):
-        space = enumerate_space(kind, HalfInt(tn_max))
+        space = enumerate_space(kind, tn_max)
         labels = np.array(_oracle_basis(kind, tn_max)).T
         tn, ti, tj = labels[-3:]
         band = labels[0] if kind == "Double" else None
@@ -289,13 +288,13 @@ def test_ordinals_follow_enumeration_order(tn_max):
                                       np.arange(space.dim))
         for t in range(tn_max + 1):
             np.testing.assert_array_equal(
-                space.level_ordinals(HalfInt(t)), np.flatnonzero(tn == t))
+                space.level_ordinals(t), np.flatnonzero(tn == t))
 
 
 def test_labels_outside_the_space_have_no_ordinal():
     tnm = 4
-    l2 = enumerate_space("L2", HalfInt(tnm))
-    dbl = enumerate_space("Double", HalfInt(tnm))
+    l2 = enumerate_space("L2", tnm)
+    dbl = enumerate_space("Double", tnm)
     absent_l2 = [(tnm + 1, 1, 1), (-1, 1, 1), (2, 4, 0), (2, 1, 0), (2, 0, 4)]
     for tn, ti, tj in absent_l2:
         assert l2.ordinals(tn, ti, tj) == -1, (tn, ti, tj)
@@ -317,9 +316,9 @@ def test_assembled_generators_are_finite(q):
     # leaves where the masks zero them; no valid label may keep a nan
     for tn_max in range(0, 7):
         ops = list(pi_prime_generators(
-            enumerate_space("Double", HalfInt(tn_max)), q).values())
+            enumerate_space("Double", tn_max), q).values())
         ops += list(hat_generators(
-            enumerate_space("L2", HalfInt(tn_max)), q).values())
+            enumerate_space("L2", tn_max), q).values())
         for T in ops:
             assert np.isfinite(T.mat.data).all(), (q, tn_max)
     labels = _valid_label_arrays(6)
@@ -336,7 +335,7 @@ def test_array_assembly_overflows_where_the_loop_does(q):
     # q^{-m} beyond double range raises OverflowError over arrays of labels
     # exactly where the per-label loop raises it
     for tn_max in (2, 4, 6):
-        dbl = enumerate_space("Double", HalfInt(tn_max))
+        dbl = enumerate_space("Double", tn_max)
         try:
             want = _pi_prime_loop("alpha*", dbl, q)
         except OverflowError:
@@ -347,7 +346,7 @@ def test_array_assembly_overflows_where_the_loop_does(q):
     with pytest.raises(OverflowError):
         q_number(np.array([0.5, 400.0]), 1e-4)
     with pytest.raises(OverflowError):
-        pi_prime("beta", enumerate_space("Double", HalfInt(8)), 1e-100)
+        pi_prime("beta", enumerate_space("Double", 8), 1e-100)
 
 
 def test_tilde_arrays_vanish_at_invalid_references():

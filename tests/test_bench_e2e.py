@@ -41,16 +41,20 @@ def _result(wall, setup, rss):
 def test_against_runs_alternating_pairs_and_counts_the_wins(monkeypatch):
     bench_e2e = _load()
     calls = []
+    pairs = bench_e2e.PAIRS
 
     def perfbench(repo, workload, trace):
         assert trace == 0
         calls.append((repo, workload))
         n = calls.count((repo, workload))  # this side's run of the workload
         if repo == "/parent":
-            return {}, _result(1.0, 0.2, 40.0)
+            return {"payload_sha256": ["h0"]}, _result(1.0, 0.2, 40.0)
         # the change is faster except in its runs 3, 6 and 9, sets up as
-        # fast (a tie is no win) and takes more memory
-        return {}, _result(1.1 if n % 3 == 0 else 0.9, 0.2, 41.0)
+        # fast (a tie is no win) and takes more memory; on w2 its last run
+        # reports a second payload
+        hashes = ["h0", "h1"] if (workload, n) == ("w2", pairs) else ["h0"]
+        return ({"payload_sha256": hashes},
+                _result(1.1 if n % 3 == 0 else 0.9, 0.2, 41.0))
 
     monkeypatch.setattr(bench_e2e, "perfbench", perfbench)
     monkeypatch.setattr(bench_e2e, "workloads", lambda repo: ["w1", "w2"])
@@ -59,7 +63,6 @@ def test_against_runs_alternating_pairs_and_counts_the_wins(monkeypatch):
     monkeypatch.setattr(bench_e2e, "git", lambda repo, *args: "rev")
     bench = bench_e2e.ab_record("/change", "/parent")
 
-    pairs = bench_e2e.PAIRS
     assert pairs == 10 and len(calls) == 2 * 2 * pairs
     for w in ("w1", "w2"):
         order = [repo for repo, ww in calls if ww == w]
@@ -80,6 +83,12 @@ def test_against_runs_alternating_pairs_and_counts_the_wins(monkeypatch):
                                        "peak_rss_mb": 41.0}
     assert rec["change"]["quartiles"]["wall_s"] == [0.9, 0.9, 1.05]
     assert rec["parent"]["failed"] == rec["change"]["failed"] == 0
+    # each side keeps the set of payload hashes its runs reported
+    assert rec["parent"]["payload_sha256"] == ["h0"]
+    assert rec["same_payload"] is True
+    rec = bench["workloads"]["w2"]
+    assert rec["change"]["payload_sha256"] == ["h0", "h1"]
+    assert rec["same_payload"] is False
 
 
 def test_against_writes_the_pair_record(tmp_path, monkeypatch, capsys):

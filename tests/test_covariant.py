@@ -7,7 +7,6 @@ from diraclab.covariant import cyclic_dimension
 from diraclab.harness import RunConfig, run
 from diraclab.hilbert import enumerate_space
 from diraclab.linop import SpaceMismatchError, SparseOp
-from diraclab.qnum import HalfInt, half
 from diraclab.rep_double import pi_prime_generators
 from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
 
@@ -16,7 +15,7 @@ GRAM_TOL = 1e-8  # the dense oracle's discard threshold
 
 
 def _setup(tn_max=6, q=Q):
-    sp = enumerate_space("L2", half(tn_max / 2))
+    sp = enumerate_space("L2", tn_max)
     ops = hat_generators(sp, q)
     gens = [ops[g] for g in ("alpha", "alpha*", "beta", "beta*")]
     seed = int(sp.ordinals(0, 0, 0))
@@ -120,8 +119,8 @@ def test_input_validation():
     with pytest.raises(ValueError):
         cyclic_dimension(gens, -1)
     with pytest.raises(ValueError):
-        cyclic_dimension(gens, sp.n_max.twice + 1)
-    other = enumerate_space("L2", half(3))
+        cyclic_dimension(gens, sp.n_max + 1)
+    other = enumerate_space("L2", 6)
     bad = [SparseOp.identity(other)] + gens
     with pytest.raises(SpaceMismatchError):
         cyclic_dimension(bad, 1)
@@ -163,8 +162,8 @@ def _dense_oracle(gens, seed, depth, gram_tol=GRAM_TOL):
         frontier = fresh
         history.append(Q.shape[1])
     deficiency = []
-    for tn in range(min(depth, space.n_max.twice) + 1):
-        rows = space.level_ordinals(HalfInt(tn))
+    for tn in range(min(depth, space.n_max) + 1):
+        rows = space.level_ordinals(tn)
         miss = len(rows) - np.linalg.matrix_rank(Q[rows], tol=gram_tol)
         if miss:
             deficiency.append((tn, int(miss)))
@@ -230,7 +229,7 @@ def test_mixed_weight_shift_raises_not_band():
 def test_regression_pin_beyond_dense_oracle_sizes():
     # the parent's values at n_max 16, depth 32, q = 0.5: far beyond what
     # the dense oracle can check, so pinned numbers guard the count
-    sp = enumerate_space("L2", half(16))
+    sp = enumerate_space("L2", 32)
     rep = cyclic_dimension(list(hat_generators(sp, 0.5).values()), 32)
     assert (rep.reached, rep.discarded, rep.saturated) == (12529, 33232, True)
 
@@ -241,7 +240,7 @@ def test_regression_pin_beyond_dense_oracle_sizes():
 def test_regression_pins_across_q(q, tn_max, reached, discarded):
     # the certificate's counts, pinned beyond the dense oracle's reach;
     # saturated, so depth d reaches every level <= d/2
-    sp = enumerate_space("L2", half(tn_max / 2))
+    sp = enumerate_space("L2", tn_max)
     rep = cyclic_dimension(list(hat_generators(sp, q).values()), tn_max)
     levels = itertools.accumulate((d + 1) ** 2 for d in range(tn_max + 1))
     assert (rep.reached, rep.discarded, rep.history) \
@@ -249,7 +248,7 @@ def test_regression_pins_across_q(q, tn_max, reached, discarded):
 
 
 def test_regression_pin_at_nmax_48():
-    sp = enumerate_space("L2", half(24))
+    sp = enumerate_space("L2", 48)
     rep = cyclic_dimension(list(hat_generators(sp, 0.5).values()), 48)
     assert (rep.reached, rep.discarded, rep.saturated) == (40425, 111672, True)
 
@@ -287,7 +286,7 @@ def test_part_filled_sector_frames_match_dense(names):
 def test_dense_random_generators_are_undecided():
     # generic dense operators move the level by every amount: the words do
     # fill the space (by the dense oracle), but the structure cannot say so
-    sp = enumerate_space("L2", half(1))
+    sp = enumerate_space("L2", 2)
     rng = np.random.default_rng(0)
     rows, cols = np.divmod(np.arange(sp.dim ** 2), sp.dim)
     gens = [SparseOp.from_coo(sp, sp, rows, cols,
@@ -330,7 +329,7 @@ def test_certificate_holds_for_the_hatted_pair_at_every_q(tn_max):
     # (0, 1): (N, -N, -N) q^1 from alpha, (N, I, -N) a factor
     # (1 - q^{2N+2I})^{1/2} from beta, (N, -N, J) one from beta*, the rest
     # one from alpha*
-    sp = enumerate_space("L2", half(tn_max / 2))
+    sp = enumerate_space("L2", tn_max)
     levels = tuple(itertools.accumulate((d + 1) ** 2
                                         for d in range(tn_max + 1)))
     for q in (5e-324, 1e-300, 1e-100, 1e-30, 1e-15, 1e-9, 0.3, 0.9,
@@ -356,7 +355,7 @@ def test_undecided_structures_raise():
     with_d1 = gens + [dirac_family(D1_PARAMS, sp)]
     _assert_undecided(with_d1, seed, depth, "generator 4 " + NOT_BAND)
     # a Double space: (n, i, j) does not fix a label
-    dbl = enumerate_space("Double", half(2))
+    dbl = enumerate_space("Double", 4)
     with pytest.raises(ValueError, match="needs an L2 space, got kind "
                                          "'Double'"):
         cyclic_dimension(pi_prime_generators(dbl, Q).values(), depth)
@@ -383,7 +382,7 @@ def test_zeroed_up_entry_raises_naming_the_label():
 def test_minimality_saturates_at_small_q(q):
     # alpha maps the seed to q e^{(1/2)}_{-1/2,-1/2}, a length below any
     # Gram-Schmidt tolerance: the certificate sees it as a new direction
-    (cell,) = run(RunConfig(q=(q,), n_max=half(8), suites=("minimality",)))
+    (cell,) = run(RunConfig(q=(q,), n_max=16, suites=("minimality",)))
     assert cell.passed
     m = cell.metrics
     assert (m["reached"], m["target"], m["depth1_dim"], m["discarded"]) \

@@ -20,7 +20,6 @@ from diraclab.decomp import (
 )
 from diraclab.hilbert import enumerate_space
 from diraclab.linop import SparseOp, SpaceMismatchError
-from diraclab.qnum import HalfInt, half
 from diraclab.rep_double import a_plus, dirac_D, pi_prime_generators
 from diraclab.rep_l2 import D1_PARAMS, D2_PARAMS, dirac_family, hat_generators
 
@@ -45,9 +44,9 @@ def _U_matrix(U, dbl):
 
 
 def test_U_pinned_columns():
-    U = build_U(1)
-    l2 = enumerate_space("L2", half(1))
-    dbl = enumerate_space("Double", half(1))
+    U = build_U(2)
+    l2 = enumerate_space("L2", 2)
+    dbl = enumerate_space("Double", 2)
     dense = _U_matrix(U, dbl)
 
     def image_of(copy, tn, ti, tj):
@@ -66,10 +65,10 @@ def test_U_pinned_columns():
 
 
 def test_U_is_permutation_and_unitary():
-    for nm in (0, 1.5, 3):
+    for nm in (0, 3, 6):
         U = build_U(nm)
-        l2 = enumerate_space("L2", half(nm))
-        dbl = enumerate_space("Double", half(nm))
+        l2 = enumerate_space("L2", nm)
+        dbl = enumerate_space("Double", nm)
         dense = _U_matrix(U, dbl)
         assert dense.shape == (dbl.dim, 2 * l2.dim)
         assert dense.shape[0] == dense.shape[1]
@@ -82,9 +81,9 @@ def test_U_is_permutation_and_unitary():
 
 
 def test_direct_sum_op_blocks():
-    sp = enumerate_space("L2", half(0.5))
-    dbl = enumerate_space("Double", half(0.5))
-    U = build_U(half(0.5))
+    sp = enumerate_space("L2", 1)
+    dbl = enumerate_space("Double", 1)
+    U = build_U(1)
     A = SparseOp.diagonal(sp, [1, 2, 3, 4, 5])
     B = SparseOp.diagonal(sp, [6, 7, 8, 9, 10])
     blk = direct_sum_op(A, B, U, dbl).to_dense()
@@ -105,25 +104,25 @@ def test_direct_sum_op_blocks():
 
 def test_direct_sum_op_rejects_other_spaces():
     # only two L2 operators at the n_max of U and of the Double space
-    nm = half(1)
+    nm = 2
     l2 = enumerate_space("L2", nm)
     dbl = enumerate_space("Double", nm)
     U = build_U(nm)
     I = SparseOp.identity(l2)
     assert direct_sum_op(I, I, U, dbl).nnz == dbl.dim
-    bad = (SparseOp.identity(dbl), SparseOp.identity(enumerate_space("L2", 2)),
-           SparseOp.identity(enumerate_space("L2", half(0.5))))
+    bad = (SparseOp.identity(dbl), SparseOp.identity(enumerate_space("L2", 4)),
+           SparseOp.identity(enumerate_space("L2", 1)))
     for T in bad:
         for args in ((T, I, U, dbl), (I, T, U, dbl)):
             with pytest.raises(SpaceMismatchError):
                 direct_sum_op(*args)
     with pytest.raises(SpaceMismatchError):  # a map of another n_max
-        direct_sum_op(I, I, build_U(half(0.5)), dbl)
+        direct_sum_op(I, I, build_U(1), dbl)
     with pytest.raises(SpaceMismatchError):  # not the Double space
-        direct_sum_op(I, I, U, enumerate_space("L2", half(2)))
+        direct_sum_op(I, I, U, enumerate_space("L2", 4))
 
 
-@pytest.mark.parametrize("nm", [0, 4])
+@pytest.mark.parametrize("nm", [0, 4, 8])
 def test_intertwine_is_exact(nm):
     rep = check_dirac_intertwine(nm)
     assert rep.unitary_defect == 0.0
@@ -134,7 +133,7 @@ def test_intertwine_is_exact(nm):
 def test_intertwine_negative_control(monkeypatch):
     # redirecting U through a swap of two eigenvectors with different
     # eigenvalues must produce a nonzero conjugation defect
-    nm = half(1)
+    nm = 2
     U = build_U(nm)
     l2 = enumerate_space("L2", nm)
     dbl = enumerate_space("Double", nm)
@@ -158,7 +157,7 @@ def test_intertwine_negative_control(monkeypatch):
 def test_unitary_defect_negative_control(monkeypatch, fault):
     # a map that hits one Double ordinal twice, or sends an ordinal to no
     # label (-1), is not unitary
-    nm = half(1.5)
+    nm = 3
     bad = build_U(nm).copy()
     if fault == "repeated":
         bad[1] = bad[0]
@@ -176,11 +175,11 @@ def test_unitary_defect_negative_control(monkeypatch, fault):
 def test_kq_defect_validates_generator():
     assert KQ_GENERATORS == ("alpha*", "beta")
     with pytest.raises(ValueError):
-        kq_defect("alpha", *_gens(2))
+        kq_defect("alpha", *_gens(4))
 
 
 def test_kq_defect_band_structure_and_level_zero():
-    delta = kq_defect("beta", *_gens(3))
+    delta = kq_defect("beta", *_gens(6))
     sp = delta.cod
     assert np.all(np.abs(sp.tn[delta.rows] - sp.tn[delta.cols]) == 1)
     levels, norms = level_block_norms(delta)
@@ -191,18 +190,18 @@ def test_kq_defect_band_structure_and_level_zero():
 
 
 def test_kq_defect_norms_track_q2n():
-    delta = kq_defect("alpha*", *_gens(4))
+    delta = kq_defect("alpha*", *_gens(8))
     levels, norms = level_block_norms(delta)
-    for lev, nrm in zip(levels, norms):
-        if lev.value < 2 or lev.value > 3:
+    for tn, nrm in zip(levels, norms):
+        if tn < 4 or tn > 6:
             continue
-        ratio = nrm / Q ** (2 * lev.value)
-        assert 0.05 < ratio < 20.0, (lev, nrm)
+        ratio = nrm / Q ** tn
+        assert 0.05 < ratio < 20.0, (tn, nrm)
 
 
 def test_decay_fit_recovers_synthetic_rate():
-    levels = [HalfInt(t) for t in range(0, 13)]
-    norms = [Q ** (2 * l.value) for l in levels]
+    levels = list(range(0, 13))
+    norms = [Q ** tn for tn in levels]
     fit = decay_fit(levels, norms)
     assert fit.gamma_hat == pytest.approx(2 * math.log(1 / Q), abs=1e-9)
     assert fit.censored == 0
@@ -210,12 +209,12 @@ def test_decay_fit_recovers_synthetic_rate():
 
 
 def test_decay_fit_constant_sequence():
-    fit = decay_fit([0, 1, 2, 3], [0.7, 0.7, 0.7, 0.7])
+    fit = decay_fit([0, 2, 4, 6], [0.7, 0.7, 0.7, 0.7])
     assert fit.gamma_hat == pytest.approx(0.0, abs=1e-12)
 
 
 def test_decay_fit_tolerates_bounded_wobble():
-    levels = [HalfInt(t) for t in range(0, 11)]
+    levels = list(range(0, 11))
     norms = [(1 + (-1) ** t / 10) * Q ** t for t in range(0, 11)]
     # norms here decay like q^{2n} with n = t/2, modulated by +-10%
     fit = decay_fit(levels, norms)
@@ -225,19 +224,19 @@ def test_decay_fit_tolerates_bounded_wobble():
 
 def test_decay_fit_censoring_and_errors():
     with pytest.raises(ValueError):
-        decay_fit([0, 1], [1.0, 0.5])
+        decay_fit([0, 2], [1.0, 0.5])
     with pytest.raises(ValueError):
-        decay_fit([0, 1, 2, 3], [1.0, 1e-16, 1e-16, 1e-16])
+        decay_fit([0, 2, 4, 6], [1.0, 1e-16, 1e-16, 1e-16])
     with pytest.raises(ValueError):
-        decay_fit([0, 1, 2], [1.0, 0.5])
-    fit = decay_fit([0, 1, 2, 3], [1.0, 0.5, 0.25, 1e-15])
+        decay_fit([0, 2, 4], [1.0, 0.5])
+    fit = decay_fit([0, 2, 4, 6], [1.0, 0.5, 0.25, 1e-15])
     assert fit.censored == 1
     assert len(fit.levels) == 3
 
 
 @pytest.mark.parametrize("gen", KQ_GENERATORS)
 def test_kq_decay_certifies_rate(gen):
-    hat, prime, U = _gens(6)
+    hat, prime, U = _gens(12)
     out = kq_decay(gen, hat, prime, U, Q)
     assert 1.8 <= out.gamma_ratio <= 2.2
     assert out.fit.censored == 0
@@ -251,11 +250,10 @@ def test_leading_forms_are_diagonal_and_close():
         for tn in range(0, 7):
             for ti in range(-tn, tn + 1, 2):
                 for tj in range(-tn - 1, tn + 2, 2):
-                    lead = leading_form(kind, HalfInt(tn), HalfInt(ti),
-                                        HalfInt(tj), Q)
+                    lead = leading_form(kind, tn / 2, ti / 2, tj / 2, Q)
                     assert lead[0, 1] == 0.0 and lead[1, 0] == 0.0
     with pytest.raises(ValueError):
-        leading_form("c+", 0, 0, half(0.5), Q)
+        leading_form("c+", 0, 0, 0.5, Q)
 
 
 def test_asymptotic_residual_lowering_zero_level():
@@ -272,8 +270,8 @@ def test_a_plus_offdiagonal_is_suppressed():
         worst = 0.0
         for ti in range(-tn, tn + 1, 2):
             for tj in range(-tn - 1, tn + 2, 2):
-                worst = max(worst, abs(a_plus(HalfInt(tn), HalfInt(ti),
-                                              HalfInt(tj), Q)[1, 0]))
+                worst = max(worst,
+                            abs(a_plus(tn / 2, ti / 2, tj / 2, Q)[1, 0]))
         vals.append(worst / Q ** tn)
     base = vals[0]
     assert all(v <= 10 * base for v in vals)
@@ -283,7 +281,7 @@ def test_a_plus_offdiagonal_is_suppressed():
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
 def test_asymptotic_scan_envelope(kind, q):
     scan = asymptotic_scan(kind, q)
-    assert scan.levels[0] == HalfInt(2)
+    assert scan.levels[0] == 2
     assert scan.envelope <= 10.0
     # empirically the constant is much tighter; pin a regression margin
     assert scan.envelope <= 1.5

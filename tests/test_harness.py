@@ -16,12 +16,11 @@ from diraclab.harness import (
     run,
     validate_config,
 )
-from diraclab.qnum import HalfInt
 
 
 def _cfg(**kw):
     kw.setdefault("q", (0.5,))
-    kw.setdefault("n_max", HalfInt(8))
+    kw.setdefault("n_max", 8)
     return RunConfig(**kw)
 
 
@@ -30,13 +29,15 @@ def test_validate_config_distinct_errors():
         (dict(q=()), "at least one q"),
         (dict(q=(1.5,)), "lie in (0, 1)"),
         (dict(q=(0.5, 0.3, 0.5)), "must be distinct"),
-        (dict(n_max=HalfInt(-2)), "n_max must be >= 0"),
+        (dict(n_max=-2), "n_max must be >= 0"),
+        (dict(n_max=16.5), "n_max is twice the top level and must be an int"),
+        (dict(n_max=2.0), "n_max is twice the top level and must be an int"),
         (dict(suites=()), "at least one suite"),
         (dict(suites=("nonesuch",)), "unknown suite"),
-        (dict(suites=("relations",), n_max=HalfInt(1)), "needs n_max >= 1"),
-        (dict(suites=("kq-decay",), n_max=HalfInt(7)), "needs n_max >= 4"),
-        (dict(suites=("commutators",), n_max=HalfInt(5)), "needs n_max >= 3"),
-        (dict(suites=("minimality",), n_max=HalfInt(0)), "needs n_max >= 1/2"),
+        (dict(suites=("relations",), n_max=1), "needs n_max >= 1"),
+        (dict(suites=("kq-decay",), n_max=7), "needs n_max >= 4"),
+        (dict(suites=("commutators",), n_max=5), "needs n_max >= 3"),
+        (dict(suites=("minimality",), n_max=0), "needs n_max >= 1/2"),
         (dict(emit_plot=True), "needs an output directory"),
     ]
     for kw, fragment in cases:
@@ -70,7 +71,7 @@ def test_relations_suite_emits_exactly_ten_reports_per_q():
 
 
 def test_decompose_suite_one_exact_cell_per_q():
-    reports = run(_cfg(suites=("decompose",), q=(0.3, 0.5), n_max=HalfInt(4)))
+    reports = run(_cfg(suites=("decompose",), q=(0.3, 0.5), n_max=4))
     assert len(reports) == 2
     for r in reports:
         assert r.label == "U"
@@ -80,7 +81,7 @@ def test_decompose_suite_one_exact_cell_per_q():
 
 
 def test_family_suite_single_q_independent_cell():
-    reports = run(_cfg(suites=("family",), q=(0.3, 0.5, 0.7), n_max=HalfInt(4)))
+    reports = run(_cfg(suites=("family",), q=(0.3, 0.5, 0.7), n_max=4))
     assert len(reports) == 1
     r = reports[0]
     assert r.q is None
@@ -90,7 +91,7 @@ def test_family_suite_single_q_independent_cell():
 
 
 def test_minimality_suite_metrics():
-    reports = run(_cfg(suites=("minimality",), q=(0.5,), n_max=HalfInt(4)))
+    reports = run(_cfg(suites=("minimality",), q=(0.5,), n_max=4))
     (r,) = reports
     assert r.metrics["depth1_dim"] == 5.0
     assert r.metrics["monotone"] == 1.0
@@ -104,7 +105,7 @@ def test_commutator_cell_times_cover_the_suite():
     # cells, not vanish between them
     for suites, cells in ((("commutators",), 8), (SUITES, 28)):
         t0 = time.perf_counter()
-        reports = run(_cfg(suites=suites, n_max=HalfInt(8)))
+        reports = run(_cfg(suites=suites, n_max=8))
         elapsed = time.perf_counter() - t0
         assert len(reports) == cells, suites
         assert sum(r.wall_time for r in reports) >= 0.5 * elapsed, suites
@@ -142,7 +143,7 @@ def test_generators_are_assembled_once_per_q(monkeypatch, suites, calls):
     counts = _count_calls(monkeypatch, "rep_double.pi_prime",
                           "rep_l2.hat_generators",
                           "decomp.check_dirac_intertwine", "decomp.build_U")
-    run(_cfg(suites=suites, q=(0.3, 0.5), n_max=HalfInt(8)))
+    run(_cfg(suites=suites, q=(0.3, 0.5), n_max=8))
     pi_prime, hat, intertwine, build_U = calls
     assert counts == {"rep_double.pi_prime": 2 * pi_prime,
                       "rep_l2.hat_generators": 2 * hat,
@@ -173,15 +174,15 @@ def test_commutator_norms_match_operators_built_at_each_size(q):
                         for g, T in gens.items()})
         return out
 
-    small, large = built(HalfInt(8)), built(HalfInt(12))
-    ops = _operators(HalfInt(12), q, None)
+    small, large = built(8), built(12)
+    ops = _operators(12, q, None)
     assert _commutator_norms(ops) == {
         key: (small[key], large[key]) for key in large}
 
 
 def test_reports_are_sorted():
     reports = run(_cfg(suites=("family", "decompose"), q=(0.7, 0.3),
-                       n_max=HalfInt(4)))
+                       n_max=4))
     keys = [(r.suite, r.label, -1.0 if r.q is None else r.q) for r in reports]
     assert keys == sorted(keys)
     assert [r.suite for r in reports] == ["decompose", "decompose", "family"]
@@ -189,7 +190,7 @@ def test_reports_are_sorted():
 
 
 def test_payload_hash_is_deterministic():
-    cfg = _cfg(suites=("decompose", "family"), q=(0.5, 0.3), n_max=HalfInt(4))
+    cfg = _cfg(suites=("decompose", "family"), q=(0.5, 0.3), n_max=4)
     r1 = run(cfg)
     r2 = run(cfg)
     assert payload_dict(r1, validate_config(cfg)) == \
@@ -201,7 +202,7 @@ def test_payload_hash_is_deterministic():
 def test_emitted_json_payload_identical_across_runs(tmp_path):
     docs = []
     for sub in ("one", "two"):
-        cfg = _cfg(suites=("decompose",), q=(0.5,), n_max=HalfInt(4),
+        cfg = _cfg(suites=("decompose",), q=(0.5,), n_max=4,
                    out_dir=str(tmp_path / sub))
         run(cfg)
         with open(tmp_path / sub / "report.json") as fh:
@@ -216,7 +217,7 @@ def test_emitted_json_payload_identical_across_runs(tmp_path):
 
 
 def test_csv_shape_and_determinism(tmp_path):
-    cfg = _cfg(suites=("decompose", "family"), q=(0.5,), n_max=HalfInt(4),
+    cfg = _cfg(suites=("decompose", "family"), q=(0.5,), n_max=4,
                out_dir=str(tmp_path))
     reports = run(cfg)
     lines = (tmp_path / "report.csv").read_text().strip().splitlines()
@@ -239,7 +240,7 @@ def test_csv_empty_report_list():
 
 
 def test_kq_plot_files(tmp_path):
-    cfg = _cfg(suites=("kq-decay",), q=(0.5,), n_max=HalfInt(10),
+    cfg = _cfg(suites=("kq-decay",), q=(0.5,), n_max=10,
                out_dir=str(tmp_path), emit_plot=True)
     reports = run(cfg)
     assert len(reports) == 3  # two defect fits plus one control
@@ -248,6 +249,9 @@ def test_kq_plot_files(tmp_path):
         assert path.exists(), name
         rows = [line.split() for line in path.read_text().strip().splitlines()]
         assert len(rows) >= 3
+        # every level up to n_max = 5 has a nonzero norm here, and its row
+        # starts with n written as "0", "0.5", "1", ...
+        assert [a for a, _ in rows] == [f"{tn / 2:g}" for tn in range(11)]
         levels = [float(a) for a, _ in rows]
         lnn = [float(b) for _, b in rows]
         assert levels == sorted(levels)
@@ -259,13 +263,13 @@ def test_kq_plot_files(tmp_path):
     # the same norms as a run of that q alone
     qs = (0.1234567, 0.1234568)
     both = tmp_path / "both"
-    run(_cfg(suites=("kq-decay",), q=qs, n_max=HalfInt(10),
+    run(_cfg(suites=("kq-decay",), q=qs, n_max=10,
              out_dir=str(both), emit_plot=True))
     assert len(list(both.glob("kq_*.dat"))) == 4
     texts = {}
     for q in qs:
         alone = tmp_path / repr(q)
-        run(_cfg(suites=("kq-decay",), q=(q,), n_max=HalfInt(10),
+        run(_cfg(suites=("kq-decay",), q=(q,), n_max=10,
                  out_dir=str(alone), emit_plot=True))
         for gen in ("alphastar", "beta"):
             name = f"kq_{gen}_q{q!r}.dat"
@@ -329,7 +333,7 @@ def test_cli_minimality_at_extreme_q(capsys):
 
 
 def test_cli_nmax_default_is_the_config_default():
-    assert build_parser().parse_args(["family"]).nmax == DEFAULT_N_MAX.twice
+    assert build_parser().parse_args(["family"]).nmax == DEFAULT_N_MAX == 16
 
 
 def test_suites_tuple_matches_cli():

@@ -21,7 +21,6 @@ from diraclab.linop import (
     on_columns,
     op_norm,
 )
-from diraclab.qnum import half
 
 
 def sector_map(src, dst, n_src):
@@ -47,9 +46,9 @@ def spectral_norm(row, col, data, row_sector, col_sector):
                                 np.zeros(len(row_sector), np.int64), 1)[0])
 
 
-def _toy_space(dim_levels):
+def _toy_space(tn_max):
     """A stand-in space: use L2 truncations whose dims we know."""
-    return enumerate_space("L2", half(dim_levels))
+    return enumerate_space("L2", tn_max)
 
 
 def _dense_op(space_a, space_b, arr):
@@ -59,7 +58,7 @@ def _dense_op(space_a, space_b, arr):
 
 
 def test_identity_and_apply():
-    sp = _toy_space(1)  # dim 14
+    sp = _toy_space(2)  # dim 14
     ident = SparseOp.identity(sp)
     v = np.arange(sp.dim, dtype=float)
     assert np.array_equal(ident.apply(v), v)
@@ -68,7 +67,7 @@ def test_identity_and_apply():
 
 
 def test_zero_and_diagonal():
-    sp = _toy_space(0.5)  # dim 5
+    sp = _toy_space(1)  # dim 5
     z = SparseOp.zero(sp)
     assert z.nnz == 0 and op_norm(z) == 0.0
     d = SparseOp.diagonal(sp, [1.0, 2.0, 3.0, 4.0, 5.0])
@@ -85,7 +84,7 @@ def test_every_nonzero_entry_is_kept():
     # an entry is dropped only when it is exactly 0: a 1e-20 entry and the
     # subnormal product 1e-300 * 1e-20 stay; an exact cancellation, or a
     # product that underflows to 0, goes
-    sp = _toy_space(0.5)  # dim 5
+    sp = _toy_space(1)  # dim 5
     T = SparseOp.from_coo(sp, sp, [0, 1, 2, 2], [0, 1, 2, 2],
                           [1e-20, 1.0, 0.5, -0.5])
     assert _triples(T) == [(0, 0, 1e-20), (1, 1, 1.0)]
@@ -115,14 +114,14 @@ def test_every_nonzero_entry_is_kept():
 
 
 def test_from_coo_rejects_coordinates_outside_its_spaces():
-    dbl = enumerate_space("Double", half(1))
+    dbl = enumerate_space("Double", 2)
     # row * dim + col would fold (5, dim + 3) onto the entry (6, 3)
     for rows, cols in (([5], [dbl.dim + 3]), ([dbl.dim], [0]), ([-1], [0]),
                        ([0], [-1])):
         with pytest.raises(SpaceMismatchError):
             SparseOp.from_coo(dbl, dbl, rows, cols, [1.0])
     # the bounds are the codomain's for rows and the domain's for columns
-    a, b = _toy_space(0.5), _toy_space(1)
+    a, b = _toy_space(1), _toy_space(2)
     T = SparseOp.from_coo(a, b, [b.dim - 1], [a.dim - 1], [1.0])
     assert (T.rows.tolist(), T.cols.tolist()) == ([b.dim - 1], [a.dim - 1])
     with pytest.raises(SpaceMismatchError):
@@ -130,7 +129,7 @@ def test_from_coo_rejects_coordinates_outside_its_spaces():
 
 
 def test_adjoint_involution_and_shift():
-    sp = _toy_space(1)
+    sp = _toy_space(2)
     rng = np.random.default_rng(7)
     arr = np.where(rng.random((sp.dim, sp.dim)) < 0.2,
                    rng.standard_normal((sp.dim, sp.dim)), 0.0)
@@ -146,8 +145,8 @@ def test_adjoint_involution_and_shift():
 
 
 def test_compose_identity_and_mismatch():
-    a = _toy_space(1)
-    b = _toy_space(2)
+    a = _toy_space(2)
+    b = _toy_space(4)
     T = SparseOp.from_coo(a, b, range(a.dim), range(a.dim), np.ones(a.dim))
     assert np.array_equal((T @ SparseOp.identity(a)).to_dense(), T.to_dense())
     assert np.array_equal((SparseOp.identity(b) @ T).to_dense(), T.to_dense())
@@ -158,7 +157,7 @@ def test_compose_identity_and_mismatch():
 
 
 def test_op_norm_examples():
-    sp3 = _toy_space(0.5)
+    sp3 = _toy_space(1)
     ident = SparseOp.identity(sp3)
     assert op_norm(ident) == pytest.approx(1.0, abs=1e-12)
     diag = SparseOp.diagonal(sp3, [1.0, 2.0, 3.0, 0.0, 0.0])
@@ -169,7 +168,7 @@ def test_op_norm_examples():
 
 
 def test_op_norm_matches_dense_svd():
-    sp = _toy_space(1)
+    sp = _toy_space(2)
     rng = np.random.default_rng(3)
     arr = np.where(rng.random((sp.dim, sp.dim)) < 0.3,
                    rng.standard_normal((sp.dim, sp.dim)), 0.0)
@@ -179,7 +178,7 @@ def test_op_norm_matches_dense_svd():
 
 def test_norm_equals_adjoint_norm_randomized():
     # dim <= 500; dim(L2, 4) = 285
-    sp = _toy_space(4)
+    sp = _toy_space(8)
     rng = np.random.default_rng(11)
     k = 2000
     rows = rng.integers(0, sp.dim, size=k)
@@ -191,7 +190,7 @@ def test_norm_equals_adjoint_norm_randomized():
 
 
 def test_submultiplicativity():
-    sp = _toy_space(1)
+    sp = _toy_space(2)
     rng = np.random.default_rng(5)
     arrs = [np.where(rng.random((sp.dim, sp.dim)) < 0.3,
                      rng.standard_normal((sp.dim, sp.dim)), 0.0)
@@ -201,29 +200,29 @@ def test_submultiplicativity():
 
 
 def test_block_norm_examples():
-    sp = _toy_space(2)
+    sp = _toy_space(4)
     ident = SparseOp.identity(sp)
     for tn in range(5):
-        assert block_norm(ident, half(tn / 2)) == pytest.approx(1.0)
+        assert block_norm(ident, tn) == pytest.approx(1.0)
     z = SparseOp.zero(sp)
-    assert block_norm(z, half(1)) == 0.0
+    assert block_norm(z, 2) == 0.0
     # diagonal with value q^n on level n: block norm at level 2 is q^2
     q = 0.5
     vals = q ** (sp.tn / 2.0)
     d = SparseOp.diagonal(sp, vals)
-    assert block_norm(d, half(2)) == pytest.approx(0.25, rel=1e-12)
+    assert block_norm(d, 4) == pytest.approx(0.25, rel=1e-12)
     with pytest.raises(ValueError):
-        block_norm(d, half(7))
+        block_norm(d, 14)
 
 
 def test_block_norm_brackets_op_norm():
     # for a banded operator: max_n block_norm <= op_norm <= sum_n block_norm
     from diraclab.rep_l2 import hat_generators
 
-    sp = _toy_space(3)
+    sp = _toy_space(6)
     ops = hat_generators(sp, 0.5)
     T = ops["alpha"]
-    blocks = [block_norm(T, half(tn / 2)) for tn in range(sp.n_max.twice + 1)]
+    blocks = [block_norm(T, tn) for tn in range(sp.n_max + 1)]
     # dense SVD as the exact reference
     exact = float(np.linalg.norm(T.to_dense(), 2))
     assert max(blocks) <= exact * (1 + 1e-12)
@@ -232,7 +231,7 @@ def test_block_norm_brackets_op_norm():
 
 
 def test_scale_and_sub():
-    sp = _toy_space(0.5)
+    sp = _toy_space(1)
     T = SparseOp.diagonal(sp, [1.0, -2.0, 0.5, 0.0, 0.0])
     assert T.scale(2.0).vals.tolist() == [2.0, -4.0, 1.0]
     diff = T - T
@@ -240,8 +239,8 @@ def test_scale_and_sub():
 
 
 def test_interior_projector():
-    sp = _toy_space(1)
-    P = interior_projector(sp, half(0.5))
+    sp = _toy_space(2)
+    P = interior_projector(sp, 0.5)
     v = np.ones(sp.dim)
     out = P.apply(v)
     assert out.sum() == 5.0
@@ -258,8 +257,8 @@ def _measured_operators(q):
     from diraclab.rep_l2 import (D1_PARAMS, dirac_family, hat_generators,
                                  pi_hat, relation_words)
 
-    l2 = enumerate_space("L2", half(4))
-    dbl = enumerate_space("Double", half(4))
+    l2 = enumerate_space("L2", 8)
+    dbl = enumerate_space("Double", 8)
     out = {}
     for rep, space, ops, D in (
             ("hat", l2, hat_generators(l2, q), dirac_family(D1_PARAMS, l2)),
@@ -384,11 +383,11 @@ def test_measured_operators_are_graded(q):
     from diraclab.rep_double import pi_prime, pi_prime_generators
     from diraclab.rep_l2 import GENERATORS, hat_generators
 
-    dbl = enumerate_space("Double", half(3))
-    hat = hat_generators(enumerate_space("L2", half(3)), q)
+    dbl = enumerate_space("Double", 6)
+    hat = hat_generators(enumerate_space("L2", 6), q)
     prime = pi_prime_generators(dbl, q)
     ops = dict(_measured_operators(q))
-    U = build_U(half(3))
+    U = build_U(6)
     ops.update({("kq", g): kq_defect(g, hat, prime, U) for g in KQ_GENERATORS})
     ops.update({("pi_prime", g): pi_prime(g, dbl, q) for g in GENERATORS})
     for key, T in ops.items():
@@ -400,14 +399,14 @@ def test_block_norm_matches_dense_level_block():
     from diraclab.rep_double import pi_prime_generators
     from diraclab.rep_l2 import hat_generators
 
-    hat = hat_generators(enumerate_space("L2", half(3)), 0.7)
-    prime = pi_prime_generators(enumerate_space("Double", half(3)), 0.7)
-    for T in (kq_defect("beta", hat, prime, build_U(half(3))),
-              hat_generators(_toy_space(3), 0.5)["beta"]):
-        for tn in range(T.cod.n_max.twice + 1):
-            rows = T.cod.level_ordinals(half(tn / 2))
+    hat = hat_generators(enumerate_space("L2", 6), 0.7)
+    prime = pi_prime_generators(enumerate_space("Double", 6), 0.7)
+    for T in (kq_defect("beta", hat, prime, build_U(6)),
+              hat_generators(_toy_space(6), 0.5)["beta"]):
+        for tn in range(T.cod.n_max + 1):
+            rows = T.cod.level_ordinals(tn)
             want = float(np.linalg.norm(T.to_dense()[rows, :], 2))
-            assert block_norm(T, half(tn / 2)) == pytest.approx(
+            assert block_norm(T, tn) == pytest.approx(
                 want, rel=1e-12), tn
 
 
@@ -415,7 +414,7 @@ def test_hat_beta_normal_defect_is_exact():
     from diraclab.rep_l2 import hat_generators, pi_hat, relation_words
 
     q = 0.7
-    space = enumerate_space("L2", half(8))
+    space = enumerate_space("L2", 16)
     word = relation_words(q)["beta_normal"]
     T = pi_hat(word, space, q, ops=hat_generators(space, q))
     defect = op_norm(T @ interior_projector(space, 1))
@@ -613,7 +612,7 @@ def _level_oracle(T):
     return [_unpruned_norm(T.rows[at], T.cols[at], T.vals[at], T.cod.sector,
                            T.dom.sector)
             for at in (T.cod.tn[T.rows] == tn
-                       for tn in range(T.cod.n_max.twice + 1))]
+                       for tn in range(T.cod.n_max + 1))]
 
 
 @pytest.mark.parametrize("q", [0.3, 0.9])
@@ -627,11 +626,10 @@ def test_level_block_norms_equal_unpruned_norm_per_level(q, nmax):
     from diraclab.rep_double import pi_prime_generators
     from diraclab.rep_l2 import hat_generators
 
-    n_max = half(nmax / 2)
-    dbl = enumerate_space("Double", n_max)
-    hat = hat_generators(enumerate_space("L2", n_max), q)
+    dbl = enumerate_space("Double", nmax)
+    hat = hat_generators(enumerate_space("L2", nmax), q)
     prime = pi_prime_generators(dbl, q)
-    U = build_U(n_max)
+    U = build_U(nmax)
     ops = {g: kq_defect(g, hat, prime, U) for g in KQ_GENERATORS}
     ops["alpha*"] = prime["alpha*"]
     # not graded: two weight shifts at once; and graded on the rows above
@@ -646,7 +644,7 @@ def test_level_block_norms_equal_unpruned_norm_per_level(q, nmax):
         dbl, dbl.tn == 0) @ prime["beta"]
     for key, T in ops.items():
         levels, norms = level_block_norms(T)
-        assert [l.twice for l in levels] == list(range(nmax + 1))
+        assert levels == tuple(range(nmax + 1))
         assert norms.tolist() == _level_oracle(T), key
     cut = level_block_norms(ops["cut"])[1]
     assert cut[0] == cut[-1] == cut[-2] == 0.0 and cut[1:-2].all()
@@ -762,11 +760,12 @@ def test_spectral_norm_inf_entry_gives_nan_without_warnings(bad):
 
 
 def _commutators(kind, n_max, q):
-    """[D, g] for each generator g, built on the truncation at n_max."""
+    """[D, g] for each generator g, built on the truncation at twice-level
+    n_max."""
     from diraclab.rep_double import dirac_D, pi_prime_generators
     from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
 
-    space = enumerate_space(kind, half(n_max))
+    space = enumerate_space(kind, n_max)
     if kind == "L2":
         D, gens = dirac_family(D1_PARAMS, space), hat_generators(space, q)
     else:
@@ -781,8 +780,8 @@ def test_compressed_commutator_is_the_small_truncation(kind, q, nmax):
     # the commutators suite takes its n_max - 2 norm from the large
     # commutator projected onto interior(3): the same entries, and the same
     # norm, as the commutator built at n_max - 2 on its interior(1)
-    space, large = _commutators(kind, nmax / 2, q)
-    small_space, small = _commutators(kind, nmax / 2 - 2, q)
+    space, large = _commutators(kind, nmax, q)
+    small_space, small = _commutators(kind, nmax - 4, q)
     p3, ps = interior_projector(space, 3), interior_projector(small_space, 1)
     for g, C in large.items():
         got, want = C @ p3, small[g] @ ps
@@ -810,7 +809,7 @@ def test_commutator_by_scaling_is_the_product_difference(kind, q, nmax):
     from diraclab.rep_double import dirac_D, pi_prime_generators
     from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
 
-    space = enumerate_space(kind, half(nmax / 2))
+    space = enumerate_space(kind, nmax)
     if kind == "L2":
         D, gens = dirac_family(D1_PARAMS, space), hat_generators(space, q)
     else:
@@ -825,7 +824,7 @@ def test_commutator_by_scaling_masks_rows_where_d_stores_nothing():
     # both a and b can be inf (a difference of infs, like their sum, is nan)
     from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
 
-    space = enumerate_space("L2", half(3))
+    space = enumerate_space("L2", 6)
     D = dirac_family(D1_PARAMS, space) @ interior_projector(space, 1)
     assert len(D.rows) < space.dim
     for g, T in hat_generators(space, 0.5).items():
@@ -845,7 +844,7 @@ def test_commutator_by_scaling_masks_rows_where_d_stores_nothing():
 def test_commutator_rejects_a_non_diagonal_or_foreign_operator():
     from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
 
-    space, other = enumerate_space("L2", half(2)), enumerate_space("L2", 1)
+    space, other = enumerate_space("L2", 4), enumerate_space("L2", 2)
     T = hat_generators(space, 0.5)["beta"]
     d = dirac_family(D1_PARAMS, space)
     # D is given by its eigenvalues: a matrix, even a diagonal one, is not
@@ -871,7 +870,7 @@ def test_column_cut_is_the_product_with_the_projector(kind, nmax):
     from diraclab.rep_double import dirac_D, pi_prime_generators
     from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
 
-    space = enumerate_space(kind, half(nmax / 2))
+    space = enumerate_space(kind, nmax)
     if kind == "L2":
         D, gens = dirac_family(D1_PARAMS, space), hat_generators(space, 0.5)
     else:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from diraclab.decomp import build_U
 from diraclab.hilbert import enumerate_space
 from diraclab.linop import interior_projector, op_norm
-from diraclab.qnum import HalfInt
 from diraclab.rep_double import pi_prime, pi_prime_generators
 from diraclab.rep_l2 import pi_hat, relation_words
 
@@ -25,7 +24,7 @@ tn_maxes = st.integers(0, 6)  # n_max = tn_max / 2 <= 3
 @deterministic
 @given(q=qs, tn_max=tn_maxes)
 def test_unstarred_generators_are_exact_transposes(q, tn_max):
-    space = enumerate_space("Double", HalfInt(tn_max))
+    space = enumerate_space("Double", tn_max)
     for g in ("alpha", "beta"):
         A = pi_prime(g, space, q).mat
         B = pi_prime(g + "*", space, q).mat.T.tocsr()
@@ -39,8 +38,8 @@ def test_unstarred_generators_are_exact_transposes(q, tn_max):
 @given(tn_max=tn_maxes)
 def test_U_is_a_permutation(tn_max):
     # the matrix of the map: duplicate coordinates would sum to 2.0
-    U = build_U(HalfInt(tn_max))
-    dim = enumerate_space("Double", HalfInt(tn_max)).dim
+    U = build_U(tn_max)
+    dim = enumerate_space("Double", tn_max).dim
     assert U.shape == (dim,) and U.min() >= 0
     U = sp.csr_matrix((np.ones(dim), (U, np.arange(dim))), shape=(dim, dim))
     assert U.shape[0] == U.shape[1]
@@ -52,7 +51,7 @@ def test_U_is_a_permutation(tn_max):
 @deterministic
 @given(q=qs, tn_max=st.integers(2, 6))
 def test_spinorial_relations_hold_on_interior(q, tn_max):
-    space = enumerate_space("Double", HalfInt(tn_max))
+    space = enumerate_space("Double", tn_max)
     ops = pi_prime_generators(space, q)
     P = interior_projector(space, 1)
     for name, w in relation_words(q).items():

@@ -5,7 +5,7 @@ import pytest
 
 from diraclab.hilbert import enumerate_space
 from diraclab.linop import interior_projector, op_norm
-from diraclab.qnum import HalfInt, half, q_number
+from diraclab.qnum import q_number
 from diraclab.rep_double import (
     a_minus,
     a_plus,
@@ -22,7 +22,7 @@ Q = 0.5
 
 
 def qn(t, q=Q):
-    return q_number(HalfInt(t), q)
+    return q_number(t / 2, q)
 
 
 def _valid_pair_labels(tn_max):
@@ -51,8 +51,8 @@ def test_lowering_matrices_vanish_at_weight_ceiling():
     # the [n-i]^{1/2} prefactor kills a- and b- at i = n; at n = 0 that is
     # every label, which also protects the [2n] denominators
     for tj in (-1, 1):
-        assert not a_minus(0, 0, half(tj / 2), Q).any()
-        assert not b_minus(0, 0, half(tj / 2), Q).any()
+        assert not a_minus(0, 0, tj / 2, Q).any()
+        assert not b_minus(0, 0, tj / 2, Q).any()
     assert not a_minus(1, 1, 0.5, Q).any()
     assert not b_minus(1.5, 1.5, -0.5, Q).any()
     assert a_minus(1, 0, 0.5, Q).any()
@@ -61,13 +61,13 @@ def test_lowering_matrices_vanish_at_weight_ceiling():
 def test_b_plus_prefactor_never_vanishes():
     # [n+i+1] >= [1] > 0 on valid labels, so b+ is nonzero everywhere
     for tn, ti, tj in _valid_pair_labels(6):
-        M = b_plus(HalfInt(tn), HalfInt(ti), HalfInt(tj), Q)
+        M = b_plus(tn / 2, ti / 2, tj / 2, Q)
         assert M.any(), (tn, ti, tj)
 
 
 def test_triangular_zero_patterns():
     for tn, ti, tj in _valid_pair_labels(4):
-        args = (HalfInt(tn), HalfInt(ti), HalfInt(tj), Q)
+        args = (tn / 2, ti / 2, tj / 2, Q)
         assert a_plus(*args)[0, 1] == 0.0
         assert a_minus(*args)[1, 0] == 0.0
         assert b_plus(*args)[0, 1] == 0.0
@@ -104,10 +104,10 @@ def test_tilde_involution():
     # conjugating twice returns the original matrix:
     # a+-_{nij} = (ta-+_{n +- 1/2, i+1/2, j+1/2})^T and the b analogue
     for tn, ti, tj in _valid_pair_labels(4):
-        n, i, j = HalfInt(tn), HalfInt(ti), HalfInt(tj)
-        up = HalfInt(tn + 1)
-        dn = HalfInt(tn - 1)
-        ip, jp, jm = HalfInt(ti + 1), HalfInt(tj + 1), HalfInt(tj - 1)
+        n, i, j = tn / 2, ti / 2, tj / 2
+        up = (tn + 1) / 2
+        dn = (tn - 1) / 2
+        ip, jp, jm = (ti + 1) / 2, (tj + 1) / 2, (tj - 1) / 2
         np.testing.assert_array_equal(
             a_plus(n, i, j, Q), tilde_coeffs("a", -1, up, ip, jp, Q).T)
         np.testing.assert_array_equal(
@@ -121,14 +121,14 @@ def test_tilde_involution():
 
 
 def test_pi_prime_adjoint_pairs_are_exact():
-    sp = enumerate_space("Double", half(3))
+    sp = enumerate_space("Double", 6)
     ops = pi_prime_generators(sp, Q)
     assert (ops["alpha"].adjoint() - ops["alpha*"]).nnz == 0
     assert (ops["beta"].adjoint() - ops["beta*"]).nnz == 0
 
 
 def test_pi_prime_band_and_weight_structure():
-    sp = enumerate_space("Double", half(2))
+    sp = enumerate_space("Double", 4)
     shifts = {"alpha*": (1, 1), "beta": (1, -1),
               "alpha": (-1, -1), "beta*": (-1, 1)}
     for gen, (di, dj) in shifts.items():
@@ -143,7 +143,7 @@ def test_pi_prime_band_and_weight_structure():
 def test_pi_prime_beta_carries_display_sign():
     # the displays define pi'(-beta); the vacuum-level image of beta must
     # come out with the opposite sign of the raw b+ coefficients
-    sp = enumerate_space("Double", half(1))
+    sp = enumerate_space("Double", 2)
     B = pi_prime("beta", sp, Q).to_dense()
     src = sp.ordinals(0, 0, 1, band=0)  # twice-valued; band 0 up, 1 down
     M = b_plus(0, 0, 0.5, Q)
@@ -156,7 +156,7 @@ def test_pi_prime_beta_carries_display_sign():
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
 def test_pi_prime_satisfies_relations(q):
     # all five defining relations at machine precision on interior vectors
-    sp = enumerate_space("Double", half(3))
+    sp = enumerate_space("Double", 6)
     ops = pi_prime_generators(sp, q)
     P = interior_projector(sp, 1)
     for name, w in relation_words(q).items():
@@ -165,8 +165,8 @@ def test_pi_prime_satisfies_relations(q):
 
 
 def test_pi_prime_input_validation():
-    sp = enumerate_space("Double", half(1))
-    l2 = enumerate_space("L2", half(1))
+    sp = enumerate_space("Double", 2)
+    l2 = enumerate_space("L2", 2)
     with pytest.raises(ValueError):
         pi_prime("gamma", sp, Q)
     with pytest.raises(ValueError):
@@ -176,7 +176,7 @@ def test_pi_prime_input_validation():
 
 
 def test_dirac_D_values_and_spectrum():
-    sp = enumerate_space("Double", half(2))
+    sp = enumerate_space("Double", 4)
     D = dirac_D(sp)
     diag = D.mat.diagonal()
     assert diag[sp.ordinals(0, 0, 1, band=0)] == 1.0

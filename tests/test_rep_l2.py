@@ -5,7 +5,7 @@ import pytest
 
 from diraclab.hilbert import enumerate_space, interior
 from diraclab.linop import interior_projector, op_norm
-from diraclab.qnum import half, q_power
+from diraclab.qnum import q_power
 from diraclab.rep_l2 import (
     D1_PARAMS,
     D2_PARAMS,
@@ -32,7 +32,7 @@ def column(T, space, tn, ti, tj):
 
 
 def test_alpha_hat_on_vacuum():
-    sp = enumerate_space("L2", half(2))
+    sp = enumerate_space("L2", 4)
     col = column(alpha_hat(sp, Q), sp, 0, 0, 0)
     expected = np.zeros(sp.dim)
     expected[sp.ordinals(1, -1, -1)] = Q
@@ -40,7 +40,7 @@ def test_alpha_hat_on_vacuum():
 
 
 def test_alpha_hat_two_terms():
-    sp = enumerate_space("L2", half(2))
+    sp = enumerate_space("L2", 4)
     col = column(alpha_hat(sp, Q), sp, 1, 1, 1)
     expected = np.zeros(sp.dim)
     expected[sp.ordinals(2, 0, 0)] = Q ** 3
@@ -51,10 +51,10 @@ def test_alpha_hat_two_terms():
 def test_alpha_hat_lowering_vanishes_on_weight_floor():
     # the level-lowering coefficient (1-q^{2n+2i})^1/2 (1-q^{2n+2j})^1/2
     # is zero exactly when i = -n or j = -n
-    sp = enumerate_space("L2", half(3))
+    sp = enumerate_space("L2", 6)
     A = alpha_hat(sp, Q).to_dense()
     for k, (tn, ti, tj) in labels(sp):
-        if tn == 0 or tn == sp.n_max.twice:
+        if tn == 0 or tn == sp.n_max:
             continue
         target = sp.ordinals(tn - 1, ti - 1, tj - 1)
         if target < 0:  # |i| or |j| exceeds the lower level
@@ -67,7 +67,7 @@ def test_assembly_keeps_coefficients_at_tiny_q():
     # only exact zeros are dropped: at q = 1e-100 alpha has the 10 entries
     # it has at q = 0.5, down to q^3 = 1e-300, and maps e_0 to q times
     # e^{(1/2)}_{-1/2,-1/2}
-    sp = enumerate_space("L2", 1)
+    sp = enumerate_space("L2", 2)
     tiny, mid = (hat_generators(sp, q)["alpha"] for q in (1e-100, 0.5))
     assert tiny.nnz == mid.nnz == 10
     for attr in ("rows", "cols"):
@@ -80,7 +80,7 @@ def test_assembly_keeps_coefficients_at_tiny_q():
 def test_assembly_keeps_entries_below_prune_tol():
     # at q = 0.3, n_max = 8 the up entries q^{2n+i+j+1} of exponent 29 to
     # 31 lie below 1e-15; assembly keeps all seven, exactly
-    sp = enumerate_space("L2", half(8))
+    sp = enumerate_space("L2", 16)
     a = alpha_hat(sp, 0.3)
     small = np.abs(a.vals) < 1e-15
     e = (sp.tn + (sp.ti + sp.tj) // 2 + 1)[a.cols]  # 2n + i + j + 1
@@ -92,7 +92,7 @@ def test_assembly_keeps_entries_below_prune_tol():
 
 
 def test_beta_hat_on_vacuum():
-    sp = enumerate_space("L2", half(2))
+    sp = enumerate_space("L2", 4)
     col = column(beta_hat(sp, Q), sp, 0, 0, 0)
     expected = np.zeros(sp.dim)
     expected[sp.ordinals(1, 1, -1)] = -math.sqrt(1 - Q ** 2)
@@ -100,7 +100,7 @@ def test_beta_hat_on_vacuum():
 
 
 def test_beta_hat_lowering_vanishes_iff_j_floor():
-    sp = enumerate_space("L2", half(3))
+    sp = enumerate_space("L2", 6)
     B = beta_hat(sp, Q).to_dense()
     for k, (tn, ti, tj) in labels(sp):
         if tn == 0:
@@ -116,7 +116,7 @@ def test_beta_hat_norm_formula():
     # over all labels with n <= 4; the computed column norm matches it exactly
     # away from the weight boundary i = n, where the lowering target leaves
     # the label set and its contribution is dropped
-    sp = enumerate_space("L2", half(5))
+    sp = enumerate_space("L2", 10)
     B = beta_hat(sp, Q).to_dense()
     for k, (tn, ti, tj) in labels(sp):
         if tn > 8:
@@ -134,14 +134,14 @@ def test_beta_hat_norm_formula():
 
 
 def test_hat_generators_adjoints():
-    sp = enumerate_space("L2", half(2))
+    sp = enumerate_space("L2", 4)
     ops = hat_generators(sp, Q)
     assert np.array_equal(ops["alpha*"].to_dense(), ops["alpha"].to_dense().T)
     assert np.array_equal(ops["beta*"].to_dense(), ops["beta"].to_dense().T)
 
 
 def test_pi_hat_empty_word_is_identity():
-    sp = enumerate_space("L2", half(1))
+    sp = enumerate_space("L2", 2)
     T = pi_hat(((1.0, ()),), sp, Q)
     assert np.array_equal(T.to_dense(), np.eye(sp.dim))
     # and a word with no terms is the empty sum
@@ -150,7 +150,7 @@ def test_pi_hat_empty_word_is_identity():
 
 
 def test_pi_hat_is_multiplicative():
-    sp = enumerate_space("L2", half(2))
+    sp = enumerate_space("L2", 4)
     ops = hat_generators(sp, Q)
     T = pi_hat(((1.0, ("alpha", "beta")),), sp, Q, ops)
     np.testing.assert_allclose(T.to_dense(),
@@ -163,7 +163,7 @@ def test_pi_hat_is_multiplicative():
 
 
 def test_word_rejects_unknown_symbol():
-    sp = enumerate_space("L2", half(1))
+    sp = enumerate_space("L2", 2)
     for syms in (("gamma",), ("alpha", "gamma")):
         with pytest.raises(KeyError):
             pi_hat(((1.0, syms),), sp, Q)
@@ -179,7 +179,7 @@ def test_projected_words_are_the_word_then_the_projector(kind, q, nmax):
     identity term."""
     from diraclab.rep_double import pi_prime_generators
 
-    space = enumerate_space(kind, half(nmax / 2))
+    space = enumerate_space(kind, nmax)
     ops = (hat_generators if kind == "L2" else pi_prime_generators)(space, q)
     words = dict(relation_words(q))
     words["length_3"] = ((1.0, ("alpha", "beta*", "alpha*")),
@@ -213,7 +213,7 @@ def test_hat_relation_defects_have_closed_forms(q):
         "twist_beta_star": q ** 3 * math.sqrt(1 - q ** 2),
         "beta_normal": q ** 4 * (1 - q ** 2),
     }
-    sp = enumerate_space("L2", half(4))
+    sp = enumerate_space("L2", 8)
     ops = hat_generators(sp, q)
     P = interior_projector(sp, 1)
     for name, w in relation_words(q).items():
@@ -230,8 +230,8 @@ def test_hat_twist_defects_keep_their_closed_form_at_tiny_q(q):
     # q^3 (1 - q^2)^(1/2) is far below 1e-15, yet a product of kept
     # coefficients, not a rounding residue: the relations suite reads it
     # to within an ulp (0 and 1.1e-16 relative, at either truncation)
-    for twice in (4, 8):
-        sp = enumerate_space("L2", half(twice))
+    for tn_max in (8, 16):
+        sp = enumerate_space("L2", tn_max)
         inner = interior(sp, 1)
         ops = hat_generators(sp, q)
         for name in ("twist_beta", "twist_beta_star"):
@@ -249,7 +249,7 @@ def test_hat_relation_defects_past_the_crossover():
     """
     q = 0.8
     pinned = {"unit_left": 0.24182784, "beta_normal": 0.1547698176}
-    sp = enumerate_space("L2", half(4))
+    sp = enumerate_space("L2", 8)
     ops = hat_generators(sp, q)
     P = interior_projector(sp, 1)
     words = relation_words(q)
@@ -269,7 +269,7 @@ def test_relation_words_shape():
 
 
 def test_dirac_family_tables():
-    sp = enumerate_space("L2", half(3))
+    sp = enumerate_space("L2", 6)
     D1 = dirac_family(D1_PARAMS, sp)
     D2 = dirac_family(D2_PARAMS, sp)
     d1 = D1.to_dense()
@@ -286,7 +286,7 @@ def test_dirac_family_tables():
 def test_dirac_family_eigenvalue_rule():
     # eigenvalue depends only on (n, j): a*n+b below the split, c*n+d at
     # or above it; for the first family that is -2n / 2n+1
-    sp = enumerate_space("L2", half(4))
+    sp = enumerate_space("L2", 8)
     diag = dirac_family(D1_PARAMS, sp).mat.diagonal()
     for k, (tn, ti, tj) in labels(sp):
         n = tn / 2
@@ -298,7 +298,7 @@ def test_dirac_family_eigenvalue_rule():
 
 
 def test_dirac_family_right_side():
-    sp = enumerate_space("L2", half(2))
+    sp = enumerate_space("L2", 4)
     diag = dirac_family(D1_PARAMS, sp, side="right").mat.diagonal()
     for k, (tn, ti, tj) in labels(sp):
         n = tn / 2
@@ -311,7 +311,7 @@ def test_dirac_family_right_side():
 def test_abs_of_second_family_is_linear_table():
     # |D2| has eigenvalue 2n+1 on every label: |-2n-1| = |2n+1| = 2n+1,
     # the split disappears entirely
-    sp = enumerate_space("L2", half(3))
+    sp = enumerate_space("L2", 6)
     absd2 = np.abs(dirac_family(D2_PARAMS, sp).diag())
     assert np.array_equal(absd2, sp.tn + 1.0)
 
@@ -329,7 +329,7 @@ def test_dirac_params_validation():
 
 
 def test_hat_ops_require_l2():
-    dbl = enumerate_space("Double", half(1))
+    dbl = enumerate_space("Double", 2)
     with pytest.raises(ValueError):
         alpha_hat(dbl, Q)
     with pytest.raises(ValueError):

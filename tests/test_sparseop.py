@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from diraclab.hilbert import TruncatedSpace
 from diraclab.linop import SparseOp
-from diraclab.qnum import HalfInt
 
 deterministic = settings(derandomize=True, database=None, deadline=None,
                          max_examples=200)
@@ -43,7 +42,7 @@ def _space(dim):
     """A stand-in space of any dimension (SparseOp reads only dim and
     signature)."""
     labels = np.zeros(dim, dtype=np.int64)
-    return TruncatedSpace("L2", HalfInt(0), labels, labels, labels)
+    return TruncatedSpace("L2", 0, labels, labels, labels)
 
 
 @st.composite
