@@ -14,6 +14,13 @@ rather than as a shifted number.  The untraced runs go round the workloads
 in turn.  The traced run gives the per-layer seconds and counts.  Nothing is
 timed here.
 
+Every perfbench run of a checkout keeps its bytecode under one fresh,
+empty ``PYTHONPYCACHEPREFIX`` directory of that checkout's own, made when
+the record starts, and writes it there even if the caller set
+``PYTHONDONTWRITEBYTECODE``.  So each side compiles once, in its first
+run, as a fresh checkout does, and a ``__pycache__`` left in one
+checkout's ``src/`` cannot spare that side the compiling.
+
 ``source_sha256`` hashes the files of ``src/`` that were measured.  A clean
 checkout is recorded as ``BENCH_<short-rev>.json`` with its ``revision``.  A
 tree whose ``src/`` or ``perfbench/`` differ from ``HEAD`` is no revision
@@ -45,6 +52,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEED = 1
@@ -52,6 +60,7 @@ SECONDS = 8.0
 RUNS = 5  # untraced perfbench runs per workload
 PAIRS = 10  # parent/change pairs per workload with --against
 E2E = ("wall_s", "setup_s", "peak_rss_mb")
+PYCACHE = "fresh per checkout, written"  # PYTHONPYCACHEPREFIX, in the config
 
 
 def git(repo, *args):
@@ -78,13 +87,17 @@ def workloads(repo):
         return [w["name"] for w in json.load(fh)["workloads"]]
 
 
-def perfbench(repo, workload, trace):
-    """(env, result) from the last two lines perfbench prints."""
+def perfbench(repo, workload, trace, pycache):
+    """(env, result) from the last two lines perfbench prints, with the
+    bytecode of its processes written to and read from ``pycache``."""
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": pycache}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     out = subprocess.run(
         [sys.executable, os.path.join(repo, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(SEED),
          "--seconds", str(SECONDS), "--trace", str(trace)],
-        cwd=repo, check=True, capture_output=True, text=True).stdout
+        cwd=repo, check=True, capture_output=True, text=True,
+        env=env).stdout
     env, result = (json.loads(line) for line in out.splitlines()[-2:])
     return env["env"], result
 
@@ -100,15 +113,20 @@ def record(repo):
     bench = {"revision": None if dirty else head, "head": head,
              "dirty": dirty, "tag": f"src-{sha[:12]}" if dirty else head[:7],
              "source_sha256": sha,
-             "config": {"seed": SEED, "seconds": SECONDS, "runs": RUNS},
+             "config": {"seed": SEED, "seconds": SECONDS, "runs": RUNS,
+                        "pycache_prefix": PYCACHE},
              "workloads": {}}
     names = workloads(repo)
     runs = {w: [] for w in names}
-    for _ in range(RUNS):
+    traced_runs = {}
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        for _ in range(RUNS):
+            for w in names:
+                runs[w].append(perfbench(repo, w, 0, pycache))
         for w in names:
-            runs[w].append(perfbench(repo, w, 0))
+            traced_runs[w] = perfbench(repo, w, 1, pycache)
     for w in names:
-        env, traced = perfbench(repo, w, 1)
+        env, traced = traced_runs[w]
         layers = values(traced)
         e2e = side(runs[w])
         results = [r for _, r in runs[w]] + [traced]
@@ -153,17 +171,24 @@ def ab_record(repo, base):
     shas = {k: source_sha256(path) for k, path in checkouts.items()}
     names = workloads(repo)
     runs = {w: {"parent": [], "change": []} for w in names}
-    for pair in range(PAIRS):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for w in names:
-            for key in order:
-                runs[w][key].append(perfbench(checkouts[key], w, 0))
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as tmp:
+        pycache = {k: os.path.join(tmp, k) for k in checkouts}
+        for path in pycache.values():
+            os.mkdir(path)
+        for pair in range(PAIRS):
+            order = (("parent", "change") if pair % 2 == 0
+                     else ("change", "parent"))
+            for w in names:
+                for key in order:
+                    runs[w][key].append(perfbench(checkouts[key], w, 0,
+                                                  pycache[key]))
     bench = {"tag": f"ab-{shas['parent'][:12]}-{shas['change'][:12]}",
              "source_sha256": shas,
              "head": {k: git(path, "rev-parse", "HEAD")
                       for k, path in checkouts.items()},
              "config": {"seed": SEED, "seconds": SECONDS, "pairs": PAIRS,
-                        "first": "parent in odd pairs"},
+                        "first": "parent in odd pairs",
+                        "pycache_prefix": PYCACHE},
              "workloads": {}}
     for w in names:
         parent, change = side(runs[w]["parent"]), side(runs[w]["change"])

@@ -72,7 +72,8 @@ def cyclic_dimension(generators, depth: int) -> CyclicityReport:
         raise ValueError("cyclic_dimension: depth must be >= 0")
     if depth > space.n_max:
         raise ValueError(
-            f"cyclic_dimension: depth {depth} reaches level {depth / 2}, "
+            f"cyclic_dimension: depth {depth} reaches level "
+            f"{label_text(depth)}, "
             f"beyond the truncation n_max = {label_text(space.n_max)}")
     # on L2, (n, i, j) fixes a label: one up target per entry's source, and
     # level 0 is e_0 alone

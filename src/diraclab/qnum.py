@@ -59,7 +59,7 @@ def q_number(m, q: float) -> float:
 def q_power(e, q: float) -> float:
     """q raised to a (half-integer-combination) exponent e; an array e
     gives an array."""
-    q = float(q)
+    q = validate_q(q)
     return _each_distinct(lambda ev: q ** ev, e)
 
 
@@ -69,24 +69,11 @@ def _each_distinct(f, x):
     f is Python float arithmetic, so overflow raises OverflowError, and an
     array result equals the scalar one bit for bit on every CPU (numpy's
     vectorised power can differ from it in the last place).  An operator
-    has few distinct orders and exponents, so the loop is short.  Orders
-    on a quarter-integer grid (every one the package takes) over a span
-    not much wider than x is long are found by a table over 4x, without
-    a sort; other real orders by ``np.unique``.
+    has few distinct orders and exponents, found by ``np.unique``, so the
+    loop is short.
     """
     if np.ndim(x) == 0:
         return f(float(x))
     v = np.asarray(x, dtype=float).ravel()
-    t = 4.0 * v
-    if v.size and np.all(np.abs(t) < 2.0**52):
-        k = t.astype(np.int64)
-        lo = k.min()
-        span = int(k.max() - lo) + 1
-        if span <= 2 * v.size + 64 and np.array_equal(k, t):
-            k -= lo
-            at = np.flatnonzero(np.bincount(k, minlength=span))
-            table = np.empty(span)
-            table[at] = [f(u) for u in ((at + lo) / 4.0).tolist()]
-            return table[k].reshape(np.shape(x))
     u, inv = np.unique(v, return_inverse=True)
     return np.array([f(e) for e in u.tolist()])[inv].reshape(np.shape(x))

@@ -19,10 +19,10 @@ matrix below — it is the highest-risk step of the whole build, and each leaf
 is pinned against independent evaluation oracles in the tests.  The leaves
 broadcast: given arrays of labels they return one 2x2 matrix per label (in
 the last two axes).  :func:`rep_l2._band_op`, which assembles the hatted
-pair too, evaluates each leaf once over the label arrays of the space and
-reads entry [t, s] at the hits of each target band t.  Overflow of q^{-m}
-at tiny q raises OverflowError, for an array of labels as for one (see
-:data:`_silent`).
+pair too, evaluates each leaf once per (n, i, j) label, over the up band
+of the doubled space (which holds every label), and reads entry [t, s]
+at the hits of each target band t.  Overflow of q^{-m} at tiny q raises
+OverflowError, for an array of labels as for one (see :data:`_silent`).
 """
 
 from __future__ import annotations

@@ -46,16 +46,20 @@ def _sqrt0(x):
 def _band_op(space, shift, up, down, sign=1.0) -> SparseOp:
     """The operator moving each basis vector of level n to levels n +- 1/2
     and weights (i, j) + shift/2, with coefficients up(n, i, j) and
-    down(n, i, j), each evaluated once over the label arrays of the space.
+    down(n, i, j), each evaluated once per (n, i, j) label of the space.
 
-    On L2 a coefficient is one value per ordinal.  On Double it is one 2x2
-    matrix per ordinal, and source band s feeds target band t its entry
-    [t, s].  ``sign`` multiplies the selected values.  Only exact zeros
-    are dropped: a coefficient as small as q^31 at q = 0.3, or q at
+    On L2 a coefficient is one value per label.  On Double it is one 2x2
+    matrix per label, evaluated over the up band, which holds every
+    (n, i, j); an ordinal of either band reads the matrix of its label at
+    the label's up-band place, and source band s feeds target band t its
+    entry [t, s].  ``sign`` multiplies the selected values.  Only exact
+    zeros are dropped: a coefficient as small as q^31 at q = 0.3, or q at
     q = 1e-300, is kept.
     """
     tn, ti, tj = space.tn, space.ti, space.tj
-    labels = (tn / 2.0, ti / 2.0, tj / 2.0)
+    own = np.ones(space.dim, bool) if space.band is None else space.band == 0
+    at = (np.cumsum(own) - 1)[space.ordinals(tn, ti, tj, band=0)]
+    labels = (tn[own] / 2.0, ti[own] / 2.0, tj[own] / 2.0)
     di, dj = shift
     rows, cols, vals = [], [], []
     for dn, coeff in ((+1, up), (-1, down)):
@@ -65,8 +69,8 @@ def _band_op(space, shift, up, down, sign=1.0) -> SparseOp:
             hit = np.flatnonzero(row >= 0)
             rows.append(row[hit])
             cols.append(hit)
-            vals.append(sign * (c[hit] if tb is None
-                                else c[hit, tb, space.band[hit]]))
+            vals.append(sign * (c[at[hit]] if tb is None
+                                else c[at[hit], tb, space.band[hit]]))
     return SparseOp.from_coo(space, space, *map(np.concatenate,
                                                 (rows, cols, vals)))
 

@@ -5,9 +5,9 @@ space.  The oracles below are the per-label loops that assembly replaced:
 they walk a basis enumerated here, label by label, find target ordinals in
 a dict and call the scalar leaves once per label, and like assembly they
 drop exact zeros only (``tilde_oracle.exact_op``).  Each array-assembled
-operator must have the oracle's CSR pattern and its entries to 1e-14
-relative, the map of U must be the oracle's, and the arithmetic ordinals
-must reproduce the enumeration order.
+operator must have the oracle's CSR pattern and its entries bit for bit,
+the map of U must be the oracle's, and the arithmetic ordinals must
+reproduce the enumeration order.
 """
 
 import math
@@ -22,8 +22,9 @@ from diraclab.linop import SparseOp
 from diraclab.qnum import q_number
 from diraclab.rep_double import (a_minus, a_plus, b_minus, b_plus, dirac_D,
                                  pi_prime, pi_prime_generators)
-from diraclab.rep_l2 import (D1_PARAMS, D2_PARAMS, DiracParams, alpha_hat,
-                             beta_hat, dirac_family, hat_generators)
+from diraclab.rep_l2 import (D1_PARAMS, D2_PARAMS, DiracParams, _band_op,
+                             alpha_hat, beta_hat, dirac_family,
+                             hat_generators)
 from tilde_oracle import (exact_op, pi_prime_tilde, tilde_coeffs,
                           valid_v_label)
 
@@ -194,7 +195,7 @@ def _assert_same(T, oracle):
     assert A.shape == B.shape
     np.testing.assert_array_equal(A.indptr, B.indptr)
     np.testing.assert_array_equal(A.indices, B.indices)
-    np.testing.assert_allclose(A.data, B.data, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(A.data, B.data)
 
 
 # ------------------------------------------------------------------ tests
@@ -208,6 +209,27 @@ def test_generators_match_loop_oracles(tn_max, q):
     l2 = enumerate_space("L2", tn_max)
     _assert_same(alpha_hat(l2, q), _hat_loop("alpha", l2, q))
     _assert_same(beta_hat(l2, q), _hat_loop("beta", l2, q))
+
+
+def test_band_op_evaluates_each_label_once():
+    # a coefficient sees every (n, i, j) once: the up band of a Double
+    # space, which holds every label, and every ordinal of an L2 space
+    for kind, tn_max, size in (("Double", 16, 1938), ("L2", 16, 1785),
+                               ("Double", 3, 40), ("L2", 0, 1)):
+        space = enumerate_space(kind, tn_max)
+        seen = []
+
+        def coeff(n, i, j):
+            seen.append(np.stack((2 * n, 2 * i, 2 * j)))
+            return np.ones(np.shape(n) + ((2, 2) if kind == "Double" else ()))
+
+        _band_op(space, (+1, +1), coeff, coeff)
+        own = space.band == 0 if kind == "Double" else slice(None)
+        want = np.stack((space.tn, space.ti, space.tj))[:, own]
+        assert want.shape == (3, size)
+        assert len(seen) == 2
+        for got in seen:
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("tn_max", TN_MAX)

@@ -1,5 +1,5 @@
-"""The performance-record script: its output directory, and the
-alternating parent/change pairs of ``--against``."""
+"""The performance-record script: its output directory, the alternating
+parent/change pairs of ``--against``, and each checkout's bytecode prefix."""
 
 import importlib.util
 import json
@@ -43,7 +43,7 @@ def test_against_runs_alternating_pairs_and_counts_the_wins(monkeypatch):
     calls = []
     pairs = bench_e2e.PAIRS
 
-    def perfbench(repo, workload, trace):
+    def perfbench(repo, workload, trace, pycache):
         assert trace == 0
         calls.append((repo, workload))
         n = calls.count((repo, workload))  # this side's run of the workload
@@ -106,3 +106,47 @@ def test_against_writes_the_pair_record(tmp_path, monkeypatch, capsys):
     assert seen == [(str(tmp_path / "new"), str(tmp_path / "old"))]
     path = tmp_path / "BENCH_ab-stub.json"
     assert capsys.readouterr().out.strip() == str(path)
+
+
+def test_each_side_keeps_its_bytecode_in_its_own_fresh_prefix(monkeypatch):
+    # a __pycache__ left in one checkout is not read: every perfbench run
+    # of a side gets that side's PYTHONPYCACHEPREFIX, empty when it starts,
+    # and may write to it
+    bench_e2e = _load()
+    prefixes = {}
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+
+    def run(argv, cwd, env, **kwargs):
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        if cwd not in prefixes:
+            assert os.path.isdir(prefix) and not os.listdir(prefix)
+            assert not prefix.startswith(cwd)
+        prefixes.setdefault(cwd, prefix)
+        assert prefix == prefixes[cwd]
+        with open(os.path.join(prefix, "written.pyc"), "w"):
+            pass  # as the first run's compilation would
+        lines = [json.dumps({"env": {"payload_sha256": ["h0"],
+                                    "round_s": [0.5]}}),
+                 json.dumps(_result(1.0, 0.2, 40.0))]
+
+        class Done:
+            stdout = "\n".join(lines) + "\n"
+        return Done
+
+    monkeypatch.setattr(bench_e2e.subprocess, "run", run)
+    monkeypatch.setattr(bench_e2e, "workloads", lambda repo: ["w1", "w2"])
+    monkeypatch.setattr(bench_e2e, "source_sha256", lambda repo: "0" * 64)
+    monkeypatch.setattr(bench_e2e, "git", lambda repo, *args: "rev")
+    bench = bench_e2e.ab_record("/change", "/parent")
+
+    assert set(prefixes) == {"/change", "/parent"}
+    assert prefixes["/change"] != prefixes["/parent"]
+    assert bench["config"]["pycache_prefix"] == "fresh per checkout, written"
+    assert not any(os.path.exists(p) for p in prefixes.values())  # removed
+    assert bench["workloads"]["w1"]["same_payload"] is True
+
+    prefixes.clear()
+    bench = bench_e2e.record("/repo")
+    assert list(prefixes) == ["/repo"]
+    assert bench["config"]["pycache_prefix"] == "fresh per checkout, written"

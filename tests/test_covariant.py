@@ -118,7 +118,8 @@ def test_input_validation():
         cyclic_dimension([], 1)
     with pytest.raises(ValueError):
         cyclic_dimension(gens, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="depth 3 reaches level 3/2, beyond "
+                       "the truncation n_max = 1$"):
         cyclic_dimension(gens, sp.n_max + 1)
     other = enumerate_space("L2", 6)
     bad = [SparseOp.identity(other)] + gens

@@ -66,19 +66,26 @@ def test_q_power():
     assert q_power(3, 0.5) == pytest.approx(0.125)
     assert q_power(-1.0, 0.5) == pytest.approx(2.0)
     assert q_power(0.5, 0.25) == pytest.approx(math.sqrt(0.25))
+    # q is checked as q_number checks it, for a label and an array alike
+    for e, q in ((0.5, -0.25), (np.array([0.5, 1.0]), -0.25), (1, 1.5)):
+        with pytest.raises(ValueError, match="must be in \\(0, 1\\)"):
+            q_power(e, q)
 
 
 def test_array_orders_match_scalar_evaluation_exactly():
     # an array is evaluated with the same Python float arithmetic as one
     # label, so results agree bit for bit; overflow raises as for a scalar
-    orders = np.arange(-60, 61) / 4.0
-    grid = orders.reshape(11, 11)
-    for q in (0.3, 0.5, 0.7, 0.8, 0.9):
-        np.testing.assert_array_equal(
-            q_number(grid, q),
-            np.array([q_number(float(m), q) for m in orders]).reshape(11, 11))
-        np.testing.assert_array_equal(
-            q_power(orders, q), [q_power(float(e), q) for e in orders])
+    quarters = np.arange(-60, 61) / 4.0
+    # off the quarter grid, over a wide span, with repeats
+    off_grid = np.array([1 / 3, 0.3, 250.0, -1 / 3, 0.3, -250.0, 1e-9, 7.1,
+                         1 / 3, -0.3, 0.0])
+    for orders in (quarters, off_grid):
+        for q in (0.3, 0.5, 0.7, 0.8, 0.9):
+            np.testing.assert_array_equal(
+                q_number(orders.reshape(-1, 1), q),
+                [[q_number(float(m), q)] for m in orders])
+            np.testing.assert_array_equal(
+                q_power(orders, q), [q_power(float(e), q) for e in orders])
     assert q_number(np.array([]), 0.5).shape == (0,)
     with pytest.raises(OverflowError):
         q_power(np.array([1.0, -400.0]), 1e-4)
