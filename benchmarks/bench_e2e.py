@@ -1,18 +1,30 @@
 #!/usr/bin/env python3
-"""Write the performance record of one checkout to ``BENCH_<rev>.json``.
+"""Write the performance record of one checkout, or of a parent/change pair.
 
     python3 benchmarks/bench_e2e.py [--repo DIR] [--out DIR] [--against DIR]
 
-For each workload of the checkout's ``BENCHMARK.json`` this runs
-``perfbench/run.py`` of the checkout at ``--repo`` (default: the one holding
-this script) ``RUNS`` times with ``--trace 0`` and once with ``--trace 1``,
-at seed ``SEED`` and ``SECONDS`` seconds, and copies what its result lines
-report.  End to end, ``wall_s``, ``setup_s`` and ``peak_rss_mb`` are the
-medians of the untraced runs, ``iqr`` holds their interquartile spreads and
-``runs`` every run's values, so a busy spell of the machine shows as spread
-rather than as a shifted number.  The untraced runs go round the workloads
-in turn.  The traced run gives the per-layer seconds and counts.  Nothing is
-timed here.
+The checkouts are ``--repo`` (the change; default: the one holding this
+script) and, with ``--against DIR``, the parent DIR.  For each workload of
+the change's ``BENCHMARK.json``, ``ROUNDS`` rounds run each checkout's own
+``perfbench/run.py`` once with ``--trace 0``, at seed ``SEED`` and
+``SECONDS`` seconds; the rounds go round the workloads in turn, and the
+parent runs first in the odd rounds (1, 3, ...) and second in the even
+ones.  After the rounds, each checkout runs every workload once more with
+``--trace 1``.  Nothing is timed here: the record copies what perfbench's
+result lines report.
+
+Each checkout's side of a workload keeps every untraced run's ``wall_s``,
+``setup_s`` and ``peak_rss_mb`` (``runs``), their medians and quartiles, the
+round times, the failed cells and whether every run was correct, the set of
+payload hashes its runs reported, and the traced run's per-layer seconds
+(``layer_s``), its other per-layer numbers (``trace``) and its ``env``.  So
+a busy spell of the machine shows as spread rather than as a shifted
+number.  A pair record adds, per workload, ``wins`` (the rounds in which
+the change measured lower than the parent, per end-to-end metric) and
+``same_payload`` (whether both sides reported the same hashes), so one
+record shows both "same results" and "no regression".  Records from
+different sessions of one machine differ by more than most changes do;
+only pairs run side by side resolve a change.
 
 Every perfbench run of a checkout keeps its bytecode under one fresh,
 empty ``PYTHONPYCACHEPREFIX`` directory of that checkout's own, made when
@@ -21,26 +33,14 @@ the record starts, and writes it there even if the caller set
 run, as a fresh checkout does, and a ``__pycache__`` left in one
 checkout's ``src/`` cannot spare that side the compiling.
 
-``source_sha256`` hashes the files of ``src/`` that were measured.  A clean
-checkout is recorded as ``BENCH_<short-rev>.json`` with its ``revision``.  A
-tree whose ``src/`` or ``perfbench/`` differ from ``HEAD`` is no revision
-yet: it is recorded as ``BENCH_src-<sha12>.json`` (the first 12 hex digits
-of ``source_sha256``) with ``revision`` null, and the commit that later holds
-that tree finds its record by the same hash.
-
-With ``--against DIR`` the record compares two checkouts in one session:
-for each workload, ``PAIRS`` pairs of untraced runs, one of DIR (the
-parent) and one of ``--repo`` (the change), the parent first in the odd
-pairs and second in the even ones, the pairs going round the workloads in
-turn.  Each side keeps its runs, medians and quartiles and the set of
-payload hashes its runs reported; ``wins`` counts the pairs in which the
-change measured lower than the parent on each end-to-end metric, and
-``same_payload`` says whether both sides reported the same hashes, so one
-record shows both "same results" and "no regression".  It is written to
-``BENCH_ab-<parent>-<change>.json`` (the first 12 hex digits of each
-``source_sha256``).  Records from
-different sessions of one machine differ by more than most changes do;
-only pairs run side by side resolve a change.
+``source_sha256`` hashes the files of ``src/`` that were measured.  A lone
+clean checkout is recorded as ``BENCH_<short-rev>.json``.  A tree whose
+``src/`` or ``perfbench/`` differ from ``HEAD`` is no revision yet: it is
+recorded as ``BENCH_src-<sha12>.json`` (the first 12 hex digits of
+``source_sha256``), and the commit that later holds that tree finds its
+record by the same hash.  A pair is recorded as
+``BENCH_ab-<parent>-<change>.json``, with the first 12 hex digits of each
+``source_sha256``.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEED = 1
 SECONDS = 8.0
-RUNS = 5  # untraced perfbench runs per workload
-PAIRS = 10  # parent/change pairs per workload with --against
+ROUNDS = 10  # untraced perfbench runs of each checkout per workload
 E2E = ("wall_s", "setup_s", "peak_rss_mb")
 PYCACHE = "fresh per checkout, written"  # PYTHONPYCACHEPREFIX, in the config
 
@@ -106,103 +105,72 @@ def values(result):
     return {k: m["value"] for k, m in result["metrics"].items()}
 
 
-def record(repo):
-    head = git(repo, "rev-parse", "HEAD")
-    dirty = bool(git(repo, "status", "--porcelain", "--", "src", "perfbench"))
-    sha = source_sha256(repo)
-    bench = {"revision": None if dirty else head, "head": head,
-             "dirty": dirty, "tag": f"src-{sha[:12]}" if dirty else head[:7],
-             "source_sha256": sha,
-             "config": {"seed": SEED, "seconds": SECONDS, "runs": RUNS,
+def record(repo, parent=None):
+    """The record of ``repo``, alone or against the checkout ``parent``."""
+    checkouts = {"change": repo} if parent is None \
+        else {"parent": parent, "change": repo}
+    meta = {k: {"head": git(path, "rev-parse", "HEAD"),
+                "dirty": bool(git(path, "status", "--porcelain", "--",
+                                  "src", "perfbench")),
+                "source_sha256": source_sha256(path)}
+            for k, path in checkouts.items()}
+    names = workloads(repo)
+    runs = {k: {w: [] for w in names} for k in checkouts}
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as tmp:
+        pycache = {k: tempfile.mkdtemp(prefix=k, dir=tmp) for k in checkouts}
+        for n in range(ROUNDS):
+            order = list(checkouts)[::1 if n % 2 == 0 else -1]
+            for w in names:
+                for k in order:
+                    runs[k][w].append(perfbench(checkouts[k], w, 0,
+                                                pycache[k]))
+        traced = {(k, w): perfbench(checkouts[k], w, 1, pycache[k])
+                  for w in names for k in checkouts}
+    sha12 = "-".join(m["source_sha256"][:12] for m in meta.values())
+    tag = (f"ab-{sha12}" if parent is not None else f"src-{sha12}"
+           if meta["change"]["dirty"] else meta["change"]["head"][:7])
+    bench = {"tag": tag, "checkouts": meta,
+             "config": {"seed": SEED, "seconds": SECONDS, "rounds": ROUNDS,
+                        "first": "parent in odd rounds",
                         "pycache_prefix": PYCACHE},
              "workloads": {}}
-    names = workloads(repo)
-    runs = {w: [] for w in names}
-    traced_runs = {}
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
-        for _ in range(RUNS):
-            for w in names:
-                runs[w].append(perfbench(repo, w, 0, pycache))
-        for w in names:
-            traced_runs[w] = perfbench(repo, w, 1, pycache)
     for w in names:
-        env, traced = traced_runs[w]
-        layers = values(traced)
-        e2e = side(runs[w])
-        results = [r for _, r in runs[w]] + [traced]
-        bench["workloads"][w] = {
-            **e2e["median"],
-            "iqr": {k: q3 - q1 for k, (q1, _, q3) in e2e["quartiles"].items()},
-            "runs": e2e["runs"],
-            "round_s": [e["round_s"] for e, _ in runs[w]],
-            "payload_sha256": e2e["payload_sha256"],
-            "correct": all(r["correct"] for r in results),
+        sides = {k: side(runs[k][w], traced[k, w]) for k in checkouts}
+        bench["workloads"][w] = sides
+        line = " -> ".join(f"{s['median']['wall_s']:.3f}"
+                           for s in sides.values())
+        if parent is not None:
+            p, c = sides["parent"], sides["change"]
+            sides["wins"] = {k: sum(b < a for a, b in zip(p["runs"][k],
+                                                          c["runs"][k]))
+                             for k in E2E}
+            sides["same_payload"] = p["payload_sha256"] == c["payload_sha256"]
+            line += (f", change won {sides['wins']['wall_s']}/{ROUNDS}, "
+                     f"same payload: {sides['same_payload']}")
+        print(f"{w}: wall_s {line}", file=sys.stderr)
+    return bench
+
+
+def side(runs, traced):
+    """One checkout's numbers for one workload, from the (env, result)
+    pairs of its untraced runs and of its traced run."""
+    results = [r for _, r in runs] + [traced[1]]
+    e2e = {k: [values(r)[k] for _, r in runs] for k in E2E}
+    env, layers = traced[0], values(traced[1])
+    return {"runs": e2e,
+            "median": {k: statistics.median(v) for k, v in e2e.items()},
+            "quartiles": {k: statistics.quantiles(v, n=4, method="inclusive")
+                          for k, v in e2e.items()},
+            "round_s": [e["round_s"] for e, _ in runs],
             "failed": sum(r["failed"] for r in results),
+            "correct": all(r["correct"] for r in results),
+            "payload_sha256": sorted({h for e, _ in runs + [traced]
+                                      for h in e["payload_sha256"]}),
             "layer_s": {k: v for k, v in layers.items() if k.endswith(".s")},
             "trace": {k: v for k, v in layers.items()
                       if not k.endswith(".s")},
             "env": {k: v for k, v in env.items()
                     if k not in ("round_s", "payload_sha256")}}
-        print(f"{w}: wall_s {bench['workloads'][w]['wall_s']:.3f} "
-              f"(iqr {bench['workloads'][w]['iqr']['wall_s']:.3f})",
-              file=sys.stderr)
-    return bench
-
-
-def side(runs):
-    """Runs, medians and quartiles of one side's end-to-end metrics, from
-    its (env, result) pairs, and the payload hashes its runs reported."""
-    results = [r for _, r in runs]
-    e2e = {k: [values(r)[k] for r in results] for k in E2E}
-    return {"runs": e2e,
-            "median": {k: statistics.median(v) for k, v in e2e.items()},
-            "quartiles": {k: statistics.quantiles(v, n=4, method="inclusive")
-                          for k, v in e2e.items()},
-            "failed": sum(r["failed"] for r in results),
-            "correct": all(r["correct"] for r in results),
-            "payload_sha256": sorted({h for env, _ in runs
-                                      for h in env["payload_sha256"]})}
-
-
-def ab_record(repo, base):
-    """``PAIRS`` alternating parent/change pairs per workload of ``repo``:
-    the parent ``base`` runs first in the odd pairs (1, 3, ...)."""
-    checkouts = {"parent": base, "change": repo}
-    shas = {k: source_sha256(path) for k, path in checkouts.items()}
-    names = workloads(repo)
-    runs = {w: {"parent": [], "change": []} for w in names}
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as tmp:
-        pycache = {k: os.path.join(tmp, k) for k in checkouts}
-        for path in pycache.values():
-            os.mkdir(path)
-        for pair in range(PAIRS):
-            order = (("parent", "change") if pair % 2 == 0
-                     else ("change", "parent"))
-            for w in names:
-                for key in order:
-                    runs[w][key].append(perfbench(checkouts[key], w, 0,
-                                                  pycache[key]))
-    bench = {"tag": f"ab-{shas['parent'][:12]}-{shas['change'][:12]}",
-             "source_sha256": shas,
-             "head": {k: git(path, "rev-parse", "HEAD")
-                      for k, path in checkouts.items()},
-             "config": {"seed": SEED, "seconds": SECONDS, "pairs": PAIRS,
-                        "first": "parent in odd pairs",
-                        "pycache_prefix": PYCACHE},
-             "workloads": {}}
-    for w in names:
-        parent, change = side(runs[w]["parent"]), side(runs[w]["change"])
-        wins = {k: sum(c < p for p, c in zip(parent["runs"][k],
-                                             change["runs"][k]))
-                for k in E2E}
-        same = parent["payload_sha256"] == change["payload_sha256"]
-        bench["workloads"][w] = {"parent": parent, "change": change,
-                                 "wins": wins, "same_payload": same}
-        print(f"{w}: wall_s {parent['median']['wall_s']:.3f} -> "
-              f"{change['median']['wall_s']:.3f}, change won "
-              f"{wins['wall_s']}/{PAIRS}, same payload: {same}",
-              file=sys.stderr)
-    return bench
 
 
 def main(argv=None):
@@ -213,12 +181,11 @@ def main(argv=None):
                    help="directory of the BENCH file (default: benchmarks/)")
     p.add_argument("--against", default=None, metavar="DIR",
                    help="parent checkout: run it and --repo in alternating "
-                        "pairs")
+                        "rounds")
     args = p.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)  # before minutes of runs, not after
-    repo = os.path.abspath(args.repo)
-    bench = (record(repo) if args.against is None
-             else ab_record(repo, os.path.abspath(args.against)))
+    parent = None if args.against is None else os.path.abspath(args.against)
+    bench = record(os.path.abspath(args.repo), parent)
     path = os.path.join(args.out, f"BENCH_{bench['tag']}.json")
     with open(path, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)

@@ -59,7 +59,7 @@ def main(argv=None) -> int:
     )
     try:
         reports = run(cfg)
-    except (ValueError, RuntimeError) as e:
+    except (ValueError, OSError) as e:  # a bad config, or --out unwritable
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OverflowError as e:  # q^{-m} beyond double range at tiny q

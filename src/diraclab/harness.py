@@ -333,14 +333,6 @@ def payload_hash(reports, cfg: RunConfig) -> str:
 CSV_HEADER = "suite,label,q,nmax_twice,metric,value,threshold,passed,wall_time_s"
 
 
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise RuntimeError(f"cannot write report file {path}: {e}") from e
-
-
 def csv_lines(reports) -> list:
     """One row per report: the gated metric against its threshold."""
     lines = [CSV_HEADER]
@@ -356,17 +348,11 @@ def csv_lines(reports) -> list:
 def emit(reports, cfg: RunConfig, plots: dict | None = None) -> list:
     """Write report.json, report.csv and (optionally) kq plot data.
 
-    Returns the list of paths written.  The JSON document separates the
+    Returns the list of paths written; a path that cannot be written
+    raises ``OSError``, as ``open`` does.  The JSON document separates the
     deterministic payload from the meta section (wall times, versions,
     timestamps, payload hash).
     """
-    out = cfg.out_dir
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as e:
-        raise RuntimeError(f"cannot create output directory {out}: {e}") from e
-    paths = []
-
     doc = {
         "payload": payload_dict(reports, cfg),
         "meta": {
@@ -378,19 +364,17 @@ def emit(reports, cfg: RunConfig, plots: dict | None = None) -> list:
             "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         },
     }
-    jpath = os.path.join(out, "report.json")
-    _write_text(jpath, json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    paths.append(jpath)
-
-    cpath = os.path.join(out, "report.csv")
-    _write_text(cpath, "\n".join(csv_lines(reports)) + "\n")
-    paths.append(cpath)
-
+    files = {"report.json": json.dumps(doc, sort_keys=True, indent=1),
+             "report.csv": "\n".join(csv_lines(reports))}
     if cfg.emit_plot and plots:
         for (gen, q), (levels, norms) in sorted(plots.items()):
             rows = [f"{tn / 2:g} {math.log(v):.17g}"
                     for tn, v in zip(levels, norms) if v > 0.0]
-            ppath = os.path.join(out, f"kq_{_PLOT_GEN_NAME[gen]}_q{q!r}.dat")
-            _write_text(ppath, "\n".join(rows) + "\n")
-            paths.append(ppath)
+            files[f"kq_{_PLOT_GEN_NAME[gen]}_q{q!r}.dat"] = "\n".join(rows)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    paths = []
+    for name, text in files.items():
+        paths.append(os.path.join(cfg.out_dir, name))
+        with open(paths[-1], "w") as fh:
+            fh.write(text + "\n")
     return paths

@@ -1,5 +1,6 @@
 """The performance-record script: its output directory, the alternating
-parent/change pairs of ``--against``, and each checkout's bytecode prefix."""
+rounds of a parent/change pair, the one side summary that a lone checkout
+and each side of a pair share, and each checkout's bytecode prefix."""
 
 import importlib.util
 import json
@@ -21,8 +22,9 @@ def test_missing_out_directory_is_made_before_measuring(tmp_path, monkeypatch,
     bench_e2e = _load()
     out = tmp_path / "fresh" / "nested"
 
-    def record(repo):
+    def record(repo, parent):
         assert out.is_dir()  # made before anything is measured
+        assert parent is None
         return {"tag": "stub", "workloads": {}}
 
     monkeypatch.setattr(bench_e2e, "record", record)
@@ -38,30 +40,51 @@ def _result(wall, setup, rss):
             "failed": 0, "correct": True}
 
 
+def _env(*hashes):
+    return {"payload_sha256": list(hashes), "round_s": [0.5], "python": "3"}
+
+
+def _traced():
+    """(env, result) of a traced run: per-layer seconds and counts."""
+    metrics = {"trace.wall_s": 1.5, "hilbert.enumerate.s": 0.01,
+               "hilbert.enumerate.calls": 5}
+    return (_env("h0"), {"metrics": {k: {"value": v}
+                                     for k, v in metrics.items()},
+                         "failed": 0, "correct": True})
+
+
+def _stub_repo(monkeypatch, bench_e2e, status=""):
+    """Two workloads; a checkout's sha is its first letter; every HEAD is
+    ``0123456789``, and ``git status`` prints ``status``."""
+    monkeypatch.setattr(bench_e2e, "workloads", lambda repo: ["w1", "w2"])
+    monkeypatch.setattr(bench_e2e, "source_sha256",
+                        lambda repo: repo.strip("/")[0] * 64)
+    monkeypatch.setattr(bench_e2e, "git", lambda repo, cmd, *args:
+                        status if cmd == "status" else "0123456789")
+
+
 def test_against_runs_alternating_pairs_and_counts_the_wins(monkeypatch):
     bench_e2e = _load()
     calls = []
-    pairs = bench_e2e.PAIRS
+    pairs = bench_e2e.ROUNDS
 
     def perfbench(repo, workload, trace, pycache):
-        assert trace == 0
+        if trace:
+            return _traced()
         calls.append((repo, workload))
         n = calls.count((repo, workload))  # this side's run of the workload
         if repo == "/parent":
-            return {"payload_sha256": ["h0"]}, _result(1.0, 0.2, 40.0)
+            return _env("h0"), _result(1.0, 0.2, 40.0)
         # the change is faster except in its runs 3, 6 and 9, sets up as
         # fast (a tie is no win) and takes more memory; on w2 its last run
         # reports a second payload
         hashes = ["h0", "h1"] if (workload, n) == ("w2", pairs) else ["h0"]
-        return ({"payload_sha256": hashes},
+        return (_env(*hashes),
                 _result(1.1 if n % 3 == 0 else 0.9, 0.2, 41.0))
 
     monkeypatch.setattr(bench_e2e, "perfbench", perfbench)
-    monkeypatch.setattr(bench_e2e, "workloads", lambda repo: ["w1", "w2"])
-    monkeypatch.setattr(bench_e2e, "source_sha256",
-                        lambda repo: repo.strip("/")[0] * 64)
-    monkeypatch.setattr(bench_e2e, "git", lambda repo, *args: "rev")
-    bench = bench_e2e.ab_record("/change", "/parent")
+    _stub_repo(monkeypatch, bench_e2e)
+    bench = bench_e2e.record("/change", "/parent")
 
     assert pairs == 10 and len(calls) == 2 * 2 * pairs
     for w in ("w1", "w2"):
@@ -95,11 +118,11 @@ def test_against_writes_the_pair_record(tmp_path, monkeypatch, capsys):
     bench_e2e = _load()
     seen = []
 
-    def ab_record(repo, base):
-        seen.append((repo, base))
+    def record(repo, parent):
+        seen.append((repo, parent))
         return {"tag": "ab-stub", "workloads": {}}
 
-    monkeypatch.setattr(bench_e2e, "ab_record", ab_record)
+    monkeypatch.setattr(bench_e2e, "record", record)
     assert bench_e2e.main(["--repo", str(tmp_path / "new"), "--out",
                            str(tmp_path), "--against",
                            str(tmp_path / "old")]) == 0
@@ -126,8 +149,7 @@ def test_each_side_keeps_its_bytecode_in_its_own_fresh_prefix(monkeypatch):
         assert prefix == prefixes[cwd]
         with open(os.path.join(prefix, "written.pyc"), "w"):
             pass  # as the first run's compilation would
-        lines = [json.dumps({"env": {"payload_sha256": ["h0"],
-                                    "round_s": [0.5]}}),
+        lines = [json.dumps({"env": _env("h0")}),
                  json.dumps(_result(1.0, 0.2, 40.0))]
 
         class Done:
@@ -135,10 +157,8 @@ def test_each_side_keeps_its_bytecode_in_its_own_fresh_prefix(monkeypatch):
         return Done
 
     monkeypatch.setattr(bench_e2e.subprocess, "run", run)
-    monkeypatch.setattr(bench_e2e, "workloads", lambda repo: ["w1", "w2"])
-    monkeypatch.setattr(bench_e2e, "source_sha256", lambda repo: "0" * 64)
-    monkeypatch.setattr(bench_e2e, "git", lambda repo, *args: "rev")
-    bench = bench_e2e.ab_record("/change", "/parent")
+    _stub_repo(monkeypatch, bench_e2e)
+    bench = bench_e2e.record("/change", "/parent")
 
     assert set(prefixes) == {"/change", "/parent"}
     assert prefixes["/change"] != prefixes["/parent"]
@@ -150,3 +170,66 @@ def test_each_side_keeps_its_bytecode_in_its_own_fresh_prefix(monkeypatch):
     bench = bench_e2e.record("/repo")
     assert list(prefixes) == ["/repo"]
     assert bench["config"]["pycache_prefix"] == "fresh per checkout, written"
+
+
+def _record(monkeypatch, bench_e2e, *checkouts, status=""):
+    """The record of the stubbed checkouts, and the perfbench calls made:
+    (repo, workload, trace) in order."""
+    calls = []
+
+    def perfbench(repo, workload, trace, pycache):
+        calls.append((repo, workload, trace))
+        return _traced() if trace else (_env("h0"), _result(1.0, 0.2, 40.0))
+
+    monkeypatch.setattr(bench_e2e, "perfbench", perfbench)
+    _stub_repo(monkeypatch, bench_e2e, status)
+    return bench_e2e.record(*checkouts), calls
+
+
+def test_a_lone_side_has_the_keys_of_each_side_of_a_pair(monkeypatch):
+    bench_e2e = _load()
+    lone, _ = _record(monkeypatch, bench_e2e, "/change")
+    pair, _ = _record(monkeypatch, bench_e2e, "/change", "/parent")
+
+    assert lone["tag"] == "0123456"  # a clean checkout: its short revision
+    dirty, _ = _record(monkeypatch, bench_e2e, "/change", status=" M src/x")
+    assert dirty["tag"] == "src-" + "c" * 12  # a tree that is no revision
+    assert dirty["checkouts"]["change"]["dirty"] is True
+    assert pair["tag"] == "ab-" + "p" * 12 + "-" + "c" * 12
+    assert set(lone["workloads"]["w1"]) == {"change"}
+    assert set(pair["workloads"]["w1"]) \
+        == {"parent", "change", "wins", "same_payload"}
+    keys = set(lone["workloads"]["w1"]["change"])
+    assert keys == {"runs", "median", "quartiles", "round_s", "failed",
+                    "correct", "payload_sha256", "layer_s", "trace", "env"}
+    for k in ("parent", "change"):
+        assert set(pair["workloads"]["w1"][k]) == keys
+    assert set(lone["checkouts"]) == {"change"}
+    assert set(pair["checkouts"]) == {"parent", "change"}
+    assert lone["config"] == pair["config"]
+
+    rec = lone["workloads"]["w2"]["change"]
+    assert rec["runs"]["wall_s"] == [1.0] * bench_e2e.ROUNDS
+    assert rec["round_s"] == [[0.5]] * bench_e2e.ROUNDS
+    # the traced run gives the per-layer numbers and the environment
+    assert rec["layer_s"] == {"hilbert.enumerate.s": 0.01}
+    assert rec["trace"] == {"trace.wall_s": 1.5,
+                            "hilbert.enumerate.calls": 5}
+    assert rec["env"] == {"python": "3"}
+    assert rec["correct"] is True and rec["failed"] == 0
+
+
+def test_each_checkout_gets_one_traced_run_per_workload_after_its_rounds(
+        monkeypatch):
+    bench_e2e = _load()
+    rounds = bench_e2e.ROUNDS
+    for checkouts in (("/change",), ("/change", "/parent")):
+        _, calls = _record(monkeypatch, bench_e2e, *checkouts)
+        untraced = 2 * len(checkouts) * rounds
+        assert len(calls) == untraced + 2 * len(checkouts)
+        assert all(trace == 0 for _, _, trace in calls[:untraced])
+        assert sorted(calls[untraced:]) == sorted(
+            (repo, w, 1) for repo in checkouts for w in ("w1", "w2"))
+        for repo in checkouts:
+            for w in ("w1", "w2"):
+                assert calls.count((repo, w, 0)) == rounds

@@ -198,12 +198,12 @@ def test_sector_frames_match_dense_all_generators(q, tn_max):
     assert rep.saturated
 
 
-def test_sector_frames_match_dense_alpha_alone():
+def test_alpha_alone_is_undecided():
     sp, gens, seed = _setup()
     assert _assert_undecided([gens[0]], seed, 6, UNREACHED)[3]  # shortfall
 
 
-def test_sector_frames_match_dense_alpha_beta():
+def test_alpha_with_beta_is_undecided():
     # alpha and beta both lower j by 1/2, so a word fixes j by its length
     # and the span falls short at every level past the ground
     sp, gens, seed = _setup()
@@ -211,7 +211,7 @@ def test_sector_frames_match_dense_alpha_beta():
                                  UNREACHED)[3]) == 6
 
 
-def test_sector_frames_match_dense_diagonal():
+def test_diagonal_dirac_is_not_a_band_operator():
     sp, gens, seed = _setup()
     D1 = dirac_family(D1_PARAMS, sp)
     assert _assert_undecided([D1], seed, 6, NOT_BAND)[0] == 1

@@ -297,6 +297,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "output directory" in err
 
 
+def test_cli_out_under_a_regular_file_is_an_io_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert main(["decompose", "--nmax", "4", "--q", "0.5",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count(str(out)) == 1
+
+
+def test_cli_report_file_that_is_a_directory_is_an_io_error(tmp_path,
+                                                            capsys):
+    (tmp_path / "report.json").mkdir()
+    assert main(["decompose", "--nmax", "4", "--q", "0.5",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path / "report.json") in err
+
+
 def test_cli_extreme_q_is_a_config_error(capsys):
     # [m] = (q^m - q^-m) / (q - 1/q) needs q^-m, beyond double range here
     assert main(["relations", "--nmax", "4", "--q", "1e-100"]) == 2
