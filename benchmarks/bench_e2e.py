@@ -20,9 +20,11 @@ payload hashes its runs reported, and the traced run's per-layer seconds
 (``layer_s``), its other per-layer numbers (``trace``) and its ``env``.  So
 a busy spell of the machine shows as spread rather than as a shifted
 number.  A pair record adds, per workload, ``wins`` (the rounds in which
-the change measured lower than the parent, per end-to-end metric) and
-``same_payload`` (whether both sides reported the same hashes), so one
-record shows both "same results" and "no regression".  Records from
+the change measured lower than the parent, per end-to-end metric),
+``resolved`` (per end-to-end metric, whether that is a gain: see
+:func:`resolved`) and ``same_payload`` (whether both sides reported the
+same hashes), so one record shows both "same results" and "no
+regression".  Records from
 different sessions of one machine differ by more than most changes do;
 only pairs run side by side resolve a change.
 
@@ -144,11 +146,23 @@ def record(repo, parent=None):
             sides["wins"] = {k: sum(b < a for a, b in zip(p["runs"][k],
                                                           c["runs"][k]))
                              for k in E2E}
+            sides["resolved"] = {k: resolved(p, c, sides["wins"][k], k)
+                                 for k in E2E}
             sides["same_payload"] = p["payload_sha256"] == c["payload_sha256"]
             line += (f", change won {sides['wins']['wall_s']}/{ROUNDS}, "
+                     f"resolved: {sides['resolved']['wall_s']}, "
                      f"same payload: {sides['same_payload']}")
         print(f"{w}: wall_s {line}", file=sys.stderr)
     return bench
+
+
+def resolved(parent, change, wins, metric):
+    """Whether the change's gain on ``metric`` is resolved: it won at least
+    nine tenths of the pairs, ties counting for neither, and its median is
+    below the parent's by more than the parent's quartile spread."""
+    q1, _, q3 = parent["quartiles"][metric]
+    return (10 * wins >= 9 * len(parent["runs"][metric])
+            and parent["median"][metric] - change["median"][metric] > q3 - q1)
 
 
 def side(runs, traced):

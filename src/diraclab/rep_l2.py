@@ -119,38 +119,37 @@ def pi_hat(w: tuple, space: TruncatedSpace, q: float,
 
     Symbols multiply left to right as operators (the rightmost acts first),
     the empty symbol tuple is the identity and the empty tuple of terms is
-    zero; an unknown symbol raises KeyError.  Assertions about the result
-    are only meaningful on interior vectors with margin = word length / 2:
-    a length-L word moves the level by at most L/2, so on that subset
-    truncation cannot contaminate the outcome.
+    zero; an unknown symbol raises KeyError.  A length-L word moves the
+    level by at most L/2, so only on interior(L/2) vectors is the result
+    free of truncation.  Each term is one product chain, built from its
+    last factor, and the word is one :meth:`SparseOp.from_coo` over every
+    term's entries times its weight: bit for bit the chained sum
+    ``t1 + t2.scale(w2) + ...``, which also sums each coordinate in term
+    order from 0.0 and drops only exact zeros.
 
-    ``right``, a set of column ordinals such as ``interior(space, 1)``,
-    gives ``w @ P`` for the projector P onto them, with each term's last
-    factor L cut to ``on_columns(L, right)`` first: bit for bit the same
-    operator, since each of its entries is the same sum in the same order,
-    from fewer products.  ``terms`` keeps each unscaled term by its
-    symbols, so that words evaluated with the same ``ops`` and ``right``
-    share their products.
+    ``right``, column ordinals such as ``interior(space, 1)``, gives
+    ``w @ P`` for the projector P onto them, bit for bit, with each term's
+    last factor cut to them first (:func:`on_columns`): the same sums from
+    fewer products.  ``terms`` keeps each unscaled term by its symbols, so
+    that words evaluated with the same ``ops`` and ``right`` share them.
     """
     if ops is None:
         ops = hat_generators(space, q)
     if terms is None:
         terms = {}
-    out = None
+    none = np.empty(0, np.int64)
+    parts = [(none, none, np.empty(0))]  # no entry: the empty word is 0
     for weight, syms in w:
         if syms not in terms:
             cur = ops[syms[-1]] if syms else SparseOp.identity(space)
             if right is not None:
                 cur = on_columns(cur, right)
-            if len(syms) > 1:
-                head = ops[syms[0]]
-                for s in syms[1:-1]:
-                    head = head @ ops[s]
-                cur = head @ cur
+            for s in reversed(syms[:-1]):
+                cur = ops[s] @ cur
             terms[syms] = cur
-        term = terms[syms] if weight == 1.0 else terms[syms].scale(weight)
-        out = term if out is None else out + term
-    return SparseOp.zero(space) if out is None else out
+        T = terms[syms]
+        parts.append((T.rows, T.cols, weight * T.vals))
+    return SparseOp.from_coo(space, space, *map(np.concatenate, zip(*parts)))
 
 
 def relation_words(q: float) -> dict:

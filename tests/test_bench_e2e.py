@@ -1,6 +1,7 @@
 """The performance-record script: its output directory, the alternating
-rounds of a parent/change pair, the one side summary that a lone checkout
-and each side of a pair share, and each checkout's bytecode prefix."""
+rounds of a parent/change pair and whether they resolve a gain, the one
+side summary that a lone checkout and each side of a pair share, and each
+checkout's bytecode prefix."""
 
 import importlib.util
 import json
@@ -99,6 +100,9 @@ def test_against_runs_alternating_pairs_and_counts_the_wins(monkeypatch):
     assert bench["tag"] == "ab-" + "p" * 12 + "-" + "c" * 12
     rec = bench["workloads"]["w1"]
     assert rec["wins"] == {"wall_s": 7, "setup_s": 0, "peak_rss_mb": 0}
+    # 7 wins of 10 resolve no gain, however far apart the medians
+    assert rec["resolved"] == {"wall_s": False, "setup_s": False,
+                               "peak_rss_mb": False}
     assert rec["parent"]["runs"]["wall_s"] == [1.0] * pairs
     assert rec["change"]["runs"]["wall_s"] \
         == [1.1 if n % 3 == 0 else 0.9 for n in range(1, pairs + 1)]
@@ -112,6 +116,41 @@ def test_against_runs_alternating_pairs_and_counts_the_wins(monkeypatch):
     rec = bench["workloads"]["w2"]
     assert rec["change"]["payload_sha256"] == ["h0", "h1"]
     assert rec["same_payload"] is False
+
+
+def test_a_gain_is_resolved_by_nine_tenths_of_wins_beyond_the_spread(
+        monkeypatch, capsys):
+    # the change runs 0.95 s in every pair; the parent runs 1.0 s in every
+    # pair on w1, but alternates 1.0 s and 1.4 s on w2, where its quartiles
+    # lie 0.4 s apart, more than the medians (1.2 s and 0.95 s) differ
+    bench_e2e = _load()
+    calls = []
+
+    def perfbench(repo, workload, trace, pycache):
+        if trace:
+            return _traced()
+        calls.append((repo, workload))
+        n = calls.count((repo, workload))
+        if repo == "/change":
+            return _env("h0"), _result(0.95, 0.2, 40.0)
+        slow = workload == "w2" and n % 2 == 0
+        return _env("h0"), _result(1.4 if slow else 1.0, 0.2, 40.0)
+
+    monkeypatch.setattr(bench_e2e, "perfbench", perfbench)
+    _stub_repo(monkeypatch, bench_e2e)
+    bench = bench_e2e.record("/change", "/parent")
+
+    w1, w2 = (bench["workloads"][w] for w in ("w1", "w2"))
+    assert w1["wins"]["wall_s"] == w2["wins"]["wall_s"] == bench_e2e.ROUNDS
+    assert w1["resolved"] == {"wall_s": True, "setup_s": False,
+                              "peak_rss_mb": False}  # ties are no wins
+    assert w2["parent"]["quartiles"]["wall_s"] == [1.0, 1.2, 1.4]
+    assert w2["resolved"]["wall_s"] is False
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["w1: wall_s 1.000 -> 0.950, change won 10/10, "
+                   "resolved: True, same payload: True",
+                   "w2: wall_s 1.200 -> 0.950, change won 10/10, "
+                   "resolved: False, same payload: True"]
 
 
 def test_against_writes_the_pair_record(tmp_path, monkeypatch, capsys):
@@ -198,7 +237,7 @@ def test_a_lone_side_has_the_keys_of_each_side_of_a_pair(monkeypatch):
     assert pair["tag"] == "ab-" + "p" * 12 + "-" + "c" * 12
     assert set(lone["workloads"]["w1"]) == {"change"}
     assert set(pair["workloads"]["w1"]) \
-        == {"parent", "change", "wins", "same_payload"}
+        == {"parent", "change", "wins", "resolved", "same_payload"}
     keys = set(lone["workloads"]["w1"]["change"])
     assert keys == {"runs", "median", "quartiles", "round_s", "failed",
                     "correct", "payload_sha256", "layer_s", "trace", "env"}

@@ -276,7 +276,7 @@ def test_same_target_candidates_are_decided_in_order():
 
 @pytest.mark.parametrize("names", [("alpha",), ("alpha", "alpha*")],
                          ids=["alpha", "alpha+alpha*"])
-def test_part_filled_sector_frames_match_dense(names):
+def test_i_equals_j_generators_leave_labels_unreached(names):
     # alpha (and alpha*) keep to the i = j sectors: most labels are never
     # reached, and the dense oracle reports the shortfall per level
     sp, gens, seed = _setup(tn_max=8)

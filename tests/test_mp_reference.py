@@ -9,14 +9,24 @@ band of the doubled space for pi', every label of L2 for the hatted pair.
 A transcription error shows as a relative error far above rounding; the
 error near q = 1 is cancellation in the q-numbers and in 1 - q^e, which
 shrinks only when the q-arithmetic changes.
+
+The same leaves give the generators at 50 digits as dict columns, and the
+five relations, written again here, are evaluated on the interior(1)
+columns: pi' meets them to about 1e-50, whatever the float code rounds,
+and the hatted defect norms are checked against the README's closed forms
+and pinned where those stop holding.  ``rep_l2.pi_hat``, which shares no
+code with this evaluation, must read the same hatted norms.
 """
+
+import math
 
 import mpmath
 import numpy as np
 import pytest
 
 from diraclab import rep_l2
-from diraclab.hilbert import enumerate_space
+from diraclab.hilbert import enumerate_space, interior
+from diraclab.linop import op_norm
 from diraclab.rep_double import a_minus, a_plus, b_minus, b_plus
 
 MP = mpmath.MPContext()
@@ -158,3 +168,168 @@ def test_leaves_near_q_one_lose_digits_to_cancellation(monkeypatch):
     q = 0.9999
     assert max(_pi_prime_errors(q).values()) < 1e-12
     assert _hat_errors(monkeypatch, q) < 1e-12
+
+
+# ------------------------------------------------ the relations at 50 digits
+
+def _hat_leaf(k):
+    """Entry k of :func:`_hat` as a 1x1 matrix, so that L2 is one band."""
+    return lambda n, i, j, q: [[_hat(n, i, j, q)[k]]]
+
+
+#: The raising-shift generator pairs: (up leaf, down leaf, twice (di, dj),
+#: sign, name of the adjoint), as the module docstrings display them.
+_MOVES = {
+    "Double": {"alpha*": (_a_plus, _a_minus, (1, 1), 1, "alpha"),
+               "beta": (_b_plus, _b_minus, (1, -1), -1, "beta*")},
+    "L2": {"alpha": (_hat_leaf(0), _hat_leaf(1), (-1, -1), 1, "alpha*"),
+           "beta": (_hat_leaf(2), _hat_leaf(3), (1, -1), 1, "beta*")},
+}
+
+
+def _generators(kind, tn_max, q):
+    """The space's labels (tn, ti, tj, band), band 0 throughout on L2, and
+    the four generators at 50 digits, each {column: {row: entry}} over
+    those labels.  Source band s feeds target band t the entry [t][s] of
+    the leaf at the source's (n, i, j); a target outside the labels is
+    dropped, as assembly drops it."""
+    space = enumerate_space(kind, tn_max)
+    band = np.zeros(space.dim, int) if space.band is None else space.band
+    labels = list(zip(*(a.tolist()
+                        for a in (space.tn, space.ti, space.tj, band))))
+    known = set(labels)
+    ops = {}
+    for gen, (up, down, (di, dj), sign, adj) in _MOVES[kind].items():
+        ops[gen], ops[adj] = ({c: {} for c in labels} for _ in range(2))
+        for tn, ti, tj, _ in filter(lambda c: c[3] == 0, labels):
+            n, i, j = (MP.mpf(t) / 2 for t in (tn, ti, tj))
+            for dn, leaf in ((1, up), (-1, down)):
+                M = leaf(n, i, j, MP.mpf(q))
+                for t in range(len(M)):
+                    for s in range(len(M)):
+                        src = (tn, ti, tj, s)
+                        dst = (tn + dn, ti + di, tj + dj, t)
+                        if src in known and dst in known and M[t][s] != 0:
+                            ops[gen][src][dst] = sign * M[t][s]
+                            ops[adj][dst][src] = sign * M[t][s]
+    return labels, ops
+
+
+def _relations(q):
+    """The five defining relations as (weight, symbols) terms, written
+    again here with weights at 50 digits."""
+    q = MP.mpf(q)
+    return {"unit_left": ((1, ("alpha*", "alpha")), (1, ("beta*", "beta")),
+                          (-1, ())),
+            "beta_normal": ((1, ("beta*", "beta")), (-1, ("beta", "beta*"))),
+            "unit_right": ((1, ("alpha", "alpha*")), (q * q, ("beta", "beta*")),
+                           (-1, ())),
+            "twist_beta": ((1, ("alpha", "beta")), (-q, ("beta", "alpha"))),
+            "twist_beta_star": ((1, ("alpha", "beta*")),
+                                (-q, ("beta*", "alpha")))}
+
+
+def _column(w, ops, c):
+    """The word applied to the basis vector c, as {row: entry}."""
+    out = {}
+    for weight, syms in w:
+        vec = {c: MP.one}
+        for s in reversed(syms):  # the rightmost symbol acts first
+            new = {}
+            for k, x in vec.items():
+                for r, y in ops[s][k].items():
+                    new[r] = new.get(r, MP.zero) + y * x
+            vec = new
+        for r, x in vec.items():
+            out[r] = out.get(r, MP.zero) + weight * x
+    return out
+
+
+def _defects(kind, tn_max, q):
+    """Each relation on the interior(1) columns, as {column: {row: entry}}:
+    a word of length 2 moves the level by at most 1, so truncation leaves
+    these columns alone."""
+    labels, ops = _generators(kind, tn_max, q)
+    inner = [c for c in labels if c[0] <= tn_max - 2]
+    return labels, {name: {c: _column(w, ops, c) for c in inner}
+                    for name, w in _relations(q).items()}
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.9999])
+def test_pi_prime_relations_hold_at_50_digits(q):
+    # the entries read 2.0e-51 to 1.1e-50 at q <= 0.9 and up to 1.1e-47
+    # at 0.9999: the displays are transcribed right, whatever the float
+    # code rounds
+    labels, defects = _defects("Double", TN_MAX, q)
+    assert len(labels) == 280 and all(len(d) == 110 for d in defects.values())
+    for name, cols in defects.items():
+        worst = max((abs(x) for col in cols.values() for x in col.values()),
+                    default=MP.zero)
+        assert worst < 1e-40, (name, mpmath.nstr(worst, 3))
+
+
+HAT_TN_MAX = 8  # where tests/test_rep_l2.py measures the hatted defects
+
+
+def _closed_forms(q):
+    """The README's closed-form hatted defect norms."""
+    r = math.sqrt(1 - q * q)
+    return {"unit_left": max(q ** 2 * (1 - q ** 2), q ** 4 * (1 - q ** 4)),
+            "unit_right": q ** 2,
+            "twist_beta": q ** 3 * r,
+            "twist_beta_star": q ** 3 * r,
+            "beta_normal": max(q ** 4 * (1 - q ** 2), q ** 6 * (1 - q ** 4))}
+
+
+#: The 50-digit defect norms past the crossover at q = 0.786, where the
+#: second terms of the two maxima win (0.8, 0.85), and at 0.9, where
+#: unit_left is q^6 (1 - q^6) and beta_normal q^8 (1 - q^6): boundary
+#: terms one level further up, which the table does not hold.
+PINNED = {
+    0.8: {"unit_left": 0.24182784, "beta_normal": 0.1547698176,
+          "unit_right": 0.64, "twist_beta": 0.3072, "twist_beta_star": 0.3072},
+    0.85: {"unit_left": 0.2495157249609375,
+           "beta_normal": 0.18027511128427734, "unit_right": 0.7225,
+           "twist_beta": 0.3235104180485344,
+           "twist_beta_star": 0.3235104180485344},
+    0.9: {"unit_left": 0.249011463519, "beta_normal": 0.20169928545039,
+          "unit_right": 0.81, "twist_beta": 0.3177637329841151,
+          "twist_beta_star": 0.3177637329841151},
+}
+
+
+def _hat_norms(q):
+    """Each hatted defect norm: the 50-digit defect rounded to floats, then
+    its largest singular value."""
+    labels, defects = _defects("L2", HAT_TN_MAX, q)
+    at = {c: k for k, c in enumerate(labels)}
+    norms = {}
+    for name, cols in defects.items():
+        D = np.zeros((len(labels), len(cols)))
+        for k, col in enumerate(cols.values()):
+            for r, x in col.items():
+                D[at[r], k] = float(x)
+        norms[name] = float(np.linalg.norm(D, 2))
+    return norms
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.8, 0.85, 0.9])
+def test_hat_defects_at_50_digits_and_pi_hat(q):
+    want = PINNED.get(q, _closed_forms(q))
+    got = _hat_norms(q)
+    space = enumerate_space("L2", HAT_TN_MAX)
+    inner = interior(space, 1)
+    for name, w in rep_l2.relation_words(q).items():
+        assert got[name] == pytest.approx(want[name], rel=0, abs=1e-12), name
+        assert op_norm(rep_l2.pi_hat(w, space, q, right=inner)) \
+            == pytest.approx(got[name], rel=0, abs=1e-12), name
+
+
+def test_the_closed_forms_hold_up_to_q_085():
+    for q, pinned in PINNED.items():
+        table = _closed_forms(q)
+        held = [name for name in pinned
+                if pinned[name] == pytest.approx(table[name], abs=1e-12)]
+        assert len(held) == (5 if q <= 0.85 else 3), q
+    assert PINNED[0.9]["unit_left"] > _closed_forms(0.9)["unit_left"]
+    assert PINNED[0.9]["beta_normal"] > _closed_forms(0.9)["beta_normal"]

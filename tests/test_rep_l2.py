@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diraclab.hilbert import enumerate_space, interior
-from diraclab.linop import interior_projector, op_norm
+from diraclab.linop import SparseOp, interior_projector, op_norm
 from diraclab.qnum import q_power
 from diraclab.rep_l2 import (
     D1_PARAMS,
@@ -196,6 +196,47 @@ def test_projected_words_are_the_word_then_the_projector(kind, q, nmax):
     # 9 distinct terms in the relations (beta* beta, beta beta* and the
     # identity each serve two) and 2 more in the last word
     assert len(terms) == 11
+
+
+def _chained(w, space, ops):
+    """The word as the chained sum t1 + t2.scale(w2) + ...: each term a
+    product from the left, each sum canonicalised on its own."""
+    out = SparseOp.zero(space)
+    for weight, syms in w:
+        term = SparseOp.identity(space)
+        for s in syms:
+            term = term @ ops[s]
+        out = out + term.scale(weight)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["L2", "Double"])
+@pytest.mark.parametrize("q", [0.3, 0.9])
+def test_pi_hat_is_the_chained_sum_bit_for_bit(kind, q):
+    """One canonicalisation of all the weighted terms gives the chained
+    sum's operator: the relations, a word whose terms cancel exactly, a
+    weight whose products underflow to 0 or to subnormals, and the empty
+    word."""
+    from diraclab.rep_double import pi_prime_generators
+
+    space = enumerate_space(kind, 8)
+    ops = (hat_generators if kind == "L2" else pi_prime_generators)(space, q)
+    words = dict(relation_words(q))
+    words["cancelled"] = ((1.0, ("beta",)), (-1.0, ("beta",)))
+    words["underflow"] = ((1e-320, ("alpha", "beta")),)
+    words["empty"] = ()
+    got = {name: pi_hat(w, space, q, ops=ops) for name, w in words.items()}
+    for name, w in words.items():
+        want = _chained(w, space, ops)
+        for attr in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(got[name], attr),
+                                  getattr(want, attr)), (name, attr)
+    assert got["cancelled"].nnz == got["empty"].nnz == 0
+    # every weighted product is subnormal, and some round to 0 (on L2 at
+    # q = 0.9 every entry of alpha beta exceeds 1e-3, so none does)
+    tiny, product = got["underflow"], ops["alpha"] @ ops["beta"]
+    assert tiny.nnz and np.all(np.abs(tiny.vals) < np.finfo(float).tiny)
+    assert (tiny.nnz < product.nnz) != ((kind, q) == ("L2", 0.9))
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
