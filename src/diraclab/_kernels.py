@@ -26,24 +26,17 @@ def power_iteration(*args, **kwargs):
     raise NotImplementedError("use spectral_norms")
 
 
-def _positions(lab, n_labels):
-    """(index of each node among the nodes of its label, count per label)."""
-    size = np.bincount(lab, minlength=n_labels)
-    order = np.argsort(lab, kind="stable")
-    start = np.cumsum(size) - size
-    pos = np.empty_like(order)
-    pos[order] = np.arange(len(lab)) - start[lab[order]]
-    return pos, size
-
-
 def _places(blk, idx, n_idx, n_blocks):
     """(place of each entry's index among its block's, count per block)."""
-    lab = np.full(n_idx, n_blocks)
+    lab = np.full(n_idx, n_blocks)  # the block of each index, or n_blocks
     lab[idx] = blk
     if not np.array_equal(lab[idx], blk):  # a column in several groups
         pair, idx = np.unique(blk * n_idx + idx, return_inverse=True)
         lab = pair // n_idx
-    pos, size = _positions(lab, n_blocks + 1)
+    size = np.bincount(lab, minlength=n_blocks + 1)
+    order = np.argsort(lab, kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(lab)) - (np.cumsum(size) - size)[lab[order]]
     return pos[idx], size[:n_blocks]
 
 

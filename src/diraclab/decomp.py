@@ -30,10 +30,10 @@ import numpy as np
 from ._kernels import spectral_norms
 from .hilbert import TruncatedSpace, enumerate_space
 from .linop import SparseOp, SpaceMismatchError
-from .qnum import q_power, validate_q
+from .qnum import q_power, sqrt0, validate_q
 from .rep_double import (_halves, _matrix, a_minus, a_plus, b_minus, b_plus,
                          dirac_D)
-from .rep_l2 import D1_PARAMS, D2_PARAMS, _sqrt0, dirac_family
+from .rep_l2 import D1_PARAMS, D2_PARAMS, dirac_family
 
 #: Generators whose defect the reduction step actually needs (the other two
 #: follow by adjoints).
@@ -236,7 +236,7 @@ def leading_form(kind: str, n, i, j, q: float) -> np.ndarray:
                          f"{tuple(_EXACT)}, got {kind!r}")
     q = validate_q(q)
     n, i, j = _halves(n, i, j)
-    s = lambda e: _sqrt0(1 - q_power(e, q))
+    s = lambda e: sqrt0(1 - q_power(e, q))
     if kind == "a+":
         return _matrix(s(2 * n + 2 * i + 2), s(2 * n + 2 * j + 3), 0.0,
                        0.0, s(2 * n + 2 * j + 1))

@@ -133,15 +133,15 @@ class VerificationReport(NamedTuple):
 # plot data by (generator, q)
 
 def _suite_relations(cfg: RunConfig, q: float, ops, plots: dict):
+    words = relation_words(q)
     for rep, (space, gens) in [("hat", ops("L2")), ("prime", ops("Double"))]:
         inner, terms = interior(space, 1), {}
-        words = list(relation_words(q).items())
-        for k, (name, w) in enumerate(words):
+        for name, w in words.items():
+            # keep only this word's products: relation_words puts the words
+            # that share a product next to each other
+            terms = {syms: terms[syms] for _, syms in w if syms in terms}
             defect = op_norm(pi_hat(w, space, q, ops=gens, right=inner,
                                     terms=terms))  # w on the inner columns
-            # keep only the products that a later word of this rep uses
-            later = {syms for _, v in words[k + 1:] for _, syms in v}
-            terms = {syms: T for syms, T in terms.items() if syms in later}
             yield (f"{rep}:{name}", {"defect": defect},
                    ("defect", "<=", RELATION_DEFECT_MAX))
 
@@ -233,10 +233,8 @@ def _suite_family(cfg: RunConfig, q: None, ops, plots: dict):
     dev1 = float(np.abs(d1 - np.where(top, tn + 1.0, -tn)).max())
     dev2 = float(np.abs(d2 - np.where(top, tn + 1.0, -(tn + 1.0))).max())
     # the eigenvalue must be a function of (n, j) alone: compare each entry
-    # with the first entry of its (n, j) class
-    _, first, cls = np.unique(np.column_stack([tn, tj]), axis=0,
-                              return_index=True, return_inverse=True)
-    weight_dev = float(np.abs(d1 - d1[first][cls.reshape(-1)]).max())
+    # with the first entry of its (n, j) class, the one at i = -n
+    weight_dev = float(np.abs(d1 - d1[l2.ordinals(tn, -tn, tj)]).max())
     try:
         DiracParams(0, 1.0, 0.0, 2.0, 1.0).validate()
         rejects = 0.0

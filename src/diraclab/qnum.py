@@ -2,9 +2,9 @@
 
 Every spin/weight label in this package is a half-integer stored by its
 doubled value, so index arithmetic stays exact and hashable.  All
-coefficient formulas funnel through :func:`q_number` and :func:`q_power`;
-:func:`q_number`, :func:`q_power` and :func:`twice` take numpy arrays of
-labels as well as single labels.
+coefficient formulas funnel through :func:`q_number`, :func:`q_power` and
+:func:`sqrt0`; :func:`q_number`, :func:`q_power` and :func:`twice` take
+numpy arrays of labels as well as single labels.
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ def q_power(e, q: float) -> float:
     gives an array."""
     q = validate_q(q)
     return _each_distinct(lambda ev: q ** ev, e)
+
+
+def sqrt0(x):
+    """sqrt clipped at zero (boundary factors may round to tiny negatives)."""
+    return np.sqrt(np.maximum(x, 0.0))
 
 
 def _each_distinct(f, x):

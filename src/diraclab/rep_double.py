@@ -33,8 +33,8 @@ import numpy as np
 
 from .hilbert import TruncatedSpace
 from .linop import SparseOp
-from .qnum import q_number, q_power, twice, validate_q
-from .rep_l2 import _band_op, _sqrt0
+from .qnum import q_number, q_power, sqrt0, twice, validate_q
+from .rep_l2 import _band_op
 
 
 #: Float semantics of the leaves over arrays, as for Python floats: every
@@ -78,10 +78,10 @@ def a_plus(n, i, j, q: float) -> np.ndarray:
     q = validate_q(q)
     n, i, j = _halves(n, i, j)
     qn = lambda m: q_number(m, q)
-    pref = q_power((i + j - 0.5) / 2.0, q) * _sqrt0(qn(n + i + 1))
-    uu = q_power(-n - 0.5, q) * _sqrt0(qn(n + j + 1.5)) / qn(2 * n + 2)
-    du = q ** 0.5 * _sqrt0(qn(n - j + 0.5)) / (qn(2 * n + 1) * qn(2 * n + 2))
-    dd = q_power(-n, q) * _sqrt0(qn(n + j + 0.5)) / qn(2 * n + 1)
+    pref = q_power((i + j - 0.5) / 2.0, q) * sqrt0(qn(n + i + 1))
+    uu = q_power(-n - 0.5, q) * sqrt0(qn(n + j + 1.5)) / qn(2 * n + 2)
+    du = q ** 0.5 * sqrt0(qn(n - j + 0.5)) / (qn(2 * n + 1) * qn(2 * n + 2))
+    dd = q_power(-n, q) * sqrt0(qn(n + j + 0.5)) / qn(2 * n + 1)
     return _matrix(pref, uu, 0.0, du, dd)
 
 
@@ -100,10 +100,10 @@ def a_minus(n, i, j, q: float) -> np.ndarray:
     q = validate_q(q)
     n, i, j = _halves(n, i, j)
     qn = lambda m: q_number(m, q)
-    pref = q_power((i + j - 0.5) / 2.0, q) * _sqrt0(qn(n - i))
-    uu = q_power(n + 1, q) * _sqrt0(qn(n - j + 0.5)) / qn(2 * n + 1)
-    ud = -q ** 0.5 * _sqrt0(qn(n + j + 0.5)) / (qn(2 * n) * qn(2 * n + 1))
-    dd = q_power(n + 0.5, q) * _sqrt0(qn(n - j - 0.5)) / qn(2 * n)
+    pref = q_power((i + j - 0.5) / 2.0, q) * sqrt0(qn(n - i))
+    uu = q_power(n + 1, q) * sqrt0(qn(n - j + 0.5)) / qn(2 * n + 1)
+    ud = -q ** 0.5 * sqrt0(qn(n + j + 0.5)) / (qn(2 * n) * qn(2 * n + 1))
+    dd = q_power(n + 0.5, q) * sqrt0(qn(n - j - 0.5)) / qn(2 * n)
     return _matrix(pref, uu, ud, 0.0, dd)
 
 
@@ -120,10 +120,10 @@ def b_plus(n, i, j, q: float) -> np.ndarray:
     q = validate_q(q)
     n, i, j = _halves(n, i, j)
     qn = lambda m: q_number(m, q)
-    pref = q_power((i + j - 0.5) / 2.0, q) * _sqrt0(qn(n + i + 1))
-    uu = _sqrt0(qn(n - j + 1.5)) / qn(2 * n + 2)
-    du = -q_power(-n - 1, q) * _sqrt0(qn(n + j + 0.5)) / (qn(2 * n + 1) * qn(2 * n + 2))
-    dd = q ** (-0.5) * _sqrt0(qn(n - j + 0.5)) / qn(2 * n + 1)
+    pref = q_power((i + j - 0.5) / 2.0, q) * sqrt0(qn(n + i + 1))
+    uu = sqrt0(qn(n - j + 1.5)) / qn(2 * n + 2)
+    du = -q_power(-n - 1, q) * sqrt0(qn(n + j + 0.5)) / (qn(2 * n + 1) * qn(2 * n + 2))
+    dd = q ** (-0.5) * sqrt0(qn(n - j + 0.5)) / qn(2 * n + 1)
     return _matrix(pref, uu, 0.0, du, dd)
 
 
@@ -140,10 +140,10 @@ def b_minus(n, i, j, q: float) -> np.ndarray:
     q = validate_q(q)
     n, i, j = _halves(n, i, j)
     qn = lambda m: q_number(m, q)
-    pref = q_power((i + j - 0.5) / 2.0, q) * _sqrt0(qn(n - i))
-    uu = -q ** (-0.5) * _sqrt0(qn(n + j + 0.5)) / qn(2 * n + 1)
-    ud = -q_power(n, q) * _sqrt0(qn(n - j + 0.5)) / (qn(2 * n) * qn(2 * n + 1))
-    dd = -_sqrt0(qn(n + j - 0.5)) / qn(2 * n)
+    pref = q_power((i + j - 0.5) / 2.0, q) * sqrt0(qn(n - i))
+    uu = -q ** (-0.5) * sqrt0(qn(n + j + 0.5)) / qn(2 * n + 1)
+    ud = -q_power(n, q) * sqrt0(qn(n - j + 0.5)) / (qn(2 * n) * qn(2 * n + 1))
+    dd = -sqrt0(qn(n + j - 0.5)) / qn(2 * n)
     return _matrix(pref, uu, ud, 0.0, dd)
 
 

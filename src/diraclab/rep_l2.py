@@ -33,14 +33,9 @@ import numpy as np
 
 from .hilbert import TruncatedSpace
 from .linop import SparseOp, on_columns
-from .qnum import q_power, validate_q
+from .qnum import q_power, sqrt0, validate_q
 
 GENERATORS = ("alpha", "alpha*", "beta", "beta*")
-
-
-def _sqrt0(x):
-    """sqrt clipped at zero (boundary factors may round to tiny negatives)."""
-    return np.sqrt(np.maximum(x, 0.0))
 
 
 def _band_op(space, shift, up, down, sign=1.0) -> SparseOp:
@@ -82,8 +77,8 @@ def alpha_hat(space: TruncatedSpace, q: float) -> SparseOp:
     return _band_op(
         space, (-1, -1),
         lambda n, i, j: q_power(2 * n + i + j + 1, q),
-        lambda n, i, j: (_sqrt0(1 - q_power(2 * n + 2 * i, q))
-                         * _sqrt0(1 - q_power(2 * n + 2 * j, q))))
+        lambda n, i, j: (sqrt0(1 - q_power(2 * n + 2 * i, q))
+                         * sqrt0(1 - q_power(2 * n + 2 * j, q))))
 
 
 def beta_hat(space: TruncatedSpace, q: float) -> SparseOp:
@@ -93,9 +88,9 @@ def beta_hat(space: TruncatedSpace, q: float) -> SparseOp:
     return _band_op(
         space, (+1, -1),
         lambda n, i, j: (-q_power(n + j, q)
-                         * _sqrt0(1 - q_power(2 * n + 2 * i + 2, q))),
+                         * sqrt0(1 - q_power(2 * n + 2 * i + 2, q))),
         lambda n, i, j: (q_power(n + i, q)
-                         * _sqrt0(1 - q_power(2 * n + 2 * j, q))))
+                         * sqrt0(1 - q_power(2 * n + 2 * j, q))))
 
 
 def _check_l2(space):
@@ -162,8 +157,8 @@ def relation_words(q: float) -> dict:
     twist_beta_star  alpha beta* - q beta* alpha
 
     In this order each product two words share (beta* beta, beta beta*)
-    is used by consecutive words, so an evaluation that keeps products
-    for later words (``pi_hat(..., terms=...)``) keeps each one briefly.
+    is used by consecutive words, so an evaluation that keeps only the
+    current word's products (``pi_hat(..., terms=...)``) builds each once.
     """
     q = validate_q(q)
     return {

@@ -70,6 +70,28 @@ def test_relations_suite_emits_exactly_ten_reports_per_q():
             assert r.metrics["defect"] > 1e-3
 
 
+def test_relation_cells_are_the_words_evaluated_alone():
+    """Each relations cell, bit for bit, is its word's norm on interior(1)
+    evaluated with no product shared from another word."""
+    from diraclab.hilbert import enumerate_space, interior
+    from diraclab.linop import op_norm
+    from diraclab.rep_double import pi_prime_generators
+    from diraclab.rep_l2 import hat_generators, pi_hat, relation_words
+
+    q = 0.3
+    got = {r.label: r.metrics["defect"].hex() for r in
+           run(RunConfig(q=(q,), n_max=8, suites=("relations",)))}
+    want = {}
+    for rep, kind, build in (("hat", "L2", hat_generators),
+                             ("prime", "Double", pi_prime_generators)):
+        space = enumerate_space(kind, 8)
+        gens = build(space, q)
+        for name, w in relation_words(q).items():
+            want[f"{rep}:{name}"] = op_norm(pi_hat(
+                w, space, q, ops=gens, right=interior(space, 1))).hex()
+    assert got == want
+
+
 def test_decompose_suite_one_exact_cell_per_q():
     reports = run(_cfg(suites=("decompose",), q=(0.3, 0.5), n_max=4))
     assert len(reports) == 2

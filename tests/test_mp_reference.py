@@ -16,8 +16,15 @@ columns: pi' meets them to about 1e-50, whatever the float code rounds,
 and the hatted defect norms are checked against the README's closed forms
 and pinned where those stop holding.  ``rep_l2.pi_hat``, which shares no
 code with this evaluation, must read the same hatted norms.
+
+The regular representation pi, which the package does not build yet, is
+written here from Woronowicz's Clebsch-Gordan coefficients in this
+package's conventions, and meets the relations to about 1e-50 as well;
+without the factor of its b- that vanishes at the weight boundary it
+fails them, as the hatted pair does.
 """
 
+import functools
 import math
 
 import mpmath
@@ -114,6 +121,35 @@ def _hat(n, i, j, q):
             q ** (n + i) * _s(1 - q ** (2 * n + 2 * j)))
 
 
+def _se(e, q):
+    """s(e) = (1 - q^e)^(1/2), as the coefficients of pi write it."""
+    return _s(1 - q ** e)
+
+
+def _regular(n, i, j, q, edge=True):
+    """pi(alpha) up and down, pi(beta) up and down:
+
+        a+ =  q^(2n+i+j+1) s(2n-2i+2) s(2n-2j+2) / (s(4n+2) s(4n+4))
+        a- =               s(2n+2i)   s(2n+2j)   / (s(4n)   s(4n+2))
+        b+ = -q^(n+j)      s(2n+2i+2) s(2n-2j+2) / (s(4n+2) s(4n+4))
+        b- =  q^(n+i)      s(2n+2j)   s(2n-2i)   / (s(4n)   s(4n+2))
+
+    a- and b- have no target at n = 0, where s(4n) = 0: they are 0 there.
+    ``edge=False`` leaves out the factor s(2n-2i) of b-, which vanishes at
+    the weight boundary i = n and which the hatted pair lacks."""
+    up = _se(4 * n + 2, q) * _se(4 * n + 4, q)
+    a_up = (q ** (2 * n + i + j + 1) * _se(2 * n - 2 * i + 2, q)
+            * _se(2 * n - 2 * j + 2, q) / up)
+    b_up = (-q ** (n + j) * _se(2 * n + 2 * i + 2, q)
+            * _se(2 * n - 2 * j + 2, q) / up)
+    if n == 0:
+        return a_up, MP.zero, b_up, MP.zero
+    down = _se(4 * n, q) * _se(4 * n + 2, q)
+    return (a_up, _se(2 * n + 2 * i, q) * _se(2 * n + 2 * j, q) / down,
+            b_up, q ** (n + i) * _se(2 * n + 2 * j, q)
+            * (_se(2 * n - 2 * i, q) if edge else 1) / down)
+
+
 def _reference(leaf, kind, q):
     """The reference entries of ``leaf`` at every label, flattened."""
     qm = MP.mpf(q)  # the double itself, exactly
@@ -172,34 +208,41 @@ def test_leaves_near_q_one_lose_digits_to_cancellation(monkeypatch):
 
 # ------------------------------------------------ the relations at 50 digits
 
-def _hat_leaf(k):
-    """Entry k of :func:`_hat` as a 1x1 matrix, so that L2 is one band."""
-    return lambda n, i, j, q: [[_hat(n, i, j, q)[k]]]
+def _l2_moves(f):
+    """alpha and beta on L2 from f(n, i, j, q) = (alpha up, alpha down,
+    beta up, beta down), each entry as a 1x1 matrix: L2 is one band."""
+    def leaf(k):
+        return lambda n, i, j, q: [[f(n, i, j, q)[k]]]
+    return {"alpha": (leaf(0), leaf(1), (-1, -1), 1, "alpha*"),
+            "beta": (leaf(2), leaf(3), (1, -1), 1, "beta*")}
 
 
-#: The raising-shift generator pairs: (up leaf, down leaf, twice (di, dj),
-#: sign, name of the adjoint), as the module docstrings display them.
-_MOVES = {
-    "Double": {"alpha*": (_a_plus, _a_minus, (1, 1), 1, "alpha"),
-               "beta": (_b_plus, _b_minus, (1, -1), -1, "beta*")},
-    "L2": {"alpha": (_hat_leaf(0), _hat_leaf(1), (-1, -1), 1, "alpha*"),
-           "beta": (_hat_leaf(2), _hat_leaf(3), (1, -1), 1, "beta*")},
+#: Each representation's space kind and raising-shift generator pairs:
+#: (up leaf, down leaf, twice (di, dj), sign, name of the adjoint), as the
+#: module docstrings display them.
+_REPS = {
+    "prime": ("Double", {"alpha*": (_a_plus, _a_minus, (1, 1), 1, "alpha"),
+                         "beta": (_b_plus, _b_minus, (1, -1), -1, "beta*")}),
+    "hat": ("L2", _l2_moves(_hat)),
+    "regular": ("L2", _l2_moves(_regular)),
 }
 
 
-def _generators(kind, tn_max, q):
-    """The space's labels (tn, ti, tj, band), band 0 throughout on L2, and
-    the four generators at 50 digits, each {column: {row: entry}} over
-    those labels.  Source band s feeds target band t the entry [t][s] of
-    the leaf at the source's (n, i, j); a target outside the labels is
-    dropped, as assembly drops it."""
+def _generators(rep, tn_max, q):
+    """The labels (tn, ti, tj, band) of the space of ``rep``, a (kind,
+    moves) pair of :data:`_REPS`, band 0 throughout on L2, and the four
+    generators at 50 digits, each {column: {row: entry}} over those labels.
+    Source band s feeds target band t the entry [t][s] of the leaf at the
+    source's (n, i, j); a target outside the labels is dropped, as assembly
+    drops it."""
+    kind, moves = rep
     space = enumerate_space(kind, tn_max)
     band = np.zeros(space.dim, int) if space.band is None else space.band
     labels = list(zip(*(a.tolist()
                         for a in (space.tn, space.ti, space.tj, band))))
     known = set(labels)
     ops = {}
-    for gen, (up, down, (di, dj), sign, adj) in _MOVES[kind].items():
+    for gen, (up, down, (di, dj), sign, adj) in moves.items():
         ops[gen], ops[adj] = ({c: {} for c in labels} for _ in range(2))
         for tn, ti, tj, _ in filter(lambda c: c[3] == 0, labels):
             n, i, j = (MP.mpf(t) / 2 for t in (tn, ti, tj))
@@ -245,14 +288,20 @@ def _column(w, ops, c):
     return out
 
 
-def _defects(kind, tn_max, q):
+def _defects(rep, tn_max, q):
     """Each relation on the interior(1) columns, as {column: {row: entry}}:
     a word of length 2 moves the level by at most 1, so truncation leaves
     these columns alone."""
-    labels, ops = _generators(kind, tn_max, q)
+    labels, ops = _generators(rep, tn_max, q)
     inner = [c for c in labels if c[0] <= tn_max - 2]
     return labels, {name: {c: _column(w, ops, c) for c in inner}
                     for name, w in _relations(q).items()}
+
+
+def _worst(cols):
+    """The largest absolute entry of {column: {row: entry}}."""
+    return max((abs(x) for col in cols.values() for x in col.values()),
+               default=MP.zero)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.9999])
@@ -260,12 +309,30 @@ def test_pi_prime_relations_hold_at_50_digits(q):
     # the entries read 2.0e-51 to 1.1e-50 at q <= 0.9 and up to 1.1e-47
     # at 0.9999: the displays are transcribed right, whatever the float
     # code rounds
-    labels, defects = _defects("Double", TN_MAX, q)
+    labels, defects = _defects(_REPS["prime"], TN_MAX, q)
     assert len(labels) == 280 and all(len(d) == 110 for d in defects.values())
     for name, cols in defects.items():
-        worst = max((abs(x) for col in cols.values() for x in col.values()),
-                    default=MP.zero)
+        worst = _worst(cols)
         assert worst < 1e-40, (name, mpmath.nstr(worst, 3))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.9])
+def test_regular_relations_hold_at_50_digits(q):
+    # the entries read 1.6e-51 to 5.4e-51 at both q
+    labels, defects = _defects(_REPS["regular"], TN_MAX, q)
+    assert len(labels) == 140 and all(len(d) == 55 for d in defects.values())
+    for name, cols in defects.items():
+        worst = _worst(cols)
+        assert worst < 1e-40, (name, mpmath.nstr(worst, 3))
+
+
+def test_regular_relations_fail_without_the_edge_factor_of_b_minus():
+    # the control for the test above: the same evaluation must see a b-
+    # that is wrong only on the weight boundary i = n (the worst entries
+    # read 8.2e-3 to 9.1e-2)
+    rep = ("L2", _l2_moves(functools.partial(_regular, edge=False)))
+    _, defects = _defects(rep, TN_MAX, 0.3)
+    assert max(_worst(cols) for cols in defects.values()) > 1e-3
 
 
 HAT_TN_MAX = 8  # where tests/test_rep_l2.py measures the hatted defects
@@ -301,7 +368,7 @@ PINNED = {
 def _hat_norms(q):
     """Each hatted defect norm: the 50-digit defect rounded to floats, then
     its largest singular value."""
-    labels, defects = _defects("L2", HAT_TN_MAX, q)
+    labels, defects = _defects(_REPS["hat"], HAT_TN_MAX, q)
     at = {c: k for k, c in enumerate(labels)}
     norms = {}
     for name, cols in defects.items():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from diraclab.qnum import label_text, q_number, q_power, twice, validate_q
+from diraclab.qnum import (label_text, q_number, q_power, sqrt0, twice,
+                           validate_q)
 
 
 def test_label_text():
@@ -11,6 +12,13 @@ def test_label_text():
     for t, text in ((3, "3/2"), (4, "2"), (0, "0"), (-1, "-1/2"), (-2, "-1")):
         assert label_text(t) == text
     assert label_text(np.int64(5)) == "5/2"
+
+
+def test_sqrt0_clips_rounding_below_zero():
+    # 1 - q^e can round to a tiny negative where it should be 0
+    assert sqrt0(-1e-17) == 0.0 and sqrt0(0.25) == 0.5
+    np.testing.assert_array_equal(sqrt0(np.array([-0.0, -1e-300, 4.0])),
+                                  [0.0, 0.0, 2.0])
 
 
 def test_validate_q():

@@ -309,6 +309,24 @@ def test_relation_words_shape():
     assert all(max(len(syms) for _, syms in w) == 2 for w in rel.values())
 
 
+@pytest.mark.parametrize("q", [0.3, 0.9])
+def test_relation_words_put_each_shared_product_in_consecutive_words(q):
+    """The relations suite keeps, before each word, only that word's
+    products; so a product two words share must serve a run of
+    consecutive words.  The identity, which unit_left and unit_right share,
+    is no product of generators, and the suite builds it again."""
+    words = list(relation_words(q).values())
+    used = {}
+    for k, w in enumerate(words):
+        for _, syms in w:
+            used.setdefault(syms, []).append(k)
+    shared = {syms: ks for syms, ks in used.items() if syms and len(ks) > 1}
+    assert set(shared) == {("beta*", "beta"), ("beta", "beta*")}
+    for syms, ks in shared.items():
+        assert ks == list(range(ks[0], ks[-1] + 1)), (syms, ks)
+    assert used[()] == [0, 2]
+
+
 def test_dirac_family_tables():
     sp = enumerate_space("L2", 6)
     D1 = dirac_family(D1_PARAMS, sp)
