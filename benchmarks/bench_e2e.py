@@ -62,6 +62,10 @@ SECONDS = 8.0
 ROUNDS = 10  # untraced perfbench runs of each checkout per workload
 E2E = ("wall_s", "setup_s", "peak_rss_mb")
 PYCACHE = "fresh per checkout, written"  # PYTHONPYCACHEPREFIX, in the config
+# least median peak_rss_mb gain that resolves: over five A/A records the
+# two sides' medians differed by up to 0.12 MB, and a pair whose change
+# left a workload's path alone read 0.1 MB less in 10 of 10 rounds
+RSS_FLOOR_MB = 0.5
 
 
 def git(repo, *args):
@@ -159,10 +163,13 @@ def record(repo, parent=None):
 def resolved(parent, change, wins, metric):
     """Whether the change's gain on ``metric`` is resolved: it won at least
     nine tenths of the pairs, ties counting for neither, and its median is
-    below the parent's by more than the parent's quartile spread."""
+    below the parent's by more than the parent's quartile spread, and on
+    ``peak_rss_mb`` by more than ``RSS_FLOOR_MB`` too."""
     q1, _, q3 = parent["quartiles"][metric]
+    gain = parent["median"][metric] - change["median"][metric]
+    floor = RSS_FLOOR_MB if metric == "peak_rss_mb" else 0.0
     return (10 * wins >= 9 * len(parent["runs"][metric])
-            and parent["median"][metric] - change["median"][metric] > q3 - q1)
+            and gain > max(q3 - q1, floor))
 
 
 def side(runs, traced):

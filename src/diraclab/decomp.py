@@ -152,9 +152,9 @@ def decay_fit(levels, norms) -> DecayFit:
     Levels whose norm is <= NORM_FLOOR are censored (log of numerical zero);
     at least three uncensored points are required.
     """
-    lev = tuple(levels)
+    lev = np.asarray(levels)
     arr = np.asarray(norms, dtype=float)
-    if len(lev) != arr.size:
+    if lev.size != arr.size:
         raise ValueError("decay_fit: levels and norms must have equal length")
     mask = arr > NORM_FLOOR
     kept = int(mask.sum())
@@ -162,14 +162,13 @@ def decay_fit(levels, norms) -> DecayFit:
         raise ValueError(
             f"decay_fit: only {kept} of {arr.size} levels exceed the floor "
             f"{NORM_FLOOR:g}; need >= 3 for a slope estimate")
-    x = np.array([tn / 2 for tn, m in zip(lev, mask) if m])
+    x = lev[mask] / 2
     y = np.log(arr[mask])
     A = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
-    return DecayFit(tuple(tn for tn, m in zip(lev, mask) if m),
-                    tuple(arr[mask]), float(-coef[0]), resid,
-                    int((~mask).sum()))
+    return DecayFit(tuple(lev[mask].tolist()), tuple(arr[mask]),
+                    float(-coef[0]), resid, arr.size - kept)
 
 
 def level_block_norms(T: SparseOp):
@@ -193,11 +192,11 @@ class KqDecay(NamedTuple):
 
 def _level_fit(gen: str, q: float, T: SparseOp) -> KqDecay:
     # the fit window is n in [2, n_max - 1]: the first few levels are
-    # pre-asymptotic and the last can feel the truncation edge
+    # pre-asymptotic and the last can feel the truncation edge; the
+    # levels are 0..n_max in order, so the window is a slice
     n_max = T.cod.n_max
     levels, norms = level_block_norms(T)
-    sel = [(tn, v) for tn, v in zip(levels, norms) if 4 <= tn <= n_max - 2]
-    fit = decay_fit([l for l, _ in sel], [v for _, v in sel])
+    fit = decay_fit(levels[4:n_max - 1], norms[4:n_max - 1])
     return KqDecay(gen, q, n_max, levels, norms, fit,
                    fit.gamma_hat / math.log(1.0 / q))
 

@@ -37,9 +37,9 @@ from . import __version__ as _pkg_version
 from .covariant import cyclic_dimension
 from .decomp import (KQ_GENERATORS, asymptotic_scan, check_dirac_intertwine,
                      control_decay, kq_decay)
-from .hilbert import enumerate_space, interior
+from .hilbert import check_n_max, enumerate_space, interior
 from .linop import commutator, on_columns, op_norm
-from .qnum import label_text
+from .qnum import label_text, validate_q
 from .rep_double import dirac_D, pi_prime_generators
 from .rep_l2 import (D1_PARAMS, D2_PARAMS, DiracParams, dirac_family,
                      hat_generators, pi_hat, relation_words)
@@ -59,6 +59,15 @@ KQ_CONTROL_MAX = 0.5
 ASYMPTOTIC_ENVELOPE_MAX = 10.0
 COMMUTATOR_CHANGE_PCT_MAX = 5.0
 
+#: each suite's least n_max (twice-valued) and why; a suite absent here
+#: runs at any n_max
+MIN_N_MAX = {
+    "relations": (2, "measures defects on the interior of n_max - 1"),
+    "kq-decay": (8, "fits at least three levels n in [2, n_max - 1]"),
+    "commutators": (6, "compares n_max against the interior of n_max - 2"),
+    "minimality": (1, "gates the depth-1 span at level 1/2"),
+}
+
 _PLOT_GEN_NAME = {"alpha*": "alphastar", "beta": "beta"}
 
 
@@ -72,23 +81,14 @@ class RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
-    """Normalize and check a RunConfig; each defect has a distinct message."""
-    qs = tuple(float(v) for v in cfg.q)
+    """Normalize and check a RunConfig; each defect has a distinct message.
+    Each q's rule is ``validate_q``'s and n_max's is ``check_n_max``'s."""
+    qs = tuple(validate_q(v) for v in cfg.q)
     if not qs:
         raise ValueError("config: need at least one q value")
-    for v in qs:
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"config: q values must lie in (0, 1), got {v}")
     if len(set(qs)) < len(qs):
         raise ValueError(f"config: q values must be distinct, got {qs}")
-    n_max = cfg.n_max
-    if not isinstance(n_max, (int, np.integer)):
-        raise ValueError("config: n_max is twice the top level and must be "
-                         f"an int, got {n_max!r}")
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("config: n_max must be >= 0, got "
-                         f"{label_text(n_max)}")
+    n_max = check_n_max(cfg.n_max)
     suites = tuple(cfg.suites)
     if not suites:
         raise ValueError("config: need at least one suite")
@@ -97,19 +97,10 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             raise ValueError(f"config: unknown suite {s!r} "
                              f"(expected a subset of {SUITES})")
     suites = tuple(s for s in SUITES if s in suites)  # canonical order
-    if "relations" in suites and n_max < 2:
-        raise ValueError("config: the relations suite measures defects on "
-                         "the interior of n_max - 1 and needs n_max >= 1")
-    if "kq-decay" in suites and n_max < 8:
-        raise ValueError("config: the kq-decay suite fits levels n in "
-                         "[2, n_max - 1], at least three, and needs n_max >= 4")
-    if "commutators" in suites and n_max < 6:
-        raise ValueError("config: the commutators suite compares n_max "
-                         "against the interior of n_max - 2 and needs "
-                         "n_max >= 3")
-    if "minimality" in suites and n_max < 1:
-        raise ValueError("config: the minimality suite needs n_max >= 1/2 "
-                         "for its depth-1 oracle")
+    for s, (least, why) in MIN_N_MAX.items():
+        if s in suites and n_max < least:
+            raise ValueError(f"config: the {s} suite {why} and needs "
+                             f"n_max >= {label_text(least)}")
     if cfg.emit_plot and cfg.out_dir is None:
         raise ValueError("config: plot emission needs an output directory")
     return RunConfig(qs, n_max, suites, cfg.out_dir, bool(cfg.emit_plot))

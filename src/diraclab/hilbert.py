@@ -102,6 +102,18 @@ class TruncatedSpace:
         return np.arange(self.start(tn), self.start(tn + 1))
 
 
+def check_n_max(n_max) -> int:
+    """n_max as an int: twice the top level, >= 0.  A float is no n_max,
+    nor is a bool, though Python counts ``True`` as the int 1."""
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
+        raise ValueError("n_max is twice the top level and must be an "
+                         f"int, got {n_max!r}")
+    n_max = int(n_max)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {label_text(n_max)}")
+    return n_max
+
+
 def enumerate_space(kind: str, n_max: int) -> TruncatedSpace:
     """Enumerate the truncated basis of kind "L2" or "Double" up to
     twice-level n_max, an int (``enumerate_space("L2", 3)`` stops at n = 3/2).
@@ -109,12 +121,7 @@ def enumerate_space(kind: str, n_max: int) -> TruncatedSpace:
     The total order is canonical (sorted by n, then band, then i, then j)
     so that assembled matrices are reproducible bit-for-bit across runs.
     """
-    if not isinstance(n_max, (int, np.integer)):
-        raise ValueError("n_max is twice the top level and must be an "
-                         f"int, got {n_max!r}")
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {label_text(n_max)}")
+    n_max = check_n_max(n_max)
     if kind not in ("L2", "Double"):
         raise ValueError(f"unknown space kind {kind!r} "
                          "(expected 'L2' or 'Double')")

@@ -153,6 +153,30 @@ def test_a_gain_is_resolved_by_nine_tenths_of_wins_beyond_the_spread(
                    "resolved: False, same payload: True"]
 
 
+def test_a_peak_rss_gain_resolves_only_above_the_floor(monkeypatch):
+    # the change wins every pair on peak_rss_mb, by 0.1 MB on w1 and 2 MB on
+    # w2; the parent's quartiles are 0 MB apart, so the floor decides
+    bench_e2e = _load()
+
+    def perfbench(repo, workload, trace, pycache):
+        if trace:
+            return _traced()
+        rss = 40.0 if repo == "/parent" else 39.9 if workload == "w1" else 38.0
+        return _env("h0"), _result(1.0, 0.2, rss)
+
+    monkeypatch.setattr(bench_e2e, "perfbench", perfbench)
+    _stub_repo(monkeypatch, bench_e2e)
+    bench = bench_e2e.record("/change", "/parent")
+
+    assert bench_e2e.RSS_FLOOR_MB == 0.5
+    w1, w2 = (bench["workloads"][w] for w in ("w1", "w2"))
+    assert w1["wins"]["peak_rss_mb"] == w2["wins"]["peak_rss_mb"] \
+        == bench_e2e.ROUNDS
+    assert w1["parent"]["quartiles"]["peak_rss_mb"] == [40.0, 40.0, 40.0]
+    assert w1["resolved"]["peak_rss_mb"] is False
+    assert w2["resolved"]["peak_rss_mb"] is True
+
+
 def test_against_writes_the_pair_record(tmp_path, monkeypatch, capsys):
     bench_e2e = _load()
     seen = []

@@ -234,6 +234,17 @@ def test_decay_fit_censoring_and_errors():
     assert len(fit.levels) == 3
 
 
+@pytest.mark.parametrize("n_max, window", [(8, (4, 5, 6)),
+                                           (9, (4, 5, 6, 7))])
+def test_kq_fit_window_runs_from_level_2_to_n_max_minus_1(n_max, window):
+    # twice-levels 4..n_max - 2, both ends included, as plain ints
+    out = kq_decay("beta", *_gens(n_max), Q)
+    assert out.levels == tuple(range(n_max + 1))
+    assert out.fit.levels == window
+    assert all(type(tn) is int for tn in out.fit.levels)
+    assert out.fit.norms == tuple(out.norms[4:n_max - 1])
+
+
 @pytest.mark.parametrize("gen", KQ_GENERATORS)
 def test_kq_decay_certifies_rate(gen):
     hat, prime, U = _gens(12)

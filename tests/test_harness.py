@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import time
 
@@ -8,6 +9,7 @@ from diraclab.cli import build_parser, main
 from diraclab.harness import (
     CSV_HEADER,
     DEFAULT_N_MAX,
+    MIN_N_MAX,
     RunConfig,
     SUITES,
     csv_lines,
@@ -27,11 +29,13 @@ def _cfg(**kw):
 def test_validate_config_distinct_errors():
     cases = [
         (dict(q=()), "at least one q"),
-        (dict(q=(1.5,)), "lie in (0, 1)"),
+        (dict(q=(1.5,)), "must be in (0, 1)"),
         (dict(q=(0.5, 0.3, 0.5)), "must be distinct"),
         (dict(n_max=-2), "n_max must be >= 0"),
         (dict(n_max=16.5), "n_max is twice the top level and must be an int"),
         (dict(n_max=2.0), "n_max is twice the top level and must be an int"),
+        # bool subclasses int, but True is no n_max = 1/2
+        (dict(n_max=True), "n_max is twice the top level and must be an int"),
         (dict(suites=()), "at least one suite"),
         (dict(suites=("nonesuch",)), "unknown suite"),
         (dict(suites=("relations",), n_max=1), "needs n_max >= 1"),
@@ -44,6 +48,19 @@ def test_validate_config_distinct_errors():
         with pytest.raises(ValueError) as exc:
             validate_config(_cfg(**kw))
         assert fragment in str(exc.value), kw
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_each_suite_runs_at_its_least_n_max_and_no_lower(suite):
+    least = MIN_N_MAX[suite][0] if suite in MIN_N_MAX else 0
+    assert (suite in MIN_N_MAX) == (suite not in ("decompose", "asymptotics",
+                                                  "family"))
+    reports = run(_cfg(n_max=least, suites=(suite,)))
+    assert reports
+    assert all(math.isfinite(r.metrics[r.gate_metric]) for r in reports)
+    if suite in MIN_N_MAX:
+        with pytest.raises(ValueError, match=f"the {suite} suite "):
+            validate_config(_cfg(n_max=least - 1, suites=(suite,)))
 
 
 def test_validate_config_normalizes():

@@ -148,7 +148,9 @@ def test_enumerate_space_errors():
         enumerate_space("Fock", 2)
     with pytest.raises(ValueError):
         enumerate_space("L2", -1)
-    for n_max in (16.5, 2.0):  # n_max is twice-valued: an int, never a float
+    # n_max is twice-valued: an int, never a float, and never a bool,
+    # though True counts as the int 1
+    for n_max in (16.5, 2.0, True, False, np.bool_(True)):
         with pytest.raises(ValueError, match="must be an int"):
             enumerate_space("L2", n_max)
 
