@@ -67,9 +67,12 @@ def cyclic_dimension(generators, depth: int) -> CyclicityReport:
                 "cyclic_dimension: generators must be square operators on "
                 f"one space; got {g.dom.signature} -> {g.cod.signature} "
                 f"alongside {space.signature}")
+    # a float or a bool is no depth, though Python counts True as 1
+    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) \
+            or depth < 0:
+        raise ValueError("cyclic_dimension: depth must be an int >= 0, got "
+                         f"{depth!r}")
     depth = int(depth)
-    if depth < 0:
-        raise ValueError("cyclic_dimension: depth must be >= 0")
     if depth > space.n_max:
         raise ValueError(
             f"cyclic_dimension: depth {depth} reaches level "

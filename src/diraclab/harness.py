@@ -170,9 +170,8 @@ def _suite_asymptotics(cfg: RunConfig, q: float, ops, plots: dict):
         yield kind, metrics, ("envelope", "<=", ASYMPTOTIC_ENVELOPE_MAX)
 
 
-def _commutator_norms(ops) -> dict:
-    """(norm at n_max - 2, norm at n_max) of each [D, g] on the interior."""
-    vals = {}
+def _suite_commutators(cfg: RunConfig, q: float, ops, plots: dict):
+    # each [D, g] on the interior: its norm at n_max - 2 and at n_max
     for rep, kind in (("hat", "L2"), ("prime", "Double")):
         space, gens = ops(kind)
         d = (dirac_family(D1_PARAMS, space) if rep == "hat"
@@ -183,19 +182,12 @@ def _commutator_norms(ops) -> dict:
             # columns at levels <= n_max - 3 map into levels <= n_max - 5/2,
             # so C on the i3 columns holds the entries of the commutator
             # built at n_max - 2 on its interior(1), in the same order
-            vals[(rep, g)] = op_norm(on_columns(C, i3)), op_norm(C)
-    return vals
-
-
-def _suite_commutators(cfg: RunConfig, q: float, ops, plots: dict):
-    # the norms of all eight cells are computed together, so the first
-    # cell's time carries them
-    norms = _commutator_norms(ops)
-    for (rep, g), (lo, hi) in sorted(norms.items()):
-        change = abs(hi - lo) / lo * 100.0 if lo > 0 else math.inf
-        metrics = {"change_pct": change, "norm_small": lo, "norm_large": hi}
-        yield (f"{rep}:{g}", metrics,
-               ("change_pct", "<=", COMMUTATOR_CHANGE_PCT_MAX))
+            lo, hi = op_norm(on_columns(C, i3)), op_norm(C)
+            change = abs(hi - lo) / lo * 100.0 if lo > 0 else math.inf
+            metrics = {"change_pct": change, "norm_small": lo,
+                       "norm_large": hi}
+            yield (f"{rep}:{g}", metrics,
+                   ("change_pct", "<=", COMMUTATOR_CHANGE_PCT_MAX))
 
 
 def _suite_minimality(cfg: RunConfig, q: float, ops, plots: dict):

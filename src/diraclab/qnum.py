@@ -16,10 +16,10 @@ def twice(x) -> np.ndarray:
     """Twice a half-integer value, as integers.
 
     x may be a number or an array of numbers.  Raises ValueError unless
-    every entry is an exact multiple of 1/2.
+    every entry is a finite, exact multiple of 1/2.
     """
     t = 2 * np.asarray(x, dtype=float)
-    if (t != np.rint(t)).any():
+    if not np.isfinite(t).all() or (t != np.rint(t)).any():
         raise ValueError(f"{x!r} is not a half-integer")
     return t.astype(np.int64)
 

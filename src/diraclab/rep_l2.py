@@ -188,9 +188,10 @@ class DiracParams(NamedTuple):
     d: float
 
     def validate(self) -> "DiracParams":
-        if int(self.k) != self.k or self.k < 0:
-            raise ValueError(f"k must be a nonnegative integer, got {self.k}")
-        if self.a * self.c >= 0:
+        k = self.k
+        if isinstance(k, bool) or not np.isfinite(k) or int(k) != k or k < 0:
+            raise ValueError(f"k must be a nonnegative integer, got {k}")
+        if not self.a * self.c < 0:  # a NaN a or c fails too
             raise ValueError(
                 f"family requires a*c < 0, got a={self.a}, c={self.c}")
         return self

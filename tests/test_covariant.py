@@ -116,8 +116,10 @@ def test_input_validation():
     sp, gens, seed = _setup(tn_max=2)
     with pytest.raises(ValueError):
         cyclic_dimension([], 1)
-    with pytest.raises(ValueError):
-        cyclic_dimension(gens, -1)
+    # a depth is an int >= 0: 2.7 is not cut to 2, nor is True read as 1
+    for depth in (-1, 2.7, True):
+        with pytest.raises(ValueError, match="depth must be an int >= 0"):
+            cyclic_dimension(gens, depth)
     with pytest.raises(ValueError, match="depth 3 reaches level 3/2, beyond "
                        "the truncation n_max = 1$"):
         cyclic_dimension(gens, sp.n_max + 1)

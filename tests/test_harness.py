@@ -139,9 +139,9 @@ def test_minimality_suite_metrics():
 
 
 def test_commutator_cell_times_cover_the_suite():
-    # the norms are computed once per q, before the cells are formed, and
-    # the generators once per q for all suites; their cost must land in the
-    # cells, not vanish between them
+    # each cell computes its own norms, and the generators are built once
+    # per q for all suites; their cost must land in the cells, not vanish
+    # between them
     for suites, cells in ((("commutators",), 8), (SUITES, 28)):
         t0 = time.perf_counter()
         reports = run(_cfg(suites=suites, n_max=8))
@@ -195,7 +195,6 @@ def test_commutator_norms_match_operators_built_at_each_size(q):
     # the small norm comes from projecting the large commutator; it must
     # equal the norm of the commutator built at n_max - 2, cut to the
     # interior of that truncation
-    from diraclab.harness import _commutator_norms, _operators
     from diraclab.hilbert import enumerate_space
     from diraclab.linop import interior_projector, op_norm
     from diraclab.rep_double import dirac_D, pi_prime_generators
@@ -214,9 +213,34 @@ def test_commutator_norms_match_operators_built_at_each_size(q):
         return out
 
     small, large = built(8), built(12)
-    ops = _operators(12, q, None)
-    assert _commutator_norms(ops) == {
+    reports = run(RunConfig(q=(q,), n_max=12, suites=("commutators",)))
+    assert {tuple(r.label.split(":")): (r.metrics["norm_small"],
+                                        r.metrics["norm_large"])
+            for r in reports} == {
         key: (small[key], large[key]) for key in large}
+
+
+def test_each_cell_carries_its_own_measurement(monkeypatch):
+    # a clock that reads the number of op_norm calls so far: a cell's wall
+    # time is then the number of norms taken for it, two per commutators
+    # cell and one per relations cell
+    import types
+
+    from diraclab import harness
+    calls, op_norm = [0], harness.op_norm
+
+    def counted(T):
+        calls[0] += 1
+        return op_norm(T)
+
+    monkeypatch.setattr(harness, "op_norm", counted)
+    monkeypatch.setattr(harness, "time", types.SimpleNamespace(
+        perf_counter=lambda: float(calls[0]), strftime=time.strftime))
+    reports = run(RunConfig(q=(0.5,), n_max=8,
+                            suites=("relations", "commutators")))
+    times = {s: [r.wall_time for r in reports if r.suite == s]
+             for s in ("relations", "commutators")}
+    assert times == {"relations": [1.0] * 10, "commutators": [2.0] * 8}
 
 
 def test_reports_are_sorted():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diraclab.hilbert import enumerate_space, interior
 from diraclab.qnum import (label_text, q_number, q_power, sqrt0, twice,
                            validate_q)
 
@@ -99,6 +100,10 @@ def test_array_orders_match_scalar_evaluation_exactly():
         q_power(np.array([1.0, -400.0]), 1e-4)
     np.testing.assert_array_equal(twice(np.array([0.5, -1.5, 2])), [1, -3, 4])
     assert twice(-1.5) == -3
-    for bad in (0.3, [0.5, 0.3], np.array([0.5, 0.3])):
-        with pytest.raises(ValueError):
+    for bad in (0.3, [0.5, 0.3], np.array([0.5, 0.3]), np.inf, -np.inf,
+                [0.5, np.inf]):
+        with pytest.raises(ValueError, match="is not a half-integer"):
             twice(bad)
+    # an infinite margin is no half-integer, not a negative one
+    with pytest.raises(ValueError, match="inf is not a half-integer"):
+        interior(enumerate_space("L2", 2), np.inf)

@@ -384,6 +384,17 @@ def test_dirac_params_validation():
         DiracParams(-1, -2.0, 0.0, 2.0, 1.0).validate()
     with pytest.raises(ValueError):
         DiracParams(0.5, -2.0, 0.0, 2.0, 1.0).validate()
+    # a NaN a or c makes a*c >= 0 false as well as a*c < 0; an infinite k
+    # has no int, and True is no k
+    for a, c in ((math.nan, 2.0), (-2.0, math.nan)):
+        with pytest.raises(ValueError, match="a\\*c < 0"):
+            DiracParams(0, a, 0.0, c, 1.0).validate()
+    for k in (math.inf, math.nan, True):
+        with pytest.raises(ValueError, match="k must be a nonnegative"):
+            DiracParams(k, -2.0, 0.0, 2.0, 1.0).validate()
+    with pytest.raises(ValueError, match="a\\*c < 0"):
+        dirac_family(DiracParams(0, math.nan, 0.0, 2.0, 1.0),
+                     enumerate_space("L2", 2))
     assert DiracParams(2, -1.0, 5.0, 3.0, 0.0).validate().k == 2
 
 
