@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .hilbert import check_count, check_kind
 from .linop import SpaceMismatchError
 from .qnum import label_text
 
@@ -67,12 +68,7 @@ def cyclic_dimension(generators, depth: int) -> CyclicityReport:
                 "cyclic_dimension: generators must be square operators on "
                 f"one space; got {g.dom.signature} -> {g.cod.signature} "
                 f"alongside {space.signature}")
-    # a float or a bool is no depth, though Python counts True as 1
-    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) \
-            or depth < 0:
-        raise ValueError("cyclic_dimension: depth must be an int >= 0, got "
-                         f"{depth!r}")
-    depth = int(depth)
+    depth = check_count(depth, "depth")
     if depth > space.n_max:
         raise ValueError(
             f"cyclic_dimension: depth {depth} reaches level "
@@ -80,9 +76,7 @@ def cyclic_dimension(generators, depth: int) -> CyclicityReport:
             f"beyond the truncation n_max = {label_text(space.n_max)}")
     # on L2, (n, i, j) fixes a label: one up target per entry's source, and
     # level 0 is e_0 alone
-    if space.kind != "L2":
-        raise ValueError("cyclic_dimension: the certificate needs an L2 "
-                         f"space, got kind {space.kind!r}")
+    check_kind(space, "L2")
     tn, ti, tj = space.tn, space.ti, space.tj
     reached = np.zeros(space.dim, dtype=bool)
     for k, g in enumerate(gens):

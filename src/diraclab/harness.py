@@ -37,7 +37,7 @@ from . import __version__ as _pkg_version
 from .covariant import cyclic_dimension
 from .decomp import (KQ_GENERATORS, asymptotic_scan, check_dirac_intertwine,
                      control_decay, kq_decay)
-from .hilbert import check_n_max, enumerate_space, interior
+from .hilbert import check_count, enumerate_space, interior
 from .linop import commutator, on_columns, op_norm
 from .qnum import label_text, validate_q
 from .rep_double import dirac_D, pi_prime_generators
@@ -50,7 +50,7 @@ SUITES = ("relations", "decompose", "kq-decay", "asymptotics",
 DEFAULT_Q = (0.3, 0.5, 0.7)
 DEFAULT_N_MAX = 16  # twice-valued: n_max = 8
 
-#: relations gate: each relation word's norm on the interior(1) columns.
+#: relations gate: each relation word's norm on the interior(2) columns.
 RELATION_DEFECT_MAX = 1e-10
 #: kq-decay gates: fitted exponent at least 1.8 ln(1/q); the control fit on
 #: the representation itself must stay below 0.5 ln(1/q).
@@ -82,13 +82,13 @@ class RunConfig:
 
 def validate_config(cfg: RunConfig) -> RunConfig:
     """Normalize and check a RunConfig; each defect has a distinct message.
-    Each q's rule is ``validate_q``'s and n_max's is ``check_n_max``'s."""
+    Each q's rule is ``validate_q``'s and n_max's is ``check_count``'s."""
     qs = tuple(validate_q(v) for v in cfg.q)
     if not qs:
         raise ValueError("config: need at least one q value")
     if len(set(qs)) < len(qs):
         raise ValueError(f"config: q values must be distinct, got {qs}")
-    n_max = check_n_max(cfg.n_max)
+    n_max = check_count(cfg.n_max, "n_max")
     suites = tuple(cfg.suites)
     if not suites:
         raise ValueError("config: need at least one suite")
@@ -126,7 +126,7 @@ class VerificationReport(NamedTuple):
 def _suite_relations(cfg: RunConfig, q: float, ops, plots: dict):
     words = relation_words(q)
     for rep, (space, gens) in [("hat", ops("L2")), ("prime", ops("Double"))]:
-        inner, terms = interior(space, 1), {}
+        inner, terms = interior(space, 2), {}
         for name, w in words.items():
             # keep only this word's products: relation_words puts the words
             # that share a product next to each other
@@ -176,13 +176,13 @@ def _suite_commutators(cfg: RunConfig, q: float, ops, plots: dict):
         space, gens = ops(kind)
         d = (dirac_family(D1_PARAMS, space) if rep == "hat"
              else dirac_D(space)).diag()
-        i1, i3 = interior(space, 1), interior(space, 3)
+        i2, i6 = interior(space, 2), interior(space, 6)
         for g, T in gens.items():
-            C = commutator(d, on_columns(T, i1))
+            C = commutator(d, on_columns(T, i2))
             # columns at levels <= n_max - 3 map into levels <= n_max - 5/2,
-            # so C on the i3 columns holds the entries of the commutator
-            # built at n_max - 2 on its interior(1), in the same order
-            lo, hi = op_norm(on_columns(C, i3)), op_norm(C)
+            # so C on the i6 columns holds the entries of the commutator
+            # built at n_max - 2 on its interior(2), in the same order
+            lo, hi = op_norm(on_columns(C, i6)), op_norm(C)
             change = abs(hi - lo) / lo * 100.0 if lo > 0 else math.inf
             metrics = {"change_pct": change, "norm_small": lo,
                        "norm_large": hi}

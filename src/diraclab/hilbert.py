@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qnum import label_text, twice
+from .qnum import label_text
 
 
 def _frozen(a) -> np.ndarray:
@@ -95,23 +95,29 @@ class TruncatedSpace:
 
     def level_ordinals(self, tn) -> np.ndarray:
         """Ascending ordinals of twice-level tn: one range, from ``start``."""
-        if not 0 <= tn <= self.n_max:
+        if check_count(tn, "level") > self.n_max:
             raise ValueError(f"level {label_text(tn)} absent from {self.kind} "
                              "space truncated at "
                              f"n_max={label_text(self.n_max)}")
         return np.arange(self.start(tn), self.start(tn + 1))
 
 
-def check_n_max(n_max) -> int:
-    """n_max as an int: twice the top level, >= 0.  A float is no n_max,
-    nor is a bool, though Python counts ``True`` as the int 1."""
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
-        raise ValueError("n_max is twice the top level and must be an "
-                         f"int, got {n_max!r}")
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {label_text(n_max)}")
-    return n_max
+def check_count(value, name: str) -> int:
+    """value as an int >= 0: the rule of every count (n_max, a level, a
+    margin, a depth, the k of the Dirac family).  A float is no count, nor
+    is a bool, though Python counts ``True`` as the int 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+    return int(value)
+
+
+def check_kind(space: TruncatedSpace, kind: str) -> TruncatedSpace:
+    """space, if its kind is ``kind`` ("L2" or "Double")."""
+    if space.kind != kind:
+        raise ValueError(f"expected a space of kind {kind!r}, got "
+                         f"{space.kind!r}")
+    return space
 
 
 def enumerate_space(kind: str, n_max: int) -> TruncatedSpace:
@@ -121,7 +127,7 @@ def enumerate_space(kind: str, n_max: int) -> TruncatedSpace:
     The total order is canonical (sorted by n, then band, then i, then j)
     so that assembled matrices are reproducible bit-for-bit across runs.
     """
-    n_max = check_n_max(n_max)
+    n_max = check_count(n_max, "n_max")
     if kind not in ("L2", "Double"):
         raise ValueError(f"unknown space kind {kind!r} "
                          "(expected 'L2' or 'Double')")
@@ -143,16 +149,14 @@ def enumerate_space(kind: str, n_max: int) -> TruncatedSpace:
 
 
 def interior(space: TruncatedSpace, margin) -> np.ndarray:
-    """Ordinals of basis vectors with n <= n_max - margin: the levels are
-    in order, so these are the ordinals below ``start`` of the next level.
+    """Ordinals of basis vectors with twice-level tn <= n_max - margin: the
+    levels are in order, so these are the ordinals below ``start`` of the
+    next level.
 
-    The margin is a distance in units of n, not a label (1 is one whole
-    level, 0.5 a half).  A generator word of length L moves the level by
-    at most L/2, so on interior(margin=L/2) vectors no truncation loss can
-    occur; the subset is closed under (i, j) -> (-i, -j) since membership
-    depends on n only.
+    The margin is twice-valued, like every count (2 is one whole level, 1
+    a half).  A generator word of length L moves the level by at most L/2,
+    so on interior(L) vectors no truncation loss can occur; the subset is
+    closed under (i, j) -> (-i, -j) since membership depends on n only.
     """
-    tm = int(twice(margin))
-    if tm < 0:
-        raise ValueError("margin must be >= 0")
-    return np.arange(space.start(max(space.n_max - tm + 1, 0)))
+    margin = check_count(margin, "margin")
+    return np.arange(space.start(max(space.n_max - margin + 1, 0)))

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._kernels import spectral_norms
 from .hilbert import TruncatedSpace, interior
-from .qnum import label_text
+from .qnum import label_text, twice
 
 
 class SpaceMismatchError(ValueError):
@@ -217,7 +217,9 @@ def on_columns(T: SparseOp, cols) -> SparseOp:
 
 
 def interior_projector(space: TruncatedSpace, margin) -> SparseOp:
-    """Orthogonal projection onto the interior(margin) subspace."""
+    """Orthogonal projection onto the interior subspace ``margin`` levels
+    in, counted in units of n (perfbench passes 1), not twice-valued as
+    :func:`interior` counts."""
     d = np.zeros(space.dim)
-    d[interior(space, margin)] = 1.0
+    d[interior(space, int(twice(margin)))] = 1.0
     return SparseOp.diagonal(space, d)

@@ -16,10 +16,11 @@ def twice(x) -> np.ndarray:
     """Twice a half-integer value, as integers.
 
     x may be a number or an array of numbers.  Raises ValueError unless
-    every entry is a finite, exact multiple of 1/2.
+    every entry is an exact multiple of 1/2 with |2x| < 2^63, the int64
+    range (so no infinity or NaN).
     """
     t = 2 * np.asarray(x, dtype=float)
-    if not np.isfinite(t).all() or (t != np.rint(t)).any():
+    if not (np.abs(t) < 2.0 ** 63).all() or (t != np.rint(t)).any():
         raise ValueError(f"{x!r} is not a half-integer")
     return t.astype(np.int64)
 

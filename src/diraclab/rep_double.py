@@ -31,7 +31,7 @@ import functools
 
 import numpy as np
 
-from .hilbert import TruncatedSpace
+from .hilbert import TruncatedSpace, check_kind
 from .linop import SparseOp
 from .qnum import q_number, q_power, sqrt0, twice, validate_q
 from .rep_l2 import _band_op
@@ -164,8 +164,7 @@ def pi_prime(gen: str, space: TruncatedSpace, q: float) -> SparseOp:
     all five defining relations hold on interior vectors at machine precision.
     """
     q = validate_q(q)
-    if space.kind != "Double":
-        raise ValueError(f"expected a Double space, got kind {space.kind!r}")
+    check_kind(space, "Double")
     if gen in _ADJOINTS:
         return pi_prime(_ADJOINTS[gen], space, q).adjoint()
     if gen not in _MOVES:
@@ -186,7 +185,6 @@ def dirac_D(space: TruncatedSpace) -> SparseOp:
 
     Integer eigenvalues; positive exactly on the up band.
     """
-    if space.kind != "Double":
-        raise ValueError(f"expected a Double space, got kind {space.kind!r}")
+    check_kind(space, "Double")
     return SparseOp.diagonal(
         space, np.where(space.band == 0, space.tn + 1, -space.tn))

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import TruncatedSpace
+from .hilbert import TruncatedSpace, check_count, check_kind
 from .linop import SparseOp, on_columns
 from .qnum import q_power, sqrt0, validate_q
 
@@ -73,9 +73,8 @@ def _band_op(space, shift, up, down, sign=1.0) -> SparseOp:
 def alpha_hat(space: TruncatedSpace, q: float) -> SparseOp:
     """The band operator alpha_hat on a truncated L2 space."""
     q = validate_q(q)
-    _check_l2(space)
     return _band_op(
-        space, (-1, -1),
+        check_kind(space, "L2"), (-1, -1),
         lambda n, i, j: q_power(2 * n + i + j + 1, q),
         lambda n, i, j: (sqrt0(1 - q_power(2 * n + 2 * i, q))
                          * sqrt0(1 - q_power(2 * n + 2 * j, q))))
@@ -84,18 +83,12 @@ def alpha_hat(space: TruncatedSpace, q: float) -> SparseOp:
 def beta_hat(space: TruncatedSpace, q: float) -> SparseOp:
     """The band operator beta_hat on a truncated L2 space."""
     q = validate_q(q)
-    _check_l2(space)
     return _band_op(
-        space, (+1, -1),
+        check_kind(space, "L2"), (+1, -1),
         lambda n, i, j: (-q_power(n + j, q)
                          * sqrt0(1 - q_power(2 * n + 2 * i + 2, q))),
         lambda n, i, j: (q_power(n + i, q)
                          * sqrt0(1 - q_power(2 * n + 2 * j, q))))
-
-
-def _check_l2(space):
-    if space.kind != "L2":
-        raise ValueError(f"expected an L2 space, got kind {space.kind!r}")
 
 
 def hat_generators(space: TruncatedSpace, q: float) -> dict:
@@ -115,14 +108,14 @@ def pi_hat(w: tuple, space: TruncatedSpace, q: float,
     Symbols multiply left to right as operators (the rightmost acts first),
     the empty symbol tuple is the identity and the empty tuple of terms is
     zero; an unknown symbol raises KeyError.  A length-L word moves the
-    level by at most L/2, so only on interior(L/2) vectors is the result
+    level by at most L/2, so only on interior(L) vectors is the result
     free of truncation.  Each term is one product chain, built from its
     last factor, and the word is one :meth:`SparseOp.from_coo` over every
     term's entries times its weight: bit for bit the chained sum
     ``t1 + t2.scale(w2) + ...``, which also sums each coordinate in term
     order from 0.0 and drops only exact zeros.
 
-    ``right``, column ordinals such as ``interior(space, 1)``, gives
+    ``right``, column ordinals such as ``interior(space, 2)``, gives
     ``w @ P`` for the projector P onto them, bit for bit, with each term's
     last factor cut to them first (:func:`on_columns`): the same sums from
     fewer products.  ``terms`` keeps each unscaled term by its symbols, so
@@ -178,7 +171,7 @@ def relation_words(q: float) -> dict:
 class DiracParams(NamedTuple):
     """Parameters (k, a, b, c, d) of the equivariant Dirac family.
 
-    k is a nonnegative integer; a, b, c, d are reals with a*c < 0.
+    k is an int >= 0; a, b, c, d are finite reals with a*c < 0.
     """
 
     k: int
@@ -188,12 +181,11 @@ class DiracParams(NamedTuple):
     d: float
 
     def validate(self) -> "DiracParams":
-        k = self.k
-        if isinstance(k, bool) or not np.isfinite(k) or int(k) != k or k < 0:
-            raise ValueError(f"k must be a nonnegative integer, got {k}")
-        if not self.a * self.c < 0:  # a NaN a or c fails too
-            raise ValueError(
-                f"family requires a*c < 0, got a={self.a}, c={self.c}")
+        check_count(self.k, "k")
+        a, b, c, d = self[1:]
+        if not (np.isfinite([a, b, c, d]).all() and a * c < 0):
+            raise ValueError("family requires finite a, b, c, d with "
+                             f"a*c < 0, got a={a}, b={b}, c={c}, d={d}")
         return self
 
 
@@ -210,7 +202,7 @@ def dirac_family(params: DiracParams, space: TruncatedSpace,
     split to i instead.  The eigenvalue depends only on (n, j) resp. (n, i).
     """
     params = DiracParams(*params).validate()
-    _check_l2(space)
+    check_kind(space, "L2")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     k2 = 2 * int(params.k)

@@ -80,7 +80,7 @@ def test_criterion_1_exact_decomposition():
 
 
 def test_criterion_2_relation_defects(l2_8, dbl_8, hat_8, prime_8):
-    # all five defining relations, both representations, interior(1),
+    # all five defining relations, both representations, interior(2),
     # defect <= 1e-10, q in {0.3, 0.5, 0.7}, n_max = 8, under 2 minutes.
     # The spinorial half passes at machine precision.  The hatted half
     # cannot: its worst defects have q-only closed forms (q^2 for the unit
@@ -109,7 +109,7 @@ def test_criterion_2_relation_defects(l2_8, dbl_8, hat_8, prime_8):
 
 
 def test_criterion_3_adjoint_consistency(dbl_8, prime_8):
-    # ||pi'(a)* - pi'(a*)|| <= 1e-10 on interior(1) for both generator pairs
+    # ||pi'(a)* - pi'(a*)|| <= 1e-10 on interior(2) for both generator pairs
     for q in Q_GRID:
         ops = prime_8[q]
         P = interior_projector(dbl_8, 1)
@@ -145,7 +145,7 @@ def test_criterion_5_asymptotic_envelopes():
 
 
 def test_criterion_6_commutator_stability(l2_8, dbl_8, hat_8, prime_8):
-    # ||[D1, pi_hat(g)]|| and ||[D, pi'(g)]|| on interior(1) move by < 5%
+    # ||[D1, pi_hat(g)]|| and ||[D, pi'(g)]|| on interior(2) move by < 5%
     # between n_max = 6 and n_max = 8 for every generator
     l2_6 = enumerate_space("L2", N6)
     dbl_6 = enumerate_space("Double", N6)

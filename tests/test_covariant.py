@@ -359,8 +359,8 @@ def test_undecided_structures_raise():
     _assert_undecided(with_d1, seed, depth, "generator 4 " + NOT_BAND)
     # a Double space: (n, i, j) does not fix a label
     dbl = enumerate_space("Double", 4)
-    with pytest.raises(ValueError, match="needs an L2 space, got kind "
-                                         "'Double'"):
+    with pytest.raises(ValueError, match="expected a space of kind 'L2', "
+                                         "got 'Double'"):
         cyclic_dimension(pi_prime_generators(dbl, Q).values(), depth)
 
 

@@ -31,11 +31,11 @@ def test_validate_config_distinct_errors():
         (dict(q=()), "at least one q"),
         (dict(q=(1.5,)), "must be in (0, 1)"),
         (dict(q=(0.5, 0.3, 0.5)), "must be distinct"),
-        (dict(n_max=-2), "n_max must be >= 0"),
-        (dict(n_max=16.5), "n_max is twice the top level and must be an int"),
-        (dict(n_max=2.0), "n_max is twice the top level and must be an int"),
+        (dict(n_max=-2), "n_max must be an int >= 0"),
+        (dict(n_max=16.5), "n_max must be an int >= 0"),
+        (dict(n_max=2.0), "n_max must be an int >= 0"),
         # bool subclasses int, but True is no n_max = 1/2
-        (dict(n_max=True), "n_max is twice the top level and must be an int"),
+        (dict(n_max=True), "n_max must be an int >= 0"),
         (dict(suites=()), "at least one suite"),
         (dict(suites=("nonesuch",)), "unknown suite"),
         (dict(suites=("relations",), n_max=1), "needs n_max >= 1"),
@@ -88,7 +88,7 @@ def test_relations_suite_emits_exactly_ten_reports_per_q():
 
 
 def test_relation_cells_are_the_words_evaluated_alone():
-    """Each relations cell, bit for bit, is its word's norm on interior(1)
+    """Each relations cell, bit for bit, is its word's norm on interior(2)
     evaluated with no product shared from another word."""
     from diraclab.hilbert import enumerate_space, interior
     from diraclab.linop import op_norm
@@ -105,7 +105,7 @@ def test_relation_cells_are_the_words_evaluated_alone():
         gens = build(space, q)
         for name, w in relation_words(q).items():
             want[f"{rep}:{name}"] = op_norm(pi_hat(
-                w, space, q, ops=gens, right=interior(space, 1))).hex()
+                w, space, q, ops=gens, right=interior(space, 2))).hex()
     assert got == want
 
 

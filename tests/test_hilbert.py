@@ -111,24 +111,24 @@ def test_closed_forms_equal_their_label_array_definitions(kind, tn_max):
                           [np.flatnonzero(sp.tn == t)[0]
                            for t in range(tn_max + 1)])
     for tm in range(tn_max + 3):  # margins from 0 to past n_max
-        assert np.array_equal(interior(sp, tm / 2),
+        assert np.array_equal(interior(sp, tm),
                               np.flatnonzero(sp.tn <= tn_max - tm))
 
 
 def test_interior_examples():
     sp = enumerate_space("L2", 2)
     assert len(interior(sp, 0)) == sp.dim
-    assert len(interior(sp, 0.5)) == 5
-    assert len(interior(sp, 1)) == 1
+    assert len(interior(sp, 1)) == 5
+    assert len(interior(sp, 2)) == 1
     # the surviving ordinals are exactly the low levels
-    assert np.all(sp.tn[interior(sp, 0.5)] <= 1)
+    assert np.all(sp.tn[interior(sp, 1)] <= 1)
 
 
 def test_interior_monotone():
     sp = enumerate_space("Double", 4)
     prev = None
     for tm in range(0, 5):
-        cur = set(interior(sp, tm / 2))
+        cur = set(interior(sp, tm))
         if prev is not None:
             assert cur <= prev
         prev = cur

@@ -778,8 +778,8 @@ def _commutators(kind, n_max, q):
 @pytest.mark.parametrize("nmax", [4, 7, 16, 24])  # twice n_max, as on the CLI
 def test_compressed_commutator_is_the_small_truncation(kind, q, nmax):
     # the commutators suite takes its n_max - 2 norm from the large
-    # commutator projected onto interior(3): the same entries, and the same
-    # norm, as the commutator built at n_max - 2 on its interior(1)
+    # commutator projected onto interior(6): the same entries, and the same
+    # norm, as the commutator built at n_max - 2 on its interior(2)
     space, large = _commutators(kind, nmax, q)
     small_space, small = _commutators(kind, nmax - 4, q)
     p3, ps = interior_projector(space, 3), interior_projector(small_space, 1)
@@ -819,7 +819,7 @@ def test_commutator_by_scaling_is_the_product_difference(kind, q, nmax):
 
 
 def test_commutator_by_scaling_masks_rows_where_d_stores_nothing():
-    # D1 projected onto interior(1) stores no diagonal entry above level
+    # D1 projected onto interior(2) stores no diagonal entry above level
     # n_max - 1; T holds inf and NaN on the top level, and inside, where
     # both a and b can be inf (a difference of infs, like their sum, is nan)
     from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
@@ -865,7 +865,7 @@ def test_commutator_rejects_a_non_diagonal_or_foreign_operator():
 @pytest.mark.parametrize("nmax", [8, 16])  # twice n_max, as on the CLI
 def test_column_cut_is_the_product_with_the_projector(kind, nmax):
     # every generator and every [D, g] the harness measures, on the
-    # interior(1) and interior(3) columns; cutting T before the commutator
+    # interior(2) and interior(6) columns; cutting T before the commutator
     # gives the same arrays as cutting the commutator
     from diraclab.rep_double import dirac_D, pi_prime_generators
     from diraclab.rep_l2 import D1_PARAMS, dirac_family, hat_generators
@@ -876,7 +876,7 @@ def test_column_cut_is_the_product_with_the_projector(kind, nmax):
     else:
         D, gens = dirac_D(space), pi_prime_generators(space, 0.5)
     for m in (1, 3):
-        cols, P = interior(space, m), interior_projector(space, m)
+        cols, P = interior(space, 2 * m), interior_projector(space, m)
         for g, T in gens.items():
             C = commutator(D.diag(), T)
             for key, op in ((g, T), (f"[D,{g}]", C)):

@@ -11,7 +11,7 @@ error near q = 1 is cancellation in the q-numbers and in 1 - q^e, which
 shrinks only when the q-arithmetic changes.
 
 The same leaves give the generators at 50 digits as dict columns, and the
-five relations, written again here, are evaluated on the interior(1)
+five relations, written again here, are evaluated on the interior(2)
 columns: pi' meets them to about 1e-50, whatever the float code rounds,
 and the hatted defect norms are checked against the README's closed forms
 and pinned where those stop holding.  ``rep_l2.pi_hat``, which shares no
@@ -289,7 +289,7 @@ def _column(w, ops, c):
 
 
 def _defects(rep, tn_max, q):
-    """Each relation on the interior(1) columns, as {column: {row: entry}}:
+    """Each relation on the interior(2) columns, as {column: {row: entry}}:
     a word of length 2 moves the level by at most 1, so truncation leaves
     these columns alone."""
     labels, ops = _generators(rep, tn_max, q)
@@ -385,7 +385,7 @@ def test_hat_defects_at_50_digits_and_pi_hat(q):
     want = PINNED.get(q, _closed_forms(q))
     got = _hat_norms(q)
     space = enumerate_space("L2", HAT_TN_MAX)
-    inner = interior(space, 1)
+    inner = interior(space, 2)
     for name, w in rep_l2.relation_words(q).items():
         assert got[name] == pytest.approx(want[name], rel=0, abs=1e-12), name
         assert op_norm(rep_l2.pi_hat(w, space, q, right=inner)) \

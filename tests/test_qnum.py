@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from diraclab.hilbert import enumerate_space, interior
+from diraclab.hilbert import enumerate_space
+from diraclab.linop import interior_projector
 from diraclab.qnum import (label_text, q_number, q_power, sqrt0, twice,
                            validate_q)
 
@@ -100,10 +101,11 @@ def test_array_orders_match_scalar_evaluation_exactly():
         q_power(np.array([1.0, -400.0]), 1e-4)
     np.testing.assert_array_equal(twice(np.array([0.5, -1.5, 2])), [1, -3, 4])
     assert twice(-1.5) == -3
+    # beyond the int64 range an entry cannot be cast exactly
     for bad in (0.3, [0.5, 0.3], np.array([0.5, 0.3]), np.inf, -np.inf,
-                [0.5, np.inf]):
+                [0.5, np.inf], 1e300, -1e300, 2.0 ** 62):
         with pytest.raises(ValueError, match="is not a half-integer"):
             twice(bad)
-    # an infinite margin is no half-integer, not a negative one
+    # an infinite margin in units of n is no half-integer, not a negative one
     with pytest.raises(ValueError, match="inf is not a half-integer"):
-        interior(enumerate_space("L2", 2), np.inf)
+        interior_projector(enumerate_space("L2", 2), np.inf)

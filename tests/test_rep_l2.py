@@ -187,7 +187,7 @@ def test_projected_words_are_the_word_then_the_projector(kind, q, nmax):
                          (1.0, ("beta*", "beta")))
     P, terms = interior_projector(space, 1), {}
     for name, w in words.items():
-        got = pi_hat(w, space, q, ops=ops, right=interior(space, 1),
+        got = pi_hat(w, space, q, ops=ops, right=interior(space, 2),
                      terms=terms)
         want = pi_hat(w, space, q, ops=ops) @ P
         for attr in ("rows", "cols", "vals"):
@@ -273,7 +273,7 @@ def test_hat_twist_defects_keep_their_closed_form_at_tiny_q(q):
     # to within an ulp (0 and 1.1e-16 relative, at either truncation)
     for tn_max in (8, 16):
         sp = enumerate_space("L2", tn_max)
-        inner = interior(sp, 1)
+        inner = interior(sp, 2)
         ops = hat_generators(sp, q)
         for name in ("twist_beta", "twist_beta_star"):
             T = pi_hat(relation_words(q)[name], sp, q, ops, right=inner)
@@ -390,7 +390,7 @@ def test_dirac_params_validation():
         with pytest.raises(ValueError, match="a\\*c < 0"):
             DiracParams(0, a, 0.0, c, 1.0).validate()
     for k in (math.inf, math.nan, True):
-        with pytest.raises(ValueError, match="k must be a nonnegative"):
+        with pytest.raises(ValueError, match="k must be an int >= 0"):
             DiracParams(k, -2.0, 0.0, 2.0, 1.0).validate()
     with pytest.raises(ValueError, match="a\\*c < 0"):
         dirac_family(DiracParams(0, math.nan, 0.0, 2.0, 1.0),
