@@ -7,12 +7,18 @@ flag is a pure function of its metrics and its gate, so determinism can be
 checked by hashing the metric payload alone: wall times, library versions
 and timestamps live in a separate meta section of the JSON document.
 
-The suites at one q share one lookup, ``ops(kind)``: the space and
-generators of kind "L2" (the hatted pair) or "Double" (pi'), each built on
-first use, so once per q and never for a run that does not ask for it, and
-``ops("U")``, the q-independent check of U, whose U the kq defects use,
-made once per run.  A cell's wall time runs from the end of the cell before
-it, so it covers the work done for it, shared assembly included.
+The suites at one q make one pass and share one lookup, ``ops(kind)``:
+the space and generators of kind "L2" (the hatted pair) or "Double" (pi'),
+each built on first use, so once per q and never for a run that does not
+ask for it, and ``ops("U")``, the q-independent check of U, whose U the kq
+defects use, made once per process that asks for it.  A run of several q
+values computes its passes in up to one process per CPU of
+``os.sched_getaffinity``: a forked child for each q but the last, whose
+pass and the family pass run in the calling process.  A run of one q, or
+on one CPU, runs every pass in the calling process.  A cell's wall time is
+measured in the process that ran its pass, from the end of the cell before
+it in that pass, so it covers the work done for it, shared assembly
+included.
 
 The hatted relation cells fail by design at any usable tolerance: that pair
 of operators satisfies the defining relations only up to level-decaying
@@ -253,33 +259,121 @@ def _sort_key(r: VerificationReport):
     return (r.suite, r.label, -1.0 if r.q is None else r.q)
 
 
+def _pass(cfg: RunConfig, q: float | None, intertwine):
+    """The requested suites at one q, with their own lookup and cell clock;
+    q = None is the family pass.  Returns (reports, plots)."""
+    reports, plots = [], {}
+    ops = _operators(cfg.n_max, q, intertwine)
+    tick = time.perf_counter()
+    # family does not depend on q: it runs once, in the q = None pass
+    for s in (s for s in cfg.suites if (s == "family") == (q is None)):
+        for label, metrics, (name, op, value) in \
+                _SUITE_FN[s](cfg, q, ops, plots):
+            m = {k: float(v) for k, v in metrics.items()}
+            now = time.perf_counter()
+            passed = m[name] <= value if op == "<=" else m[name] >= value
+            reports.append(VerificationReport(
+                s, label, q, cfg.n_max, m, name, op, float(value), passed,
+                now - tick))
+            tick = now
+    return reports, plots
+
+
+def _forked_passes(cfg: RunConfig, qs: tuple, intertwine, workers: int):
+    """The passes of qs in at most ``workers`` processes at once.
+
+    This process runs the last two passes (the last q and the family pass)
+    and a forked child each other one; a child pickles its outcome down a
+    pipe, which is read to its end before the child is reaped.  Returns
+    the passes in the order of qs.  If passes fail, the first of them in
+    qs raises its exception here; a child that ends without a result
+    raises ``RuntimeError``.  No child outlives the call.
+    """
+    import pickle
+
+    outcomes, children, todo = {}, [], list(qs[:-2])
+
+    def attempt(q):
+        try:
+            return True, _pass(cfg, q, intertwine)
+        except Exception as e:  # raised below, in the order of qs
+            return False, e
+
+    def fork(q):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to be had: the run fails
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:  # the child: send the outcome, never return
+            code = 1
+            try:
+                os.close(r)
+                with os.fdopen(w, "wb") as fh:
+                    pickle.dump(attempt(q), fh)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        children.append((q, pid, os.fdopen(r, "rb")))
+
+    def join(child):
+        q, pid, fh = child
+        blob = fh.read()
+        fh.close()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        children.remove(child)
+        outcomes[q] = pickle.loads(blob) if code == 0 and blob else (
+            False, RuntimeError(f"the pass at q={q!r} ended without a "
+                                f"result (exit status {code})"))
+
+    try:
+        while todo and len(children) < workers - 1:
+            fork(todo.pop(0))
+        for q in qs[-2:]:
+            outcomes[q] = attempt(q)
+        while todo or children:
+            while todo and len(children) < workers:
+                fork(todo.pop(0))
+            join(children[0])
+    finally:
+        if children:  # an error or an interrupt: stop and reap the rest
+            import signal
+            for q, pid, fh in children:
+                fh.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass  # reaped by join, just before the interrupt
+    for q in qs:
+        if not outcomes[q][0]:
+            raise outcomes[q][1]
+    return [outcomes[q][1] for q in qs]
+
+
 def run(cfg: RunConfig):
     """Execute the configured suites; emit files if an out dir is set.
 
     Returns the sorted reports.  Metric values are deterministic for a fixed
-    config; the CLI exit status is the logical AND of the pass flags.
+    config; the CLI exit status is the logical AND of the pass flags.  A
+    run of several q values computes their passes in up to one process per
+    CPU (``_forked_passes``); the payload is the same as in one process.
     """
     cfg = validate_config(cfg)
-    reports = []
-    plots: dict = {}
     intertwine = functools.cache(lambda: check_dirac_intertwine(cfg.n_max))
-    tick = time.perf_counter()
-    for q in (*cfg.q, None):
-        ops = _operators(cfg.n_max, q, intertwine)
-        # family does not depend on q: it runs once, in the q = None pass
-        for s in (s for s in cfg.suites if (s == "family") == (q is None)):
-            for label, metrics, (name, op, value) in \
-                    _SUITE_FN[s](cfg, q, ops, plots):
-                m = {k: float(v) for k, v in metrics.items()}
-                now = time.perf_counter()
-                passed = m[name] <= value if op == "<=" else m[name] >= value
-                reports.append(VerificationReport(
-                    s, label, q, cfg.n_max, m, name, op, float(value), passed,
-                    now - tick))
-                tick = now
-    reports.sort(key=_sort_key)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+    workers = min(cpus, len(cfg.q))
+    qs = (*cfg.q, None)
+    passes = (_forked_passes(cfg, qs, intertwine, workers) if workers > 1
+              else [_pass(cfg, q, intertwine) for q in qs])
+    reports = sorted((r for rep, _ in passes for r in rep), key=_sort_key)
+    plots = {k: v for _, p in passes for k, v in p.items()}
     if cfg.out_dir is not None:
-        emit(reports, cfg, plots)
+        emit(reports, cfg, plots, workers)
     return reports
 
 
@@ -326,13 +420,15 @@ def csv_lines(reports) -> list:
     return lines
 
 
-def emit(reports, cfg: RunConfig, plots: dict | None = None) -> list:
+def emit(reports, cfg: RunConfig, plots: dict | None = None,
+         workers: int = 1) -> list:
     """Write report.json, report.csv and (optionally) kq plot data.
 
     Returns the list of paths written; a path that cannot be written
     raises ``OSError``, as ``open`` does.  The JSON document separates the
-    deterministic payload from the meta section (wall times, versions,
-    timestamps, payload hash).
+    deterministic payload from the meta section (wall times, the number of
+    processes that ran the passes at once, versions, timestamps, payload
+    hash).
     """
     doc = {
         "payload": payload_dict(reports, cfg),
@@ -340,6 +436,7 @@ def emit(reports, cfg: RunConfig, plots: dict | None = None) -> list:
             "payload_sha256": payload_hash(reports, cfg),
             "wall_times": {f"{r.suite}/{r.label}/q={r.q}": r.wall_time
                            for r in reports},
+            "workers": workers,
             "versions": {"diraclab": _pkg_version,
                          "numpy": np.__version__},
             "created": time.strftime("%Y-%m-%dT%H:%M:%S"),

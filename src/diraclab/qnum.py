@@ -17,10 +17,12 @@ def twice(x) -> np.ndarray:
 
     x may be a number or an array of numbers.  Raises ValueError unless
     every entry is an exact multiple of 1/2 with |2x| < 2^63, the int64
-    range (so no infinity or NaN).
+    range (so no infinity or NaN), and x is not a bool or an array of bools.
     """
-    t = 2 * np.asarray(x, dtype=float)
-    if not (np.abs(t) < 2.0 ** 63).all() or (t != np.rint(t)).any():
+    a = np.asarray(x)
+    t = 2 * np.asarray(a, dtype=float)
+    if (a.dtype == bool or not (np.abs(t) < 2.0 ** 63).all()
+            or (t != np.rint(t)).any()):
         raise ValueError(f"{x!r} is not a half-integer")
     return t.astype(np.int64)
 

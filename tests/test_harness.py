@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import signal
 import sys
 import time
 
 import pytest
 
+from diraclab import harness
 from diraclab.cli import build_parser, main
 from diraclab.harness import (
     CSV_HEADER,
@@ -24,6 +27,16 @@ def _cfg(**kw):
     kw.setdefault("q", (0.5,))
     kw.setdefault("n_max", 8)
     return RunConfig(**kw)
+
+
+def _cpus(monkeypatch, n):
+    """Let the run see n CPUs: 1 keeps every pass in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_validate_config_distinct_errors():
@@ -177,8 +190,10 @@ def _count_calls(monkeypatch, *targets):
 ], ids=["all", "minimality"])
 def test_generators_are_assembled_once_per_q(monkeypatch, suites, calls):
     # pi' assembles two generators and takes the other two as adjoints; U
-    # does not depend on q, and the run builds it once, for its check, and
-    # measures every kq defect with it
+    # does not depend on q, and the run builds it once per process, for its
+    # check, and measures every kq defect with it.  The counts are kept in
+    # this process, so every pass runs here
+    _cpus(monkeypatch, 1)
     counts = _count_calls(monkeypatch, "rep_double.pi_prime",
                           "rep_l2.hat_generators",
                           "decomp.check_dirac_intertwine", "decomp.build_U")
@@ -340,6 +355,100 @@ def test_kq_plot_files(tmp_path):
             assert (both / name).read_text() == texts[gen, q], name
     for gen in ("alphastar", "beta"):
         assert texts[gen, qs[0]] != texts[gen, qs[1]]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_forked_passes_give_the_one_process_payload(tmp_path, monkeypatch,
+                                                    cpus):
+    # with 2 CPUs one q's child waits for a free CPU; with 3 each q but the
+    # last runs in a child at once
+    docs, plots = {}, {}
+    for n in (1, cpus):
+        _cpus(monkeypatch, n)
+        out = tmp_path / str(n)
+        run(_cfg(q=(0.3, 0.5, 0.7), out_dir=str(out), emit_plot=True))
+        docs[n] = json.loads((out / "report.json").read_text())
+        plots[n] = {p.name: p.read_text() for p in out.glob("kq_*.dat")}
+        _assert_no_child_left()
+    assert docs[cpus]["payload"] == docs[1]["payload"]
+    assert docs[cpus]["meta"]["payload_sha256"] == \
+        docs[1]["meta"]["payload_sha256"]
+    assert len(docs[1]["payload"]["reports"]) == 82
+    assert plots[cpus] == plots[1] and len(plots[1]) == 6
+    assert (docs[1]["meta"]["workers"], docs[cpus]["meta"]["workers"]) == \
+        (1, cpus)
+    # one q keeps every pass in this process, whatever the CPUs
+    run(_cfg(suites=("decompose",), q=(0.5,), n_max=4,
+             out_dir=str(tmp_path / "one")))
+    doc = json.loads((tmp_path / "one" / "report.json").read_text())
+    assert doc["meta"]["workers"] == 1
+
+
+def test_a_failed_child_pass_reaches_the_cli(monkeypatch, capsys):
+    # q = 1e-100 overflows in a child; the last q runs in this process
+    _cpus(monkeypatch, 2)
+    assert main(["relations", "--nmax", "4", "--q", "1e-100",
+                 "--q", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflow" in err
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("qs, error, match", [
+    ((1e-100, 1e-3), OverflowError, None),  # the child's, not ours
+    ((1e-3, 1e-100), ValueError, "decay_fit"),  # and the other way round
+])
+def test_the_first_failed_q_raises(monkeypatch, qs, error, match):
+    # at n_max 4 the relations overflow at q = 1e-100, and at q = 1e-3 they
+    # pass but the kq fit finds too few levels above the floor
+    _cpus(monkeypatch, 2)
+    with pytest.raises(error, match=match):
+        run(_cfg(suites=("relations", "kq-decay"), q=qs))
+    _assert_no_child_left()
+
+
+def test_a_killed_child_raises_runtime_error(monkeypatch):
+    real = harness._pass
+
+    def killed_at_0_3(cfg, q, intertwine):
+        if q == 0.3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(cfg, q, intertwine)
+
+    monkeypatch.setattr(harness, "_pass", killed_at_0_3)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"q=0\.3 .*exit status -9"):
+        run(_cfg(suites=("decompose",), q=(0.3, 0.5), n_max=4))
+    _assert_no_child_left()
+
+
+def test_a_run_that_cannot_fork_exits_2_and_closes_its_pipe(monkeypatch,
+                                                             capsys):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _cpus(monkeypatch, 2)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert main(["decompose", "--nmax", "4", "--q", "0.3", "--q", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_an_interrupt_stops_and_reaps_the_children(monkeypatch):
+    # this process's pass is interrupted while the child's still runs
+    def slow_or_interrupted(cfg, q, intertwine):
+        if q == 0.5:
+            raise KeyboardInterrupt
+        time.sleep(60.0)
+
+    monkeypatch.setattr(harness, "_pass", slow_or_interrupted)
+    _cpus(monkeypatch, 2)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run(_cfg(suites=("decompose",), q=(0.3, 0.5), n_max=4))
+    assert time.perf_counter() - t0 < 30.0
+    _assert_no_child_left()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -7,6 +7,7 @@ from diraclab.hilbert import enumerate_space
 from diraclab.linop import interior_projector
 from diraclab.qnum import (label_text, q_number, q_power, sqrt0, twice,
                            validate_q)
+from diraclab.rep_double import a_plus
 
 
 def test_label_text():
@@ -106,6 +107,14 @@ def test_array_orders_match_scalar_evaluation_exactly():
                 [0.5, np.inf], 1e300, -1e300, 2.0 ** 62):
         with pytest.raises(ValueError, match="is not a half-integer"):
             twice(bad)
+    # a bool is no label, though Python and numpy count True as 1
+    for bad in (True, np.True_, [True, False]):
+        with pytest.raises(ValueError, match="is not a half-integer"):
+            twice(bad)
+    with pytest.raises(ValueError, match="True is not a half-integer"):
+        a_plus(True, 0.5, 0.5, 0.5)
+    with pytest.raises(ValueError, match="True is not a half-integer"):
+        interior_projector(enumerate_space("L2", 8), True)
     # an infinite margin in units of n is no half-integer, not a negative one
     with pytest.raises(ValueError, match="inf is not a half-integer"):
         interior_projector(enumerate_space("L2", 2), np.inf)
