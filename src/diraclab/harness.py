@@ -11,14 +11,14 @@ The suites at one q make one pass and share one lookup, ``ops(kind)``:
 the space and generators of kind "L2" (the hatted pair) or "Double" (pi'),
 each built on first use, so once per q and never for a run that does not
 ask for it, and ``ops("U")``, the q-independent check of U, whose U the kq
-defects use, made once per process that asks for it.  A run of several q
-values computes its passes in up to one process per CPU of
-``os.sched_getaffinity``: a forked child for each q but the last, whose
-pass and the family pass run in the calling process.  A run of one q, or
-on one CPU, runs every pass in the calling process.  A cell's wall time is
-measured in the process that ran its pass, from the end of the cell before
-it in that pass, so it covers the work done for it, shared assembly
-included.
+defects use, made once per process that asks for it.  The q passes, then
+the family pass, are dealt out over ``workers`` = min(CPUs in
+``os.sched_getaffinity``, number of q) processes: process k runs every
+workers-th pass from the k-th on, a forked child each share but the last,
+which runs in the calling process.  So a run of one q, or on one CPU,
+forks nothing.  A cell's wall time is measured in the process that ran
+its pass, from the end of the cell before it in that pass, so it covers
+the work done for it, shared assembly included.
 
 The hatted relation cells fail by design at any usable tolerance: that pair
 of operators satisfies the defining relations only up to level-decaying
@@ -103,10 +103,11 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             raise ValueError(f"config: unknown suite {s!r} "
                              f"(expected a subset of {SUITES})")
     suites = tuple(s for s in SUITES if s in suites)  # canonical order
-    for s, (least, why) in MIN_N_MAX.items():
+    # largest bound first, so the message names the bound that suffices
+    for s, (least, why) in sorted(MIN_N_MAX.items(), key=lambda e: -e[1][0]):
         if s in suites and n_max < least:
-            raise ValueError(f"config: the {s} suite {why} and needs "
-                             f"n_max >= {label_text(least)}")
+            raise ValueError(f"config: the {s} suite {why} and needs n_max "
+                             f">= {label_text(least)} (--nmax {least})")
     if cfg.emit_plot and cfg.out_dir is None:
         raise ValueError("config: plot emission needs an output directory")
     return RunConfig(qs, n_max, suites, cfg.out_dir, bool(cfg.emit_plot))
@@ -242,28 +243,23 @@ _SUITE_FN = {"relations": _suite_relations, "decompose": _suite_decompose,
              "minimality": _suite_minimality, "family": _suite_family}
 
 
-def _operators(n_max: int, q: float | None, intertwine):
-    """One q's lookup: (space, generators) by kind, "L2" or "Double", each
-    built on first use; ops("U") is intertwine(), the run's check of U."""
-    @functools.cache
-    def ops(kind):
-        if kind == "U":
-            return intertwine()
-        space = enumerate_space(kind, n_max)
-        build = hat_generators if kind == "L2" else pi_prime_generators
-        return space, build(space, q)
-    return ops
-
-
 def _sort_key(r: VerificationReport):
     return (r.suite, r.label, -1.0 if r.q is None else r.q)
 
 
 def _pass(cfg: RunConfig, q: float | None, intertwine):
-    """The requested suites at one q, with their own lookup and cell clock;
-    q = None is the family pass.  Returns (reports, plots)."""
+    """The requested suites at one q, with their own lookup ``ops`` (ops("U")
+    is intertwine()) and cell clock; q = None is the family pass.  Returns
+    (reports, plots)."""
+    @functools.cache
+    def ops(kind):
+        if kind == "U":
+            return intertwine()
+        space = enumerate_space(kind, cfg.n_max)
+        build = hat_generators if kind == "L2" else pi_prime_generators
+        return space, build(space, q)
+
     reports, plots = [], {}
-    ops = _operators(cfg.n_max, q, intertwine)
     tick = time.perf_counter()
     # family does not depend on q: it runs once, in the q = None pass
     for s in (s for s in cfg.suites if (s == "family") == (q is None)):
@@ -279,75 +275,74 @@ def _pass(cfg: RunConfig, q: float | None, intertwine):
     return reports, plots
 
 
-def _forked_passes(cfg: RunConfig, qs: tuple, intertwine, workers: int):
-    """The passes of qs in at most ``workers`` processes at once.
+def _passes(cfg: RunConfig, qs: tuple, intertwine, workers: int):
+    """The passes of qs, in ``workers`` processes.
 
-    This process runs the last two passes (the last q and the family pass)
-    and a forked child each other one; a child pickles its outcome down a
-    pipe, which is read to its end before the child is reaped.  Returns
-    the passes in the order of qs.  If passes fail, the first of them in
-    qs raises its exception here; a child that ends without a result
-    raises ``RuntimeError``.  No child outlives the call.
+    Process k runs the share ``qs[k::workers]``: a forked child each share
+    but the last, which runs here.  A share runs on past a failed pass,
+    and a child pickles the list of its ``(ok, outcome)`` down a pipe,
+    which is read to its end before the child is reaped.  Returns the
+    passes in the order of qs.  If passes fail, the first of them in qs
+    raises its exception here; a child that ends without a result raises
+    ``RuntimeError``.  No child outlives the call.
     """
     import pickle
 
-    outcomes, children, todo = {}, [], list(qs[:-2])
-
-    def attempt(q):
-        try:
-            return True, _pass(cfg, q, intertwine)
-        except Exception as e:  # raised below, in the order of qs
-            return False, e
-
-    def fork(q):
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to be had: the run fails
-            os.close(r)
-            os.close(w)
-            raise
-        if pid == 0:  # the child: send the outcome, never return
-            code = 1
+    def attempt(share):
+        out = []
+        for q in share:
             try:
-                os.close(r)
-                with os.fdopen(w, "wb") as fh:
-                    pickle.dump(attempt(q), fh)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(w)
-        children.append((q, pid, os.fdopen(r, "rb")))
+                out.append((True, _pass(cfg, q, intertwine)))
+            except Exception as e:  # raised below, in the order of qs
+                out.append((False, e))
+        return out
 
-    def join(child):
-        q, pid, fh = child
-        blob = fh.read()
-        fh.close()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        children.remove(child)
-        outcomes[q] = pickle.loads(blob) if code == 0 and blob else (
-            False, RuntimeError(f"the pass at q={q!r} ended without a "
-                                f"result (exit status {code})"))
-
+    shares = [qs[k::workers] for k in range(workers)]
+    outcomes, children = {}, []
     try:
-        while todo and len(children) < workers - 1:
-            fork(todo.pop(0))
-        for q in qs[-2:]:
-            outcomes[q] = attempt(q)
-        while todo or children:
-            while todo and len(children) < workers:
-                fork(todo.pop(0))
-            join(children[0])
+        for share in shares[:-1]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: the run fails
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the child: send the outcomes, never return
+                code = 1
+                try:
+                    os.close(r)
+                    with os.fdopen(w, "wb") as fh:
+                        pickle.dump(attempt(share), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((share, pid, os.fdopen(r, "rb")))
+        outcomes.update(zip(shares[-1], attempt(shares[-1])))
+        while children:
+            share, pid, fh = children[0]
+            blob = fh.read()
+            fh.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code == 0 and blob:
+                outcomes.update(zip(share, pickle.loads(blob)))
+                continue
+            for q in share:
+                outcomes[q] = (False, RuntimeError(
+                    f"the pass at q={q!r} ended without a result "
+                    f"(exit status {code})"))
     finally:
         if children:  # an error or an interrupt: stop and reap the rest
             import signal
-            for q, pid, fh in children:
+            for share, pid, fh in children:
                 fh.close()
                 try:
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
                 except (ProcessLookupError, ChildProcessError):
-                    pass  # reaped by join, just before the interrupt
+                    pass  # reaped just before the interrupt
     for q in qs:
         if not outcomes[q][0]:
             raise outcomes[q][1]
@@ -358,18 +353,17 @@ def run(cfg: RunConfig):
     """Execute the configured suites; emit files if an out dir is set.
 
     Returns the sorted reports.  Metric values are deterministic for a fixed
-    config; the CLI exit status is the logical AND of the pass flags.  A
-    run of several q values computes their passes in up to one process per
-    CPU (``_forked_passes``); the payload is the same as in one process.
+    config; the CLI exit status is the logical AND of the pass flags.  The
+    passes of the q values and the family pass are shared out over up to
+    one process per CPU (``_passes``); the payload is the same as in one
+    process.
     """
     cfg = validate_config(cfg)
     intertwine = functools.cache(lambda: check_dirac_intertwine(cfg.n_max))
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else 1)
     workers = min(cpus, len(cfg.q))
-    qs = (*cfg.q, None)
-    passes = (_forked_passes(cfg, qs, intertwine, workers) if workers > 1
-              else [_pass(cfg, q, intertwine) for q in qs])
+    passes = _passes(cfg, (*cfg.q, None), intertwine, workers)
     reports = sorted((r for rep, _ in passes for r in rep), key=_sort_key)
     plots = {k: v for _, p in passes for k, v in p.items()}
     if cfg.out_dir is not None:

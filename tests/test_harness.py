@@ -55,6 +55,9 @@ def test_validate_config_distinct_errors():
         (dict(suites=("kq-decay",), n_max=7), "needs n_max >= 4"),
         (dict(suites=("commutators",), n_max=5), "needs n_max >= 3"),
         (dict(suites=("minimality",), n_max=0), "needs n_max >= 1/2"),
+        # the largest unmet bound is named, with its --nmax value
+        (dict(suites=SUITES, n_max=0), "kq-decay"),
+        (dict(suites=("relations", "kq-decay"), n_max=2), "(--nmax 8)"),
         (dict(emit_plot=True), "needs an output directory"),
     ]
     for kw, fragment in cases:
@@ -357,24 +360,29 @@ def test_kq_plot_files(tmp_path):
         assert texts[gen, qs[0]] != texts[gen, qs[1]]
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("cpus, qs", [
+    (2, (0.3, 0.5, 0.7)),
+    (3, (0.3, 0.5, 0.7)),
+    (2, (0.3, 0.4, 0.5, 0.6, 0.7)),
+], ids=["2", "3", "2-5q"])
 def test_forked_passes_give_the_one_process_payload(tmp_path, monkeypatch,
-                                                    cpus):
-    # with 2 CPUs one q's child waits for a free CPU; with 3 each q but the
-    # last runs in a child at once
+                                                    cpus, qs):
+    # process k runs every cpus-th pass from the k-th on, the family pass
+    # last: with 2 CPUs a child runs 0.3 and 0.7 (0.3, 0.5 and 0.7 of five
+    # q) and this process the rest; with 3 each q runs in its own process
     docs, plots = {}, {}
     for n in (1, cpus):
         _cpus(monkeypatch, n)
         out = tmp_path / str(n)
-        run(_cfg(q=(0.3, 0.5, 0.7), out_dir=str(out), emit_plot=True))
+        run(_cfg(q=qs, out_dir=str(out), emit_plot=True))
         docs[n] = json.loads((out / "report.json").read_text())
         plots[n] = {p.name: p.read_text() for p in out.glob("kq_*.dat")}
         _assert_no_child_left()
     assert docs[cpus]["payload"] == docs[1]["payload"]
     assert docs[cpus]["meta"]["payload_sha256"] == \
         docs[1]["meta"]["payload_sha256"]
-    assert len(docs[1]["payload"]["reports"]) == 82
-    assert plots[cpus] == plots[1] and len(plots[1]) == 6
+    assert len(docs[1]["payload"]["reports"]) == 27 * len(qs) + 1
+    assert plots[cpus] == plots[1] and len(plots[1]) == 2 * len(qs)
     assert (docs[1]["meta"]["workers"], docs[cpus]["meta"]["workers"]) == \
         (1, cpus)
     # one q keeps every pass in this process, whatever the CPUs
@@ -382,6 +390,28 @@ def test_forked_passes_give_the_one_process_payload(tmp_path, monkeypatch,
              out_dir=str(tmp_path / "one")))
     doc = json.loads((tmp_path / "one" / "report.json").read_text())
     assert doc["meta"]["workers"] == 1
+
+
+@pytest.mark.parametrize("cpus, qs, forks", [
+    (2, (0.3, 0.5, 0.7), 1),
+    (3, (0.3, 0.5, 0.7), 2),
+    (2, (0.5,), 0),
+    (1, (0.3, 0.5, 0.7), 0),
+])
+def test_a_run_forks_one_child_per_share_but_the_last(monkeypatch, cpus, qs,
+                                                      forks):
+    # min(CPUs, number of q) shares, and this process runs the last
+    real, calls = os.fork, []
+
+    def counted():
+        calls.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    _cpus(monkeypatch, cpus)
+    run(_cfg(suites=("decompose",), q=qs, n_max=4))
+    assert len(calls) == forks
+    _assert_no_child_left()
 
 
 def test_a_failed_child_pass_reaches_the_cli(monkeypatch, capsys):

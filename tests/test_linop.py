@@ -422,16 +422,18 @@ def test_hat_beta_normal_defect_is_exact():
 
 
 def test_no_scipy_module_is_loaded(tmp_path):
-    # scipy and mpmath are test dependencies only: neither the import nor
-    # a full run (--nmax 8 is the smallest at which every suite runs; some
-    # cells fail by design, so the status is 1) may load any of their modules
+    # scipy and mpmath are test dependencies only, and a run forks its
+    # passes bare, with no process pool: neither the import nor a full run
+    # (--nmax 8 is the smallest at which every suite runs; some cells fail
+    # by design, so the status is 1) may load any of their modules
     import diraclab
 
     src = os.path.dirname(os.path.dirname(diraclab.__file__))
     code = ("import sys, diraclab\n"
             "from diraclab.cli import main\n"
             "extra = lambda: sorted(m for m in sys.modules if m.split('.')[0]\n"
-            "                       in ('scipy', 'mpmath'))\n"
+            "                       in ('scipy', 'mpmath',\n"
+            "                           'multiprocessing', 'concurrent'))\n"
             "before = extra()\n"
             f"status = main(['all', '--nmax', '8', '--out', {str(tmp_path)!r}])\n"
             "print(status, before, extra())\n")
