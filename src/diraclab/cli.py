@@ -7,6 +7,7 @@ The truncation is passed as the package holds it, a doubled integer
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import DEFAULT_N_MAX, DEFAULT_Q, SUITES, RunConfig, run
@@ -77,5 +78,30 @@ def main(argv=None) -> int:
     return 0 if npass == len(reports) else 1
 
 
+def console() -> None:
+    """The ``diraclab`` command: ``main()``, a flush of stdout and stderr,
+    then ``os._exit`` with main's status, which skips the interpreter's
+    teardown (report.json and report.csv are closed by then).
+
+    A reader that closed the table's pipe ends the command quietly with
+    status 1, as in the Python docs' recipe for SIGPIPE; any other error
+    writing stdout (a full disk) prints ``error: ...`` and exits 2, as an
+    unwritable ``--out`` does.
+    """
+    try:
+        try:
+            code = main()
+        except SystemExit as e:  # argparse: --help, or a bad argument
+            code = e.code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = 1  # the unflushed rest of the table is dropped at _exit
+    except OSError as e:
+        print(f"error: cannot write the table: {e}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console()

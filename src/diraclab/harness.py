@@ -48,7 +48,7 @@ from .linop import commutator, on_columns, op_norm
 from .qnum import label_text, validate_q
 from .rep_double import dirac_D, pi_prime_generators
 from .rep_l2 import (D1_PARAMS, D2_PARAMS, DiracParams, dirac_family,
-                     hat_generators, pi_hat, relation_words)
+                     hat_generators, relation_words, word_entries)
 
 SUITES = ("relations", "decompose", "kq-decay", "asymptotics",
           "commutators", "minimality", "family")
@@ -133,13 +133,12 @@ class VerificationReport(NamedTuple):
 def _suite_relations(cfg: RunConfig, q: float, ops, plots: dict):
     words = relation_words(q)
     for rep, (space, gens) in [("hat", ops("L2")), ("prime", ops("Double"))]:
-        inner, terms = interior(space, 2), {}
+        m, terms = len(interior(space, 2)), {}
         for name, w in words.items():
-            # keep only this word's products: relation_words puts the words
-            # that share a product next to each other
+            # keep only this word's terms: relation_words puts the words
+            # that share a term next to each other
             terms = {syms: terms[syms] for _, syms in w if syms in terms}
-            defect = op_norm(pi_hat(w, space, q, ops=gens, right=inner,
-                                    terms=terms))  # w on the inner columns
+            defect = op_norm(word_entries(w, space, gens, m, terms))
             yield (f"{rep}:{name}", {"defect": defect},
                    ("defect", "<=", RELATION_DEFECT_MAX))
 

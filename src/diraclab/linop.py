@@ -173,7 +173,8 @@ class SparseOp:
 
 def op_norm(T: SparseOp) -> float:
     """Largest singular value of T, exact up to rounding: its rows as one
-    group of :func:`_kernels.spectral_norms`."""
+    group of :func:`_kernels.spectral_norms`, which takes entries in any
+    order, so T may also be a :class:`rep_l2.Entries`."""
     return float(spectral_norms(T.rows, T.cols, T.vals, T.cod.sector,
                                 T.dom.sector, np.zeros(T.cod.dim, np.int64),
                                 1)[0])

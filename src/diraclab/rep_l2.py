@@ -23,6 +23,8 @@ relations at machine precision.
 builds both this pair and pi'.  A word over ``GENERATORS`` is a plain tuple
 of (weight, symbols) terms: :func:`relation_words` writes the five defining
 relations so, and :func:`pi_hat` evaluates any word on any generator dict.
+:func:`word_entries` reads a relation word's entries on a column prefix
+straight off the generators, with the same sums as :func:`pi_hat`.
 """
 
 from __future__ import annotations
@@ -138,6 +140,94 @@ def pi_hat(w: tuple, space: TruncatedSpace, q: float,
         T = terms[syms]
         parts.append((T.rows, T.cols, weight * T.vals))
     return SparseOp.from_coo(space, space, *map(np.concatenate, zip(*parts)))
+
+
+class Entries(NamedTuple):
+    """A word's entries as :func:`word_entries` returns them: no coordinate
+    twice and no exact 0, in column order, with the space as ``dom`` and
+    ``cod``.  These are the fields :func:`linop.op_norm` reads; it is no
+    :class:`SparseOp`, whose entries are sorted row-major."""
+
+    dom: TruncatedSpace
+    cod: TruncatedSpace
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def _paths(syms: tuple, space: TruncatedSpace, ops: dict, m: int):
+    """(column, row, value) of each path of the product ``syms``, of at most
+    two symbols, from the columns [0, m): by column, then by inner ordinal,
+    then by row.  Column c of a generator is row c of its adjoint, which
+    ``ops`` holds under the other name (alpha and alpha*), so the last
+    factor's columns are a prefix of its adjoint's arrays and the first
+    factor's are reached through its adjoint's row pointer."""
+    if len(syms) > 2:  # one inner index: a path sum is compose's sum
+        raise ValueError(f"word_entries takes terms of at most two "
+                         f"symbols, got {syms!r}")
+    if not syms:
+        col = np.arange(m)
+        return col, col, np.ones(m)
+    adj = [ops[s[:-1] if s.endswith("*") else s + "*"] for s in syms]
+    end = np.searchsorted(adj[-1].rows, m)
+    col, row, val = (a[:end] for a in (adj[-1].rows, adj[-1].cols,
+                                       adj[-1].vals))
+    if len(syms) == 2:  # as in SparseOp.compose
+        first = adj[0]
+        ptr = np.bincount(first.rows + 1, minlength=space.dim + 1).cumsum()
+        count = np.diff(ptr)[row]
+        at = np.repeat(ptr[row] - np.cumsum(count) + count, count)
+        at += np.arange(len(at))
+        col, row, val = (np.repeat(col, count), first.cols[at],
+                         np.repeat(val, count) * first.vals[at])
+    return col, row, val
+
+
+def word_entries(w: tuple, space: TruncatedSpace, ops: dict, m: int,
+                 terms: dict | None = None) -> Entries:
+    """The entries of the word w on the columns [0, m), such as
+    ``interior(space, 2)``, read off the generators ``ops`` with no product
+    built: as a multiset, bit for bit, those of ``pi_hat(w, space, q,
+    ops=ops, right=np.arange(m))`` for terms of at most two symbols and
+    finite weights.
+
+    Every generator moves the level by 1/2 and shifts the weights (i, j) by
+    a fixed amount, and every term of a relation word shifts them alike.
+    So from column c a path has one target for each level offset (-1, 0 or
+    +1) and target band, and is keyed ``c * K + slot``: K = 3 on L2 with
+    the offset's index as slot, K = 6 on Double with 2 x index + band.  A
+    term is one ``np.bincount`` over its paths, in path order, inner
+    ordinal ascending, the order in which :meth:`SparseOp.compose` sums; the word is 0.0 + w1 T1 + w2 T2 + ... in term order, and its
+    exact zeros are dropped at the end, as :func:`pi_hat` does.  A key
+    that two paths of the word give two targets raises ValueError.
+    ``terms`` keeps each term by its symbols, so that words evaluated with
+    the same ``ops`` and ``m`` share them.
+    """
+    if terms is None:
+        terms = {}
+    K = 3 if space.band is None else 6
+    word, target = np.zeros(m * K), np.zeros(m * K, np.int64)
+    for weight, syms in w:
+        if syms not in terms:
+            col, row, val = _paths(syms, space, ops, m)
+            # in place: at --nmax 64 a term has 1.5e6 paths
+            key = space.tn[row] - space.tn[col]  # -2..2, twice-valued
+            key += 2
+            key //= 2
+            if K == 6:
+                key *= 2
+                key += space.band[row]
+            key += K * col
+            terms[syms] = key, row, np.bincount(key, val, minlength=m * K)
+        key, row, sums = terms[syms]
+        word += weight * sums
+        target[key] = row
+    if not all(np.array_equal(target[terms[syms][0]], terms[syms][1])
+               for _, syms in w):
+        raise ValueError("word_entries: the terms of a word must shift the "
+                         "weights alike")
+    at = np.flatnonzero(word != 0)  # (faster than on the floats)
+    return Entries(space, space, target[at], at // K, word[at])
 
 
 def relation_words(q: float) -> dict:

@@ -16,6 +16,7 @@ from diraclab.rep_l2 import (
     hat_generators,
     pi_hat,
     relation_words,
+    word_entries,
 )
 
 Q = 0.5
@@ -196,6 +197,53 @@ def test_projected_words_are_the_word_then_the_projector(kind, q, nmax):
     # 9 distinct terms in the relations (beta* beta, beta beta* and the
     # identity each serve two) and 2 more in the last word
     assert len(terms) == 11
+
+
+@pytest.mark.parametrize("kind", ["L2", "Double"])
+@pytest.mark.parametrize("q", [0.3, 0.9])
+@pytest.mark.parametrize("nmax", [2, 7, 12])  # twice n_max, as on the CLI
+def test_word_entries_are_pi_hat_on_the_interior(kind, q, nmax):
+    """word_entries, with terms shared as the relations suite shares them,
+    gives as a multiset, bit for bit, the entries of pi_hat on the
+    interior(2) columns: the relations, whose prime words cancel to exact
+    zeros, identity terms, one-symbol terms and the empty word."""
+    from diraclab.rep_double import pi_prime_generators
+
+    space = enumerate_space(kind, nmax)
+    ops = (hat_generators if kind == "L2" else pi_prime_generators)(space, q)
+    inner = interior(space, 2)
+    words = dict(relation_words(q))
+    words["identity"] = ((2.0, ()), (-0.5, ()))
+    words["one_symbol"] = ((1.0, ("alpha*",)), (-q, ("alpha*",)))
+    words["empty"] = ()
+    terms, cancelled = {}, 0
+    for name, w in words.items():
+        terms = {syms: terms[syms] for _, syms in w if syms in terms}
+        got = word_entries(w, space, ops, len(inner), terms)
+        assert got.dom is got.cod is space
+        want = pi_hat(w, space, q, ops=ops, right=inner)
+        order = np.lexsort((got.cols, got.rows))
+        for attr in ("rows", "cols", "vals"):
+            assert (getattr(got, attr)[order].tobytes()
+                    == getattr(want, attr).tobytes()), (name, attr)
+        # the coordinates that some term reaches, and no entry of the word
+        reached = {rc for _, syms in w for rc in zip(*(
+            getattr(pi_hat(((1.0, syms),), space, q, ops=ops, right=inner),
+                    attr).tolist() for attr in ("rows", "cols")))}
+        cancelled += len(reached) - len(got.vals)
+    assert cancelled > 0  # sums that cancel to exact zeros were dropped
+
+
+def test_word_entries_rejects_what_it_cannot_key():
+    space = enumerate_space("L2", 6)
+    ops = hat_generators(space, Q)
+    with pytest.raises(ValueError, match="at most two symbols"):
+        word_entries(((1.0, ("alpha", "beta", "alpha*")),), space, ops, 10)
+    # alpha and beta shift the weights apart, so a key meets two targets
+    with pytest.raises(ValueError, match="shift the weights alike"):
+        word_entries(((1.0, ("alpha",)), (1.0, ("beta",))), space, ops, 10)
+    with pytest.raises(KeyError):
+        word_entries(((1.0, ("gamma",)),), space, ops, 10)
 
 
 def _chained(w, space, ops):
