@@ -20,11 +20,10 @@ The spinorial representation in :mod:`diraclab.rep_double` satisfies the same
 relations at machine precision.
 
 :func:`_band_op` assembles a band operator on either space kind, so it
-builds both this pair and pi'.  A word over ``GENERATORS`` is a plain tuple
-of (weight, symbols) terms: :func:`relation_words` writes the five defining
-relations so, and :func:`pi_hat` evaluates any word on any generator dict.
-:func:`word_entries` reads a relation word's entries on a column prefix
-straight off the generators, with the same sums as :func:`pi_hat`.
+builds both this pair and pi'.  A word over ``GENERATORS`` is a tuple of
+(weight, symbols) terms, as :func:`relation_words` writes the relations;
+:func:`word_entries` reads its entries on a column prefix straight off a
+generator dict, and :func:`pi_hat` is their operator view.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hilbert import TruncatedSpace, check_count, check_kind
-from .linop import SparseOp, on_columns
+from .linop import SparseOp
 from .qnum import q_power, sqrt0, validate_q
 
 GENERATORS = ("alpha", "alpha*", "beta", "beta*")
@@ -102,44 +101,18 @@ def hat_generators(space: TruncatedSpace, q: float) -> dict:
 
 
 def pi_hat(w: tuple, space: TruncatedSpace, q: float,
-           ops: dict | None = None, right: np.ndarray | None = None,
-           terms: dict | None = None) -> SparseOp:
-    """Evaluate a word, a tuple of (weight, symbols) terms, in the hatted
-    pair or in the generators ``ops``.
-
-    Symbols multiply left to right as operators (the rightmost acts first),
-    the empty symbol tuple is the identity and the empty tuple of terms is
-    zero; an unknown symbol raises KeyError.  A length-L word moves the
-    level by at most L/2, so only on interior(L) vectors is the result
-    free of truncation.  Each term is one product chain, built from its
-    last factor, and the word is one :meth:`SparseOp.from_coo` over every
-    term's entries times its weight: bit for bit the chained sum
-    ``t1 + t2.scale(w2) + ...``, which also sums each coordinate in term
-    order from 0.0 and drops only exact zeros.
-
-    ``right``, column ordinals such as ``interior(space, 2)``, gives
-    ``w @ P`` for the projector P onto them, bit for bit, with each term's
-    last factor cut to them first (:func:`on_columns`): the same sums from
-    fewer products.  ``terms`` keeps each unscaled term by its symbols, so
-    that words evaluated with the same ``ops`` and ``right`` share them.
-    """
+           ops: dict | None = None) -> SparseOp:
+    """The word w, a tuple of (weight, symbols) terms, as an operator on
+    ``space``: :func:`word_entries` on every column, in the hatted pair or
+    in the generators ``ops``.  Symbols multiply left to right as operators
+    (the rightmost acts first), the empty symbol tuple is the identity and
+    the empty word is zero.  A length-L word moves the level by at most
+    L/2, so it is free of truncation on the interior(L) columns alone
+    (:func:`linop.on_columns` cuts it to them)."""
     if ops is None:
         ops = hat_generators(space, q)
-    if terms is None:
-        terms = {}
-    none = np.empty(0, np.int64)
-    parts = [(none, none, np.empty(0))]  # no entry: the empty word is 0
-    for weight, syms in w:
-        if syms not in terms:
-            cur = ops[syms[-1]] if syms else SparseOp.identity(space)
-            if right is not None:
-                cur = on_columns(cur, right)
-            for s in reversed(syms[:-1]):
-                cur = ops[s] @ cur
-            terms[syms] = cur
-        T = terms[syms]
-        parts.append((T.rows, T.cols, weight * T.vals))
-    return SparseOp.from_coo(space, space, *map(np.concatenate, zip(*parts)))
+    e = word_entries(w, space, ops, space.dim)
+    return SparseOp.from_coo(space, space, e.rows, e.cols, e.vals)
 
 
 class Entries(NamedTuple):
@@ -168,6 +141,8 @@ def _paths(syms: tuple, space: TruncatedSpace, ops: dict, m: int):
     if not syms:
         col = np.arange(m)
         return col, col, np.ones(m)
+    if missing := [s for s in syms if s not in ops]:  # the written name
+        raise KeyError(missing[0])
     adj = [ops[s[:-1] if s.endswith("*") else s + "*"] for s in syms]
     end = np.searchsorted(adj[-1].rows, m)
     col, row, val = (a[:end] for a in (adj[-1].rows, adj[-1].cols,
@@ -187,9 +162,9 @@ def word_entries(w: tuple, space: TruncatedSpace, ops: dict, m: int,
                  terms: dict | None = None) -> Entries:
     """The entries of the word w on the columns [0, m), such as
     ``interior(space, 2)``, read off the generators ``ops`` with no product
-    built: as a multiset, bit for bit, those of ``pi_hat(w, space, q,
-    ops=ops, right=np.arange(m))`` for terms of at most two symbols and
-    finite weights.
+    built: for terms of at most two symbols and finite weights, as a
+    multiset, bit for bit, those of the chained sum ``t1 + t2.scale(w2) +
+    ...`` of the terms built with ``@`` and cut to those columns.
 
     Every generator moves the level by 1/2 and shifts the weights (i, j) by
     a fixed amount, and every term of a relation word shifts them alike.
@@ -197,14 +172,14 @@ def word_entries(w: tuple, space: TruncatedSpace, ops: dict, m: int,
     +1) and target band, and is keyed ``c * K + slot``: K = 3 on L2 with
     the offset's index as slot, K = 6 on Double with 2 x index + band.  A
     term is one ``np.bincount`` over its paths, in path order, inner
-    ordinal ascending, the order in which :meth:`SparseOp.compose` sums; the word is 0.0 + w1 T1 + w2 T2 + ... in term order, and its
-    exact zeros are dropped at the end, as :func:`pi_hat` does.  A key
-    that two paths of the word give two targets raises ValueError.
-    ``terms`` keeps each term by its symbols, so that words evaluated with
-    the same ``ops`` and ``m`` share them.
+    ordinal ascending, the order in which :meth:`SparseOp.compose` sums;
+    the word is 0.0 + w1 T1 + w2 T2 + ... in term order, and its exact
+    zeros are dropped at the end, as a sum of operators drops them.  A key
+    that two paths give two targets raises ValueError, and a symbol or an
+    adjoint that ``ops`` lacks raises KeyError.  ``terms`` keeps each term
+    by its symbols, to share among words with the same ``ops`` and ``m``.
     """
-    if terms is None:
-        terms = {}
+    terms = {} if terms is None else terms
     K = 3 if space.band is None else 6
     word, target = np.zeros(m * K), np.zeros(m * K, np.int64)
     for weight, syms in w:
@@ -240,8 +215,8 @@ def relation_words(q: float) -> dict:
     twist_beta_star  alpha beta* - q beta* alpha
 
     In this order each product two words share (beta* beta, beta beta*)
-    is used by consecutive words, so an evaluation that keeps only the
-    current word's products (``pi_hat(..., terms=...)``) builds each once.
+    is used by consecutive words, so the relations suite, which keeps only
+    the current word's ``terms`` for :func:`word_entries`, sums each once.
     """
     q = validate_q(q)
     return {

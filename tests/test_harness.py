@@ -104,12 +104,14 @@ def test_relations_suite_emits_exactly_ten_reports_per_q():
 
 
 def test_relation_cells_are_the_words_evaluated_alone():
-    """Each relations cell, bit for bit, is the norm of its word built by
-    pi_hat on interior(2), with no product shared from another word."""
+    """Each relations cell, bit for bit, is the norm of its word built as
+    the chained sum of operator products (tests/word_oracle.py) and cut to
+    interior(2), with no product shared from another word."""
     from diraclab.hilbert import enumerate_space, interior
-    from diraclab.linop import op_norm
+    from diraclab.linop import on_columns, op_norm
     from diraclab.rep_double import pi_prime_generators
-    from diraclab.rep_l2 import hat_generators, pi_hat, relation_words
+    from diraclab.rep_l2 import hat_generators, relation_words
+    from word_oracle import chained
 
     for n_max in (8, 16, 24):
         for q in (0.01, 0.3, 0.5, 0.8, 0.99):
@@ -121,16 +123,15 @@ def test_relation_cells_are_the_words_evaluated_alone():
                 space = enumerate_space(kind, n_max)
                 gens = build(space, q)
                 for name, w in relation_words(q).items():
-                    want[f"{rep}:{name}"] = op_norm(pi_hat(
-                        w, space, q, ops=gens,
-                        right=interior(space, 2))).hex()
+                    want[f"{rep}:{name}"] = op_norm(on_columns(
+                        chained(w, space, gens), interior(space, 2))).hex()
             assert got == want, (n_max, q)
 
 
 def test_a_relations_pass_composes_no_operator(monkeypatch):
     # the words are read off the generators: a counter on SparseOp.compose,
     # which every operator product goes through, sees no call in a
-    # relations pass, and two in pi_hat's twist_beta, one per product
+    # relations pass, nor in pi_hat, their operator view
     from diraclab.hilbert import enumerate_space
     from diraclab.linop import SparseOp
     from diraclab.rep_l2 import pi_hat, relation_words
@@ -146,7 +147,7 @@ def test_a_relations_pass_composes_no_operator(monkeypatch):
     reports = run(_cfg(suites=("relations",), q=(0.3, 0.5)))
     assert len(reports) == 20 and calls == [0]
     pi_hat(relation_words(0.5)["twist_beta"], enumerate_space("L2", 4), 0.5)
-    assert calls == [2]
+    assert calls == [0]
 
 
 def test_decompose_suite_one_exact_cell_per_q():

@@ -14,8 +14,9 @@ The same leaves give the generators at 50 digits as dict columns, and the
 five relations, written again here, are evaluated on the interior(2)
 columns: pi' meets them to about 1e-50, whatever the float code rounds,
 and the hatted defect norms are checked against the README's closed forms
-and pinned where those stop holding.  ``rep_l2.pi_hat``, which shares no
-code with this evaluation, must read the same hatted norms.
+and pinned where those stop holding.  ``rep_l2.pi_hat``, the operator view
+of the relations suite's ``word_entries``, which shares no code with this
+evaluation, must read the same hatted norms.
 
 The regular representation pi, which the package does not build yet, is
 written here from Woronowicz's Clebsch-Gordan coefficients in this
@@ -33,7 +34,7 @@ import pytest
 
 from diraclab import rep_l2
 from diraclab.hilbert import enumerate_space, interior
-from diraclab.linop import op_norm
+from diraclab.linop import on_columns, op_norm
 from diraclab.rep_double import a_minus, a_plus, b_minus, b_plus
 
 MP = mpmath.MPContext()
@@ -388,7 +389,7 @@ def test_hat_defects_at_50_digits_and_pi_hat(q):
     inner = interior(space, 2)
     for name, w in rep_l2.relation_words(q).items():
         assert got[name] == pytest.approx(want[name], rel=0, abs=1e-12), name
-        assert op_norm(rep_l2.pi_hat(w, space, q, right=inner)) \
+        assert op_norm(on_columns(rep_l2.pi_hat(w, space, q), inner)) \
             == pytest.approx(got[name], rel=0, abs=1e-12), name
 
 

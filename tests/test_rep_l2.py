@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from diraclab.hilbert import enumerate_space, interior
-from diraclab.linop import SparseOp, interior_projector, op_norm
+from diraclab.linop import interior_projector, on_columns, op_norm
 from diraclab.qnum import q_power
 from diraclab.rep_l2 import (
     D1_PARAMS,
@@ -18,6 +19,7 @@ from diraclab.rep_l2 import (
     relation_words,
     word_entries,
 )
+from word_oracle import chained
 
 Q = 0.5
 
@@ -150,6 +152,11 @@ def test_pi_hat_empty_word_is_identity():
                           np.zeros((sp.dim, sp.dim)))
 
 
+def _key(name):
+    """The whole message of a KeyError for ``name``, as a pattern."""
+    return f"^{re.escape(repr(name))}$"
+
+
 def test_pi_hat_is_multiplicative():
     sp = enumerate_space("L2", 4)
     ops = hat_generators(sp, Q)
@@ -157,46 +164,32 @@ def test_pi_hat_is_multiplicative():
     np.testing.assert_allclose(T.to_dense(),
                                (ops["alpha"] @ ops["beta"]).to_dense(),
                                atol=1e-15)
-    S = pi_hat(((2.0, ("beta",)), (-0.5, ())), sp, Q, ops)
-    np.testing.assert_allclose(
-        S.to_dense(), 2.0 * ops["beta"].to_dense() - 0.5 * np.eye(sp.dim),
-        atol=1e-15)
+    # alpha* alpha and the identity keep the weights: a word of both
+    S = pi_hat(((2.0, ("alpha*", "alpha")), (-0.5, ())), sp, Q, ops)
+    A = ops["alpha"].to_dense()
+    np.testing.assert_allclose(S.to_dense(),
+                               2.0 * A.T @ A - 0.5 * np.eye(sp.dim),
+                               atol=1e-15)
+    # beta shifts them and the identity does not; three symbols are one
+    # inner index too many
+    with pytest.raises(ValueError, match="shift the weights alike"):
+        pi_hat(((2.0, ("beta",)), (-0.5, ())), sp, Q, ops)
+    with pytest.raises(ValueError, match="at most two symbols"):
+        pi_hat(((1.0, ("alpha", "beta", "alpha*")),), sp, Q, ops)
 
 
 def test_word_rejects_unknown_symbol():
+    # the error names the symbol the word holds, wherever it stands, and
+    # then an adjoint that the generator dict lacks
     sp = enumerate_space("L2", 2)
-    for syms in (("gamma",), ("alpha", "gamma")):
-        with pytest.raises(KeyError):
+    for syms, name in ((("gamma",), "gamma"), (("alpha", "gamma"), "gamma"),
+                       (("gamma*", "alpha"), "gamma*")):
+        with pytest.raises(KeyError, match=_key(name)):
             pi_hat(((1.0, syms),), sp, Q)
-
-
-@pytest.mark.parametrize("kind", ["L2", "Double"])
-@pytest.mark.parametrize("q", [0.3, 0.9])
-@pytest.mark.parametrize("nmax", [8, 16])  # twice n_max, as on the CLI
-def test_projected_words_are_the_word_then_the_projector(kind, q, nmax):
-    """Each term's last factor cut to the interior columns first, and the
-    products shared between the words, give w @ P bit for bit: the five
-    relations and a length-3 word with a weight 1.0, a scaled and an
-    identity term."""
-    from diraclab.rep_double import pi_prime_generators
-
-    space = enumerate_space(kind, nmax)
-    ops = (hat_generators if kind == "L2" else pi_prime_generators)(space, q)
-    words = dict(relation_words(q))
-    words["length_3"] = ((1.0, ("alpha", "beta*", "alpha*")),
-                         (-q, ("beta", "beta", "alpha")), (2.0, ()),
-                         (1.0, ("beta*", "beta")))
-    P, terms = interior_projector(space, 1), {}
-    for name, w in words.items():
-        got = pi_hat(w, space, q, ops=ops, right=interior(space, 2),
-                     terms=terms)
-        want = pi_hat(w, space, q, ops=ops) @ P
-        for attr in ("rows", "cols", "vals"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr),
-                                  equal_nan=True), (name, attr)
-    # 9 distinct terms in the relations (beta* beta, beta beta* and the
-    # identity each serve two) and 2 more in the last word
-    assert len(terms) == 11
+    ops = hat_generators(sp, Q)
+    del ops["beta*"]
+    with pytest.raises(KeyError, match=_key("beta*")):
+        pi_hat(((1.0, ("beta",)),), sp, Q, ops)
 
 
 @pytest.mark.parametrize("kind", ["L2", "Double"])
@@ -204,9 +197,9 @@ def test_projected_words_are_the_word_then_the_projector(kind, q, nmax):
 @pytest.mark.parametrize("nmax", [2, 7, 12])  # twice n_max, as on the CLI
 def test_word_entries_are_pi_hat_on_the_interior(kind, q, nmax):
     """word_entries, with terms shared as the relations suite shares them,
-    gives as a multiset, bit for bit, the entries of pi_hat on the
-    interior(2) columns: the relations, whose prime words cancel to exact
-    zeros, identity terms, one-symbol terms and the empty word."""
+    gives as a multiset, bit for bit, the entries of the chained sum on
+    the interior(2) columns: the relations, whose prime words cancel to
+    exact zeros, identity terms, one-symbol terms and the empty word."""
     from diraclab.rep_double import pi_prime_generators
 
     space = enumerate_space(kind, nmax)
@@ -221,14 +214,14 @@ def test_word_entries_are_pi_hat_on_the_interior(kind, q, nmax):
         terms = {syms: terms[syms] for _, syms in w if syms in terms}
         got = word_entries(w, space, ops, len(inner), terms)
         assert got.dom is got.cod is space
-        want = pi_hat(w, space, q, ops=ops, right=inner)
+        want = on_columns(chained(w, space, ops), inner)
         order = np.lexsort((got.cols, got.rows))
         for attr in ("rows", "cols", "vals"):
             assert (getattr(got, attr)[order].tobytes()
                     == getattr(want, attr).tobytes()), (name, attr)
         # the coordinates that some term reaches, and no entry of the word
         reached = {rc for _, syms in w for rc in zip(*(
-            getattr(pi_hat(((1.0, syms),), space, q, ops=ops, right=inner),
+            getattr(on_columns(chained(((1.0, syms),), space, ops), inner),
                     attr).tolist() for attr in ("rows", "cols")))}
         cancelled += len(reached) - len(got.vals)
     assert cancelled > 0  # sums that cancel to exact zeros were dropped
@@ -242,49 +235,44 @@ def test_word_entries_rejects_what_it_cannot_key():
     # alpha and beta shift the weights apart, so a key meets two targets
     with pytest.raises(ValueError, match="shift the weights alike"):
         word_entries(((1.0, ("alpha",)), (1.0, ("beta",))), space, ops, 10)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match=_key("gamma")):
         word_entries(((1.0, ("gamma",)),), space, ops, 10)
-
-
-def _chained(w, space, ops):
-    """The word as the chained sum t1 + t2.scale(w2) + ...: each term a
-    product from the left, each sum canonicalised on its own."""
-    out = SparseOp.zero(space)
-    for weight, syms in w:
-        term = SparseOp.identity(space)
-        for s in syms:
-            term = term @ ops[s]
-        out = out + term.scale(weight)
-    return out
 
 
 @pytest.mark.parametrize("kind", ["L2", "Double"])
 @pytest.mark.parametrize("q", [0.3, 0.9])
 def test_pi_hat_is_the_chained_sum_bit_for_bit(kind, q):
-    """One canonicalisation of all the weighted terms gives the chained
-    sum's operator: the relations, a word whose terms cancel exactly, a
-    weight whose products underflow to 0 or to subnormals, and the empty
-    word."""
+    """pi_hat gives the chained sum's operator, and times the interior
+    projector, as perfbench's references take it, the chained sum's
+    entries on the interior(2) columns: the relations, a word whose terms
+    cancel exactly, a weight whose products underflow to 0 or to
+    subnormals, and the empty word."""
     from diraclab.rep_double import pi_prime_generators
 
-    space = enumerate_space(kind, 8)
-    ops = (hat_generators if kind == "L2" else pi_prime_generators)(space, q)
-    words = dict(relation_words(q))
-    words["cancelled"] = ((1.0, ("beta",)), (-1.0, ("beta",)))
-    words["underflow"] = ((1e-320, ("alpha", "beta")),)
-    words["empty"] = ()
-    got = {name: pi_hat(w, space, q, ops=ops) for name, w in words.items()}
-    for name, w in words.items():
-        want = _chained(w, space, ops)
-        for attr in ("rows", "cols", "vals"):
-            assert np.array_equal(getattr(got[name], attr),
-                                  getattr(want, attr)), (name, attr)
-    assert got["cancelled"].nnz == got["empty"].nnz == 0
-    # every weighted product is subnormal, and some round to 0 (on L2 at
-    # q = 0.9 every entry of alpha beta exceeds 1e-3, so none does)
-    tiny, product = got["underflow"], ops["alpha"] @ ops["beta"]
-    assert tiny.nnz and np.all(np.abs(tiny.vals) < np.finfo(float).tiny)
-    assert (tiny.nnz < product.nnz) != ((kind, q) == ("L2", 0.9))
+    for nmax in (8, 12):  # twice n_max, as on the CLI
+        space = enumerate_space(kind, nmax)
+        ops = (hat_generators if kind == "L2"
+               else pi_prime_generators)(space, q)
+        words = dict(relation_words(q))
+        words["cancelled"] = ((1.0, ("beta",)), (-1.0, ("beta",)))
+        words["underflow"] = ((1e-320, ("alpha", "beta")),)
+        words["empty"] = ()
+        P, inner = interior_projector(space, 1), interior(space, 2)
+        got = {name: pi_hat(w, space, q, ops=ops)
+               for name, w in words.items()}
+        for name, w in words.items():
+            want = chained(w, space, ops)
+            for g, v in ((got[name], want),
+                         (got[name] @ P, on_columns(want, inner))):
+                for attr in ("rows", "cols", "vals"):
+                    assert np.array_equal(getattr(g, attr),
+                                          getattr(v, attr)), (nmax, name, attr)
+        assert got["cancelled"].nnz == got["empty"].nnz == 0
+        # every weighted product is subnormal, and some round to 0 (on L2
+        # at q = 0.9 every entry of alpha beta exceeds 1e-3, so none does)
+        tiny, product = got["underflow"], ops["alpha"] @ ops["beta"]
+        assert tiny.nnz and np.all(np.abs(tiny.vals) < np.finfo(float).tiny)
+        assert (tiny.nnz < product.nnz) != ((kind, q) == ("L2", 0.9))
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
@@ -324,7 +312,8 @@ def test_hat_twist_defects_keep_their_closed_form_at_tiny_q(q):
         inner = interior(sp, 2)
         ops = hat_generators(sp, q)
         for name in ("twist_beta", "twist_beta_star"):
-            T = pi_hat(relation_words(q)[name], sp, q, ops, right=inner)
+            T = on_columns(pi_hat(relation_words(q)[name], sp, q, ops),
+                           inner)
             assert op_norm(T) == pytest.approx(q ** 3 * math.sqrt(1 - q * q),
                                                rel=1e-15, abs=0), name
 
