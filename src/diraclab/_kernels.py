@@ -2,11 +2,11 @@
 
 Every operator the suites measure shifts the weights (i, j) by a fixed
 amount, so it maps each weight sector (``TruncatedSpace.sector``) into one
-other sector.  A graded operator splits into (target x source sector)
-blocks at most floor(n_max) + 1 square, so a dense SVD of each is exact and
-cheap; an ungraded one is one block.  :func:`spectral_norms` checks the
-grading per row group (the levels, or all rows as one), bounds every block
-of every row group from its entries (:func:`schur_bounds`), and fills and
+other sector, and no two into one.  Such a weight-graded operator splits
+into (target x source sector) blocks at most floor(n_max) + 1 square, so a
+dense SVD of each is exact and cheap.  :func:`spectral_norms` takes graded
+input only, checked per row group (the levels, or all rows as one).  It
+bounds every block from its entries (:func:`schur_bounds`), and fills and
 decomposes only the blocks whose bound reaches the norm of their group's
 block of largest bound.
 """
@@ -62,9 +62,9 @@ def spectral_norms(row, col, data, row_sector, col_sector, row_group,
     col[k])``, exact up to rounding; 0.0 for a group without entries.
 
     The largest dense 2-norm over the group's (target x source sector)
-    blocks, or of one block if its entries are not graded, each cut to its
-    rows and columns.  Each block's Schur bound comes from its entries
-    (:func:`schur_bounds`).  Each group's block of largest bound is filled
+    blocks, each cut to its rows and columns; the first group whose entries
+    are not graded is named by a ``ValueError``.  Each block's Schur bound
+    comes from its entries.  Each group's block of largest bound is filled
     and decomposed first; its norm is a lower bound of the group's, and of
     the other blocks only those whose bound reaches it are filled and
     decomposed.  A fill is one ``np.bincount`` (duplicates summed in input
@@ -77,14 +77,16 @@ def spectral_norms(row, col, data, row_sector, col_sector, row_group,
         return out
     grp, src = row_group[row], col_sector[col]
     n_src = int(src.max()) + 1
-    # a block per group and source sector, or one for a group in which a
-    # source sector reaches two targets or two reach one
+    # a block per group and source sector, which reaches one target sector
+    # and shares it with no other
     comp = grp * n_src + src
     dst = grp * (int(row_sector.max()) + 1) + row_sector[row]
     to = np.full(n_groups * n_src, -1)
     to[comp] = dst
     clash = (to[comp] != dst) | (np.bincount(to[to >= 0]) > 1)[to[comp]]
-    comp = np.where(np.isin(grp, grp[clash]), grp * n_src, comp)
+    if clash.any():
+        raise ValueError(f"spectral_norms: row group {grp[clash].min()} "
+                         "is not weight-graded")
     present = np.bincount(comp, minlength=n_groups * n_src) > 0
     blk = (np.cumsum(present) - 1)[comp]
     group = np.flatnonzero(present) // n_src  # of each block

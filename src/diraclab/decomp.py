@@ -66,21 +66,23 @@ def build_U(n_max: int) -> np.ndarray:
         dbl.ordinals(tn, ti, tj - 1, band=0)])
 
 
-def direct_sum_op(A: SparseOp, B: SparseOp, U: np.ndarray,
-                  dbl: TruncatedSpace) -> SparseOp:
-    """U (A (+) B) U* on ``dbl``, for L2 operators A and B at the n_max of
-    the map U: A's entries relabelled through the first half of U, B's
-    through the second."""
+def _copies(A: SparseOp, B: SparseOp, U: np.ndarray, dbl: TruncatedSpace):
+    """U (A (+) B) U* on ``dbl`` as rows, cols, vals, A's entries first."""
     if len(U) != dbl.dim or dbl.kind != "Double" or any(
             s.kind != "L2" or s.n_max != dbl.n_max
             for s in (A.dom, A.cod, B.dom, B.cod)):
-        raise SpaceMismatchError("direct_sum_op expects two L2 operators at "
+        raise SpaceMismatchError("U (A (+) B) U* needs two L2 operators at "
                                  "the n_max of U and its Double space")
     lo, hi = U[:A.dom.dim], U[A.dom.dim:]
-    return SparseOp.from_coo(
-        dbl, dbl, np.concatenate([lo[A.rows], hi[B.rows]]),
-        np.concatenate([lo[A.cols], hi[B.cols]]),
-        np.concatenate([A.vals, B.vals]))
+    return (np.concatenate([lo[A.rows], hi[B.rows]]),
+            np.concatenate([lo[A.cols], hi[B.cols]]),
+            np.concatenate([A.vals, B.vals]))
+
+
+def direct_sum_op(A: SparseOp, B: SparseOp, U: np.ndarray,
+                  dbl: TruncatedSpace) -> SparseOp:
+    """U (A (+) B) U* on ``dbl``, for L2 operators at the n_max of U."""
+    return SparseOp.from_coo(dbl, dbl, *_copies(A, B, U, dbl))
 
 
 class DecompositionReport(NamedTuple):
@@ -125,14 +127,18 @@ def kq_defect(gen: str, hat: dict, prime: dict, U: np.ndarray) -> SparseOp:
     ``hat_generators`` and ``pi_prime_generators``, and U is ``build_U`` at
     that n_max.  Only 'alpha*' and 'beta' are accepted: the remaining
     generators are adjoints of these two, so their defects carry the same
-    block norms.  Delta inherits the +-1/2 band structure of its parents and
-    its level-n block norm decays like q^{2n}.
+    block norms.  Delta inherits the +-1/2 band structure and the weight
+    grading of its parents, and its level-n block norm decays like q^{2n}.
+    It is one ``from_coo`` over both copies' entries, then -pi'(g)'s.
     """
     if gen not in KQ_GENERATORS:
         raise ValueError(f"kq_defect: gen must be one of {KQ_GENERATORS}, "
                          f"got {gen!r}")
-    return (direct_sum_op(hat[gen], hat[gen], U, prime[gen].cod)
-            - prime[gen])
+    P = prime[gen]
+    if P.dom.signature != P.cod.signature:
+        raise SpaceMismatchError("kq_defect: pi'(g) must act on one space")
+    return SparseOp.from_coo(P.cod, P.cod, *map(np.concatenate, zip(
+        _copies(hat[gen], hat[gen], U, P.cod), (P.rows, P.cols, -P.vals))))
 
 
 class DecayFit(NamedTuple):

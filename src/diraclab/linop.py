@@ -3,19 +3,19 @@
 A :class:`SparseOp` is a sparse coefficient table with domain and codomain
 metadata: numpy arrays ``rows``, ``cols`` and ``vals``, sorted row-major,
 no coordinate twice, never an exact zero.  Every operator keeps each
-nonzero coefficient, however small: :meth:`SparseOp.from_coo`, sums and
-products drop only the entries that are exactly 0, as ``scipy.sparse``
-does.  All algebra enforces space compatibility, and a product sums each
-entry over the inner index in ascending order, as a compressed-sparse-row
-product does, bit for bit.
-Scalars are real doubles throughout (every displayed coefficient in this
-problem is real), so the adjoint is the transpose.  Every product, a
-diagonal factor included, takes the one CSR-order path; :func:`on_columns`
-keeps an operator's entries on a set of columns, which is the product with
-the projector onto them without forming it.  :func:`op_norm` and
+nonzero coefficient, however small: :meth:`SparseOp.from_coo` drops only
+the entries that are exactly 0, as ``scipy.sparse`` does.  Every operator
+a suite measures is weight-graded and canonicalised once, by one
+``from_coo`` over all its entries, or read off such operators' entries
+(:func:`on_columns`, :func:`commutator`): no suite sums, scales or
+composes operators.  The algebra below serves the tests and the
+benchmark's reference operators; it checks that spaces match, and a
+product sums each entry over the inner index in ascending order, as a CSR
+product does, bit for bit.  Scalars are real doubles throughout, so the
+adjoint is the transpose.  :func:`op_norm` and
 :func:`block_norm` are exact up to rounding: one row group of
-:func:`_kernels.spectral_norms`.  :func:`commutator` builds [D, T] for a
-diagonal D from its eigenvalue array and T's entries alone.
+:func:`_kernels.spectral_norms`, which raises ``ValueError`` on an
+operator that is not weight-graded.
 """
 
 from __future__ import annotations
@@ -72,12 +72,8 @@ class SparseOp:
         return SparseOp(dom, cod, rows, cols, vals[keep])
 
     @staticmethod
-    def identity(space) -> "SparseOp":
-        return SparseOp.diagonal(space, np.ones(space.dim))
-
-    @staticmethod
-    def zero(dom, cod=None) -> "SparseOp":
-        return SparseOp.from_coo(dom, dom if cod is None else cod, [], [], [])
+    def zero(space) -> "SparseOp":
+        return SparseOp.from_coo(space, space, [], [], [])
 
     @staticmethod
     def diagonal(space, values) -> "SparseOp":
@@ -125,10 +121,8 @@ class SparseOp:
                                  np.concatenate([self.vals, other.vals]))
 
     def scale(self, c: float) -> "SparseOp":
-        vals = self.vals * float(c)
-        keep = vals != 0
-        return SparseOp(self.dom, self.cod, self.rows[keep], self.cols[keep],
-                        vals[keep])
+        return SparseOp.from_coo(self.dom, self.cod, self.rows, self.cols,
+                                 self.vals * float(c))
 
     def adjoint(self) -> "SparseOp":
         order = np.argsort(self.cols, kind="stable")
@@ -138,10 +132,7 @@ class SparseOp:
     def __matmul__(self, other):
         return self.compose(other)
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
+    def __sub__(self, other):  # perfbench's reference [D, T] uses it
         return self.add(other.scale(-1.0))
 
     # ------------------------------------------------------------- accessors
@@ -172,9 +163,9 @@ class SparseOp:
 
 
 def op_norm(T: SparseOp) -> float:
-    """Largest singular value of T, exact up to rounding: its rows as one
-    group of :func:`_kernels.spectral_norms`, which takes entries in any
-    order, so T may also be a :class:`rep_l2.Entries`."""
+    """Largest singular value of a weight-graded T, exact up to rounding:
+    its rows as one group of :func:`_kernels.spectral_norms`, which takes
+    entries in any order, so T may also be a :class:`rep_l2.Entries`."""
     return float(spectral_norms(T.rows, T.cols, T.vals, T.cod.sector,
                                 T.dom.sector, np.zeros(T.cod.dim, np.int64),
                                 1)[0])

@@ -124,7 +124,7 @@ def test_input_validation():
                        "the truncation n_max = 1$"):
         cyclic_dimension(gens, sp.n_max + 1)
     other = enumerate_space("L2", 6)
-    bad = [SparseOp.identity(other)] + gens
+    bad = [SparseOp.diagonal(other, np.ones(other.dim))] + gens
     with pytest.raises(SpaceMismatchError):
         cyclic_dimension(bad, 1)
 
@@ -224,7 +224,7 @@ def test_mixed_weight_shift_raises_not_band():
     # (+1/2, -1/2) on others, so it maps a weight sector into two: the
     # certificate names it, although each summand alone is accepted
     sp, gens, seed = _setup()
-    mixed = gens[0] + gens[2]
+    mixed = gens[0].add(gens[2])
     _assert_undecided([gens[1], mixed], seed, 6, "generator 1 " + NOT_BAND)
     assert cyclic_dimension(gens, 6).saturated
 
@@ -352,7 +352,7 @@ def test_undecided_structures_raise():
     sp, gens, seed = _setup(tn_max=4)
     depth = 4
     # a generator with two weight shifts
-    mixed = [gens[0] + gens[2]] + gens[1:]
+    mixed = [gens[0].add(gens[2])] + gens[1:]
     _assert_undecided(mixed, seed, depth, "generator 0 " + NOT_BAND)
     # a generator with entries at level offset 0 (a diagonal D1)
     with_d1 = gens + [dirac_family(D1_PARAMS, sp)]

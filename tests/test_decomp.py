@@ -108,10 +108,11 @@ def test_direct_sum_op_rejects_other_spaces():
     l2 = enumerate_space("L2", nm)
     dbl = enumerate_space("Double", nm)
     U = build_U(nm)
-    I = SparseOp.identity(l2)
+    one = lambda space: SparseOp.diagonal(space, np.ones(space.dim))
+    I = one(l2)
     assert direct_sum_op(I, I, U, dbl).nnz == dbl.dim
-    bad = (SparseOp.identity(dbl), SparseOp.identity(enumerate_space("L2", 4)),
-           SparseOp.identity(enumerate_space("L2", 1)))
+    bad = (one(dbl), one(enumerate_space("L2", 4)),
+           one(enumerate_space("L2", 1)))
     for T in bad:
         for args in ((T, I, U, dbl), (I, T, U, dbl)):
             with pytest.raises(SpaceMismatchError):
@@ -176,6 +177,38 @@ def test_kq_defect_validates_generator():
     assert KQ_GENERATORS == ("alpha*", "beta")
     with pytest.raises(ValueError):
         kq_defect("alpha", *_gens(4))
+
+
+@pytest.mark.parametrize("q", [0.01, 0.3, 0.7, 0.95, 0.999])
+@pytest.mark.parametrize("nmax", [8, 16, 24, 33])  # twice n_max, as on the CLI
+def test_kq_defect_is_the_operator_difference_bit_for_bit(nmax, q):
+    # one from_coo over both copies of pi_hat(g) and -pi'(g): the same rows,
+    # cols and value bits (signs and NaN payloads included) as the
+    # canonical direct sum minus pi'(g), summed as two canonicalisations
+    hat, prime, U = _gens(nmax, q)
+    for g in KQ_GENERATORS:
+        got = kq_defect(g, hat, prime, U)
+        want = direct_sum_op(hat[g], hat[g], U, prime[g].cod).add(
+            prime[g].scale(-1.0))
+        assert got.dom is want.dom and got.cod is want.cod
+        assert np.array_equal(got.rows, want.rows), g
+        assert np.array_equal(got.cols, want.cols), g
+        assert np.array_equal(got.vals.view(np.int64),
+                              want.vals.view(np.int64)), g
+
+
+def test_kq_defect_rejects_other_spaces():
+    # the direct sum's input checks hold, and pi'(g) must act on one space
+    hat, prime, U = _gens(4)
+    other = _gens(6)
+    for args in ((hat, prime, build_U(6)), (other[0], prime, U),
+                 (hat, other[1], U)):
+        with pytest.raises(SpaceMismatchError, match="two L2 operators"):
+            kq_defect("beta", *args)
+    dbl, big = prime["beta"].cod, other[1]["beta"].cod
+    rect = {"beta": SparseOp.from_coo(dbl, big, [0], [0], [1.0])}
+    with pytest.raises(SpaceMismatchError, match="act on one space"):
+        kq_defect("beta", hat, rect, U)
 
 
 def test_kq_defect_band_structure_and_level_zero():

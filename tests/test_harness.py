@@ -150,6 +150,25 @@ def test_a_relations_pass_composes_no_operator(monkeypatch):
     assert calls == [0]
 
 
+def test_no_suite_sums_scales_or_composes_an_operator(monkeypatch,
+                                                     tmp_path):
+    # every measured operator is one canonicalisation: counters on
+    # SparseOp.add, scale and compose (every +, - and @ goes through them)
+    # see no call in a full run, the kq defects included
+    from diraclab.linop import SparseOp
+
+    calls = {}
+    for name in ("add", "scale", "compose"):
+        def counted(*args, _name=name, _fn=getattr(SparseOp, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        calls[name] = 0
+        monkeypatch.setattr(SparseOp, name, counted)
+    _cpus(monkeypatch, 1)  # every pass in this process
+    assert main(["all", "--nmax", "16", "--out", str(tmp_path)]) == 1
+    assert calls == {"add": 0, "scale": 0, "compose": 0}
+
+
 def test_decompose_suite_one_exact_cell_per_q():
     reports = run(_cfg(suites=("decompose",), q=(0.3, 0.5), n_max=4))
     assert len(reports) == 2

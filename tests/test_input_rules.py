@@ -24,7 +24,8 @@ COUNTS = {
         RunConfig(q=(0.5,), n_max=v, suites=("family",)))),
     "interior": ("margin", lambda v: interior(L2, v)),
     "level_ordinals": ("level", lambda v: L2.level_ordinals(v)),
-    "block_norm": ("level", lambda v: block_norm(SparseOp.identity(L2), v)),
+    "block_norm": ("level", lambda v: block_norm(
+        SparseOp.diagonal(L2, np.ones(L2.dim)), v)),
     "cyclic_dimension": ("depth", lambda v: cyclic_dimension(
         hat_generators(L2, 0.5).values(), v)),
     "DiracParams": ("k", lambda v: DiracParams(

@@ -57,9 +57,31 @@ def _dense_op(space_a, space_b, arr):
     return SparseOp.from_coo(space_a, space_b, rows, cols, arr[rows, cols])
 
 
+def _one(space):
+    return SparseOp.diagonal(space, np.ones(space.dim))
+
+
+def _graded_coords(space, rng, k, shift=(0, 0)):
+    """Up to k random coordinates (rows, cols) of an operator that shifts
+    every twice-weight (ti, tj) by ``shift``: each column's row is a label of
+    the shifted weight at a random level, where the space has one."""
+    cols = rng.integers(0, space.dim, size=k)
+    rows = space.ordinals(rng.integers(0, space.n_max + 1, size=k),
+                          space.ti[cols] + shift[0], space.tj[cols] + shift[1])
+    return rows[rows >= 0], cols[rows >= 0]
+
+
+def _graded_dense(space, rng, density, shift=(0, 0)):
+    """A dense random weight-graded matrix on ``space``."""
+    arr = np.zeros((space.dim, space.dim))
+    rows, cols = _graded_coords(space, rng, int(density * arr.size), shift)
+    arr[rows, cols] = rng.standard_normal(len(rows))
+    return arr
+
+
 def test_identity_and_apply():
     sp = _toy_space(2)  # dim 14
-    ident = SparseOp.identity(sp)
+    ident = _one(sp)
     v = np.arange(sp.dim, dtype=float)
     assert np.array_equal(ident.apply(v), v)
     with pytest.raises(SpaceMismatchError):
@@ -101,8 +123,8 @@ def test_every_nonzero_entry_is_kept():
     assert _triples(T @ D) == [(0, 0, 1e-320), (2, 3, 1.0)]
     assert _triples(D @ T) == [(0, 0, 1e-320), (2, 3, 1.0)]
     # add and scale
-    assert (T + T.scale(-1.0)).nnz == 0
-    assert _triples(T + B) == [(0, 0, 1e-20), (1, 1, 1e-300), (1, 3, 1e-20),
+    assert T.add(T.scale(-1.0)).nnz == 0
+    assert _triples(T.add(B)) == [(0, 0, 1e-20), (1, 1, 1e-300), (1, 3, 1e-20),
                                (1, 4, 0.5), (2, 3, 1.0), (2, 4, -0.5)]
     assert _triples(T.scale(1e-300)) == [(0, 0, 1e-320), (2, 3, 1e-300)]
     assert T.scale(0.0).nnz == 0
@@ -148,17 +170,17 @@ def test_compose_identity_and_mismatch():
     a = _toy_space(2)
     b = _toy_space(4)
     T = SparseOp.from_coo(a, b, range(a.dim), range(a.dim), np.ones(a.dim))
-    assert np.array_equal((T @ SparseOp.identity(a)).to_dense(), T.to_dense())
-    assert np.array_equal((SparseOp.identity(b) @ T).to_dense(), T.to_dense())
+    assert np.array_equal((T @ _one(a)).to_dense(), T.to_dense())
+    assert np.array_equal((_one(b) @ T).to_dense(), T.to_dense())
     with pytest.raises(SpaceMismatchError):
         T @ T
     with pytest.raises(SpaceMismatchError):
-        T + SparseOp.identity(a)
+        T.add(_one(a))
 
 
 def test_op_norm_examples():
     sp3 = _toy_space(1)
-    ident = SparseOp.identity(sp3)
+    ident = _one(sp3)
     assert op_norm(ident) == pytest.approx(1.0, abs=1e-12)
     diag = SparseOp.diagonal(sp3, [1.0, 2.0, 3.0, 0.0, 0.0])
     assert op_norm(diag) == pytest.approx(3.0, rel=1e-12)
@@ -168,40 +190,36 @@ def test_op_norm_examples():
 
 
 def test_op_norm_matches_dense_svd():
-    sp = _toy_space(2)
+    sp = _toy_space(4)
     rng = np.random.default_rng(3)
-    arr = np.where(rng.random((sp.dim, sp.dim)) < 0.3,
-                   rng.standard_normal((sp.dim, sp.dim)), 0.0)
-    T = _dense_op(sp, sp, arr)
-    assert op_norm(T) == pytest.approx(np.linalg.norm(arr, 2), rel=1e-12)
+    for shift in ((0, 0), (1, -1), (-2, 0)):
+        arr = _graded_dense(sp, rng, 0.3, shift)
+        T = _dense_op(sp, sp, arr)
+        assert T.nnz > 20
+        assert op_norm(T) == pytest.approx(np.linalg.norm(arr, 2), rel=1e-12)
 
 
 def test_norm_equals_adjoint_norm_randomized():
     # dim <= 500; dim(L2, 4) = 285
     sp = _toy_space(8)
     rng = np.random.default_rng(11)
-    k = 2000
-    rows = rng.integers(0, sp.dim, size=k)
-    cols = rng.integers(0, sp.dim, size=k)
-    vals = rng.standard_normal(k)
-    T = SparseOp.from_coo(sp, sp, rows, cols, vals)
+    rows, cols = _graded_coords(sp, rng, 2000, (1, 1))
+    T = SparseOp.from_coo(sp, sp, rows, cols, rng.standard_normal(len(rows)))
     a, b = op_norm(T), op_norm(T.adjoint())
     assert abs(a - b) <= 1e-12 * max(a, 1.0)
 
 
 def test_submultiplicativity():
-    sp = _toy_space(2)
+    sp = _toy_space(4)
     rng = np.random.default_rng(5)
-    arrs = [np.where(rng.random((sp.dim, sp.dim)) < 0.3,
-                     rng.standard_normal((sp.dim, sp.dim)), 0.0)
-            for _ in range(2)]
-    S, T = (_dense_op(sp, sp, a) for a in arrs)
+    S, T = (_dense_op(sp, sp, _graded_dense(sp, rng, 0.3, shift))
+            for shift in ((1, -1), (0, 2)))
     assert op_norm(S @ T) <= op_norm(S) * op_norm(T) * (1 + 1e-12)
 
 
 def test_block_norm_examples():
     sp = _toy_space(4)
-    ident = SparseOp.identity(sp)
+    ident = _one(sp)
     for tn in range(5):
         assert block_norm(ident, tn) == pytest.approx(1.0)
     z = SparseOp.zero(sp)
@@ -346,15 +364,38 @@ def test_spectral_norm_matches_dense_svd_on_random_graded_matrices():
                 want, rel=1e-12)
 
 
-def test_spectral_norm_ungraded_is_one_block():
-    # entries from one column sector into two row sectors: not graded, so
-    # the whole matrix is one dense block
-    A = scipy.sparse.coo_matrix(([3.0, 4.0, 1.0], ([0, 1, 2], [0, 0, 1])),
-                                shape=(3, 2))
-    rs, cs = np.array([0, 1, 1]), np.array([0, 0])
-    assert sector_map(cs[A.col], rs[A.row], 1) is None
-    assert spectral_norm(*_entries(A), rs, cs) == pytest.approx(
-        float(np.linalg.norm(A.toarray(), 2)), rel=1e-12)
+def test_spectral_norm_rejects_ungraded_input():
+    # entries from one column sector into two row sectors, or from two
+    # column sectors into one row sector: not graded, so the norm kernel
+    # raises and names the first row group that is not
+    one_to_two = (np.array([0, 1, 2]), np.array([0, 0, 1]),
+                  np.array([3.0, 4.0, 1.0]), np.array([0, 1, 1]),
+                  np.array([0, 0]))
+    two_to_one = (np.array([0, 0]), np.array([0, 1]), np.array([1.0, 2.0]),
+                  np.array([0]), np.array([0, 1]))
+    for row, col, data, rs, cs in (one_to_two, two_to_one):
+        assert sector_map(cs[col], rs[row], 2) is None
+        with pytest.raises(ValueError, match="row group 0 is not weight-"):
+            spectral_norm(row, col, data, rs, cs)
+    # column 0 reaches every row; in groups 1 and 3 it reaches two row
+    # sectors, in groups 0 and 2 one: group 1 is named
+    rs, groups = np.array([0, 1, 2, 0, 1, 2]), np.array([0, 1, 1, 2, 3, 3])
+    with pytest.raises(ValueError, match="row group 1 is not weight-"):
+        spectral_norms(np.arange(6), np.zeros(6, np.int64), np.ones(6), rs,
+                       np.zeros(1, np.int64), groups, 4)
+    # op_norm and level_block_norms of a sum of two weight shifts
+    from diraclab.decomp import level_block_norms
+    from diraclab.rep_double import pi_prime_generators
+
+    dbl = enumerate_space("Double", 6)
+    gens = pi_prime_generators(dbl, 0.5)
+    T = gens["alpha"].add(gens["beta"])
+    first = min(tn for tn in range(dbl.n_max + 1)
+                if not _graded(_level_rows(T, tn)))
+    with pytest.raises(ValueError, match="row group 0 is not weight-"):
+        op_norm(T)
+    with pytest.raises(ValueError, match=f"row group {first} is not weight-"):
+        level_block_norms(T)
 
 
 def test_sector_map_cases():
@@ -375,10 +416,16 @@ def _graded(T):
                       T.dom.sector.max() + 1) is not None
 
 
+def _level_rows(T, tn):
+    """T's entries on the rows of twice-level tn."""
+    at = T.cod.tn[T.rows] == tn
+    return SparseOp(T.dom, T.cod, T.rows[at], T.cols[at], T.vals[at])
+
+
 @pytest.mark.parametrize("q", [0.3, 0.7])
 def test_measured_operators_are_graded(q):
     # every operator the suites take a norm of maps each weight sector into
-    # one sector, so the one-block fallback never serves them
+    # one sector, and no two into one, as the norm kernel requires
     from diraclab.decomp import KQ_GENERATORS, build_U, kq_defect
     from diraclab.rep_double import pi_prime, pi_prime_generators
     from diraclab.rep_l2 import GENERATORS, hat_generators
@@ -453,13 +500,13 @@ values = st.sampled_from([1.0, -1.0, 2.0, 0.5, 1 / 3, -2 / 3, 3.0, 1e-300])
 
 
 def _unpruned_norm(row, col, data, row_sector, col_sector):
-    """Every (target x source sector) block densified on its own and
-    decomposed, none skipped: the kernel without its Schur bound."""
+    """Every (target x source sector) block of a graded matrix densified on
+    its own and decomposed, none skipped: the kernel without its Schur
+    bound."""
     if len(data) == 0:
         return 0.0
     src = col_sector[col]
-    if sector_map(src, row_sector[row], int(src.max()) + 1) is None:
-        src = np.zeros(len(data), dtype=np.int64)
+    assert sector_map(src, row_sector[row], int(src.max()) + 1) is not None
     norms = []
     for s in np.unique(src):
         at = src == s
@@ -506,13 +553,24 @@ def test_spectral_norm_equals_unpruned_norm_on_graded_matrices(args):
 
 
 @deterministic
-@given(graded_entries())
-def test_spectral_norm_equals_unpruned_norm_when_ungraded(args):
-    # one sector on each side, so the whole matrix is one block
-    row, col, data, rs, cs = args
+@given(graded_entries(), st.data())
+def test_spectral_norm_equals_unpruned_norm_when_ungraded(args, data):
+    """The same entries with one sector on each side, so the whole matrix
+    is one graded block, and with random sectors, which grade some
+    matrices and not others: an ungraded one raises."""
+    row, col, d, rs, cs = args
     one = np.zeros(len(rs), np.int64), np.zeros(len(cs), np.int64)
-    assert spectral_norm(row, col, data, *one) == _unpruned_norm(
-        row, col, data, *one)
+    assert spectral_norm(row, col, d, *one) == _unpruned_norm(
+        row, col, d, *one)
+    rs, cs = (np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(x),
+                                          max_size=len(x))), np.int64)
+              for x in (rs, cs))
+    if len(d) and sector_map(cs[col], rs[row], 3) is None:
+        with pytest.raises(ValueError, match="row group 0 is not weight-"):
+            spectral_norm(row, col, d, rs, cs)
+    else:
+        assert spectral_norm(row, col, d, rs, cs) == _unpruned_norm(
+            row, col, d, rs, cs)
 
 
 def test_spectral_norm_equals_unpruned_norm_on_edge_cases():
@@ -546,10 +604,11 @@ def test_spectral_norm_equals_unpruned_norm_on_edge_cases():
     empty = np.array([], np.int64)
     assert spectral_norm(empty, empty, np.array([]), empty,
                          np.zeros(4, np.int64)) == 0.0
-    # the ungraded single block (sector 0 reaches sectors 0 and 1)
+    # not graded (sector 0 reaches sectors 0 and 1): no block rule holds
     args = (np.array([0, 1, 2]), np.array([0, 0, 1]),
             np.array([3.0, 4.0, 1.0]), np.array([0, 1, 1]), np.array([0, 0]))
-    assert spectral_norm(*args) == _unpruned_norm(*args)
+    with pytest.raises(ValueError, match="row group 0 is not weight-"):
+        spectral_norm(*args)
 
 
 def test_spectral_norm_equals_unpruned_norm_on_a_full_run(tmp_path,
@@ -584,9 +643,15 @@ def test_spectral_norm_equals_unpruned_norm_on_a_full_run(tmp_path,
 
 def _group_oracle(row, col, data, row_sector, col_sector, row_group,
                   n_groups):
-    """The unpruned norm of each group's entries on their own."""
+    """The unpruned norm of each group's entries on their own, or the
+    first group whose entries are not graded."""
+    ats = [row_group[row] == g for g in range(n_groups)]
+    for g, at in enumerate(ats):
+        if at.any() and sector_map(col_sector[col[at]], row_sector[row[at]],
+                                   col_sector.max() + 1) is None:
+            return g
     return [_unpruned_norm(row[at], col[at], data[at], row_sector, col_sector)
-            for at in (row_group[row] == g for g in range(n_groups))]
+            for at in ats]
 
 
 @deterministic
@@ -594,7 +659,8 @@ def _group_oracle(row, col, data, row_sector, col_sector, row_group,
 def test_spectral_norms_equal_unpruned_norm_per_group(args, data):
     """Rows in up to four groups, some without entries.  A graded matrix
     is graded in every group, with one sector per side every group is one
-    block, and with random sectors some groups are graded and some not.
+    block, and with random sectors some groups are graded and some not:
+    then the first group that is not is named.
 
     About 1.3 s: 200 examples, each against the oracle three times.
     """
@@ -609,7 +675,13 @@ def test_spectral_norms_equal_unpruned_norm_per_group(args, data):
                                          max_size=len(cs))), np.int64))
     for sectors in ((rs, cs), one, mixed):
         entries = (row, col, d, *sectors, groups, n_groups)
-        assert spectral_norms(*entries).tolist() == _group_oracle(*entries)
+        want = _group_oracle(*entries)
+        if isinstance(want, int):
+            with pytest.raises(ValueError,
+                               match=f"row group {want} is not weight-"):
+                spectral_norms(*entries)
+        else:
+            assert spectral_norms(*entries).tolist() == want
 
 
 def _level_oracle(T):
@@ -622,9 +694,10 @@ def _level_oracle(T):
 @pytest.mark.parametrize("q", [0.3, 0.9])
 @pytest.mark.parametrize("nmax", [8, 16])  # twice n_max, as on the CLI
 def test_level_block_norms_equal_unpruned_norm_per_level(q, nmax):
-    """The kq defects, pi'(alpha*), an ungraded operator, one graded on
-    some levels only and one with empty levels; at --nmax 16 the oracle's
-    loop over every block of every level takes most of a second."""
+    """The kq defects, pi'(alpha*) and one operator with empty levels; an
+    ungraded operator, and one graded on some levels only, raise and name
+    their first ungraded level.  At --nmax 16 the oracle's loop over every
+    block of every level takes most of a second."""
     from diraclab.decomp import (KQ_GENERATORS, build_U, kq_defect,
                                  level_block_norms)
     from diraclab.rep_double import pi_prime_generators
@@ -638,10 +711,16 @@ def test_level_block_norms_equal_unpruned_norm_per_level(q, nmax):
     ops["alpha*"] = prime["alpha*"]
     # not graded: two weight shifts at once; and graded on the rows above
     # level 2 only, so that each level decides its own grading
-    ops["alpha+beta"] = prime["alpha"] + prime["beta"]
-    low = SparseOp.diagonal(dbl, dbl.tn <= 4)
-    ops["mixed"] = low @ ops["alpha+beta"] + (
-        SparseOp.identity(dbl) - low) @ prime["alpha*"]
+    ungraded = {"alpha+beta": prime["alpha"].add(prime["beta"])}
+    ungraded["mixed"] = (
+        SparseOp.diagonal(dbl, dbl.tn <= 4) @ ungraded["alpha+beta"]).add(
+        SparseOp.diagonal(dbl, dbl.tn > 4) @ prime["alpha*"])
+    for key, T in ungraded.items():
+        graded = [_graded(_level_rows(T, tn)) for tn in range(nmax + 1)]
+        assert not all(graded) and (key == "alpha+beta" or graded[-1]), key
+        with pytest.raises(ValueError, match=f"row group {graded.index(False)}"
+                                             " is not weight-"):
+            level_block_norms(T)
     # the top level and level 0 hold no entry
     P = interior_projector(dbl, 1)
     ops["cut"] = P @ prime["beta"] @ P - SparseOp.diagonal(
@@ -755,7 +834,7 @@ def test_spectral_norm_inf_entry_gives_nan_without_warnings(bad):
                 _group_oracle(*_grouped(args))[1 - bad_group]
         # entries near the largest double: the bound overflows, not the norm
         big = (np.array([0, 0, 1]), np.array([0, 1, 1]),
-               np.array([1e308, 1e308, -1e308]), np.array([0, 1]),
+               np.array([1e308, 1e308, -1e308]), np.array([0, 0]),
                np.array([0, 0]))
         assert spectral_norm(*big) == _unpruned_norm(*big)
 
@@ -857,7 +936,7 @@ def test_commutator_rejects_a_non_diagonal_or_foreign_operator():
                 dirac_family(D1_PARAMS, other).diag()):
         with pytest.raises(SpaceMismatchError):
             commutator(bad, T)
-    rect = SparseOp.zero(space, other)
+    rect = SparseOp.from_coo(space, other, [], [], [])
     with pytest.raises(SpaceMismatchError):
         commutator(d.diag(), rect)
 

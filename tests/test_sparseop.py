@@ -140,7 +140,7 @@ def test_compose_matches_scipy_exactly_on_dense_random_operators():
 def test_add_sub_scale_match_scipy_exactly(data, m, n, c):
     A = data.draw(operators(m, n))
     B = data.draw(operators(m, n))
-    _assert_same(A + B, _scipy_canonical(A.mat + B.mat))
+    _assert_same(A.add(B), _scipy_canonical(A.mat + B.mat))
     _assert_same(A - B, _scipy_canonical(
         A.mat + _scipy_canonical(B.mat * -1.0).tocsr()))
     _assert_same(A.scale(c), _scipy_canonical(A.mat * c))

@@ -2,10 +2,12 @@
 
 The package reads a word's entries straight off the generators
 (``rep_l2.word_entries``, and ``rep_l2.pi_hat`` as their operator view).
-This module builds the same word from :class:`SparseOp`'s ``@``, ``+`` and
-``scale`` alone, so the relations suite, ``pi_hat`` and perfbench's
+This module builds the same word from :class:`SparseOp`'s ``@``, ``add``
+and ``scale`` alone, so the relations suite, ``pi_hat`` and perfbench's
 reference operators are checked against code they do not share.
 """
+
+import numpy as np
 
 from diraclab.linop import SparseOp
 
@@ -16,8 +18,8 @@ def chained(w, space, ops):
     canonicalised on its own."""
     out = SparseOp.zero(space)
     for weight, syms in w:
-        term = SparseOp.identity(space)
+        term = SparseOp.diagonal(space, np.ones(space.dim))
         for s in syms:
             term = term @ ops[s]
-        out = out + term.scale(weight)
+        out = out.add(term.scale(weight))
     return out
