@@ -64,8 +64,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OverflowError as e:  # q^{-m} beyond double range at tiny q
-        print(f"error: floating-point overflow at this q and n_max: {e}",
-              file=sys.stderr)
+        print("error: floating-point overflow at this q and n_max: "
+              f"{e.args[-1]}", file=sys.stderr)  # the text, not its errno
         return 2
     for r in reports:
         mark = "PASS" if r.passed else "FAIL"

@@ -131,15 +131,10 @@ class VerificationReport(NamedTuple):
 # plot data by (generator, q)
 
 def _suite_relations(cfg: RunConfig, q: float, ops, plots: dict):
-    words = relation_words(q)
     for rep, (space, gens) in [("hat", ops("L2")), ("prime", ops("Double"))]:
-        m, terms = len(interior(space, 2)), {}
-        for name, w in words.items():
-            # keep only this word's terms: relation_words puts the words
-            # that share a term next to each other
-            terms = {syms: terms[syms] for _, syms in w if syms in terms}
-            defect = op_norm(word_entries(w, space, gens, m, terms))
-            yield (f"{rep}:{name}", {"defect": defect},
+        for name, e in word_entries(relation_words(q), space, gens,
+                                    len(interior(space, 2))):
+            yield (f"{rep}:{name}", {"defect": op_norm(e)},
                    ("defect", "<=", RELATION_DEFECT_MAX))
 
 

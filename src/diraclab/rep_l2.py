@@ -22,8 +22,9 @@ relations at machine precision.
 :func:`_band_op` assembles a band operator on either space kind, so it
 builds both this pair and pi'.  A word over ``GENERATORS`` is a tuple of
 (weight, symbols) terms, as :func:`relation_words` writes the relations;
-:func:`word_entries` reads its entries on a column prefix straight off a
-generator dict, and :func:`pi_hat` is their operator view.
+:func:`word_entries` reads the entries of a dict of words on a column
+prefix straight off a generator dict, and :func:`pi_hat` is the operator
+view of one word's.
 """
 
 from __future__ import annotations
@@ -103,20 +104,20 @@ def hat_generators(space: TruncatedSpace, q: float) -> dict:
 def pi_hat(w: tuple, space: TruncatedSpace, q: float,
            ops: dict | None = None) -> SparseOp:
     """The word w, a tuple of (weight, symbols) terms, as an operator on
-    ``space``: :func:`word_entries` on every column, in the hatted pair or
-    in the generators ``ops``.  Symbols multiply left to right as operators
-    (the rightmost acts first), the empty symbol tuple is the identity and
-    the empty word is zero.  A length-L word moves the level by at most
-    L/2, so it is free of truncation on the interior(L) columns alone
-    (:func:`linop.on_columns` cuts it to them)."""
+    ``space``: :func:`word_entries` of the one word on every column, in the
+    hatted pair or in the generators ``ops``.  Symbols multiply left to
+    right as operators (the rightmost acts first), the empty symbol tuple
+    is the identity and the empty word is zero.  A length-L word moves the
+    level by at most L/2, so it is free of truncation on the interior(L)
+    columns alone (:func:`linop.on_columns` cuts it to them)."""
     if ops is None:
         ops = hat_generators(space, q)
-    e = word_entries(w, space, ops, space.dim)
+    [(_, e)] = word_entries({"w": w}, space, ops, space.dim)
     return SparseOp.from_coo(space, space, e.rows, e.cols, e.vals)
 
 
 class Entries(NamedTuple):
-    """A word's entries as :func:`word_entries` returns them: no coordinate
+    """A word's entries as :func:`word_entries` yields them: no coordinate
     twice and no exact 0, in column order, with the space as ``dom`` and
     ``cod``.  These are the fields :func:`linop.op_norm` reads; it is no
     :class:`SparseOp`, whose entries are sorted row-major."""
@@ -128,13 +129,14 @@ class Entries(NamedTuple):
     vals: np.ndarray
 
 
-def _paths(syms: tuple, space: TruncatedSpace, ops: dict, m: int):
+def _paths(syms: tuple, ops: dict, ptr: dict, m: int):
     """(column, row, value) of each path of the product ``syms``, of at most
     two symbols, from the columns [0, m): by column, then by inner ordinal,
     then by row.  Column c of a generator is row c of its adjoint, which
     ``ops`` holds under the other name (alpha and alpha*), so the last
     factor's columns are a prefix of its adjoint's arrays and the first
-    factor's are reached through its adjoint's row pointer."""
+    factor's are reached through its adjoint's row pointer, which ``ptr``
+    holds under the adjoint's name."""
     if len(syms) > 2:  # one inner index: a path sum is compose's sum
         raise ValueError(f"word_entries takes terms of at most two "
                          f"symbols, got {syms!r}")
@@ -143,66 +145,75 @@ def _paths(syms: tuple, space: TruncatedSpace, ops: dict, m: int):
         return col, col, np.ones(m)
     if missing := [s for s in syms if s not in ops]:  # the written name
         raise KeyError(missing[0])
-    adj = [ops[s[:-1] if s.endswith("*") else s + "*"] for s in syms]
-    end = np.searchsorted(adj[-1].rows, m)
-    col, row, val = (a[:end] for a in (adj[-1].rows, adj[-1].cols,
-                                       adj[-1].vals))
+    adj = [s[:-1] if s.endswith("*") else s + "*" for s in syms]
+    last = ops[adj[-1]]
+    end = np.searchsorted(last.rows, m)
+    col, row, val = last.rows[:end], last.cols[:end], last.vals[:end]
     if len(syms) == 2:  # as in SparseOp.compose
-        first = adj[0]
-        ptr = np.bincount(first.rows + 1, minlength=space.dim + 1).cumsum()
-        count = np.diff(ptr)[row]
-        at = np.repeat(ptr[row] - np.cumsum(count) + count, count)
+        first, start = ops[adj[0]], ptr[adj[0]]
+        count = np.diff(start)[row]
+        at = np.repeat(start[row] - np.cumsum(count) + count, count)
         at += np.arange(len(at))
         col, row, val = (np.repeat(col, count), first.cols[at],
                          np.repeat(val, count) * first.vals[at])
     return col, row, val
 
 
-def word_entries(w: tuple, space: TruncatedSpace, ops: dict, m: int,
-                 terms: dict | None = None) -> Entries:
-    """The entries of the word w on the columns [0, m), such as
-    ``interior(space, 2)``, read off the generators ``ops`` with no product
-    built: for terms of at most two symbols and finite weights, as a
-    multiset, bit for bit, those of the chained sum ``t1 + t2.scale(w2) +
-    ...`` of the terms built with ``@`` and cut to those columns.
+def word_entries(words: dict, space: TruncatedSpace, ops: dict, m: int):
+    """Yield ``(name, Entries)`` for each word of ``words``, in dict order:
+    its entries on the columns [0, m), such as ``interior(space, 2)``, read
+    off the generators ``ops`` with no product built.  For terms of at most
+    two symbols and finite weights they are, as a multiset, bit for bit,
+    those of the chained sum ``t1 + t2.scale(w2) + ...`` of the terms built
+    with ``@`` and cut to those columns.
 
     Every generator moves the level by 1/2 and shifts the weights (i, j) by
     a fixed amount, and every term of a relation word shifts them alike.
     So from column c a path has one target for each level offset (-1, 0 or
     +1) and target band, and is keyed ``c * K + slot``: K = 3 on L2 with
     the offset's index as slot, K = 6 on Double with 2 x index + band.  A
-    term is one ``np.bincount`` over its paths, in path order, inner
+    product is one ``np.bincount`` over its paths, in path order, inner
     ordinal ascending, the order in which :meth:`SparseOp.compose` sums;
     the word is 0.0 + w1 T1 + w2 T2 + ... in term order, and its exact
     zeros are dropped at the end, as a sum of operators drops them.  A key
     that two paths give two targets raises ValueError, and a symbol or an
-    adjoint that ``ops`` lacks raises KeyError.  ``terms`` keeps each term
-    by its symbols, to share among words with the same ``ops`` and ``m``.
+    adjoint that ``ops`` lacks raises KeyError.
+
+    Each generator's row pointer is built once per call.  A product is
+    kept while consecutive words use it and built again when a later word
+    uses it after a gap, so sharing saves work and changes no bit: in
+    :func:`relation_words`' order beta* beta and beta beta* each serve two
+    consecutive words, and the identity, which unit_left and unit_right
+    share around beta_normal, is built twice.
     """
-    terms = {} if terms is None else terms
     K = 3 if space.band is None else 6
-    word, target = np.zeros(m * K), np.zeros(m * K, np.int64)
-    for weight, syms in w:
-        if syms not in terms:
-            col, row, val = _paths(syms, space, ops, m)
-            # in place: at --nmax 64 a term has 1.5e6 paths
-            key = space.tn[row] - space.tn[col]  # -2..2, twice-valued
-            key += 2
-            key //= 2
-            if K == 6:
-                key *= 2
-                key += space.band[row]
-            key += K * col
-            terms[syms] = key, row, np.bincount(key, val, minlength=m * K)
-        key, row, sums = terms[syms]
-        word += weight * sums
-        target[key] = row
-    if not all(np.array_equal(target[terms[syms][0]], terms[syms][1])
-               for _, syms in w):
-        raise ValueError("word_entries: the terms of a word must shift the "
-                         "weights alike")
-    at = np.flatnonzero(word != 0)  # (faster than on the floats)
-    return Entries(space, space, target[at], at // K, word[at])
+    ptr = {s: np.bincount(g.rows + 1, minlength=space.dim + 1).cumsum()
+           for s, g in ops.items()}
+    terms = {}
+    for name, w in words.items():
+        terms = {syms: terms[syms] for _, syms in w if syms in terms}
+        word, target = np.zeros(m * K), np.zeros(m * K, np.int64)
+        for weight, syms in w:
+            if syms not in terms:
+                col, row, val = _paths(syms, ops, ptr, m)
+                # in place: at --nmax 64 a product has 1.5e6 paths
+                key = space.tn[row] - space.tn[col]  # -2..2, twice-valued
+                key += 2
+                key //= 2
+                if K == 6:
+                    key *= 2
+                    key += space.band[row]
+                key += K * col
+                terms[syms] = key, row, np.bincount(key, val, minlength=m * K)
+            key, row, sums = terms[syms]
+            word += weight * sums
+            target[key] = row
+        if not all(np.array_equal(target[terms[syms][0]], terms[syms][1])
+                   for _, syms in w):
+            raise ValueError("word_entries: the terms of a word must shift "
+                             "the weights alike")
+        at = np.flatnonzero(word != 0)  # (faster than on the floats)
+        yield name, Entries(space, space, target[at], at // K, word[at])
 
 
 def relation_words(q: float) -> dict:
@@ -213,10 +224,6 @@ def relation_words(q: float) -> dict:
     unit_right       alpha alpha* + q^2 beta beta* - 1
     twist_beta       alpha beta - q beta alpha
     twist_beta_star  alpha beta* - q beta* alpha
-
-    In this order each product two words share (beta* beta, beta beta*)
-    is used by consecutive words, so the relations suite, which keeps only
-    the current word's ``terms`` for :func:`word_entries`, sums each once.
     """
     q = validate_q(q)
     return {

@@ -106,7 +106,8 @@ def test_relations_suite_emits_exactly_ten_reports_per_q():
 def test_relation_cells_are_the_words_evaluated_alone():
     """Each relations cell, bit for bit, is the norm of its word built as
     the chained sum of operator products (tests/word_oracle.py) and cut to
-    interior(2), with no product shared from another word."""
+    interior(2), with no product shared from another word.
+    Slow: 15 runs up to --nmax 24, and 150 words built by operator products."""
     from diraclab.hilbert import enumerate_space, interior
     from diraclab.linop import on_columns, op_norm
     from diraclab.rep_double import pi_prime_generators
@@ -148,6 +149,36 @@ def test_a_relations_pass_composes_no_operator(monkeypatch):
     assert len(reports) == 20 and calls == [0]
     pi_hat(relation_words(0.5)["twist_beta"], enumerate_space("L2", 4), 0.5)
     assert calls == [0]
+
+
+def test_a_relations_pass_builds_each_row_pointer_once(monkeypatch):
+    # per representation: 10 products, as the 12 terms less beta* beta
+    # and beta beta*, each shared by two consecutive words, each product
+    # one weighted bincount over its paths; and one row pointer, an
+    # unweighted bincount, per generator
+    from diraclab import rep_l2
+
+    paths, real = rep_l2._paths, rep_l2.np
+    built, counts = [], {"product": 0, "row pointer": 0}
+
+    class CountedNumpy:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def bincount(self, x, weights=None, minlength=0):
+            counts["row pointer" if weights is None else "product"] += 1
+            return real.bincount(x, weights, minlength)
+
+    def counted(syms, *args):
+        built.append(syms)
+        return paths(syms, *args)
+
+    monkeypatch.setattr(rep_l2, "np", CountedNumpy())
+    monkeypatch.setattr(rep_l2, "_paths", counted)
+    _cpus(monkeypatch, 1)  # the pass in this process
+    assert len(run(_cfg(suites=("relations",)))) == 10
+    assert len(built) == 2 * 10 and len(set(built)) == 9
+    assert counts == {"product": 2 * 10, "row pointer": 2 * 4}
 
 
 def test_no_suite_sums_scales_or_composes_an_operator(monkeypatch,
@@ -566,6 +597,7 @@ def test_cli_extreme_q_is_a_config_error(capsys):
     assert main(["relations", "--nmax", "4", "--q", "1e-100"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflow" in err
+    assert "(34," not in err  # the cause's text, not Python's errno tuple
 
 
 def test_cli_tolerance_flags(capsys):

@@ -196,9 +196,9 @@ def test_word_rejects_unknown_symbol():
 @pytest.mark.parametrize("q", [0.3, 0.9])
 @pytest.mark.parametrize("nmax", [2, 7, 12])  # twice n_max, as on the CLI
 def test_word_entries_are_pi_hat_on_the_interior(kind, q, nmax):
-    """word_entries, with terms shared as the relations suite shares them,
-    gives as a multiset, bit for bit, the entries of the chained sum on
-    the interior(2) columns: the relations, whose prime words cancel to
+    """word_entries, over one dict of words as the relations suite passes
+    them, gives as a multiset, bit for bit, the entries of the chained sum
+    on the interior(2) columns: the relations, whose prime words cancel to
     exact zeros, identity terms, one-symbol terms and the empty word."""
     from diraclab.rep_double import pi_prime_generators
 
@@ -209,10 +209,10 @@ def test_word_entries_are_pi_hat_on_the_interior(kind, q, nmax):
     words["identity"] = ((2.0, ()), (-0.5, ()))
     words["one_symbol"] = ((1.0, ("alpha*",)), (-q, ("alpha*",)))
     words["empty"] = ()
-    terms, cancelled = {}, 0
+    got_all, cancelled = dict(word_entries(words, space, ops, len(inner))), 0
+    assert list(got_all) == list(words)
     for name, w in words.items():
-        terms = {syms: terms[syms] for _, syms in w if syms in terms}
-        got = word_entries(w, space, ops, len(inner), terms)
+        got = got_all[name]
         assert got.dom is got.cod is space
         want = on_columns(chained(w, space, ops), inner)
         order = np.lexsort((got.cols, got.rows))
@@ -230,13 +230,58 @@ def test_word_entries_are_pi_hat_on_the_interior(kind, q, nmax):
 def test_word_entries_rejects_what_it_cannot_key():
     space = enumerate_space("L2", 6)
     ops = hat_generators(space, Q)
+
+    def entries(w):
+        return list(word_entries({"w": w}, space, ops, 10))
+
     with pytest.raises(ValueError, match="at most two symbols"):
-        word_entries(((1.0, ("alpha", "beta", "alpha*")),), space, ops, 10)
+        entries(((1.0, ("alpha", "beta", "alpha*")),))
     # alpha and beta shift the weights apart, so a key meets two targets
     with pytest.raises(ValueError, match="shift the weights alike"):
-        word_entries(((1.0, ("alpha",)), (1.0, ("beta",))), space, ops, 10)
+        entries(((1.0, ("alpha",)), (1.0, ("beta",))))
     with pytest.raises(KeyError, match=_key("gamma")):
-        word_entries(((1.0, ("gamma",)),), space, ops, 10)
+        entries(((1.0, ("gamma",)),))
+
+
+@pytest.mark.parametrize("kind", ["L2", "Double"])
+def test_word_entries_of_a_dict_are_each_word_alone(kind, monkeypatch):
+    """A product is kept while consecutive words use it and built again
+    after a gap; either way each word's entries are, array for array and
+    bit for bit, those of the word evaluated alone."""
+    from diraclab import rep_l2
+    from diraclab.rep_double import pi_prime_generators
+
+    q = 0.7
+    space = enumerate_space(kind, 10)
+    ops = (hat_generators if kind == "L2" else pi_prime_generators)(space, q)
+    rel = relation_words(q)
+    # beta* beta serves the first two words and beta beta* the next two;
+    # both return after a gap in the last, as the identity does in the third
+    words = {"unit_left": rel["unit_left"], "normal": rel["beta_normal"],
+             "unit_right": rel["unit_right"],
+             "twist": rel["twist_beta"], "normal_again": rel["beta_normal"]}
+    m = len(interior(space, 2))
+    alone = {name: list(word_entries({name: w}, space, ops, m))
+             for name, w in words.items()}
+    built, paths = [], rep_l2._paths
+
+    def counted(syms, *args):
+        built.append(syms)
+        return paths(syms, *args)
+
+    monkeypatch.setattr(rep_l2, "_paths", counted)
+    got = list(word_entries(words, space, ops, m))
+    assert [name for name, _ in got] == list(words)
+    for name, e in got:
+        [(_, want)] = alone[name]
+        assert e.dom is e.cod is space
+        for attr in ("rows", "cols", "vals"):
+            assert (getattr(e, attr).tobytes()
+                    == getattr(want, attr).tobytes()), (name, attr)
+    assert built == [("alpha*", "alpha"), ("beta*", "beta"), (),
+                     ("beta", "beta*"), ("alpha", "alpha*"), (),
+                     ("alpha", "beta"), ("beta", "alpha"),
+                     ("beta*", "beta"), ("beta", "beta*")]
 
 
 @pytest.mark.parametrize("kind", ["L2", "Double"])
@@ -348,10 +393,10 @@ def test_relation_words_shape():
 
 @pytest.mark.parametrize("q", [0.3, 0.9])
 def test_relation_words_put_each_shared_product_in_consecutive_words(q):
-    """The relations suite keeps, before each word, only that word's
-    products; so a product two words share must serve a run of
-    consecutive words.  The identity, which unit_left and unit_right share,
-    is no product of generators, and the suite builds it again."""
+    """word_entries keeps a product only while consecutive words use it;
+    so, for the relations suite to build a product two words share once,
+    it must serve a run of consecutive words.  The identity, which
+    unit_left and unit_right share around beta_normal, is built twice."""
     words = list(relation_words(q).values())
     used = {}
     for k, w in enumerate(words):

@@ -118,6 +118,7 @@ def test_from_coo_matches_a_plain_loop(data, m, n):
 @deterministic
 @given(st.data(), dims, dims, dims)
 def test_compose_matches_scipy_exactly(data, m, k, n):
+    """Slow: 200 examples, each product also taken in scipy.sparse."""
     A = data.draw(operands(m, k))
     B = data.draw(operands(k, n))
     _assert_same(A @ B, _scipy_canonical(A.mat @ B.mat))
@@ -138,6 +139,7 @@ def test_compose_matches_scipy_exactly_on_dense_random_operators():
 @deterministic
 @given(st.data(), dims, dims, values)
 def test_add_sub_scale_match_scipy_exactly(data, m, n, c):
+    """Slow: 200 examples, each of three results also taken in scipy."""
     A = data.draw(operators(m, n))
     B = data.draw(operators(m, n))
     _assert_same(A.add(B), _scipy_canonical(A.mat + B.mat))
