@@ -4,14 +4,16 @@
     python3 benchmarks/bench_e2e.py [--repo DIR] [--out DIR] [--against DIR]
 
 The checkouts are ``--repo`` (the change; default: the one holding this
-script) and, with ``--against DIR``, the parent DIR.  For each workload of
-the change's ``BENCHMARK.json``, ``ROUNDS`` rounds run each checkout's own
-``perfbench/run.py`` once with ``--trace 0``, at seed ``SEED`` and
-``SECONDS`` seconds; the rounds go round the workloads in turn, and the
-parent runs first in the odd rounds (1, 3, ...) and second in the even
-ones.  After the rounds, each checkout runs every workload once more with
-``--trace 1``.  Nothing is timed here: the record copies what perfbench's
-result lines report.
+script) and, with ``--against DIR``, the parent DIR.  Each must be a git
+checkout: for a directory that is not one (a ``git archive`` copy, say),
+the script prints one ``error:`` line naming it and exits 2 before any
+perfbench run.  For each workload of the change's ``BENCHMARK.json``,
+``ROUNDS`` rounds run each checkout's own ``perfbench/run.py`` once with
+``--trace 0``, at seed ``SEED`` and ``SECONDS`` seconds; the rounds go
+round the workloads in turn, and the parent runs first in the odd rounds
+(1, 3, ...) and second in the even ones.  After the rounds, each checkout
+runs every workload once more with ``--trace 1``.  Nothing is timed here:
+the record copies what perfbench's result lines report.
 
 Each checkout's side of a workload keeps every untraced run's ``wall_s``,
 ``setup_s`` and ``peak_rss_mb`` (``runs``), their medians and quartiles, the
@@ -68,9 +70,26 @@ PYCACHE = "fresh per checkout, written"  # PYTHONPYCACHEPREFIX, in the config
 RSS_FLOOR_MB = 0.5
 
 
+class NotACheckout(Exception):
+    """A ``--repo`` or ``--against`` directory that is no git checkout."""
+
+
 def git(repo, *args):
     return subprocess.run(["git", "-C", repo, *args], check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def checkout_meta(path):
+    """HEAD of the checkout ``path``, whether its src/ or perfbench/
+    differ from HEAD, and its ``source_sha256``."""
+    try:
+        head = git(path, "rev-parse", "HEAD")
+    except subprocess.CalledProcessError:
+        raise NotACheckout(f"{path} is not a git checkout") from None
+    return {"head": head,
+            "dirty": bool(git(path, "status", "--porcelain", "--", "src",
+                              "perfbench")),
+            "source_sha256": source_sha256(path)}
 
 
 def source_sha256(repo):
@@ -115,11 +134,7 @@ def record(repo, parent=None):
     """The record of ``repo``, alone or against the checkout ``parent``."""
     checkouts = {"change": repo} if parent is None \
         else {"parent": parent, "change": repo}
-    meta = {k: {"head": git(path, "rev-parse", "HEAD"),
-                "dirty": bool(git(path, "status", "--porcelain", "--",
-                                  "src", "perfbench")),
-                "source_sha256": source_sha256(path)}
-            for k, path in checkouts.items()}
+    meta = {k: checkout_meta(path) for k, path in checkouts.items()}
     names = workloads(repo)
     runs = {k: {w: [] for w in names} for k in checkouts}
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as tmp:
@@ -206,7 +221,11 @@ def main(argv=None):
     args = p.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)  # before minutes of runs, not after
     parent = None if args.against is None else os.path.abspath(args.against)
-    bench = record(os.path.abspath(args.repo), parent)
+    try:
+        bench = record(os.path.abspath(args.repo), parent)
+    except NotACheckout as e:  # before any perfbench run
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     path = os.path.join(args.out, f"BENCH_{bench['tag']}.json")
     with open(path, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)

@@ -10,18 +10,7 @@ import argparse
 import os
 import sys
 
-from .harness import DEFAULT_N_MAX, DEFAULT_Q, SUITES, RunConfig, run
-
-_SUITE_HELP = {
-    "relations": "defining-relation defects for both representations",
-    "decompose": "exact unitary conjugation of the diagonal pair",
-    "kq-decay": "decay-rate fit of the representation defect",
-    "asymptotics": "leading-form residual envelope of the 2x2 matrices",
-    "commutators": "Dirac commutator norm plateau across truncations",
-    "minimality": "cyclicity of the ground vector under the generators",
-    "family": "diagonal structure and eigenvalue tables of the Dirac family",
-    "all": "every suite above, in canonical order",
-}
+from .harness import DEFAULT_N_MAX, DEFAULT_Q, SUITE_TABLE, RunConfig, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,8 +33,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical verification lab for equivariant Dirac "
                     "operators on quantum SU(2).")
     sub = p.add_subparsers(dest="suite", required=True, metavar="SUITE")
-    for s in SUITES + ("all",):
-        sub.add_parser(s, parents=[common], help=_SUITE_HELP[s])
+    for s, suite in SUITE_TABLE.items():
+        sub.add_parser(s, parents=[common], help=suite.help)
+    sub.add_parser("all", parents=[common],
+                   help="every suite above, in canonical order")
     return p
 
 
@@ -54,7 +45,7 @@ def main(argv=None) -> int:
     cfg = RunConfig(
         q=tuple(args.q) if args.q else DEFAULT_Q,
         n_max=args.nmax,
-        suites=SUITES if args.suite == "all" else (args.suite,),
+        suites=tuple(SUITE_TABLE) if args.suite == "all" else (args.suite,),
         out_dir=args.out,
         emit_plot=args.plot,
     )

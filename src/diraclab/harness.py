@@ -1,24 +1,29 @@
 """Verification suites, report records, and JSON/CSV/plot persistence.
 
-A run is a grid of cells (suite x q x label).  Each suite is a generator
-of one q's cells, (label, metrics, gate) with gate = (metric, comparison,
-value), and ``run`` makes each cell one ``VerificationReport`` whose pass
-flag is a pure function of its metrics and its gate, so determinism can be
-checked by hashing the metric payload alone: wall times, library versions
-and timestamps live in a separate meta section of the JSON document.
+A run is a grid of cells (suite x q x label).  Each suite is declared
+once, as one ``Suite`` record of ``SUITE_TABLE``: its cells function, its
+CLI help line, its least n_max and whether it runs at each q or once per
+run.  The cells function is a generator of one pass's cells, (label,
+metrics, gate) with gate = (metric, comparison, value), and ``run`` makes
+each cell one ``VerificationReport`` whose pass flag is a pure function of
+its metrics and its gate, so determinism can be checked by hashing the
+metric payload alone: wall times, library versions and timestamps live in
+a separate meta section of the JSON document.
 
 The suites at one q make one pass and share one lookup, ``ops(kind)``:
 the space and generators of kind "L2" (the hatted pair) or "Double" (pi'),
 each built on first use, so once per q and never for a run that does not
 ask for it, and ``ops("U")``, the q-independent check of U, whose U the kq
-defects use, made once per process that asks for it.  The q passes, then
-the family pass, are dealt out over ``workers`` = min(CPUs in
-``os.sched_getaffinity``, number of q) processes: process k runs every
-workers-th pass from the k-th on, a forked child each share but the last,
-which runs in the calling process.  So a run of one q, or on one CPU,
-forks nothing.  A cell's wall time is measured in the process that ran
-its pass, from the end of the cell before it in that pass, so it covers
-the work done for it, shared assembly included.
+defects use, made once per process that asks for it.  A pass runs only if
+it holds a requested suite.  The q passes, then the once-per-run pass
+(q = None), are dealt out over ``workers`` = min(CPUs in
+``os.sched_getaffinity``, number of q passes), at least 1, processes:
+process k runs every workers-th pass from the k-th on, a forked child each
+share but the last, which runs in the calling process.  So a run of one q,
+on one CPU, or of once-per-run suites alone forks nothing.  A cell's wall
+time is measured in the process that ran its pass, from the end of the
+cell before it in that pass, so it covers the work done for it, shared
+assembly included.
 
 The hatted relation cells fail by design at any usable tolerance: that pair
 of operators satisfies the defining relations only up to level-decaying
@@ -35,7 +40,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,9 +55,6 @@ from .rep_double import dirac_D, pi_prime_generators
 from .rep_l2 import (D1_PARAMS, D2_PARAMS, DiracParams, dirac_family,
                      hat_generators, relation_words, word_entries)
 
-SUITES = ("relations", "decompose", "kq-decay", "asymptotics",
-          "commutators", "minimality", "family")
-
 DEFAULT_Q = (0.3, 0.5, 0.7)
 DEFAULT_N_MAX = 16  # twice-valued: n_max = 8
 
@@ -65,52 +67,7 @@ KQ_CONTROL_MAX = 0.5
 ASYMPTOTIC_ENVELOPE_MAX = 10.0
 COMMUTATOR_CHANGE_PCT_MAX = 5.0
 
-#: each suite's least n_max (twice-valued) and why; a suite absent here
-#: runs at any n_max
-MIN_N_MAX = {
-    "relations": (2, "measures defects on the interior of n_max - 1"),
-    "kq-decay": (8, "fits at least three levels n in [2, n_max - 1]"),
-    "commutators": (6, "compares n_max against the interior of n_max - 2"),
-    "minimality": (1, "gates the depth-1 span at level 1/2"),
-}
-
 _PLOT_GEN_NAME = {"alpha*": "alphastar", "beta": "beta"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    q: tuple = DEFAULT_Q
-    n_max: int = DEFAULT_N_MAX  # twice-valued
-    suites: tuple = SUITES
-    out_dir: str | None = None
-    emit_plot: bool = False
-
-
-def validate_config(cfg: RunConfig) -> RunConfig:
-    """Normalize and check a RunConfig; each defect has a distinct message.
-    Each q's rule is ``validate_q``'s and n_max's is ``check_count``'s."""
-    qs = tuple(validate_q(v) for v in cfg.q)
-    if not qs:
-        raise ValueError("config: need at least one q value")
-    if len(set(qs)) < len(qs):
-        raise ValueError(f"config: q values must be distinct, got {qs}")
-    n_max = check_count(cfg.n_max, "n_max")
-    suites = tuple(cfg.suites)
-    if not suites:
-        raise ValueError("config: need at least one suite")
-    for s in suites:
-        if s not in SUITES:
-            raise ValueError(f"config: unknown suite {s!r} "
-                             f"(expected a subset of {SUITES})")
-    suites = tuple(s for s in SUITES if s in suites)  # canonical order
-    # largest bound first, so the message names the bound that suffices
-    for s, (least, why) in sorted(MIN_N_MAX.items(), key=lambda e: -e[1][0]):
-        if s in suites and n_max < least:
-            raise ValueError(f"config: the {s} suite {why} and needs n_max "
-                             f">= {label_text(least)} (--nmax {least})")
-    if cfg.emit_plot and cfg.out_dir is None:
-        raise ValueError("config: plot emission needs an output directory")
-    return RunConfig(qs, n_max, suites, cfg.out_dir, bool(cfg.emit_plot))
 
 
 class VerificationReport(NamedTuple):
@@ -127,9 +84,34 @@ class VerificationReport(NamedTuple):
 
 
 # ------------------------------------------------------------------- suites
-# suite(cfg, q, ops, plots) yields the cells of one q; plots collects the kq
-# plot data by (generator, q)
 
+class Suite(NamedTuple):
+    """One suite's record.  ``cells(cfg, q, ops, plots)`` yields the cells
+    of one pass (plots collects the kq plot data by (generator, q)), and
+    ``help`` is its CLI line.  ``least_n_max`` is the least twice-valued
+    n_max it runs at and why (0 for a suite that runs at any n_max).  A
+    suite not ``per_q`` runs once per run, in the pass of q = None."""
+    cells: Callable
+    help: str
+    least_n_max: tuple = (0, "")
+    per_q: bool = True
+
+
+#: name -> Suite; the order of the functions below is the canonical order
+SUITE_TABLE = {}
+
+
+def _suite(name: str, *record, **fields):
+    """Declare the decorated cells function the suite ``name``, with the
+    rest of its ``Suite`` record: adding a suite takes one function."""
+    def declare(cells):
+        SUITE_TABLE[name] = Suite(cells, *record, **fields)
+        return cells
+    return declare
+
+
+@_suite("relations", "defining-relation defects for both representations",
+        (2, "measures defects on the interior of n_max - 1"))
 def _suite_relations(cfg: RunConfig, q: float, ops, plots: dict):
     for rep, (space, gens) in [("hat", ops("L2")), ("prime", ops("Double"))]:
         for name, e in word_entries(relation_words(q), space, gens,
@@ -138,6 +120,7 @@ def _suite_relations(cfg: RunConfig, q: float, ops, plots: dict):
                    ("defect", "<=", RELATION_DEFECT_MAX))
 
 
+@_suite("decompose", "exact unitary conjugation of the diagonal pair")
 def _suite_decompose(cfg: RunConfig, q: float, ops, plots: dict):
     rep = ops("U")
     metrics = {"deviation": max(rep.unitary_defect, rep.conjugation_defect),
@@ -151,6 +134,8 @@ def _fit_metrics(rep) -> dict:
             "fit_residual": rep.fit.residual, "censored": rep.fit.censored}
 
 
+@_suite("kq-decay", "decay-rate fit of the representation defect",
+        (8, "fits at least three levels n in [2, n_max - 1]"))
 def _suite_kq(cfg: RunConfig, q: float, ops, plots: dict):
     hat, prime, U = ops("L2")[1], ops("Double")[1], ops("U").U
     for gen in KQ_GENERATORS:
@@ -162,6 +147,7 @@ def _suite_kq(cfg: RunConfig, q: float, ops, plots: dict):
            ("gamma_ratio", "<=", KQ_CONTROL_MAX))
 
 
+@_suite("asymptotics", "leading-form residual envelope of the 2x2 matrices")
 def _suite_asymptotics(cfg: RunConfig, q: float, ops, plots: dict):
     for kind in ("a+", "a-", "b+", "b-"):
         scan = asymptotic_scan(kind, q)
@@ -171,6 +157,8 @@ def _suite_asymptotics(cfg: RunConfig, q: float, ops, plots: dict):
         yield kind, metrics, ("envelope", "<=", ASYMPTOTIC_ENVELOPE_MAX)
 
 
+@_suite("commutators", "Dirac commutator norm plateau across truncations",
+        (6, "compares n_max against the interior of n_max - 2"))
 def _suite_commutators(cfg: RunConfig, q: float, ops, plots: dict):
     # each [D, g] on the interior: its norm at n_max - 2 and at n_max
     for rep, kind in (("hat", "L2"), ("prime", "Double")):
@@ -191,6 +179,8 @@ def _suite_commutators(cfg: RunConfig, q: float, ops, plots: dict):
                    ("change_pct", "<=", COMMUTATOR_CHANGE_PCT_MAX))
 
 
+@_suite("minimality", "cyclicity of the ground vector under the generators",
+        (1, "gates the depth-1 span at level 1/2"))
 def _suite_minimality(cfg: RunConfig, q: float, ops, plots: dict):
     depth = cfg.n_max  # words of length 2 n_max reach the last level
     rep = cyclic_dimension(ops("L2")[1].values(), depth)
@@ -207,6 +197,8 @@ def _suite_minimality(cfg: RunConfig, q: float, ops, plots: dict):
     yield "hat", metrics, ("depth1_dim", ">=", 5.0)
 
 
+@_suite("family", per_q=False,
+        help="diagonal structure and eigenvalue tables of the Dirac family")
 def _suite_family(cfg: RunConfig, q: None, ops, plots: dict):
     table_n = min(8, cfg.n_max)  # n <= 4
     l2 = enumerate_space("L2", table_n)
@@ -231,10 +223,43 @@ def _suite_family(cfg: RunConfig, q: None, ops, plots: dict):
     yield "D1+D2", metrics, ("family_defect", "<=", 0.0)
 
 
-_SUITE_FN = {"relations": _suite_relations, "decompose": _suite_decompose,
-             "kq-decay": _suite_kq, "asymptotics": _suite_asymptotics,
-             "commutators": _suite_commutators,
-             "minimality": _suite_minimality, "family": _suite_family}
+SUITES = tuple(SUITE_TABLE)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    q: tuple = DEFAULT_Q
+    n_max: int = DEFAULT_N_MAX  # twice-valued
+    suites: tuple = SUITES
+    out_dir: str | None = None
+    emit_plot: bool = False
+
+
+def validate_config(cfg: RunConfig) -> RunConfig:
+    """Normalize and check a RunConfig; each defect has a distinct message.
+    Each q's rule is ``validate_q``'s and n_max's is ``check_count``'s."""
+    qs = tuple(validate_q(v) for v in cfg.q)
+    if not qs:
+        raise ValueError("config: need at least one q value")
+    if len(set(qs)) < len(qs):
+        raise ValueError(f"config: q values must be distinct, got {qs}")
+    n_max = check_count(cfg.n_max, "n_max")
+    suites = tuple(cfg.suites)
+    if not suites:
+        raise ValueError("config: need at least one suite")
+    for s in suites:
+        if s not in SUITE_TABLE:
+            raise ValueError(f"config: unknown suite {s!r} "
+                             f"(expected a subset of {tuple(SUITE_TABLE)})")
+    suites = tuple(s for s in SUITE_TABLE if s in suites)  # canonical order
+    # the largest bound, so the message names the bound that suffices
+    least, why, s = max((*SUITE_TABLE[s].least_n_max, s) for s in suites)
+    if n_max < least:
+        raise ValueError(f"config: the {s} suite {why} and needs n_max "
+                         f">= {label_text(least)} (--nmax {least})")
+    if cfg.emit_plot and cfg.out_dir is None:
+        raise ValueError("config: plot emission needs an output directory")
+    return RunConfig(qs, n_max, suites, cfg.out_dir, bool(cfg.emit_plot))
 
 
 def _sort_key(r: VerificationReport):
@@ -242,9 +267,9 @@ def _sort_key(r: VerificationReport):
 
 
 def _pass(cfg: RunConfig, q: float | None, intertwine):
-    """The requested suites at one q, with their own lookup ``ops`` (ops("U")
-    is intertwine()) and cell clock; q = None is the family pass.  Returns
-    (reports, plots)."""
+    """The requested suites of one pass, with their own lookup ``ops``
+    (ops("U") is intertwine()) and cell clock: the per-q suites at q, or
+    for q = None the once-per-run pass.  Returns (reports, plots)."""
     @functools.cache
     def ops(kind):
         if kind == "U":
@@ -255,10 +280,9 @@ def _pass(cfg: RunConfig, q: float | None, intertwine):
 
     reports, plots = [], {}
     tick = time.perf_counter()
-    # family does not depend on q: it runs once, in the q = None pass
-    for s in (s for s in cfg.suites if (s == "family") == (q is None)):
+    for s in (s for s in cfg.suites if SUITE_TABLE[s].per_q != (q is None)):
         for label, metrics, (name, op, value) in \
-                _SUITE_FN[s](cfg, q, ops, plots):
+                SUITE_TABLE[s].cells(cfg, q, ops, plots):
             m = {k: float(v) for k, v in metrics.items()}
             now = time.perf_counter()
             passed = m[name] <= value if op == "<=" else m[name] >= value
@@ -348,16 +372,20 @@ def run(cfg: RunConfig):
 
     Returns the sorted reports.  Metric values are deterministic for a fixed
     config; the CLI exit status is the logical AND of the pass flags.  The
-    passes of the q values and the family pass are shared out over up to
-    one process per CPU (``_passes``); the payload is the same as in one
-    process.
+    passes of the q values, if a per-q suite is requested, and the
+    once-per-run pass, if a once-per-run suite is, are shared out over up
+    to one process per CPU (``_passes``); the payload is the same as in
+    one process.
     """
     cfg = validate_config(cfg)
     intertwine = functools.cache(lambda: check_dirac_intertwine(cfg.n_max))
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else 1)
-    workers = min(cpus, len(cfg.q))
-    passes = _passes(cfg, (*cfg.q, None), intertwine, workers)
+    # a pass runs only if it holds a suite (as _pass picks them)
+    qs = tuple(q for q in (*cfg.q, None) if any(
+        SUITE_TABLE[s].per_q != (q is None) for s in cfg.suites))
+    workers = max(1, min(cpus, sum(q is not None for q in qs)))
+    passes = _passes(cfg, qs, intertwine, workers)
     reports = sorted((r for rep, _ in passes for r in rep), key=_sort_key)
     plots = {k: v for _, p in passes for k, v in p.items()}
     if cfg.out_dir is not None:

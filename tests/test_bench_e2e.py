@@ -1,7 +1,8 @@
 """The performance-record script: its output directory, the alternating
 rounds of a parent/change pair and whether they resolve a gain, the one
-side summary that a lone checkout and each side of a pair share, and each
-checkout's bytecode prefix."""
+side summary that a lone checkout and each side of a pair share, each
+checkout's bytecode prefix, and the error for a directory that is no
+checkout."""
 
 import importlib.util
 import json
@@ -296,3 +297,22 @@ def test_each_checkout_gets_one_traced_run_per_workload_after_its_rounds(
         for repo in checkouts:
             for w in ("w1", "w2"):
                 assert calls.count((repo, w, 0)) == rounds
+
+
+def test_a_directory_that_is_no_checkout_is_named_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    bench_e2e = _load()
+    copy = tmp_path / "copy"  # a plain directory, as a git archive leaves
+    copy.mkdir()
+
+    def perfbench(*args):
+        raise AssertionError("perfbench ran")
+
+    monkeypatch.setattr(bench_e2e, "perfbench", perfbench)
+    for flag in ("--against", "--repo"):
+        assert bench_e2e.main([flag, str(copy),
+                               "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {copy} is not a git checkout\n"
+    assert not list((tmp_path / "out").iterdir())

@@ -12,7 +12,7 @@ from diraclab.cli import build_parser, main
 from diraclab.harness import (
     CSV_HEADER,
     DEFAULT_N_MAX,
-    MIN_N_MAX,
+    SUITE_TABLE,
     RunConfig,
     SUITES,
     csv_lines,
@@ -68,13 +68,13 @@ def test_validate_config_distinct_errors():
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_each_suite_runs_at_its_least_n_max_and_no_lower(suite):
-    least = MIN_N_MAX[suite][0] if suite in MIN_N_MAX else 0
-    assert (suite in MIN_N_MAX) == (suite not in ("decompose", "asymptotics",
-                                                  "family"))
+    least = SUITE_TABLE[suite].least_n_max[0]
+    assert (least > 0) == (suite not in ("decompose", "asymptotics",
+                                         "family"))
     reports = run(_cfg(n_max=least, suites=(suite,)))
     assert reports
     assert all(math.isfinite(r.metrics[r.gate_metric]) for r in reports)
-    if suite in MIN_N_MAX:
+    if least > 0:
         with pytest.raises(ValueError, match=f"the {suite} suite "):
             validate_config(_cfg(n_max=least - 1, suites=(suite,)))
 
@@ -467,15 +467,18 @@ def test_forked_passes_give_the_one_process_payload(tmp_path, monkeypatch,
     assert doc["meta"]["workers"] == 1
 
 
-@pytest.mark.parametrize("cpus, qs, forks", [
-    (2, (0.3, 0.5, 0.7), 1),
-    (3, (0.3, 0.5, 0.7), 2),
-    (2, (0.5,), 0),
-    (1, (0.3, 0.5, 0.7), 0),
-])
+@pytest.mark.parametrize("cpus, qs, suites, forks", [
+    (2, (0.3, 0.5, 0.7), ("decompose",), 1),
+    (3, (0.3, 0.5, 0.7), ("decompose",), 2),
+    (2, (0.5,), ("decompose",), 0),
+    (1, (0.3, 0.5, 0.7), ("decompose",), 0),
+    (2, (0.3, 0.5, 0.7), ("family",), 0),
+], ids=["2-qs0-1", "3-qs1-2", "2-qs2-0", "1-qs3-0", "2-qs4-family-0"])
 def test_a_run_forks_one_child_per_share_but_the_last(monkeypatch, cpus, qs,
-                                                      forks):
-    # min(CPUs, number of q) shares, and this process runs the last
+                                                      suites, forks):
+    # min(CPUs, number of q passes) shares, and this process runs the
+    # last; with no per-q suite no q pass runs, and the once-per-run pass
+    # runs here
     real, calls = os.fork, []
 
     def counted():
@@ -484,7 +487,7 @@ def test_a_run_forks_one_child_per_share_but_the_last(monkeypatch, cpus, qs,
 
     monkeypatch.setattr(os, "fork", counted)
     _cpus(monkeypatch, cpus)
-    run(_cfg(suites=("decompose",), q=qs, n_max=4))
+    run(_cfg(suites=suites, q=qs, n_max=4))
     assert len(calls) == forks
     _assert_no_child_left()
 
@@ -635,3 +638,33 @@ def test_cli_nmax_default_is_the_config_default():
 def test_suites_tuple_matches_cli():
     assert SUITES == ("relations", "decompose", "kq-decay", "asymptotics",
                       "commutators", "minimality", "family")
+
+
+def test_one_record_adds_a_suite(monkeypatch, capsys):
+    # a once-per-run suite that needs n_max >= 2: its record alone makes
+    # it a subcommand, a config rule and a pass
+    def toy(cfg, q, ops, plots):
+        yield "cell", {"x": 1.0}, ("x", "<=", 1.0)
+
+    monkeypatch.setitem(SUITE_TABLE, "toy", harness.Suite(
+        toy, "a toy suite of one cell", (4, "reads four half-levels"),
+        per_q=False))
+    assert build_parser().parse_args(["toy", "--nmax", "3"]).suite == "toy"
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--help"])
+    assert "a toy suite of one cell" in capsys.readouterr().out
+    with pytest.raises(ValueError) as exc:
+        validate_config(_cfg(suites=("toy",), n_max=3))
+    assert str(exc.value) == ("config: the toy suite reads four half-levels "
+                              "and needs n_max >= 2 (--nmax 4)")
+    (r,) = run(_cfg(suites=("toy",), q=(0.3, 0.5), n_max=4))
+    assert (r.suite, r.label, r.q, r.passed) == ("toy", "cell", None, True)
+
+
+def test_readme_lists_the_suites_of_the_table():
+    import re
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        named = re.findall(r"^\* \*\*([\w-]+)\*\* —", fh.read(), re.M)
+    assert sorted(named) == sorted(SUITE_TABLE)
