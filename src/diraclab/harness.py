@@ -8,7 +8,10 @@ metrics, gate) with gate = (metric, comparison, value), and ``run`` makes
 each cell one ``VerificationReport`` whose pass flag is a pure function of
 its metrics and its gate, so determinism can be checked by hashing the
 metric payload alone: wall times, library versions and timestamps live in
-a separate meta section of the JSON document.
+a separate meta section of the JSON document.  A cell may add a fourth
+element, its plot data (file stem, levels, norms): the report carries it
+outside the payload, and ``emit`` writes it, so a pass hands back its
+reports alone.
 
 The suites at one q make one pass and share one lookup, ``ops(kind)``:
 the space and generators of kind "L2" (the hatted pair) or "Double" (pi'),
@@ -67,8 +70,6 @@ KQ_CONTROL_MAX = 0.5
 ASYMPTOTIC_ENVELOPE_MAX = 10.0
 COMMUTATOR_CHANGE_PCT_MAX = 5.0
 
-_PLOT_GEN_NAME = {"alpha*": "alphastar", "beta": "beta"}
-
 
 class VerificationReport(NamedTuple):
     suite: str
@@ -81,16 +82,18 @@ class VerificationReport(NamedTuple):
     gate_value: float
     passed: bool
     wall_time: float
+    plot: tuple = ()     # (file stem, levels, norms), outside the payload
 
 
 # ------------------------------------------------------------------- suites
 
 class Suite(NamedTuple):
-    """One suite's record.  ``cells(cfg, q, ops, plots)`` yields the cells
-    of one pass (plots collects the kq plot data by (generator, q)), and
-    ``help`` is its CLI line.  ``least_n_max`` is the least twice-valued
-    n_max it runs at and why (0 for a suite that runs at any n_max).  A
-    suite not ``per_q`` runs once per run, in the pass of q = None."""
+    """One suite's record.  ``cells(cfg, q, ops)`` yields the cells of one
+    pass, each (label, metrics, gate) or, with its plot data, (label,
+    metrics, gate, (file stem, levels, norms)), and ``help`` is its CLI
+    line.  ``least_n_max`` is the least twice-valued n_max it runs at and
+    why (0 for a suite that runs at any n_max).  A suite not ``per_q``
+    runs once per run, in the pass of q = None."""
     cells: Callable
     help: str
     least_n_max: tuple = (0, "")
@@ -112,7 +115,7 @@ def _suite(name: str, *record, **fields):
 
 @_suite("relations", "defining-relation defects for both representations",
         (2, "measures defects on the interior of n_max - 1"))
-def _suite_relations(cfg: RunConfig, q: float, ops, plots: dict):
+def _suite_relations(cfg: RunConfig, q: float, ops):
     for rep, (space, gens) in [("hat", ops("L2")), ("prime", ops("Double"))]:
         for name, e in word_entries(relation_words(q), space, gens,
                                     len(interior(space, 2))):
@@ -121,7 +124,7 @@ def _suite_relations(cfg: RunConfig, q: float, ops, plots: dict):
 
 
 @_suite("decompose", "exact unitary conjugation of the diagonal pair")
-def _suite_decompose(cfg: RunConfig, q: float, ops, plots: dict):
+def _suite_decompose(cfg: RunConfig, q: float, ops):
     rep = ops("U")
     metrics = {"deviation": max(rep.unitary_defect, rep.conjugation_defect),
                "unitary_defect": rep.unitary_defect,
@@ -136,19 +139,20 @@ def _fit_metrics(rep) -> dict:
 
 @_suite("kq-decay", "decay-rate fit of the representation defect",
         (8, "fits at least three levels n in [2, n_max - 1]"))
-def _suite_kq(cfg: RunConfig, q: float, ops, plots: dict):
+def _suite_kq(cfg: RunConfig, q: float, ops):
     hat, prime, U = ops("L2")[1], ops("Double")[1], ops("U").U
     for gen in KQ_GENERATORS:
         rep = kq_decay(gen, hat, prime, U, q)
-        plots[(gen, q)] = (rep.levels, rep.norms)
         yield (f"defect:{gen}", _fit_metrics(rep),
-               ("gamma_ratio", ">=", KQ_RATIO_MIN))
+               ("gamma_ratio", ">=", KQ_RATIO_MIN),
+               (f"kq_{gen.replace('*', 'star')}", rep.levels,
+                tuple(rep.norms.tolist())))
     yield ("control:alpha*", _fit_metrics(control_decay("alpha*", prime, q)),
            ("gamma_ratio", "<=", KQ_CONTROL_MAX))
 
 
 @_suite("asymptotics", "leading-form residual envelope of the 2x2 matrices")
-def _suite_asymptotics(cfg: RunConfig, q: float, ops, plots: dict):
+def _suite_asymptotics(cfg: RunConfig, q: float, ops):
     for kind in ("a+", "a-", "b+", "b-"):
         scan = asymptotic_scan(kind, q)
         metrics = {"envelope": scan.envelope,
@@ -159,7 +163,7 @@ def _suite_asymptotics(cfg: RunConfig, q: float, ops, plots: dict):
 
 @_suite("commutators", "Dirac commutator norm plateau across truncations",
         (6, "compares n_max against the interior of n_max - 2"))
-def _suite_commutators(cfg: RunConfig, q: float, ops, plots: dict):
+def _suite_commutators(cfg: RunConfig, q: float, ops):
     # each [D, g] on the interior: its norm at n_max - 2 and at n_max
     for rep, kind in (("hat", "L2"), ("prime", "Double")):
         space, gens = ops(kind)
@@ -181,7 +185,7 @@ def _suite_commutators(cfg: RunConfig, q: float, ops, plots: dict):
 
 @_suite("minimality", "cyclicity of the ground vector under the generators",
         (1, "gates the depth-1 span at level 1/2"))
-def _suite_minimality(cfg: RunConfig, q: float, ops, plots: dict):
+def _suite_minimality(cfg: RunConfig, q: float, ops):
     depth = cfg.n_max  # words of length 2 n_max reach the last level
     rep = cyclic_dimension(ops("L2")[1].values(), depth)
     monotone = all(a <= b for a, b in zip(rep.history, rep.history[1:]))
@@ -199,7 +203,7 @@ def _suite_minimality(cfg: RunConfig, q: float, ops, plots: dict):
 
 @_suite("family", per_q=False,
         help="diagonal structure and eigenvalue tables of the Dirac family")
-def _suite_family(cfg: RunConfig, q: None, ops, plots: dict):
+def _suite_family(cfg: RunConfig, q: None, ops):
     table_n = min(8, cfg.n_max)  # n <= 4
     l2 = enumerate_space("L2", table_n)
     d1 = dirac_family(D1_PARAMS, l2).diag()
@@ -269,7 +273,8 @@ def _sort_key(r: VerificationReport):
 def _pass(cfg: RunConfig, q: float | None, intertwine):
     """The requested suites of one pass, with their own lookup ``ops``
     (ops("U") is intertwine()) and cell clock: the per-q suites at q, or
-    for q = None the once-per-run pass.  Returns (reports, plots)."""
+    for q = None the once-per-run pass.  Returns its reports, a cell's
+    plot data on its report."""
     @functools.cache
     def ops(kind):
         if kind == "U":
@@ -278,41 +283,42 @@ def _pass(cfg: RunConfig, q: float | None, intertwine):
         build = hat_generators if kind == "L2" else pi_prime_generators
         return space, build(space, q)
 
-    reports, plots = [], {}
+    reports = []
     tick = time.perf_counter()
     for s in (s for s in cfg.suites if SUITE_TABLE[s].per_q != (q is None)):
-        for label, metrics, (name, op, value) in \
-                SUITE_TABLE[s].cells(cfg, q, ops, plots):
+        for label, metrics, (name, op, value), *plot in \
+                SUITE_TABLE[s].cells(cfg, q, ops):
             m = {k: float(v) for k, v in metrics.items()}
             now = time.perf_counter()
             passed = m[name] <= value if op == "<=" else m[name] >= value
             reports.append(VerificationReport(
                 s, label, q, cfg.n_max, m, name, op, float(value), passed,
-                now - tick))
+                now - tick, *plot))
             tick = now
-    return reports, plots
+    return reports
 
 
 def _passes(cfg: RunConfig, qs: tuple, intertwine, workers: int):
     """The passes of qs, in ``workers`` processes.
 
     Process k runs the share ``qs[k::workers]``: a forked child each share
-    but the last, which runs here.  A share runs on past a failed pass,
-    and a child pickles the list of its ``(ok, outcome)`` down a pipe,
-    which is read to its end before the child is reaped.  Returns the
-    passes in the order of qs.  If passes fail, the first of them in qs
-    raises its exception here; a child that ends without a result raises
-    ``RuntimeError``.  No child outlives the call.
+    but the last, which runs here.  A share stops at its first failed
+    pass, and a child pickles its outcomes, q -> reports or exception,
+    down a pipe, which is read to its end before the child is reaped.
+    Returns the reports of every pass as one list, in the order of qs.
+    If passes fail, the first of them in qs raises its exception here; a
+    child that ends without a result raises ``RuntimeError`` at its
+    share's first q.  No child outlives the call.
     """
     import pickle
 
     def attempt(share):
-        out = []
-        for q in share:
-            try:
-                out.append((True, _pass(cfg, q, intertwine)))
-            except Exception as e:  # raised below, in the order of qs
-                out.append((False, e))
+        out = {}
+        try:
+            for q in share:
+                out[q] = _pass(cfg, q, intertwine)
+        except Exception as e:  # raised below, in the order of qs
+            out[q] = e
         return out
 
     shares = [qs[k::workers] for k in range(workers)]
@@ -337,7 +343,7 @@ def _passes(cfg: RunConfig, qs: tuple, intertwine, workers: int):
                     os._exit(code)
             os.close(w)
             children.append((share, pid, os.fdopen(r, "rb")))
-        outcomes.update(zip(shares[-1], attempt(shares[-1])))
+        outcomes.update(attempt(shares[-1]))
         while children:
             share, pid, fh = children[0]
             blob = fh.read()
@@ -345,12 +351,11 @@ def _passes(cfg: RunConfig, qs: tuple, intertwine, workers: int):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
             if code == 0 and blob:
-                outcomes.update(zip(share, pickle.loads(blob)))
+                outcomes.update(pickle.loads(blob))
                 continue
-            for q in share:
-                outcomes[q] = (False, RuntimeError(
-                    f"the pass at q={q!r} ended without a result "
-                    f"(exit status {code})"))
+            outcomes[share[0]] = RuntimeError(
+                f"the pass at q={share[0]!r} ended without a result "
+                f"(exit status {code})")
     finally:
         if children:  # an error or an interrupt: stop and reap the rest
             import signal
@@ -361,10 +366,10 @@ def _passes(cfg: RunConfig, qs: tuple, intertwine, workers: int):
                     os.waitpid(pid, 0)
                 except (ProcessLookupError, ChildProcessError):
                     pass  # reaped just before the interrupt
-    for q in qs:
-        if not outcomes[q][0]:
-            raise outcomes[q][1]
-    return [outcomes[q][1] for q in qs]
+    for q in qs:  # a q with no outcome follows its share's failure in qs
+        if isinstance(outcomes[q], Exception):
+            raise outcomes[q]
+    return [r for q in qs for r in outcomes[q]]
 
 
 def run(cfg: RunConfig):
@@ -385,11 +390,9 @@ def run(cfg: RunConfig):
     qs = tuple(q for q in (*cfg.q, None) if any(
         SUITE_TABLE[s].per_q != (q is None) for s in cfg.suites))
     workers = max(1, min(cpus, sum(q is not None for q in qs)))
-    passes = _passes(cfg, qs, intertwine, workers)
-    reports = sorted((r for rep, _ in passes for r in rep), key=_sort_key)
-    plots = {k: v for _, p in passes for k, v in p.items()}
+    reports = sorted(_passes(cfg, qs, intertwine, workers), key=_sort_key)
     if cfg.out_dir is not None:
-        emit(reports, cfg, plots, workers)
+        emit(reports, cfg, workers)
     return reports
 
 
@@ -436,9 +439,9 @@ def csv_lines(reports) -> list:
     return lines
 
 
-def emit(reports, cfg: RunConfig, plots: dict | None = None,
-         workers: int = 1) -> list:
-    """Write report.json, report.csv and (optionally) kq plot data.
+def emit(reports, cfg: RunConfig, workers: int = 1) -> list:
+    """Write report.json, report.csv and, if ``cfg.emit_plot`` is set,
+    ``<stem>_q<q>.dat`` for each report that carries plot data.
 
     Returns the list of paths written; a path that cannot be written
     raises ``OSError``, as ``open`` does.  The JSON document separates the
@@ -460,11 +463,11 @@ def emit(reports, cfg: RunConfig, plots: dict | None = None,
     }
     files = {"report.json": json.dumps(doc, sort_keys=True, indent=1),
              "report.csv": "\n".join(csv_lines(reports))}
-    if cfg.emit_plot and plots:
-        for (gen, q), (levels, norms) in sorted(plots.items()):
-            rows = [f"{tn / 2:g} {math.log(v):.17g}"
-                    for tn, v in zip(levels, norms) if v > 0.0]
-            files[f"kq_{_PLOT_GEN_NAME[gen]}_q{q!r}.dat"] = "\n".join(rows)
+    for r in (r for r in reports if cfg.emit_plot and r.plot):
+        stem, levels, norms = r.plot
+        rows = [f"{tn / 2:g} {math.log(v):.17g}"
+                for tn, v in zip(levels, norms) if v > 0.0]
+        files[f"{stem}_q{r.q!r}.dat"] = "\n".join(rows)
     os.makedirs(cfg.out_dir, exist_ok=True)
     paths = []
     for name, text in files.items():

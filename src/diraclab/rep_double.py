@@ -18,7 +18,10 @@ Transcription of the four displays is isolated in one leaf function per
 matrix below — it is the highest-risk step of the whole build, and each leaf
 is pinned against independent evaluation oracles in the tests.  The leaves
 broadcast: given arrays of labels they return one 2x2 matrix per label (in
-the last two axes).  :func:`rep_l2._band_op`, which assembles the hatted
+the last two axes).  Each is written f(n, i, j, q, qn) and called as
+(n, i, j, q): :func:`_leaf` supplies the prologue they share, the q check,
+the labels as floats, qn(m) = [m] at q and the float semantics of
+:data:`_silent`.  :func:`rep_l2._band_op`, which assembles the hatted
 pair too, evaluates each leaf once per (n, i, j) label, over the up band
 of the doubled space (which holds every label), and reads entry [t, s]
 at the hits of each target band t.  Overflow of q^{-m} at tiny q raises
@@ -67,17 +70,26 @@ def _matrix(pref, uu, ud, du, dd) -> np.ndarray:
     return M
 
 
-@_silent
-def a_plus(n, i, j, q: float) -> np.ndarray:
+def _leaf(f):
+    """The leaf ``f(n, i, j, q, qn)`` called as (n, i, j, q): q checked,
+    the labels as float arrays (:func:`_halves`), ``qn(m)`` the q-number
+    [m] at q, under :data:`_silent`."""
+    @functools.wraps(f)
+    @_silent
+    def leaf(n, i, j, q: float) -> np.ndarray:
+        q = validate_q(q)
+        return f(*_halves(n, i, j), q, lambda m: q_number(m, q))
+    return leaf
+
+
+@_leaf
+def a_plus(n, i, j, q: float, qn) -> np.ndarray:
     """2x2 coefficient matrix a+_{nij}.
 
         q^{(i+j-1/2)/2} [n+i+1]^{1/2} *
             [ q^{-n-1/2} [n+j+3/2]^{1/2} / [2n+2]        0                              ]
             [ q^{1/2} [n-j+1/2]^{1/2} / ([2n+1][2n+2])   q^{-n} [n+j+1/2]^{1/2} / [2n+1] ]
     """
-    q = validate_q(q)
-    n, i, j = _halves(n, i, j)
-    qn = lambda m: q_number(m, q)
     pref = q_power((i + j - 0.5) / 2.0, q) * sqrt0(qn(n + i + 1))
     uu = q_power(-n - 0.5, q) * sqrt0(qn(n + j + 1.5)) / qn(2 * n + 2)
     du = q ** 0.5 * sqrt0(qn(n - j + 0.5)) / (qn(2 * n + 1) * qn(2 * n + 2))
@@ -85,8 +97,8 @@ def a_plus(n, i, j, q: float) -> np.ndarray:
     return _matrix(pref, uu, 0.0, du, dd)
 
 
-@_silent
-def a_minus(n, i, j, q: float) -> np.ndarray:
+@_leaf
+def a_minus(n, i, j, q: float, qn) -> np.ndarray:
     """2x2 coefficient matrix a-_{nij}.
 
         q^{(i+j-1/2)/2} [n-i]^{1/2} *
@@ -97,9 +109,6 @@ def a_minus(n, i, j, q: float) -> np.ndarray:
     n = 0, where the [2n] denominators would be singular), giving the zero
     matrix there.
     """
-    q = validate_q(q)
-    n, i, j = _halves(n, i, j)
-    qn = lambda m: q_number(m, q)
     pref = q_power((i + j - 0.5) / 2.0, q) * sqrt0(qn(n - i))
     uu = q_power(n + 1, q) * sqrt0(qn(n - j + 0.5)) / qn(2 * n + 1)
     ud = -q ** 0.5 * sqrt0(qn(n + j + 0.5)) / (qn(2 * n) * qn(2 * n + 1))
@@ -107,8 +116,8 @@ def a_minus(n, i, j, q: float) -> np.ndarray:
     return _matrix(pref, uu, ud, 0.0, dd)
 
 
-@_silent
-def b_plus(n, i, j, q: float) -> np.ndarray:
+@_leaf
+def b_plus(n, i, j, q: float, qn) -> np.ndarray:
     """2x2 coefficient matrix b+_{nij}.
 
         q^{(i+j-1/2)/2} [n+i+1]^{1/2} *
@@ -117,9 +126,6 @@ def b_plus(n, i, j, q: float) -> np.ndarray:
 
     The prefactor [n+i+1]^{1/2} never vanishes on valid labels.
     """
-    q = validate_q(q)
-    n, i, j = _halves(n, i, j)
-    qn = lambda m: q_number(m, q)
     pref = q_power((i + j - 0.5) / 2.0, q) * sqrt0(qn(n + i + 1))
     uu = sqrt0(qn(n - j + 1.5)) / qn(2 * n + 2)
     du = -q_power(-n - 1, q) * sqrt0(qn(n + j + 0.5)) / (qn(2 * n + 1) * qn(2 * n + 2))
@@ -127,8 +133,8 @@ def b_plus(n, i, j, q: float) -> np.ndarray:
     return _matrix(pref, uu, 0.0, du, dd)
 
 
-@_silent
-def b_minus(n, i, j, q: float) -> np.ndarray:
+@_leaf
+def b_minus(n, i, j, q: float, qn) -> np.ndarray:
     """2x2 coefficient matrix b-_{nij}.
 
         q^{(i+j-1/2)/2} [n-i]^{1/2} *
@@ -137,9 +143,6 @@ def b_minus(n, i, j, q: float) -> np.ndarray:
 
     Zero matrix at i = n, as for a-.
     """
-    q = validate_q(q)
-    n, i, j = _halves(n, i, j)
-    qn = lambda m: q_number(m, q)
     pref = q_power((i + j - 0.5) / 2.0, q) * sqrt0(qn(n - i))
     uu = -q ** (-0.5) * sqrt0(qn(n + j + 0.5)) / qn(2 * n + 1)
     ud = -q_power(n, q) * sqrt0(qn(n - j + 0.5)) / (qn(2 * n) * qn(2 * n + 1))

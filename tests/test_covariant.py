@@ -194,7 +194,7 @@ UNREACHED = "receives no nonzero up entry"
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.8, 0.9])
 @pytest.mark.parametrize("tn_max", [1, 2, 3, 4, 5, 6])
-def test_sector_frames_match_dense_all_generators(q, tn_max):
+def test_certificate_matches_dense_span_all_generators(q, tn_max):
     sp, gens, seed = _setup(tn_max=tn_max, q=q)
     rep = _assert_matches_dense(gens, seed, tn_max)
     assert rep.saturated

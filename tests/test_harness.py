@@ -435,6 +435,30 @@ def test_kq_plot_files(tmp_path):
         assert texts[gen, qs[0]] != texts[gen, qs[1]]
 
 
+def test_a_report_carries_its_plot_and_emit_names_no_suite(tmp_path):
+    # the kq defect cells carry (stem, levels, norms) as plain tuples, so
+    # reports that cross a pipe still compare with ==
+    import pickle
+
+    reports = run(_cfg(suites=("kq-decay",), n_max=10))
+    assert [r.plot[:1] for r in reports] == [(), ("kq_alphastar",),
+                                            ("kq_beta",)]
+    for r in reports[1:]:
+        assert r.plot[1] == tuple(range(11))
+        assert all(type(v) is float for v in r.plot[2])
+    assert pickle.loads(pickle.dumps(reports)) == reports
+    # emit writes the file a report's plot names, whatever its suite
+    toy = harness.VerificationReport(
+        "toy", "cell", 0.5, 4, {"x": 1.0}, "x", "<=", 1.0, True, 0.0,
+        ("toy_series", (0, 1, 2), (1.0, 0.0, math.e)))
+    for plot in (False, True):
+        out = tmp_path / str(plot)
+        harness.emit([toy], _cfg(out_dir=str(out), emit_plot=plot))
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["report.csv", "report.json"] + ["toy_series_q0.5.dat"] * plot)
+    assert (out / "toy_series_q0.5.dat").read_text() == "0 0\n1 1\n"
+
+
 @pytest.mark.parametrize("cpus, qs", [
     (2, (0.3, 0.5, 0.7)),
     (3, (0.3, 0.5, 0.7)),
@@ -513,6 +537,22 @@ def test_the_first_failed_q_raises(monkeypatch, qs, error, match):
     with pytest.raises(error, match=match):
         run(_cfg(suites=("relations", "kq-decay"), q=qs))
     _assert_no_child_left()
+
+
+def test_a_share_stops_at_its_first_failed_pass(monkeypatch):
+    # one CPU: one share of both q, run here; the relations overflow at
+    # q = 1e-100, and the pass at 0.5 does not run after it
+    real, calls = harness._pass, []
+
+    def counted(cfg, q, intertwine):
+        calls.append(q)
+        return real(cfg, q, intertwine)
+
+    monkeypatch.setattr(harness, "_pass", counted)
+    _cpus(monkeypatch, 1)
+    with pytest.raises(OverflowError):
+        run(_cfg(suites=("relations",), q=(1e-100, 0.5), n_max=4))
+    assert calls == [1e-100]
 
 
 def test_a_killed_child_raises_runtime_error(monkeypatch):
@@ -643,7 +683,7 @@ def test_suites_tuple_matches_cli():
 def test_one_record_adds_a_suite(monkeypatch, capsys):
     # a once-per-run suite that needs n_max >= 2: its record alone makes
     # it a subcommand, a config rule and a pass
-    def toy(cfg, q, ops, plots):
+    def toy(cfg, q, ops):
         yield "cell", {"x": 1.0}, ("x", "<=", 1.0)
 
     monkeypatch.setitem(SUITE_TABLE, "toy", harness.Suite(
