@@ -83,11 +83,11 @@ def spectral_norms(row, col, data, row_sector, col_sector, row_group,
     dst = grp * (int(row_sector.max()) + 1) + row_sector[row]
     to = np.full(n_groups * n_src, -1)
     to[comp] = dst
-    clash = (to[comp] != dst) | (np.bincount(to[to >= 0]) > 1)[to[comp]]
+    present = to >= 0
+    clash = (to[comp] != dst) | (np.bincount(to[present]) > 1)[to[comp]]
     if clash.any():
         raise ValueError(f"spectral_norms: row group {grp[clash].min()} "
                          "is not weight-graded")
-    present = np.bincount(comp, minlength=n_groups * n_src) > 0
     blk = (np.cumsum(present) - 1)[comp]
     group = np.flatnonzero(present) // n_src  # of each block
     nb = len(group)

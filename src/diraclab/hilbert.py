@@ -10,6 +10,9 @@ n = 0, 1/2, 1, ... and weights i, j in {-n, ..., n} (integer steps).
 
 so level n holds 2(2n+1)^2 vectors and the doubled space is two copies of L2
 (the unitary ``decomp.build_U`` maps L2 (+) L2 onto it as a map of ordinals).
+L2 is the one-band case of the same layout, its one band the up band with
+j in {-n, ..., n}: the kinds differ only in :data:`BANDS`, the one table of
+kinds, which gives the bands per level.
 
 Truncation keeps levels n <= n_max, and n_max is held as twice its value,
 an int, like every label.  Operators silently drop components that
@@ -18,12 +21,14 @@ would leave the truncated space; quantitative assertions are made only on
 
 A space holds its labels as integer arrays, one entry per ordinal: twice
 the level ``tn``, twice the weights ``ti`` and ``tj``, and ``band`` (0 up,
-1 down) on Double.  Operators are assembled by evaluating their
+1 down; 0 throughout on L2).  Operators are assembled by evaluating their
 coefficients over these arrays, and :meth:`TruncatedSpace.ordinals` finds
-target ordinals by arithmetic: twice-level tn starts at
-:meth:`TruncatedSpace.start`, tn(tn+1)(2tn+1)/6 in L2 and tn(tn+1)(2tn+1)/3
-in Double; within a level the up band precedes the down band, then i, then
-j.  Level ranges and interiors are ranges of ordinals from the same form.
+target ordinals by arithmetic.  With b bands per level, band ``band`` of
+twice-level tn runs j over -h..h with h = tn + (b - 1)(1 - 2 band);
+twice-level tn starts at :meth:`TruncatedSpace.start`, b tn(tn+1)(2tn+1)/6;
+within a level the up band precedes the down band, which starts
+(tn+1)(tn+2) labels in, then i, then j.  Level ranges and interiors are
+ranges of ordinals from the same form.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ import numpy as np
 
 from .qnum import label_text
 
+#: Bands per level of each space kind.
+BANDS = {"L2": 1, "Double": 2}
+
 
 def _frozen(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.int64)
@@ -44,12 +52,16 @@ def _frozen(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedSpace:
+    """The truncated basis of kind ``kind``, a key of :data:`BANDS`, as
+    frozen int label arrays, one entry per ordinal; ``band`` is 0
+    throughout on L2 and 0 (up) or 1 (down) on Double."""
+
     kind: str
     n_max: int  # twice the top level
     tn: np.ndarray = field(repr=False)
     ti: np.ndarray = field(repr=False)
     tj: np.ndarray = field(repr=False)
-    band: np.ndarray | None = field(default=None, repr=False)  # Double
+    band: np.ndarray = field(repr=False)  # 0 up, 1 down
 
     @property
     def dim(self) -> int:
@@ -61,10 +73,9 @@ class TruncatedSpace:
 
     def start(self, tn):
         """Ordinal of the first label at twice-level tn (array or int):
-        tn(tn+1)(2tn+1)/6 on L2 and /3 on Double, the count of labels on
+        b tn(tn+1)(2tn+1)/6 with b bands per level, the count of labels on
         the levels below."""
-        return tn * (tn + 1) * (2 * tn + 1) // (3 if self.kind == "Double"
-                                                else 6)
+        return BANDS[self.kind] * tn * (tn + 1) * (2 * tn + 1) // 6
 
     @cached_property
     def sector(self) -> np.ndarray:
@@ -73,24 +84,22 @@ class TruncatedSpace:
         key = (self.ti + t) * (2 * t + 1) + self.tj + t
         return _frozen((np.cumsum(np.bincount(key) > 0) - 1)[key])
 
-    def ordinals(self, tn, ti, tj, band=None) -> np.ndarray:
-        """Ordinals of the labels (tn, ti, tj), -1 where a label is absent.
+    def ordinals(self, tn, ti, tj, band=0) -> np.ndarray:
+        """Ordinals of the labels (tn, ti, tj, band), -1 where a label is
+        absent, a band outside 0..b-1 included.
 
         Arguments are twice-valued integers or integer arrays, broadcast
-        together; Double spaces also need ``band``.
+        together.
         """
-        tn, ti, tj = (np.asarray(x, dtype=np.int64) for x in (tn, ti, tj))
-        if self.kind == "Double":
-            band = np.asarray(band, dtype=np.int64)
-            h = tn + 1 - 2 * band  # j runs over -h..h: n+1/2 up, n-1/2 down
-            start = self.start(tn) + band * (tn + 1) * (tn + 2)
-        else:
-            h = tn
-            start = self.start(tn)
-        ok = ((tn >= 0) & (tn <= self.n_max)
+        tn, ti, tj, band = (np.asarray(x, dtype=np.int64)
+                            for x in (tn, ti, tj, band))
+        b = BANDS[self.kind]
+        h = tn + (b - 1) * (1 - 2 * band)  # j runs over -h..h
+        ok = ((tn >= 0) & (tn <= self.n_max) & (band >= 0) & (band < b)
               & (np.abs(ti) <= tn) & ((ti - tn) % 2 == 0)
               & (np.abs(tj) <= h) & ((tj - h) % 2 == 0))
-        k = start + (ti + tn) // 2 * (h + 1) + (tj + h) // 2
+        k = (self.start(tn) + band * (tn + 1) * (tn + 2)
+             + (ti + tn) // 2 * (h + 1) + (tj + h) // 2)
         return np.where(ok, k, -1)
 
     def level_ordinals(self, tn) -> np.ndarray:
@@ -113,7 +122,7 @@ def check_count(value, name: str) -> int:
 
 
 def check_kind(space: TruncatedSpace, kind: str) -> TruncatedSpace:
-    """space, if its kind is ``kind`` ("L2" or "Double")."""
+    """space, if its kind is ``kind`` (a key of :data:`BANDS`)."""
     if space.kind != kind:
         raise ValueError(f"expected a space of kind {kind!r}, got "
                          f"{space.kind!r}")
@@ -121,31 +130,29 @@ def check_kind(space: TruncatedSpace, kind: str) -> TruncatedSpace:
 
 
 def enumerate_space(kind: str, n_max: int) -> TruncatedSpace:
-    """Enumerate the truncated basis of kind "L2" or "Double" up to
-    twice-level n_max, an int (``enumerate_space("L2", 3)`` stops at n = 3/2).
+    """Enumerate the truncated basis of kind "L2" or "Double" (a key of
+    :data:`BANDS`) up to twice-level n_max, an int
+    (``enumerate_space("L2", 3)`` stops at n = 3/2).
 
     The total order is canonical (sorted by n, then band, then i, then j)
     so that assembled matrices are reproducible bit-for-bit across runs.
     """
     n_max = check_count(n_max, "n_max")
-    if kind not in ("L2", "Double"):
-        raise ValueError(f"unknown space kind {kind!r} "
-                         "(expected 'L2' or 'Double')")
+    if kind not in BANDS:
+        raise ValueError(f"unknown space kind {kind!r} (expected "
+                         f"{' or '.join(map(repr, BANDS))})")
+    b = BANDS[kind]
     levels = np.arange(n_max + 1)
-    size = (levels + 1) ** 2 * (2 if kind == "Double" else 1)
+    size = b * (levels + 1) ** 2
     tn = np.repeat(levels, size)
     r = np.arange(len(tn)) - (np.cumsum(size) - size)[tn]  # place in level
-    band = None
-    h = tn  # j runs over -h..h
-    if kind == "Double":
-        up = (tn + 1) * (tn + 2)
-        band = (r >= up).astype(np.int64)
-        r = r - band * up
-        h = tn + 1 - 2 * band
+    up = (tn + 1) * (tn + 2)  # past an L2 level's (tn+1)^2 labels
+    band = (r >= up).astype(np.int64)
+    r -= band * up
+    h = tn + (b - 1) * (1 - 2 * band)  # j runs over -h..h
     ti = 2 * (r // (h + 1)) - tn
     tj = 2 * (r % (h + 1)) - h
-    return TruncatedSpace(kind, n_max, _frozen(tn), _frozen(ti), _frozen(tj),
-                          band=None if band is None else _frozen(band))
+    return TruncatedSpace(kind, n_max, *map(_frozen, (tn, ti, tj, band)))
 
 
 def interior(space: TruncatedSpace, margin) -> np.ndarray:

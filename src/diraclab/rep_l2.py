@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import TruncatedSpace, check_count, check_kind
+from .hilbert import BANDS, TruncatedSpace, check_count, check_kind
 from .linop import SparseOp
 from .qnum import q_power, sqrt0, validate_q
 
@@ -45,29 +45,29 @@ def _band_op(space, shift, up, down, sign=1.0) -> SparseOp:
     and weights (i, j) + shift/2, with coefficients up(n, i, j) and
     down(n, i, j), each evaluated once per (n, i, j) label of the space.
 
-    On L2 a coefficient is one value per label.  On Double it is one 2x2
-    matrix per label, evaluated over the up band, which holds every
-    (n, i, j); an ordinal of either band reads the matrix of its label at
-    the label's up-band place, and source band s feeds target band t its
-    entry [t, s].  ``sign`` multiplies the selected values.  Only exact
-    zeros are dropped: a coefficient as small as q^31 at q = 0.3, or q at
-    q = 1e-300, is kept.
+    With b bands per level (:data:`hilbert.BANDS`) a coefficient is one
+    b x b matrix per label, on L2 a scalar, the 1 x 1 matrix.  It is
+    evaluated over the up band, which holds every (n, i, j); an ordinal of
+    any band reads the matrix of its label at the label's up-band place,
+    and source band s feeds target band t its entry [t, s].  ``sign``
+    multiplies the selected values.  Only exact zeros are dropped: a
+    coefficient as small as q^31 at q = 0.3, or q at q = 1e-300, is kept.
     """
-    tn, ti, tj = space.tn, space.ti, space.tj
-    own = np.ones(space.dim, bool) if space.band is None else space.band == 0
-    at = (np.cumsum(own) - 1)[space.ordinals(tn, ti, tj, band=0)]
+    tn, ti, tj, band = space.tn, space.ti, space.tj, space.band
+    b = BANDS[space.kind]
+    own = band == 0
+    at = (np.cumsum(own) - 1)[space.ordinals(tn, ti, tj)]
     labels = (tn[own] / 2.0, ti[own] / 2.0, tj[own] / 2.0)
     di, dj = shift
     rows, cols, vals = [], [], []
     for dn, coeff in ((+1, up), (-1, down)):
-        c = coeff(*labels)
-        for tb in (None,) if space.band is None else (0, 1):
-            row = space.ordinals(tn + dn, ti + di, tj + dj, band=tb)
+        c = np.reshape(coeff(*labels), (-1, b, b))
+        for tb in range(b):
+            row = space.ordinals(tn + dn, ti + di, tj + dj, tb)
             hit = np.flatnonzero(row >= 0)
             rows.append(row[hit])
             cols.append(hit)
-            vals.append(sign * (c[at[hit]] if tb is None
-                                else c[at[hit], tb, space.band[hit]]))
+            vals.append(sign * c[at[hit], tb, band[hit]])
     return SparseOp.from_coo(space, space, *map(np.concatenate,
                                                 (rows, cols, vals)))
 
@@ -170,14 +170,15 @@ def word_entries(words: dict, space: TruncatedSpace, ops: dict, m: int):
     Every generator moves the level by 1/2 and shifts the weights (i, j) by
     a fixed amount, and every term of a relation word shifts them alike.
     So from column c a path has one target for each level offset (-1, 0 or
-    +1) and target band, and is keyed ``c * K + slot``: K = 3 on L2 with
-    the offset's index as slot, K = 6 on Double with 2 x index + band.  A
-    product is one ``np.bincount`` over its paths, in path order, inner
-    ordinal ascending, the order in which :meth:`SparseOp.compose` sums;
-    the word is 0.0 + w1 T1 + w2 T2 + ... in term order, and its exact
-    zeros are dropped at the end, as a sum of operators drops them.  A key
-    that two paths give two targets raises ValueError, and a symbol or an
-    adjoint that ``ops`` lacks raises KeyError.
+    +1) and target band, and is keyed ``K * c + b * index + band``: with b
+    bands per level (:data:`hilbert.BANDS`), K = 3 x b and the offset's
+    index 0, 1 or 2, so on L2 the band adds 0.  A product is one
+    ``np.bincount`` over its paths, in path order, inner ordinal ascending,
+    the order in which :meth:`SparseOp.compose` sums; the word is
+    0.0 + w1 T1 + w2 T2 + ... in term order, and its exact zeros are
+    dropped at the end, as a sum of operators drops them.  A key that two
+    paths give two targets raises ValueError, and a symbol or an adjoint
+    that ``ops`` lacks raises KeyError.
 
     Each generator's row pointer is built once per call.  A product is
     kept while consecutive words use it and built again when a later word
@@ -186,7 +187,8 @@ def word_entries(words: dict, space: TruncatedSpace, ops: dict, m: int):
     consecutive words, and the identity, which unit_left and unit_right
     share around beta_normal, is built twice.
     """
-    K = 3 if space.band is None else 6
+    b = BANDS[space.kind]
+    K = 3 * b
     ptr = {s: np.bincount(g.rows + 1, minlength=space.dim + 1).cumsum()
            for s, g in ops.items()}
     terms = {}
@@ -200,9 +202,8 @@ def word_entries(words: dict, space: TruncatedSpace, ops: dict, m: int):
                 key = space.tn[row] - space.tn[col]  # -2..2, twice-valued
                 key += 2
                 key //= 2
-                if K == 6:
-                    key *= 2
-                    key += space.band[row]
+                key *= b
+                key += space.band[row]
                 key += K * col
                 terms[syms] = key, row, np.bincount(key, val, minlength=m * K)
             key, row, sums = terms[syms]

@@ -302,7 +302,7 @@ def test_ordinals_follow_enumeration_order(tn_max):
         space = enumerate_space(kind, tn_max)
         labels = np.array(_oracle_basis(kind, tn_max)).T
         tn, ti, tj = labels[-3:]
-        band = labels[0] if kind == "Double" else None
+        band = labels[0] if kind == "Double" else np.zeros_like(tn)
         for got, want in zip((space.tn, space.ti, space.tj, space.band),
                              (tn, ti, tj, band)):
             np.testing.assert_array_equal(got, want)
@@ -324,6 +324,11 @@ def test_labels_outside_the_space_have_no_ordinal():
     for band, tn, ti, tj in ((1, 2, 0, 3), (1, 2, 0, -3), (0, 2, 0, 5),
                              (0, 0, 0, 0), (1, 0, 0, 1), (0, tnm + 1, 1, 0)):
         assert dbl.ordinals(tn, ti, tj, band=band) == -1, (band, tn, ti, tj)
+    # L2 has one band and Double two: the (tn, ti, tj) of every label of
+    # the space, asked for a band past the last or for band -1, is absent
+    for space, band in ((l2, 1), (l2, -1), (dbl, 2), (dbl, -1)):
+        got = space.ordinals(space.tn, space.ti, space.tj, band=band)
+        assert (got == -1).all(), (space.kind, band)
 
 
 def _valid_label_arrays(tn_max):

@@ -56,7 +56,7 @@ def test_per_level_count_identity():
 
 def test_l2_labels_are_valid():
     sp = enumerate_space("L2", 6)
-    assert sp.band is None
+    assert sp.band.dtype == np.int64 and not sp.band.any()
     assert np.all(np.abs(sp.ti) <= sp.tn) and np.all(np.abs(sp.tj) <= sp.tn)
     assert np.all((sp.ti - sp.tn) % 2 == 0)
     assert np.all((sp.tj - sp.tn) % 2 == 0)

@@ -42,7 +42,7 @@ def _space(dim):
     """A stand-in space of any dimension (SparseOp reads only dim and
     signature)."""
     labels = np.zeros(dim, dtype=np.int64)
-    return TruncatedSpace("L2", 0, labels, labels, labels)
+    return TruncatedSpace("L2", 0, labels, labels, labels, labels)
 
 
 @st.composite
